@@ -27,7 +27,7 @@ from .errors import (
     ParityFails,
     StrategyUnavailable,
 )
-from .field import Field, FIdeal, PrimeIdeal, primes_up_to
+from .field import Field, FIdeal, PrimeIdeal, kronecker, prime_divisors, primes_up_to
 from .hecke import EigenvalueTable, QuadChar, symsq_L1, symsq_log_deriv_L1
 from .lattice import short_vectors
 from .numerics import (
@@ -431,45 +431,11 @@ def zeta_F_2_interval(F: Field, X: int = 4000) -> Interval:
         return z2
     part = Interval(0.0)
     for nn in range(1, X + 1):
-        ch = _kronecker(F.d_F, nn)
+        ch = kronecker(F.d_F, nn)
         if ch:
             part = part + Interval(float(ch)) / Interval(float(nn * nn))
     tail = Interval(-1.0, 1.0) / Interval(float(X))
     return z2 * (part + tail)
-
-
-def _kronecker(D: int, n: int) -> int:
-    out = 1
-    for p in _pdivs(n):
-        while n % p == 0:
-            n //= p
-            out *= _kron_p(D, p)
-    return out
-
-
-def _kron_p(D: int, p: int) -> int:
-    if p == 2:
-        if D % 2 == 0:
-            return 0
-        return 1 if D % 8 in (1, 7) else -1
-    r = D % p
-    if r == 0:
-        return 0
-    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
-
-
-def _pdivs(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def m_prime(F: Field, level: FIdeal) -> Interval:
@@ -506,7 +472,7 @@ def zeta_F_numeric(F: Field, s: complex) -> complex:
     q = abs(D)
     acc = mpmath.mpc(0)
     for a in range(1, q + 1):
-        ch = _kronecker(D, a) if math.gcd(a, q) == 1 else 0
+        ch = kronecker(D, a) if math.gcd(a, q) == 1 else 0
         if ch:
             acc += ch * mpmath.zeta(s, mpmath.mpf(a) / q)
         # chi(a) for gcd > 1 is 0
@@ -523,7 +489,7 @@ def zeta_F_a_inv_prime_at_1(F: Field, level: FIdeal) -> float:
     rho = 2 ** (F.n - 1) * F.h_F * F.regulator / math.sqrt(F.d_F)
     prod = 1.0
     nm = int(level.norm())
-    for p in _pdivs(nm):
+    for p in prime_divisors(nm):
         for pr in F.splitting(p).primes:
             if level.valuation(pr) > 0:
                 prod *= 1.0 - 1.0 / pr.norm()
@@ -537,7 +503,7 @@ def zeta_F_a_inv_second_over_first(F: Field, level: FIdeal, h: float = 1e-4) -> 
     def inv_zeta_fa(s: float) -> float:
         z = zeta_F_numeric(F, s).real
         nm = int(level.norm())
-        for p in _pdivs(nm):
+        for p in prime_divisors(nm):
             for pr in F.splitting(p).primes:
                 if level.valuation(pr) > 0:
                     z *= 1.0 - float(pr.norm()) ** (-s)
@@ -614,7 +580,7 @@ def g_constants(
 def _square_level_primes(table: EigenvalueTable) -> list[int]:
     out = []
     nm = int(table.level.norm())
-    for p in _pdivs(nm):
+    for p in prime_divisors(nm):
         for pr in table.F.splitting(p).primes:
             if table.level.valuation(pr) >= 2:
                 out.append(pr.norm())

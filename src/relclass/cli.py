@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -25,9 +24,10 @@ from . import dseries, forms, hecke
 from .cm import class_counts, class_group_K, make_cm
 from .errors import (
     AssumptionViolated,
+    BoundViolated,
     InequalityViolated,
     LemmaViolation,
-    NonSquarefree,
+    NoFeasibleLambda,
     ParityFails,
     RelclassError,
     SearchBudgetExceeded,
@@ -49,7 +49,7 @@ def _fmt(x):
 
 
 def _emit(data, args) -> str:
-    if getattr(args, "csv", False):
+    if args.csv:
         buf = io.StringIO()
         rows = data if isinstance(data, list) else [data]
         keys = sorted({k for r in rows for k in r})
@@ -101,8 +101,8 @@ def load_corpus(path: str) -> list[CorpusEntry]:
 def cmd_field(args) -> int:
     try:
         F = make_field(args.n, args.m)
-    except NonSquarefree as exc:
-        sys.stderr.write(f"NonSquarefree: {exc}\n")
+    except RelclassError as exc:
+        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return EXIT_INPUT
     data = json.loads(F.to_json())
     data["regulator"] = F.regulator
@@ -115,7 +115,7 @@ def cmd_classify(args) -> int:
     try:
         F = make_field(args.n, args.m)
         K = make_cm(F, F.elem(args.delta_a, args.delta_b))
-    except (NonSquarefree, RelclassError) as exc:
+    except RelclassError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return EXIT_INPUT
     h_K, reps, orbits, h, hp = class_group_K(K)
@@ -153,80 +153,101 @@ def cmd_classify(args) -> int:
     return EXIT_OK if data["bijection_ok"] else EXIT_VIOLATION
 
 
-ALL_CHECKS = ("regression", "genus", "vsum", "lemma41", "normcounts", "measures")
+# Row status prefix and exit code for each error a corpus row may end in,
+# matched on the error's class or nearest listed base class; any other
+# RelclassError is an input error of that row.
+ROW_OUTCOMES = {
+    InequalityViolated: ("VIOLATION", EXIT_VIOLATION),
+    LemmaViolation: ("VIOLATION", EXIT_VIOLATION),
+    BoundViolated: ("VIOLATION", EXIT_VIOLATION),
+    SearchBudgetExceeded: ("BUDGET", EXIT_BUDGET),
+    AssumptionViolated: ("skipped", EXIT_OK),
+    ParityFails: ("ParityFails", EXIT_OK),
+    NoFeasibleLambda: ("NoFeasibleLambda", EXIT_OK),
+}
 
 
-def cmd_verify(args) -> int:
+def run_corpus(path: str, run_row):
+    """Apply run_row(entry, row) to each row of the corpus file, in order.
+
+    run_row fills the row dict; an error it raises becomes the row's status.
+    Returns (rows, exit code), or (None, EXIT_INPUT) when the corpus cannot
+    be read."""
     try:
-        corpus = load_corpus(args.corpus)
+        corpus = load_corpus(path)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"corpus error: {exc}\n")
-        return EXIT_INPUT
-    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
-    bad = [c for c in checks if c not in ALL_CHECKS]
-    if bad:
-        sys.stderr.write(f"unknown checks: {bad}\n")
-        return EXIT_INPUT
-    dseries.MAX_TRUNCATION = args.X
-    lat_cache: dict = {}
+        return None, EXIT_INPUT
     rows = []
     worst = EXIT_OK
     for entry in corpus:
         row = {"entry": entry.label(), "line": entry.lineno}
         try:
-            K = entry.cm()
-            K.budget = args.budget
-            K.F.unit_budget = args.budget
-            row["reldisc"] = K.rel_disc_norm
-            row["unit_equal"] = K.unit_equal
-            h_K, orbits = class_counts(K)
-            row["h_K"] = h_K
-            row["orbits"] = orbits
-            if "regression" in checks and entry.expected_hK is not None:
-                if entry.expected_hK != h_K:
-                    raise InequalityViolated(
-                        f"expected h_K = {entry.expected_hK}, computed {h_K}"
-                    )
-                row["regression"] = "ok"
-            if "genus" in checks and K.unit_equal:
-                t, bound = forms.lower_bound_t(K)
-                if entry.expected_t is not None and entry.expected_t != t:
-                    raise InequalityViolated(f"expected t = {entry.expected_t}, computed {t}")
-                row["genus"] = f"2^{t - 1}<={h_K}"
-            if "vsum" in checks and K.unit_equal:
-                rep = dseries.vsum_check(K)
-                row["vsum"] = f"{rep['partial_sum']}<={rep['h']}"
-            if "lemma41" in checks and K.unit_equal and K.rel_disc_norm > 4**K.F.n:
-                bp = bnd.bound_params(K)
-                row["lemma41"] = f"V={bp.V:.4g},U={bp.U:.4g},R={bp.R}"
-            if "normcounts" in checks and K.unit_equal:
-                F = K.F
-                if F not in lat_cache:
-                    lat_cache[F] = bnd.lattice_constants(F)
-                lat = lat_cache[F]
-                cd = K.class_data()
-                bnd.norm_count_check_K(K, cd.N_reps[0], Fraction(5), lat)
-                bnd.norm_count_check_F(F, F.unit_ideal(), Fraction(7), lat)
-                row["normcounts"] = "ok"
-            if "measures" in checks and K.unit_equal:
-                F = K.F
-                if F not in lat_cache:
-                    lat_cache[F] = bnd.lattice_constants(F)
-                lat = lat_cache[F]
-                dseries.measure_compare(
-                    K, [2.0, 5.0, 10.0], lat.A1.hi, lat.A2.hi
-                )
-                row["measures"] = "ok"
+            run_row(entry, row)
             row["status"] = "ok"
-        except (InequalityViolated, LemmaViolation, bnd.BoundViolated) as exc:
-            row["status"] = f"VIOLATION: {exc}"
-            worst = max(worst, EXIT_VIOLATION)
-        except SearchBudgetExceeded as exc:
-            row["status"] = f"BUDGET: {exc}"
-            worst = max(worst, EXIT_BUDGET)
-        except AssumptionViolated as exc:
-            row["status"] = f"skipped: {exc}"
+        except RelclassError as exc:
+            listed = [ROW_OUTCOMES[t] for t in type(exc).__mro__ if t in ROW_OUTCOMES]
+            prefix, code = listed[0] if listed else (f"INPUT: {type(exc).__name__}", EXIT_INPUT)
+            row["status"] = f"{prefix}: {exc}"
+            worst = max(worst, code)
         rows.append(row)
+    return rows, worst
+
+
+ALL_CHECKS = ("regression", "genus", "vsum", "lemma41", "normcounts", "measures")
+
+
+def cmd_verify(args) -> int:
+    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
+    bad = [c for c in checks if c not in ALL_CHECKS]
+    if bad:
+        sys.stderr.write(f"unknown checks: {bad}\n")
+        return EXIT_INPUT
+    lat_cache: dict = {}
+
+    def lattice(F):
+        if F not in lat_cache:
+            lat_cache[F] = bnd.lattice_constants(F)
+        return lat_cache[F]
+
+    def run_row(entry, row):
+        K = entry.cm()
+        K.budget = args.budget
+        K.F.unit_budget = args.budget
+        row["reldisc"] = K.rel_disc_norm
+        row["unit_equal"] = K.unit_equal
+        h_K, orbits = class_counts(K)
+        row["h_K"] = h_K
+        row["orbits"] = orbits
+        if "regression" in checks and entry.expected_hK is not None:
+            if entry.expected_hK != h_K:
+                raise InequalityViolated(f"expected h_K = {entry.expected_hK}, computed {h_K}")
+            row["regression"] = "ok"
+        if "genus" in checks and K.unit_equal:
+            t, bound = forms.lower_bound_t(K)
+            if entry.expected_t is not None and entry.expected_t != t:
+                raise InequalityViolated(f"expected t = {entry.expected_t}, computed {t}")
+            row["genus"] = f"2^{t - 1}<={h_K}"
+        if "vsum" in checks and K.unit_equal:
+            rep = dseries.vsum_check(K)
+            row["vsum"] = f"{rep['partial_sum']}<={rep['h']}"
+        if "lemma41" in checks and K.unit_equal and K.rel_disc_norm > 4**K.F.n:
+            bp = bnd.bound_params(K)
+            row["lemma41"] = f"V={bp.V:.4g},U={bp.U:.4g},R={bp.R}"
+        if "normcounts" in checks and K.unit_equal:
+            lat = lattice(K.F)
+            cd = K.class_data()
+            bnd.norm_count_check_K(K, cd.N_reps[0], Fraction(5), lat)
+            bnd.norm_count_check_F(K.F, K.F.unit_ideal(), Fraction(7), lat)
+            row["normcounts"] = "ok"
+        if "measures" in checks and K.unit_equal:
+            lat = lattice(K.F)
+            dseries.measure_compare(K, [2.0, 5.0, 10.0], lat.A1.hi, lat.A2.hi)
+            row["measures"] = "ok"
+
+    rows, worst = run_corpus(args.corpus, run_row)
+    if rows is None:
+        return worst
     summary = {
         "entries": len(rows),
         "checks": ",".join(checks),
@@ -236,132 +257,94 @@ def cmd_verify(args) -> int:
     return worst
 
 
-def _load_injected(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def cmd_bound(args) -> int:
-    try:
-        corpus = load_corpus(args.corpus)
-    except (OSError, ValueError) as exc:
-        sys.stderr.write(f"corpus error: {exc}\n")
-        return EXIT_INPUT
     strategy = args.strategy
     injected = None
     if strategy.startswith("injected:"):
-        injected = _load_injected(strategy.split(":", 1)[1])
+        with open(strategy.split(":", 1)[1]) as fh:
+            injected = json.load(fh)
         strategy = "injected"
     grid = [float(x) for x in args.lambda_grid.split(",")] if args.lambda_grid else None
     bundles: dict = {}
-    rows = []
-    worst = EXIT_OK
-    for entry in corpus:
-        row = {"entry": entry.label(), "line": entry.lineno}
-        try:
-            K = entry.cm()
-            K.budget = args.budget
-            F = K.F
-            if not bnd.parity_applicable(F):
-                raise ParityFails("the 37-splitting parity condition fails for this base field")
-            if F not in bundles:
-                base = hecke.gz_table(args.pmax)
-                eps, _ = hecke.epsilon_numeric(base)
-                base.eps_sign = eps
-                Q = make_field(1)
-                chi0 = hecke.QuadChar(make_cm(Q, -139))
-                if F.n == 1:
-                    f_table = hecke.twist_table(base, chi0)
-                    f_table.eps_sign = hecke.epsilon_factor(base, chi0, eps)
-                else:
-                    bc = hecke.base_change_table(base, F)
-                    chiF = hecke.QuadChar(make_cm(F, F.elem(-139)))
-                    f_table = hecke.twist_table(bc, chiF)
-                bundles[F] = bnd.make_bundle(
-                    F, f_table, strategy, injected, lambda_grid=grid, prime_cap=min(300, args.pmax)
-                )
-            bundle = bundles[F]
-            fc = bnd.final_C(bundle)
-            fb = bnd.final_bound(K, bundle, C=fc["C"])
-            t, genus_bound = forms.lower_bound_t(K)
-            vs = dseries.vsum_check(K)
-            row.update(
-                {
-                    "reldisc": K.rel_disc_norm,
-                    "t": t,
-                    "h_K": fb["h_K"],
-                    "genus_bound": genus_bound,
-                    "vsum_ok": vs["ok"],
-                    "bound": _fmt(fb["bound"]),
-                    "branch_split": _fmt(fb["branch_split"]),
-                    "branch_main": _fmt(fb["branch_main"]),
-                    "C": _fmt(fb["C"]),
-                    "lambda": _fmt(float(fc["lambda"])),
-                    "slack": _fmt(fb["slack"]),
-                    "rigor_G1": bundle.rigor["G1"],
-                    "status": "ok",
-                }
+
+    def bundle(F):
+        if F not in bundles:
+            table = hecke.gz_table(args.pmax)
+            if F.n == 2:
+                table = hecke.base_change_table(table, F)
+            f_table = hecke.twist_table(table, hecke.QuadChar(make_cm(F, -139)))
+            bundles[F] = bnd.make_bundle(
+                F, f_table, strategy, injected, lambda_grid=grid, prime_cap=min(300, args.pmax)
             )
-        except ParityFails as exc:
-            row["status"] = f"ParityFails: {exc}"
-        except AssumptionViolated as exc:
-            row["status"] = f"skipped: {exc}"
-        except bnd.NoFeasibleLambda as exc:
-            row["status"] = f"NoFeasibleLambda: {exc}"
-        except (InequalityViolated, LemmaViolation, bnd.BoundViolated) as exc:
-            row["status"] = f"VIOLATION: {exc}"
-            worst = max(worst, EXIT_VIOLATION)
-        except SearchBudgetExceeded as exc:
-            row["status"] = f"BUDGET: {exc}"
-            worst = max(worst, EXIT_BUDGET)
-        rows.append(row)
-    sys.stdout.write(_emit(rows, args))
+        return bundles[F]
+
+    def run_row(entry, row):
+        K = entry.cm()
+        if not bnd.parity_applicable(K.F):
+            raise ParityFails("the 37-splitting parity condition fails for this base field")
+        b = bundle(K.F)
+        fc = bnd.final_C(b)
+        fb = bnd.final_bound(K, b, C=fc["C"])
+        t, genus_bound = forms.lower_bound_t(K)
+        vs = dseries.vsum_check(K)
+        row.update(
+            {
+                "reldisc": K.rel_disc_norm,
+                "t": t,
+                "h_K": fb["h_K"],
+                "genus_bound": genus_bound,
+                "vsum_ok": vs["ok"],
+                "bound": _fmt(fb["bound"]),
+                "branch_split": _fmt(fb["branch_split"]),
+                "branch_main": _fmt(fb["branch_main"]),
+                "C": _fmt(fb["C"]),
+                "lambda": _fmt(float(fc["lambda"])),
+                "slack": _fmt(fb["slack"]),
+                "rigor_G1": b.rigor["G1"],
+            }
+        )
+
+    rows, worst = run_corpus(args.corpus, run_row)
+    if rows is not None:
+        sys.stdout.write(_emit(rows, args))
     return worst
 
 
 def main(argv=None) -> int:
-    bits = int(os.environ.get("RELCLASS_PRECISION_BITS", "128"))
-    mpmath.mp.prec = bits
+    mpmath.mp.prec = 128
     ap = argparse.ArgumentParser(prog="relclass", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_field = sub.add_parser("field", help="base field report")
+    p_field.set_defaults(run=cmd_field)
     p_field.add_argument("--n", type=int, required=True)
     p_field.add_argument("--m", type=int, default=None)
 
     p_cls = sub.add_parser("classify", help="form classes of one extension")
+    p_cls.set_defaults(run=cmd_classify)
     p_cls.add_argument("--n", type=int, required=True)
     p_cls.add_argument("--m", type=int, default=None)
     p_cls.add_argument("--delta-a", dest="delta_a", type=int, required=True)
     p_cls.add_argument("--delta-b", dest="delta_b", type=int, default=0)
 
     p_ver = sub.add_parser("verify", help="invariant suites over a corpus")
+    p_ver.set_defaults(run=cmd_verify)
     p_ver.add_argument("--corpus", required=True)
     p_ver.add_argument("--checks", default=None, help=",".join(ALL_CHECKS))
 
     p_bnd = sub.add_parser("bound", help="per-extension bound table")
+    p_bnd.set_defaults(run=cmd_bound)
     p_bnd.add_argument("--corpus", required=True)
     p_bnd.add_argument("--strategy", default="heuristic")
     p_bnd.add_argument("--lambda-grid", dest="lambda_grid", default=None)
+    p_bnd.add_argument("--pmax", type=int, default=2000)
 
+    p_ver.add_argument("--budget", type=int, default=10**6)
     for p in (p_field, p_cls, p_ver, p_bnd):
-        p.add_argument("--json", action="store_true", default=True)
-        p.add_argument("--csv", action="store_true", default=False)
-        p.add_argument("--X", type=int, default=10**4)
-        p.add_argument("--pmax", type=int, default=2000)
-        p.add_argument("--budget", type=int, default=10**6)
-        p.add_argument("--seed", type=int, default=20260808)
+        p.add_argument("--csv", action="store_true")
 
     args = ap.parse_args(argv)
-    if args.command == "field":
-        return cmd_field(args)
-    if args.command == "classify":
-        return cmd_classify(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "bound":
-        return cmd_bound(args)
-    return EXIT_INPUT  # pragma: no cover
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -32,10 +32,19 @@ from .errors import (
     NotTotallyNegative,
     SearchBudgetExceeded,
 )
-from .field import FElem, Field, FIdeal, PrimeIdeal, primes_up_to
+from .field import (
+    FElem,
+    Field,
+    FIdeal,
+    PrimeIdeal,
+    elem_with_valuation,
+    ideal_transversal,
+    prime_divisors,
+    primes_up_to,
+)
 from .finitefield import ResidueField
-from .intmat import hnf_lattice, zspan_kernel, zspan_solve
-from .lattice import gauss_reduce_binary, lll_reduce_gram, short_vectors
+from .intmat import hnf_lattice, solve_exact, zspan_kernel, zspan_solve
+from .lattice import lll_reduce_gram, short_vectors
 
 
 class KElem:
@@ -167,11 +176,12 @@ class CMField:
         deg = self.deg
         basis = self.order_basis
         amb = [z.coords() for z in basis]  # rows: ambient coordinates
-        inv = _rational_inverse(amb)
+        # inv_cols[b] is column b of amb^-1: it solves amb * x = e_b
+        inv_cols = [solve_exact(amb, [int(a == b) for a in range(deg)]) for b in range(deg)]
 
         def to_order(z: KElem) -> list[Fraction]:
             c = z.coords()
-            return [sum(c[a] * inv[a][b] for a in range(deg)) for b in range(deg)]
+            return [sum(c[a] * col[a] for a in range(deg)) for col in inv_cols]
 
         self._to_order = to_order
         table = [[None] * deg for _ in range(deg)]
@@ -236,7 +246,7 @@ class CMField:
         c_ideal = F.unit_ideal()
         ram_data = []
         nrm = int(abs((delta * F.elem(4)).norm()))
-        for p in sorted(set(_prime_divisors(nrm))):
+        for p in sorted(set(prime_divisors(nrm))):
             for pr in F.splitting(p).primes:
                 v4d = four_delta.valuation(pr)
                 if v4d == 0:
@@ -279,7 +289,7 @@ class CMField:
         for j in range(jmax, 0, -1):
             p2j = pr.ideal ** (2 * j)
             pj = pr.ideal**j
-            for b in _ideal_transversal(F, p2j):
+            for b in ideal_transversal(F, p2j):
                 if pj.contains(b + b) and p2j.contains(b * b - self.delta):
                     return (j, b)
         return (0, F.zero())
@@ -322,15 +332,6 @@ class CMField:
     def one(self) -> KElem:
         return self.elem(1, 0)
 
-    def sqrt_delta(self) -> KElem:
-        return self.elem(0, 1)
-
-    def from_coords(self, coords) -> KElem:
-        F = self.F
-        if F.n == 1:
-            return KElem(self, F.elem(coords[0]), F.elem(coords[1]))
-        return KElem(self, F.elem(coords[0], coords[1]), F.elem(coords[2], coords[3]))
-
     def maximal_order(self) -> "KIdeal":
         if self._max_order is None:
             ident = [[1 if j == i else 0 for j in range(self.deg)] for i in range(self.deg)]
@@ -354,7 +355,7 @@ class CMField:
         F = self.F
         cinv = self.c_ideal.inverse()
         j = -cinv.valuation(pr)
-        tau = _elem_with_valuation(F, cinv, pr, -j)
+        tau = elem_with_valuation(F, cinv, pr, -j)
         w = KElem(self, tau * self.b_shift, tau)
         assert w.is_integral()
         B = w.rel_trace()
@@ -493,7 +494,7 @@ class KIdeal:
         den = 1
         for row in coords:
             for c in row:
-                den = _lcm(den, c.denominator)
+                den = math.lcm(den, c.denominator)
         rows = [[int(c * den) for c in row] for row in coords]
         return KIdeal.from_rows(K, rows, den)
 
@@ -543,7 +544,7 @@ class KIdeal:
             oc = K._to_order(other)
             den2 = 1
             for c in oc:
-                den2 = _lcm(den2, c.denominator)
+                den2 = math.lcm(den2, c.denominator)
             orow = [int(c * den2) for c in oc]
             rows = [K._row_mul(r, orow) for r in self.num]
             return KIdeal.from_rows(K, rows, self.den * den2)
@@ -604,7 +605,7 @@ class KIdeal:
 
     def divides(self, other: "KIdeal") -> bool:
         """self | other, i.e. other subset of self (lattice containment)."""
-        s = _lcm(self.den, other.den)
+        s = math.lcm(self.den, other.den)
         self_rows = [[x * (s // self.den) for x in r] for r in self.num]
         aux = KIdeal.__new__(KIdeal)
         aux.K = self.K
@@ -767,18 +768,6 @@ class KIdeal:
                 t = b.scale(c)
                 z = t if z is None else z + t
         return z
-
-    def reduced_form_key(self):
-        """Class invariant for degree-2 K: the reduced binary form of the norm lattice."""
-        K = self.K
-        assert K.F.n == 1
-        g = self.gram()
-        n = self.abs_norm()
-        aa = g[0][0] / (2 * n)
-        bb = g[0][1] / n
-        cc = g[1][1] / (2 * n)
-        assert aa.denominator == bb.denominator == cc.denominator == 1
-        return gauss_reduce_binary(int(aa), int(bb), int(cc))
 
 
 @dataclass
@@ -1007,7 +996,7 @@ def line_colon_ideal(K: CMField, alpha: KElem, module: KIdeal) -> FIdeal:
     crosses = [b.x * alpha.y - b.y * alpha.x for b in bs]
     den = 1
     for c in crosses:
-        den = _lcm(den, _lcm(c.a.denominator, c.b.denominator))
+        den = math.lcm(den, c.a.denominator, c.b.denominator)
     rows = [[int(c.a * den)] + ([int(c.b * den)] if F.n == 2 else []) for c in crosses]
     ker = zspan_kernel(rows)
     gens = []
@@ -1143,48 +1132,6 @@ def _on_line(K: CMField, z: KElem, w: KElem) -> bool:
 # -- small helpers -------------------------------------------------------------------
 
 
-def _prime_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _ideal_transversal(F: Field, idl: FIdeal):
-    """Coset representatives of o_F / idl (idl integral)."""
-    assert idl.is_integral()
-    if F.n == 1:
-        a = idl.num[0][0]
-        for x in range(a):
-            yield F.elem(x)
-        return
-    a = idl.num[0][0]
-    c = idl.num[1][1]
-    for x in range(a):
-        for y in range(c):
-            yield F.elem(x, y)
-
-
-def _elem_with_valuation(F: Field, idl: FIdeal, pr: PrimeIdeal, v: int) -> FElem:
-    """Element of the fractional ideal with exact valuation v at pr."""
-    for e in idl.basis_elems():
-        if F.ideal(e).valuation(pr) == v:
-            return e
-    raise SearchBudgetExceeded(f"no basis element of valuation {v} at {pr}")
-
-
 def _split_one(F: Field, a: FIdeal, b: FIdeal) -> FElem:
     """e in a with 1 - e in b (a, b coprime integral ideals)."""
     assert a.den == 1 and b.den == 1
@@ -1207,19 +1154,3 @@ def _lift_residue(F: Field, rf: ResidueField, r) -> FElem:
     if rf.f == 1:
         return F.elem(r[0])
     return F.elem(r[0], r[1])
-
-
-def _rational_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a small square rational matrix (Gauss-Jordan)."""
-    n = len(rows)
-    a = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [[a[i][n + j] for j in range(n)] for i in range(n)]

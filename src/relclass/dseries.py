@@ -298,20 +298,6 @@ class StepMeasure:
     density: list[tuple[float, float, float, float]] = field(default_factory=list)
     # density entries: (c, gamma, lo, hi); hi = inf allowed
 
-    def mass_upto(self, t: float) -> float:
-        out = 0.0
-        for loc, m in self.atoms:
-            if loc <= t:
-                out += m
-        for c, gamma, lo, hi in self.density:
-            upper = min(t, hi)
-            if upper > lo:
-                if gamma == -1:
-                    out += c * (math.log(upper) - math.log(lo))
-                else:
-                    out += c * (upper ** (gamma + 1) - lo ** (gamma + 1)) / (gamma + 1)
-        return out
-
     def integral_of_mass(self, x: float, grid: int = 2000) -> float:
         """int_0^x mass([0,t]) dt; exact for atom-only measures, panelwise
         closed-form for the density pieces."""

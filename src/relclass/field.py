@@ -63,6 +63,39 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
+def prime_divisors(n) -> list[int]:
+    """The distinct prime divisors of |n| (n an integer), ascending."""
+    n = abs(int(n))
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def kronecker(D: int, n: int) -> int:
+    """The Kronecker symbol (D/n) for n >= 1.  For a discriminant D and a
+    prime p it is +1, -1 or 0 as p splits, is inert or ramifies in Q(sqrt D)."""
+    out = 1
+    for p in prime_divisors(n):
+        if D % p == 0:
+            return 0
+        if p == 2:
+            s = 1 if D % 8 in (1, 7) else -1
+        else:
+            s = 1 if pow(D, (p - 1) // 2, p) == 1 else -1
+        while n % p == 0:
+            n //= p
+            out *= s
+    return out
+
+
 def sqrt_mod_p(a: int, p: int) -> int | None:
     """A square root of a mod p (p prime), or None. Tonelli-Shanks."""
     a %= p
@@ -162,14 +195,6 @@ class Field:
     def omega(self) -> "FElem":
         return self.elem(0, 1)
 
-    def sqrt_m(self) -> "FElem":
-        """The element sqrt(m) (n=2 only)."""
-        if self.n == 1:
-            raise DegreeUnsupported("sqrt m needs n=2")
-        if self.c1 == 0:
-            return self.omega()
-        return self.elem(-1, 2)  # 2*omega - 1
-
     def maximal_order_basis(self) -> list["FElem"]:
         if self.n == 1:
             return [self.one()]
@@ -199,12 +224,6 @@ class Field:
                 reps.append(idl)
         self.h_F = len(reps)
         self.class_reps = reps
-
-    def class_index(self, idl: "FIdeal") -> int:
-        for i, r in enumerate(self.class_reps):
-            if (idl * r.inverse()).is_principal():
-                return i
-        raise SearchBudgetExceeded("ideal class not matched to any representative")
 
     # -- misc -------------------------------------------------------------------
 
@@ -373,9 +392,6 @@ class FElem:
     def is_integral(self) -> bool:
         return self.a.denominator == 1 and self.b.denominator == 1
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def coords(self) -> tuple[Fraction, Fraction]:
         return (self.a, self.b)
 
@@ -415,9 +431,6 @@ class FElem:
         if self.F.n == 1:
             return float(self.a)
         return float(self.a) + float(self.b) * self.F.omega_embeddings[i]
-
-    def embeddings(self) -> tuple[float, ...]:
-        return tuple(self.embed(i) for i in range(self.F.n))
 
     def is_square(self) -> bool:
         return self.square_root() is not None
@@ -531,8 +544,7 @@ class FIdeal:
         prods = [g * mul for g in gens for mul in mults]
         den = 1
         for x in prods:
-            den = _lcm(den, x.a.denominator)
-            den = _lcm(den, x.b.denominator)
+            den = math.lcm(den, x.a.denominator, x.b.denominator)
         rows = []
         for x in prods:
             if F.n == 1:
@@ -642,10 +654,7 @@ class FIdeal:
         return v - prime.e * vp_den
 
     def is_principal(self, budget: int | None = None) -> bool:
-        try:
-            return self.principal_gen(budget) is not None
-        except SearchBudgetExceeded:
-            raise
+        return self.principal_gen(budget) is not None
 
     def principal_gen(self, budget: int | None = None) -> FElem | None:
         """Generator of matching norm, reduced into the unit fundamental domain.
@@ -692,10 +701,6 @@ class FIdeal:
                     if abs(x.norm()) == target:
                         return x
         return None
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -772,6 +777,26 @@ def factor_prime(F: Field, p: int) -> SplittingType:
     return SplittingType(p, tuple(primes))
 
 
+def ideal_transversal(F: Field, idl: FIdeal):
+    """Coset representatives of o_F / idl (idl integral)."""
+    assert idl.is_integral()
+    if F.n == 1:
+        for x in range(idl.num[0][0]):
+            yield F.elem(x)
+        return
+    for x in range(idl.num[0][0]):
+        for y in range(idl.num[1][1]):
+            yield F.elem(x, y)
+
+
+def elem_with_valuation(F: Field, idl: FIdeal, pr: PrimeIdeal, v: int) -> FElem:
+    """A basis element of the fractional ideal with exact valuation v at pr."""
+    for e in idl.basis_elems():
+        if F.ideal(e).valuation(pr) == v:
+            return e
+    raise SearchBudgetExceeded(f"no basis element of valuation {v} at {pr}")
+
+
 def class_group_F(F: Field) -> tuple[int, list[FIdeal]]:
     """(h_F, class representatives); already computed at field construction."""
     return F.h_F, F.class_reps
@@ -802,35 +827,4 @@ def ideals_of_norm_up_to(F: Field, bound: int) -> list["FIdeal"]:
 
     rec(0, F.unit_ideal(), 1)
     out.sort(key=lambda idl: idl.norm())
-    return out
-
-
-def factor_element_ideal(F: Field, x: FElem) -> list[tuple[PrimeIdeal, int]]:
-    """Prime factorization of the principal ideal (x), x integral and nonzero."""
-    if x.is_zero():
-        raise ZeroDivisionError
-    n = abs(x.norm())
-    assert n.denominator == 1
-    n = int(n)
-    out = []
-    idl = F.ideal(x)
-    for p in _prime_divisors(n):
-        for pi in F.splitting(p).primes:
-            v = idl.valuation(pi)
-            if v:
-                out.append((pi, v))
-    return out
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
     return out

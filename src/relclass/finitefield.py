@@ -6,6 +6,8 @@ Elements are pairs (a0, a1) over F_p modulo the minimal polynomial of omega
 
 from __future__ import annotations
 
+import math
+
 from .errors import SearchBudgetExceeded
 from .field import Field, FElem, PrimeIdeal, sqrt_mod_p
 
@@ -157,7 +159,7 @@ class ResidueField:
 
     def reduce(self, x: FElem):
         """Image of any x with v_prime(x) >= 0 (denominators handled)."""
-        d = _lcm(x.a.denominator, x.b.denominator)
+        d = math.lcm(x.a.denominator, x.b.denominator)
         num = x * self.F.elem(d)
         correction = self.one()
         guard = 0
@@ -173,7 +175,7 @@ class ResidueField:
             t = self.prime.second_gen.conj()
             num = num * t
             correction = self.mul(correction, self.reduce_integral(t))
-            dn = _lcm(num.a.denominator, num.b.denominator)
+            dn = math.lcm(num.a.denominator, num.b.denominator)
             num = num * self.F.elem(dn)
             d *= dn
             # re-reduce the fraction d/num
@@ -207,9 +209,3 @@ class ResidueField:
         if self.p == 2:
             return 1
         return 1 if self.is_square(x) else -1
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .cm import CMField, KElem, KIdeal, make_cm
 from .errors import (
@@ -27,7 +26,16 @@ from .errors import (
     NotFundamental,
     SearchBudgetExceeded,
 )
-from .field import FElem, Field, FIdeal, PrimeIdeal
+from .field import (
+    FElem,
+    Field,
+    FIdeal,
+    PrimeIdeal,
+    elem_with_valuation,
+    ideal_transversal,
+    is_prime_int,
+    prime_divisors,
+)
 from .finitefield import ResidueField
 from .intmat import hnf_lattice, zspan_kernel, zspan_solve
 from .lattice import short_vectors
@@ -100,29 +108,7 @@ def make_form(F: Field, a, b, c, steinitz: FIdeal | None = None) -> PseudoForm:
     return PseudoForm(F, steinitz if steinitz is not None else F.unit_ideal(), conv(a), conv(b), conv(c))
 
 
-def form_report(Q: PseudoForm, K: CMField) -> dict:
-    """Serializable form data with genus signs."""
-    gv = genus_vector(Q, K)
-    return {
-        "steinitz_norm": f"{Q.steinitz.norm().numerator}/{Q.steinitz.norm().denominator}",
-        "a": str(Q.a),
-        "b": str(Q.b),
-        "c": str(Q.c),
-        "disc_ideal_norm": str(Q.disc_ideal().norm()),
-        "norm_ideal_norm": str(Q.norm_ideal().norm()),
-        "fundamental": is_fundamental(Q, cross_check=False),
-        "genus": {"|".join(map(str, k)): v for k, v in sorted(gv.items())},
-    }
-
-
 # -- fundamentality ------------------------------------------------------------------
-
-
-def _elem_with_val(F: Field, idl: FIdeal, pr: PrimeIdeal, v: int) -> FElem:
-    for e in idl.basis_elems():
-        if F.ideal(e).valuation(pr) == v:
-            return e
-    raise SearchBudgetExceeded(f"no basis element of valuation {v} at {pr}")
 
 
 def _val_elem(F: Field, x: FElem, pr: PrimeIdeal) -> int:
@@ -137,22 +123,11 @@ def is_quadratic_residue_mod4(F: Field, d: FElem, pr: PrimeIdeal) -> bool:
     membership at pr."""
     two = F.ideal(F.elem(2))
     four_p = (two * two).valuation(pr)
-    for u in _transversal(F, two * pr.ideal):
+    for u in ideal_transversal(F, two * pr.ideal):
         diff = u * u - d
         if diff.is_zero() or F.ideal(diff).valuation(pr) >= four_p:
             return True
     return False
-
-
-def _transversal(F: Field, idl: FIdeal):
-    assert idl.is_integral()
-    if F.n == 1:
-        for x in range(idl.num[0][0]):
-            yield F.elem(x)
-        return
-    for x in range(idl.num[0][0]):
-        for y in range(idl.num[1][1]):
-            yield F.elem(x, y)
 
 
 def is_fundamental_local(F: Field, d: FElem, pr: PrimeIdeal) -> bool:
@@ -188,8 +163,8 @@ def is_fundamental(Q: PseudoForm, cross_check: bool = True) -> bool:
     assert target.is_integral()
     result = True
     for pr in _relevant_primes(F, Q):
-        t_a = _elem_with_val(F, Q.steinitz, pr, Q.steinitz.valuation(pr))
-        n_t = _elem_with_val(F, nq, pr, nq.valuation(pr))
+        t_a = elem_with_valuation(F, Q.steinitz, pr, Q.steinitz.valuation(pr))
+        n_t = elem_with_valuation(F, nq, pr, nq.valuation(pr))
         d_star = d * t_a * t_a / (n_t * n_t)
         if not is_fundamental_local(F, d_star, pr):
             result = False
@@ -211,7 +186,7 @@ def _relevant_primes(F: Field, Q: PseudoForm) -> list[PrimeIdeal]:
     nums.add(int(Q.steinitz.norm().denominator))
     ps = set()
     for n in nums:
-        ps.update(_prime_divisors(n))
+        ps.update(prime_divisors(n))
     out = []
     for p in sorted(ps):
         out.extend(F.splitting(p).primes)
@@ -226,7 +201,7 @@ def _rel_disc_of_form_field(Q: PseudoForm) -> FIdeal:
 def form_field(Q: PseudoForm) -> CMField:
     """K = F(sqrt(b^2 - 4ac)), via an integral totally negative scaling."""
     d = Q.field_disc()
-    den = _lcm(d.a.denominator, d.b.denominator)
+    den = math.lcm(d.a.denominator, d.b.denominator)
     delta = d * Q.F.elem(den * den)
     return make_cm(Q.F, delta)
 
@@ -253,9 +228,9 @@ def free_module_basis(K: CMField, A: KIdeal) -> tuple[KElem, KElem]:
     # beta = sum c_i (v_i t) with integral coefficients and y-part exactly g
     mults = F.maximal_order_basis()
     pieces = [v * KElem(K, t, F.zero()) for v in vs for t in mults]
-    den = _lcm(g.a.denominator, g.b.denominator)
+    den = math.lcm(g.a.denominator, g.b.denominator)
     for z in pieces:
-        den = _lcm(den, _lcm(z.y.a.denominator, z.y.b.denominator))
+        den = math.lcm(den, z.y.a.denominator, z.y.b.denominator)
     rows = [[int(z.y.a * den)] + ([int(z.y.b * den)] if n == 2 else []) for z in pieces]
     target = [int(g.a * den)] + ([int(g.b * den)] if n == 2 else [])
     sol = zspan_solve(rows, target)
@@ -269,7 +244,7 @@ def free_module_basis(K: CMField, A: KIdeal) -> tuple[KElem, KElem]:
     # intersection with F: integer combinations of the Z-basis with zero y-part
     dy = 1
     for v in vs:
-        dy = _lcm(dy, _lcm(v.y.a.denominator, v.y.b.denominator))
+        dy = math.lcm(dy, v.y.a.denominator, v.y.b.denominator)
     rows_y = [[int(v.y.a * dy)] + ([int(v.y.b * dy)] if n == 2 else []) for v in vs]
     ker = zspan_kernel(rows_y)
     xgens = []
@@ -305,7 +280,7 @@ def _span_den(K: CMField, gens: list[KElem]) -> int:
     for g in gens:
         for t in mults:
             for c in K._to_order(g * t):
-                den = _lcm(den, c.denominator)
+                den = math.lcm(den, c.denominator)
     return den
 
 
@@ -343,7 +318,7 @@ def form_to_ideal(Q: PseudoForm) -> tuple[CMField, KIdeal, FElem]:
     K = form_field(Q)
     F = Q.F
     d = Q.field_disc()
-    den = _lcm(d.a.denominator, d.b.denominator)
+    den = math.lcm(d.a.denominator, d.b.denominator)
     # sqrt(d) = sqrt(delta)/den with delta = d * den^2
     sqrt_d = KElem(K, F.zero(), F.elem(Fraction(1, den)))
     two_a = KElem(K, Q.a + Q.a, F.zero())
@@ -354,7 +329,7 @@ def form_to_ideal(Q: PseudoForm) -> tuple[CMField, KIdeal, FElem]:
     pieces += [second * KElem(K, s, F.zero()) for s in Q.steinitz.basis_elems()]
     for z in pieces:
         for c in K._to_order(z):
-            den_rows = _lcm(den_rows, c.denominator)
+            den_rows = math.lcm(den_rows, c.denominator)
     for z in pieces:
         gens_rows.append([int(c * den_rows) for c in K._to_order(z)])
     A = KIdeal.from_rows(K, gens_rows, den_rows)
@@ -510,7 +485,7 @@ def _reduce_by_square(F: Field, x: FElem, pr: PrimeIdeal, g: FElem) -> FElem:
 
 
 def _den_of(x: FElem) -> int:
-    return _lcm(x.a.denominator, x.b.denominator)
+    return math.lcm(x.a.denominator, x.b.denominator)
 
 
 def _soluble_mod(F: Field, pr: PrimeIdeal, s: FElem, d: FElem, m: int):
@@ -524,7 +499,7 @@ def _soluble_mod(F: Field, pr: PrimeIdeal, s: FElem, d: FElem, m: int):
     p1 = pr.ideal
     s_int = _make_integral_mod(F, s, pr, m)
     d_int = _make_integral_mod(F, d, pr, m)
-    reps = list(_transversal(F, pm))
+    reps = list(ideal_transversal(F, pm))
     in_p = [p1.contains(r) for r in reps]
     sq: dict = {}
     for iz, z in enumerate(reps):
@@ -569,7 +544,7 @@ def _val_capped(F: Field, x: FElem, pr: PrimeIdeal, cap: int) -> int:
 
 def _make_integral_mod(F: Field, w: FElem, pr: PrimeIdeal, m: int) -> FElem:
     """Integral representative of a pr-integral element modulo pr^m."""
-    dw = _lcm(w.a.denominator, w.b.denominator)
+    dw = math.lcm(w.a.denominator, w.b.denominator)
     if dw == 1:
         return w
     assert dw % pr.p != 0, "denominator not coprime to p"
@@ -640,7 +615,7 @@ def representable_criterion(K: CMField, s: FElem) -> bool:
     if s.is_zero():
         raise ValueError("s must be nonzero")
     nrm = abs(s.norm())
-    for p in sorted(set(_prime_divisors(nrm.numerator) + _prime_divisors(nrm.denominator))):
+    for p in sorted(set(prime_divisors(nrm.numerator) + prime_divisors(nrm.denominator))):
         for pr in F.splitting(p).primes:
             v = _val_elem(F, s, pr)
             if v == 0:
@@ -661,7 +636,7 @@ def represent_search(K: CMField, s: FElem):
     # B with N_{K/F}(B) = (s)
     nrm = abs(s.norm())
     B = K.maximal_order()
-    for p in sorted(set(_prime_divisors(nrm.numerator) + _prime_divisors(nrm.denominator))):
+    for p in sorted(set(prime_divisors(nrm.numerator) + prime_divisors(nrm.denominator))):
         for pr in F.splitting(p).primes:
             v = _val_elem(F, s, pr)
             if v == 0:
@@ -738,7 +713,7 @@ def prescribe_genus(K: CMField, signs: dict, budget: int = 200000):
         nrm = abs(e0.norm())
         if nrm.denominator != 1 or nrm == 0:
             continue
-        if not _is_prime_int(int(nrm)):
+        if not is_prime_int(int(nrm)):
             continue
         for pr in primes:
             if _val_elem(F, e0, pr) != 0:
@@ -779,17 +754,6 @@ def _small_elements(F: Field):
                     if max(abs(x), abs(y)) == box:
                         yield F.elem(x, y)
             box += 1
-
-
-def _is_prime_int(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- the lower bound and the unique-line lemma ---------------------------------------------
@@ -918,29 +882,7 @@ def _line_key(F: Field, Q: PseudoForm, x: FElem, y: FElem, b_id: FIdeal):
     den = 1
     for gx, gy in gens:
         for c in list(gx) + list(gy):
-            den = _lcm(den, c.denominator)
+            den = math.lcm(den, c.denominator)
     rows = [[int(c * den) for c in list(gx) + list(gy)] for gx, gy in gens]
     h = hnf_lattice(rows)
     return (den, tuple(tuple(r) for r in h))
-
-
-# -- helpers -----------------------------------------------------------------------------
-
-
-def _prime_divisors(n) -> list[int]:
-    n = abs(int(n))
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)

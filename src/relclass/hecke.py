@@ -24,7 +24,7 @@ from .errors import (
     NonQuadraticCharacter,
     OutOfTableRange,
 )
-from .field import Field, FIdeal, PrimeIdeal, make_field, primes_up_to
+from .field import Field, FIdeal, PrimeIdeal, make_field, prime_divisors, primes_up_to
 
 CURVE = (1, -23, -50)  # y^2 + y = x^3 + x^2 - 23x - 50 coefficients (x^2, x, 1)
 CURVE_LEVEL = 37
@@ -143,7 +143,7 @@ class QuadChar:
         """chi* on an ideal coprime to the conductor (by factorization)."""
         out = 1
         nm = int(idl.norm())
-        for p in _prime_divisors(nm):
+        for p in prime_divisors(nm):
             for pr in self.K.F.splitting(p).primes:
                 v = idl.valuation(pr)
                 if v:
@@ -187,7 +187,7 @@ def twist_table(table: EigenvalueTable, chi: QuadChar) -> EigenvalueTable:
 def _ideal_lcm(F: Field, a: FIdeal, b: FIdeal) -> FIdeal:
     out = F.unit_ideal()
     nm = int(a.norm()) * int(b.norm())
-    for p in _prime_divisors(nm):
+    for p in prime_divisors(nm):
         for pr in F.splitting(p).primes:
             v = max(a.valuation(pr), b.valuation(pr))
             if v:
@@ -201,7 +201,7 @@ def _split_level(table: EigenvalueTable, cond: FIdeal) -> tuple[FIdeal, FIdeal]:
     a1 = F.unit_ideal()
     a2 = F.unit_ideal()
     nm = int(table.level.norm())
-    for p in _prime_divisors(nm):
+    for p in prime_divisors(nm):
         for pr in F.splitting(p).primes:
             v = table.level.valuation(pr)
             if v == 0:
@@ -227,7 +227,7 @@ def base_change_table(table: EigenvalueTable, F: Field) -> EigenvalueTable:
         raise DegreeUnsupported("base change implemented for real quadratic targets")
     lam = {}
     level = F.unit_ideal()
-    level_ps = set(_prime_divisors(int(table.level.norm())))
+    level_ps = set(prime_divisors(int(table.level.norm())))
     Q = table.F
     for p in primes_up_to(table.pmax):
         ap = table.lam_map[_pkey(Q.splitting(p).primes[0])]
@@ -250,7 +250,7 @@ def hecke_extend(table: EigenvalueTable, idl: FIdeal) -> int:
     if nm == 1:
         return 1
     out = 1
-    for p in _prime_divisors(nm):
+    for p in prime_divisors(nm):
         if p > table.pmax:
             raise OutOfTableRange(f"prime {p} beyond table range")
         for pr in table.F.splitting(p).primes:
@@ -332,15 +332,6 @@ class EulerFactor:
         nv = sum(c * T**i for i, c in enumerate(self.num))
         dv = sum(c * T**i for i, c in enumerate(self.den))
         return nv / dv
-
-    def log_deriv_at(self, T: complex, logq: float) -> complex:
-        """d/ds log(num/den) at q^-s = T (so dT/ds = -logq * T)."""
-        def dpoly(p):
-            return sum(i * c * T ** (i - 1) for i, c in enumerate(p) if i)
-
-        nv = sum(c * T**i for i, c in enumerate(self.num))
-        dv = sum(c * T**i for i, c in enumerate(self.den))
-        return (-logq * T) * (dpoly(self.num) / nv - dpoly(self.den) / dv)
 
 
 def d_factor(table: EigenvalueTable, pr: PrimeIdeal) -> EulerFactor:
@@ -460,7 +451,7 @@ def epsilon_factor(table: EigenvalueTable, chi: QuadChar, eps_f: int) -> int:
     a1, a2 = _split_level(table, chi.conductor())
     out = chi.chi_f_minus_one() * chi.star_ideal(a1) * eps_f
     nm = int(a2.norm())
-    for p in _prime_divisors(nm):
+    for p in prime_divisors(nm):
         for pr in table.F.splitting(p).primes:
             if a2.valuation(pr) > 0:
                 out *= -table.lam(pr)
@@ -614,19 +605,4 @@ def eps_report(table: EigenvalueTable) -> dict:
     else:
         out["eps"] = table.eps_sign
         out["eps_source"] = "carried symbolically"
-    return out
-
-
-def _prime_divisors(n: int) -> list[int]:
-    n = abs(int(n))
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
     return out

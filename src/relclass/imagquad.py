@@ -11,24 +11,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .field import primes_up_to, sqrt_mod_p
+from .field import kronecker, primes_up_to, sqrt_mod_p
 from .lattice import gauss_reduce_binary
-
-
-def fundamental_disc_from_delta(delta: int) -> int:
-    """Field discriminant of Q(sqrt delta), delta < 0."""
-    if delta >= 0:
-        raise ValueError("delta must be negative")
-    d = -delta
-    s = 1
-    f = 2
-    while f * f <= d:
-        while d % (f * f) == 0:
-            d //= f * f
-            s *= f
-        f += 1
-    d = -d
-    return d if d % 4 == 1 else 4 * d
 
 
 def minkowski_bound_disc(D: int) -> int:
@@ -53,15 +37,6 @@ def prime_ideal_b(D: int, p: int) -> int | None:
         return None
     b = s if (s - D) % 2 == 0 else p - s if (p - s - D) % 2 == 0 else s + p
     return b % (2 * p)
-
-
-def splitting_symbol(D: int, p: int) -> int:
-    """+1 split, -1 inert, 0 ramified (Kronecker symbol of the discriminant)."""
-    if D % p == 0:
-        return 0
-    if p == 2:
-        return 1 if D % 8 == 1 else -1
-    return 1 if pow(D % p, (p - 1) // 2, p) == 1 else -1
 
 
 class _Lat:
@@ -180,7 +155,7 @@ def class_group_counts(D: int) -> tuple[int, int]:
         b = prime_ideal_b(D, p)
         if b is None:
             continue  # inert primes only contribute principal content
-        sym = splitting_symbol(D, p)
+        sym = kronecker(D, p)
         lat = prime_lattice(D, p, b)
         if sym == 0:
             prime_data.append((p, lat, None, 1))

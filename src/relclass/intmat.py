@@ -7,7 +7,6 @@ Dimensions stay tiny (<= 8), so the quadratic algorithms are fine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def hnf_lattice(rows: list[list[int]]) -> list[list[int]]:
@@ -60,32 +59,6 @@ def lattice_index(basis: list[list[int]]) -> int:
     return abs(det)
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a small integer matrix."""
-    n = len(rows)
-    m = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for i in range(n):
-        piv = None
-        for r in range(i, n):
-            if m[r][i] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        inv = 1 / m[i][i]
-        for r in range(i + 1, n):
-            f = m[r][i] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[i])]
-    assert det.denominator == 1
-    return int(det)
-
-
 def solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]):
     """One rational solution of mat * x = rhs (rows = equations), or None."""
     nrows = len(mat)
@@ -131,46 +104,6 @@ def solve_integral(basis: list[list[int]], target: list[int]):
     if any(s.denominator != 1 for s in sol):
         return None
     return [int(s) for s in sol]
-
-
-def in_lattice(basis: list[list[int]], target: list[int]) -> bool:
-    return solve_integral(basis, target) is not None
-
-
-def kernel_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right kernel of the matrix over F_p."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    a = [[x % p for x in r] for r in rows]
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if a[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-        if r == nrows:
-            break
-    ker = []
-    for fc in [c for c in range(ncols) if c not in pivots]:
-        v = [0] * ncols
-        v[fc] = 1
-        for c, pr in pivots.items():
-            v[c] = (-a[pr][fc]) % p
-        ker.append(v)
-    return ker
 
 
 def smith_normal_form(rows: list[list[int]]) -> list[int]:
@@ -221,13 +154,6 @@ def smith_normal_form(rows: list[list[int]]) -> list[int]:
         divisors.append(d)
         top += 1
     return divisors
-
-
-def gcd_list(xs) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, int(x))
-    return g
 
 
 def _augmented_hnf(rows: list[list[int]], width: int) -> list[list[int]]:

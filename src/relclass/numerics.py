@@ -57,9 +57,6 @@ class Interval:
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __add__(self, other):
         o = _coerce(other)
         return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
@@ -159,10 +156,6 @@ GAMMA_3_2 = Interval(0.8862269254527579, 0.8862269254527582)  # Gamma(3/2) = sqr
 
 def imax(a: Interval, b: Interval) -> Interval:
     return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
-
-
-def imin(a: Interval, b: Interval) -> Interval:
-    return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
 
 
 def iabs(a: Interval) -> Interval:

@@ -226,8 +226,6 @@ def test_10_hecke_layer():
     assert table.discrepancy is None
     p37 = Q.splitting(37).primes[0]
     assert table.lam(p37) == 1
-    for p, lam in table.lam_map.items():
-        pass
     for p in hecke.primes_up_to(10**4):
         pr = Q.splitting(p).primes[0]
         lam = table.lam(pr)
@@ -269,9 +267,6 @@ def test_11_euler_identity(gz1000):
 
 def test_12_epsilon(gz1000):
     # synthetic reproduction of the parity sign over both degrees
-    for n, F in ((1, Q), (2, make_field(2, 5))):
-        for s, level_ps in (((1), [3]), ((2), [11, 19] if n == 1 else [11])):
-            pass
     # n = 1: levels with s in {1, 2} primes, all lambda = 1, a2 = a
     for s, ps, delta in ((1, (37,), -37), (2, (5, 37), -185)):
         F = Q

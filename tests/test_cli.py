@@ -127,3 +127,33 @@ def test_csv_output(tmp_path):
     assert code == EXIT_OK
     lines = out.strip().splitlines()
     assert len(lines) == 2 and "entry" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["verify", "bound"])
+@pytest.mark.parametrize("line,error", [("2,12,-1,0", "NonSquarefree"), ("1,,5,0", "NotTotallyNegative")])
+def test_bad_row_becomes_input_status(tmp_path, command, line, error):
+    p = tmp_path / "c.txt"
+    p.write_text(line + "\n1,-,-5,0\n")
+    code, out, err = run_cli([command, "--corpus", str(p)])
+    assert code == EXIT_INPUT and "Traceback" not in err
+    data = json.loads(out)
+    rows = data["rows"] if command == "verify" else data
+    assert rows[0]["status"].startswith(f"INPUT: {error}: ")
+    assert len(rows) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["field", "--n", "1", "--pmax", "5"],
+        ["field", "--n", "1", "--json"],
+        ["classify", "--n", "1", "--delta-a", "-5", "--budget", "5"],
+        ["verify", "--corpus", "c.txt", "--X", "5"],
+        ["verify", "--corpus", "c.txt", "--pmax", "5"],
+        ["bound", "--corpus", "c.txt", "--seed", "1"],
+        ["bound", "--corpus", "c.txt", "--budget", "5"],
+    ],
+)
+def test_unread_flags_are_rejected(args):
+    code, _, err = run_cli(args)
+    assert code == EXIT_INPUT and "unrecognized arguments" in err

@@ -1,8 +1,10 @@
 import pytest
 from fractions import Fraction
+from pathlib import Path
 
 from oracles import class_number_oracle, conj_orbits_oracle, relation_class_number
 
+from relclass.cli import load_corpus
 from relclass.cm import (
     class_counts,
     class_group_K,
@@ -12,7 +14,7 @@ from relclass.cm import (
     make_cm,
 )
 from relclass.errors import NotIntegral, NotTotallyNegative
-from relclass.field import make_field
+from relclass.field import kronecker, make_field, primes_up_to
 
 Q = make_field(1)
 F2 = make_field(2, 2)
@@ -167,6 +169,13 @@ def test_splitting_kinds_match_disc():
     assert K.splitting_kind(p23) == "ramified"
     p5 = Q.splitting(5).primes[0]
     assert K.splitting_kind(p5) == "inert"
+    # the Kronecker symbol of D = -N(d_K/F) decides the splitting over Q
+    kinds = {1: "split", -1: "inert", 0: "ramified"}
+    for entry in load_corpus(str(Path(__file__).resolve().parent.parent / "corpus" / "q50.txt")):
+        K = entry.cm()
+        for p in primes_up_to(199):
+            pr = Q.splitting(p).primes[0]
+            assert kinds[kronecker(-K.rel_disc_norm, p)] == K.splitting_kind(pr), (entry.label(), p)
 
 
 def test_decompose_and_recompose_over_Q():

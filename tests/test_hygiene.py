@@ -1,0 +1,66 @@
+"""Source hygiene of the relclass package, checked on its syntax trees.
+
+Each module-level function has one home, and every function or method is
+used: its name is referenced outside its own definition somewhere in src/,
+tests/ or perfbench/.  A reference is a name, an attribute, an imported name,
+or an identifier string such as the "FIdeal.principal_gen" span targets of
+perfbench/spans.py.  Dunder methods are called implicitly and are exempt.
+"""
+
+import ast
+import re
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "relclass"
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _references(tree):
+    """(name, line) of every reference in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if IDENTIFIER.fullmatch(node.value):
+                for part in node.value.split("."):
+                    yield part, node.lineno
+
+
+def test_no_function_defined_in_two_modules():
+    homes = defaultdict(list)
+    for path, tree in _trees("src/relclass"):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                homes[node.name].append(path.name)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+
+
+def test_every_function_is_referenced():
+    refs = defaultdict(list)  # name -> [(path, line)]
+    for path, tree in _trees("src", "tests", "perfbench"):
+        for name, line in _references(tree):
+            refs[name].append((path, line))
+    unused = []
+    for path, tree in _trees("src/relclass"):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(p != path or line not in own for p, line in refs[node.name]):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []
