@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .cm import CMField
+from .cm import CMField, line_norms, on_line
 from .errors import (
     AssumptionViolated,
     BoundViolated,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .field import Field, FIdeal, PrimeIdeal, kronecker, prime_divisors, primes_up_to
 from .hecke import EigenvalueTable, QuadChar, symsq_L1, symsq_log_deriv_L1
-from .lattice import short_vectors
+from .lattice import lll_reduce_gram, short_vectors
 from .numerics import (
     EULER_GAMMA,
     GAMMA_3_2,
@@ -262,7 +262,7 @@ def count_norm_orbits_F(F: Field, idl: FIdeal, t: Fraction) -> int:
     b = idl.basis_elems()
     gram = [[Fraction((b[i] * b[j]).trace()) for j in range(2)] for i in range(2)]
     seen = set()
-    for v in short_vectors(gram, q_bound):
+    for v in short_vectors(lll_reduce_gram(gram), q_bound):
         x = b[0] * F.elem(v[0]) + b[1] * F.elem(v[1])
         if x.is_zero():
             continue
@@ -275,31 +275,14 @@ def count_norm_orbits_F(F: Field, idl: FIdeal, t: Fraction) -> int:
 
 def norm_count_check_K(K: CMField, Ni, t: Fraction, lat: LatticeConstants) -> dict:
     """Inequality (a): orbits off the minimal line against A1 t / sqrt(disc)."""
-    from .cm import canonical_unit_rep, line_norms
-
-    nN = Ni.abs_norm()
-    tprime = Fraction(t) * nN
-    if K.F.n == 1:
-        q_bound = 2 * tprime
-    else:
-        e1 = K.F.eps.embed(0)
-        q_bound = Fraction(
-            math.ceil(2.0 * math.sqrt(float(tprime)) * (e1 + 1 / e1) * (1 + 1e-9) * 2**16), 2**16
-        )
     # the excluded line has minimal |N(L o_K)| among saturated lines; scan far
-    # enough that it is certainly found
+    # enough that it is certainly found.  Each entry of line_norms is one unit
+    # orbit, so the count reads off the same scan.
     mink = (2 / math.pi) ** K.F.n * math.sqrt(K.abs_disc) + 2
-    lines = line_norms(K, Ni, Fraction(max(float(t), mink)))
+    lines = line_norms(K, Ni, max(Fraction(t), Fraction(mink)))
     sat = [tr for tr in lines if tr[1]]
     exclude = sat[0][2] if sat else None
-    seen = set()
-    for z in Ni.shortest_vectors(q_bound):
-        if z.abs_norm() > tprime:
-            continue
-        if exclude is not None and (z.x * exclude.y - z.y * exclude.x).is_zero():
-            continue
-        seen.add(tuple(canonical_unit_rep(K, z).coords()))
-    count = len(seen)
+    count = sum(1 for v, _, z in lines if v <= t and (exclude is None or not on_line(z, exclude)))
     rhs = lat.A1 * Interval(Fraction(t)) / isqrt_iv(Interval.exact(K.rel_disc_norm))
     ok = count <= rhs.hi
     if not ok:

@@ -212,8 +212,6 @@ def cmd_verify(args) -> int:
 
     def run_row(entry, row):
         K = entry.cm()
-        K.budget = args.budget
-        K.F.unit_budget = args.budget
         row["reldisc"] = K.rel_disc_norm
         row["unit_equal"] = K.unit_equal
         h_K, orbits = class_counts(K)
@@ -339,7 +337,6 @@ def main(argv=None) -> int:
     p_bnd.add_argument("--lambda-grid", dest="lambda_grid", default=None)
     p_bnd.add_argument("--pmax", type=int, default=2000)
 
-    p_ver.add_argument("--budget", type=int, default=10**6)
     for p in (p_field, p_cls, p_ver, p_bnd):
         p.add_argument("--csv", action="store_true")
 

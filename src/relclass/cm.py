@@ -148,7 +148,7 @@ class KPrime:
 
 
 class CMField:
-    def __init__(self, F: Field, delta: FElem, budget: int = 10**6):
+    def __init__(self, F: Field, delta: FElem):
         if not isinstance(delta, FElem):
             delta = F.elem(Fraction(delta))
         if not delta.is_integral():
@@ -157,7 +157,6 @@ class CMField:
             raise NotTotallyNegative(f"delta = {delta} is not totally negative")
         self.F = F
         self.delta = delta
-        self.budget = budget
         self.deg = 2 * F.n
         self._build_order()
         self._build_mult_tables()
@@ -673,61 +672,41 @@ class KIdeal:
         return self._gram
 
     def shortest_vectors(self, q_bound) -> list[KElem]:
+        """Nonzero z with Tr(z conj z) <= q_bound, one of each +-pair, on the
+        module's one cached LLL reduction."""
         if self._red is None:
             self._red = lll_reduce_gram(self.gram())
-        G, U = self._red
-        vecs = short_vectors(G, q_bound, reduce_first=False)
-        bs = self.basis_kelems()
-        n = len(bs)
-        out = []
-        for v in vecs:
-            w = [sum(v[i] * U[i][j] for i in range(n)) for j in range(n)]
-            z = None
-            for c, b in zip(w, bs):
-                if c:
-                    t = b.scale(c)
-                    z = t if z is None else z + t
-            out.append(z)
-        return out
+        return [self._vec_to_elem(v) for v in short_vectors(self._red, q_bound)]
 
-    def small_nonzero(self) -> KElem:
-        """A nonzero element of minimal absolute norm among short vectors."""
-        base = float(2 * self.K.deg) * float(self.abs_norm()) ** (1.0 / self.K.F.n) + 1.0
-        bound = Fraction(math.ceil(base * 2**10), 2**10)
+    def small_nonzero(self, bound: Fraction | None = None) -> KElem:
+        """A nonzero element of least absolute norm among short vectors.
+
+        The bound doubles until vectors appear; the first of equal norms wins.
+        """
+        if bound is None:
+            base = float(2 * self.K.deg) * float(self.abs_norm()) ** (1.0 / self.K.F.n) + 1.0
+            bound = Fraction(math.ceil(base * 2**10), 2**10)
         vecs = []
         while not vecs:
             vecs = self.shortest_vectors(bound)
             bound = bound * 2
-        best = None
-        for z in vecs:
-            nz = z.abs_norm()
-            if best is None or nz < best[0]:
-                best = (nz, z)
-        return best[1]
+        return min(vecs, key=lambda z: z.abs_norm())
 
-    def principal_gen(self, budget: int | None = None) -> KElem | None:
+    def principal_gen(self) -> KElem | None:
         """Search z in the module with |N(z)| = N(module), unit-window bounded.
 
         Any generator moves into the window {Tr(z conj z) <= 2 sqrt(N) (eps+1/eps)}
         under multiplication by units, so an empty window certifies
         non-principality.
         """
-        K = self.K
         t = self.abs_norm()
-        budget = budget if budget is not None else K.budget
-        if K.F.n == 1:
-            q_bound = 2 * t
-        else:
-            e1 = K.F.eps.embed(0)
-            bf = 2.0 * math.sqrt(float(t)) * (e1 + 1.0 / e1) * (1 + 1e-9)
-            q_bound = Fraction(math.ceil(bf * 2**20), 2**20)
-        for z in self.shortest_vectors(q_bound):
+        for z in self.shortest_vectors(unit_window(self.K, t)):
             if z.abs_norm() == t:
                 return z
         return None
 
-    def is_principal(self, budget: int | None = None) -> bool:
-        return self.principal_gen(budget) is not None
+    def is_principal(self) -> bool:
+        return self.principal_gen() is not None
 
     def in_same_class(self, other: "KIdeal") -> bool:
         if self.K.F.h_F == 1:
@@ -741,24 +720,10 @@ class KIdeal:
     def small_class_rep(self) -> "KIdeal":
         """Integral ideal of Minkowski-bounded norm in the same class."""
         q = self.scale(self.den) if self.den != 1 else self
-        g = q.gram()
-        # shortest nonzero vector: grow the bound until something appears
         base = float(2 * q.abs_norm() ** Fraction(1, self.K.F.n))
-        bound = Fraction(math.ceil(base * self.K.F.n * 1.2 * 2**10), 2**10)
-        vecs = []
-        while not vecs:
-            vecs = short_vectors(g, bound)
-            bound = bound * 2
-        best = None
-        for z in (q._vec_to_elem(v) for v in vecs):
-            nz = z.abs_norm()
-            if best is None or nz < best[0]:
-                best = (nz, z)
-        z = best[1]
-        w = q.inverse() * z
-        red = w.conj()
-        red = red.scale(red.den)
-        return red
+        z = q.small_nonzero(Fraction(math.ceil(base * self.K.F.n * 1.2 * 2**10), 2**10))
+        red = (q.inverse() * z).conj()
+        return red.scale(red.den)
 
     def _vec_to_elem(self, v) -> KElem:
         bs = self.basis_kelems()
@@ -779,10 +744,6 @@ class ClassData:
     h: int
     h_prime: int
     N_reps: list[KIdeal]
-    flagged: bool
-    dlogs: list[tuple[int, ...]] | None = None
-    generators: list[KPrime] | None = None
-    relations: list[list[int]] | None = None
 
 
 def _compute_class_data(K: CMField) -> ClassData:
@@ -872,13 +833,7 @@ def _class_data_by_closure(K: CMField) -> ClassData:
             seen.add(i)
             seen.add(j)
     reps = [rep for _, rep in elements]
-    dlogs = [vec for vec, _ in elements]
-    h_prime = 1
-    h = h_K
-    return ClassData(
-        h_K, reps, conj_pairs, orbits, h, h_prime, list(reps), not K.unit_equal,
-        dlogs=dlogs, generators=gens, relations=relations,
-    )
+    return ClassData(h_K, reps, conj_pairs, orbits, h_K, 1, list(reps))
 
 
 def _class_data_by_partition(K: CMField) -> ClassData:
@@ -931,7 +886,7 @@ def _class_data_by_partition(K: CMField) -> ClassData:
             prod = reps[i] * reps[j]
             covered.add(next(ri for ri, r2 in enumerate(reps) if prod.in_same_class(r2)))
     assert len(N_reps) == h
-    return ClassData(h_K, reps, conj_pairs, orbits, h, h_prime, N_reps, not K.unit_equal)
+    return ClassData(h_K, reps, conj_pairs, orbits, h, h_prime, N_reps)
 
 
 def class_group_K(K: CMField):
@@ -1089,34 +1044,34 @@ def decompose_ideal(K: CMField, M: KIdeal):
 # -- enumeration of rank-1 lines (for the series and measure layers) -------------------
 
 
-def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction, exclude: KElem | None = None):
-    """Values |N(alpha)|/N(N_i) over lines o*alpha in N_i, alpha up to units.
+def unit_window(K: CMField, t: Fraction) -> Fraction:
+    """Bound on Tr(z conj z) that every unit orbit with |N(z)| <= t meets.
 
-    Returns a sorted list of (value, saturated, alpha).  Lines on F*exclude
-    are dropped when `exclude` is given.
+    For n = 1 the trace form is 2|N(z)|; for n = 2 a unit multiple has
+    Tr(z conj z) <= 2 sqrt(t) (eps + 1/eps), rounded up to 2^-20.
+    """
+    if K.F.n == 1:
+        return 2 * t
+    e1 = K.F.eps.embed(0)
+    bf = 2.0 * math.sqrt(float(t)) * (e1 + 1.0 / e1) * (1 + 1e-9)
+    return Fraction(math.ceil(bf * 2**20), 2**20)
+
+
+def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
+    """Values |N(alpha)|/N(N_i) <= x_max over lines o*alpha in N_i, alpha up to units.
+
+    Returns a sorted list of (value, saturated, alpha), alpha canonical.
     """
     nN = Ni.abs_norm()
     t_abs = Fraction(x_max) * nN
-    if K.F.n == 1:
-        q_bound = 2 * t_abs
-    else:
-        e1 = K.F.eps.embed(0)
-        bf = 2.0 * math.sqrt(float(t_abs)) * (e1 + 1.0 / e1) * (1 + 1e-9)
-        q_bound = Fraction(math.ceil(bf * 2**20), 2**20)
     seen: dict = {}
-    for z in Ni.shortest_vectors(q_bound):
-        nz = z.abs_norm()
-        if nz == 0 or nz > t_abs:
+    for z in Ni.shortest_vectors(unit_window(K, t_abs)):
+        if z.abs_norm() > t_abs:
             continue
         zc = canonical_unit_rep(K, z)
-        key = tuple(zc.coords())
-        if key in seen:
-            continue
-        seen[key] = zc
+        seen.setdefault(tuple(zc.coords()), zc)
     out = []
     for zc in seen.values():
-        if exclude is not None and _on_line(K, zc, exclude):
-            continue
         b = line_colon_ideal(K, zc, Ni)
         saturated = b.norm() == 1 and b.is_integral()
         out.append((zc.abs_norm() / nN, saturated, zc))
@@ -1124,7 +1079,7 @@ def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction, exclude: KElem | None = 
     return out
 
 
-def _on_line(K: CMField, z: KElem, w: KElem) -> bool:
+def on_line(z: KElem, w: KElem) -> bool:
     """z lies on the F-line through w (cross product of (x, y) pairs vanishes)."""
     return (z.x * w.y - z.y * w.x).is_zero()
 

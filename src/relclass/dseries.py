@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .cm import CMField, line_norms
+from .cm import CMField, line_norms, on_line
 from .errors import InequalityViolated, OutOfRegion, TruncationTooLarge
 from .field import Field, primes_up_to
 
@@ -367,16 +367,12 @@ def measure_mu_K(K: CMField, x_max: float) -> StepMeasure:
         sat = [t for t in lines if t[1]]
         exclude = sat[0][2] if sat else None
         for (val, is_sat, alpha) in lines:
-            if exclude is not None and _same_line(K, alpha, exclude):
+            if exclude is not None and on_line(alpha, exclude):
                 continue
             if float(val) <= x_max:
                 mu.atoms.append((float(val), 1.0))
     mu.atoms.sort()
     return mu
-
-
-def _same_line(K, a, b) -> bool:
-    return (a.x * b.y - a.y * b.x).is_zero()
 
 
 def measure_mu_K_bound(K: CMField, A1: float) -> StepMeasure:

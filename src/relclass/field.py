@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import (
@@ -23,7 +22,8 @@ from .errors import (
 )
 from .intmat import hnf_lattice, solve_exact
 
-Rat = Fraction
+# most coordinates FIdeal.principal_gen may scan before it gives up undecided
+PRINCIPAL_SCAN_BUDGET = 10**6
 
 
 def is_squarefree(m: int) -> bool:
@@ -131,7 +131,7 @@ class Field:
     omega^2 = c0 + c1*omega.
     """
 
-    def __init__(self, n: int, m: int | None = None, unit_budget: int = 10**6):
+    def __init__(self, n: int, m: int | None = None):
         if n == 1:
             self.n = 1
             self.m = None
@@ -152,7 +152,6 @@ class Field:
                 self.d_F = 4 * m
         else:
             raise DegreeUnsupported(f"exact arithmetic supports n in {{1,2}}, got {n}")
-        self.unit_budget = unit_budget
         self._init_units()
         self._prime_cache: dict[int, SplittingType] = {}
         self._init_class_group()
@@ -256,10 +255,17 @@ class Field:
         return hash((self.n, self.m))
 
 
-@lru_cache(maxsize=None)
+_FIELDS: dict[tuple[int, int | None], Field] = {}
+
+
 def make_field(n: int, m: int | None = None) -> Field:
-    """Construct (and cache) a field descriptor; validates the radicand."""
-    return Field(n, m)
+    """Construct (and cache) a field descriptor; validates the radicand.
+
+    The cache holds one object per (n, m), however the arguments are passed.
+    """
+    if (n, m) not in _FIELDS:
+        _FIELDS[n, m] = Field(n, m)
+    return _FIELDS[n, m]
 
 
 def fundamental_unit_xy(m: int) -> tuple[int, int]:
@@ -653,10 +659,10 @@ class FIdeal:
             vp_den += 1
         return v - prime.e * vp_den
 
-    def is_principal(self, budget: int | None = None) -> bool:
-        return self.principal_gen(budget) is not None
+    def is_principal(self) -> bool:
+        return self.principal_gen() is not None
 
-    def principal_gen(self, budget: int | None = None) -> FElem | None:
+    def principal_gen(self) -> FElem | None:
         """Generator of matching norm, reduced into the unit fundamental domain.
 
         Any generator has a unit multiple with both |sigma_i(x)| <= sqrt(N)*eps,
@@ -668,7 +674,6 @@ class FIdeal:
         target = self.norm()
         if F.n == 1:
             return F.elem(Fraction(self.num[0][0], self.den))
-        budget = budget if budget is not None else F.unit_budget
         eps1 = F.eps.embed(0)
         lim = math.sqrt(float(target)) * eps1 * 1.0000001 + 1e-12
         b0, b1 = self.basis_elems()
@@ -676,7 +681,7 @@ class FIdeal:
         e10, e11 = b1.embed(0), b1.embed(1)
         det = e00 * e11 - e01 * e10
         r1_max = int((abs(e00) + abs(e01)) * lim / abs(det)) + 2
-        if 2 * r1_max + 1 > budget:
+        if 2 * r1_max + 1 > PRINCIPAL_SCAN_BUDGET:
             raise SearchBudgetExceeded("principality search budget exhausted")
         A = b0.norm()
         B = (b0 * b1.conj() + b1 * b0.conj()).a  # Tr-type cross coefficient

@@ -38,7 +38,7 @@ from .field import (
 )
 from .finitefield import ResidueField
 from .intmat import hnf_lattice, zspan_kernel, zspan_solve
-from .lattice import short_vectors
+from .lattice import lll_reduce_gram, short_vectors
 
 
 @dataclass
@@ -813,7 +813,7 @@ def minimal_lines(Q: PseudoForm) -> list[tuple]:
         q_bound = Fraction(
             math.ceil(tf * (e1 * e1 + 1 / (e1 * e1)) / sqrt_scale * (1 + 1e-9) * 2**20), 2**20
         )
-    vecs = short_vectors(gram, q_bound)
+    vecs = short_vectors(lll_reduce_gram(gram), q_bound)
     lines = {}
     for v in vecs:
         x = F.zero()

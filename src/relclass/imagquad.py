@@ -9,9 +9,8 @@ invariant.  Everything stays in machine integers.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .field import kronecker, primes_up_to, sqrt_mod_p
+from .intmat import hnf_lattice
 from .lattice import gauss_reduce_binary
 
 
@@ -39,61 +38,6 @@ def prime_ideal_b(D: int, p: int) -> int | None:
     return b % (2 * p)
 
 
-class _Lat:
-    """2x2 integer lattice over {1, theta}; rows [[a, 0], [u, v]] HNF-style."""
-
-    __slots__ = ("a", "u", "v")
-
-    def __init__(self, a: int, u: int, v: int):
-        self.a = a
-        self.u = u
-        self.v = v
-
-
-def _hnf2(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """HNF of a rank-2 integer lattice from generating rows: ((a,0),(u,v))."""
-    v = 0
-    pairs = []
-    for (x, y) in rows:
-        if x or y:
-            pairs.append((x, y))
-    # first reduce second coordinates to a single pivot via gcd
-    a = 0
-    u_for_v: tuple[int, int] | None = None
-    work = pairs
-    # gcd of y-column with tracking
-    cur = None
-    rest = []
-    for (x, y) in work:
-        if y == 0:
-            rest.append(x)
-            continue
-        if cur is None:
-            cur = (x, y)
-            continue
-        x1, y1 = cur
-        x2, y2 = x, y
-        while y2:
-            q = y1 // y2
-            x1, y1, x2, y2 = x2, y2, x1 - q * x2, y1 - q * y2
-        cur = (x1, y1)
-        if x2:
-            rest.append(x2)
-    if cur is None:
-        raise ValueError("rank deficient")
-    u, v = cur
-    if v < 0:
-        u, v = -u, -v
-    g = 0
-    for x in rest:
-        g = gcd(g, x)
-    a = abs(g)
-    if a == 0:
-        raise ValueError("rank deficient")
-    u %= a
-    return (a, u, v)
-
-
 def theta_mul_table(D: int) -> tuple[int, int]:
     """theta^2 = s*theta + t with s = D, t = -(D^2 - D)/4."""
     return D, -((D * D - D) // 4)
@@ -112,8 +56,10 @@ def ideal_product(D: int, L1: tuple[int, int, int], L2: tuple[int, int, int]) ->
             # (x1 + y1 th)(x2 + y2 th) = x1x2 + y1y2 t + (x1y2 + x2y1 + y1y2 s) th
             c0 = x1 * x2 + y1 * y2 * t
             c1 = x1 * y2 + x2 * y1 + y1 * y2 * s
-            rows.append((c0, c1))
-    return _hnf2(rows)
+            rows.append([c1, c0])
+    # HNF with the theta column first: rows [[v, u], [0, a]]
+    (v, u), (_, a) = hnf_lattice(rows)
+    return (a, u, v)
 
 
 def ideal_norm(L: tuple[int, int, int]) -> int:
@@ -139,8 +85,9 @@ def prime_lattice(D: int, p: int, b: int, conj: bool = False) -> tuple[int, int,
     if conj:
         b = -b
     # (b + sqrt D)/2 = (b - D)/2 + theta
+    # rows (p, 0), (u, 1) are in HNF once u is reduced mod p
     u = (b - D) // 2
-    return _hnf2([(p, 0), (u, 1)])
+    return (p, u % p, 1)
 
 
 def class_group_counts(D: int) -> tuple[int, int]:

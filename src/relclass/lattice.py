@@ -6,25 +6,6 @@ from fractions import Fraction
 from math import ceil, floor, sqrt
 
 
-def _gso(g: list[list[Fraction]]):
-    """Gram-Schmidt data (squared lengths d, coefficients mu) from a Gram matrix."""
-    n = len(g)
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        mu[i][i] = Fraction(1)
-        s = g[i][i]
-        for k in range(i):
-            s -= d[k] * mu[i][k] * mu[i][k]
-        d[i] = s
-        for j in range(i + 1, n):
-            t = g[j][i]
-            for k in range(i):
-                t -= d[k] * mu[j][k] * mu[i][k]
-            mu[j][i] = t / d[i] if d[i] else Fraction(0)
-    return d, mu
-
-
 def lll_reduce_gram(gram: list[list[Fraction]], delta=Fraction(99, 100)):
     """LLL-reduce a positive definite Gram matrix.
 
@@ -44,7 +25,7 @@ def lll_reduce_gram(gram: list[list[Fraction]], delta=Fraction(99, 100)):
         return out
 
     G = current_gram()
-    d, mu = _gso(G)
+    d, mu = cholesky_rational(G)
     k = 1
     guard = 0
     while k < n:
@@ -56,13 +37,13 @@ def lll_reduce_gram(gram: list[list[Fraction]], delta=Fraction(99, 100)):
             if q:
                 U[k] = [a - q * b for a, b in zip(U[k], U[j])]
                 G = current_gram()
-                d, mu = _gso(G)
+                d, mu = cholesky_rational(G)
         if d[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * d[k - 1]:
             k += 1
         else:
             U[k], U[k - 1] = U[k - 1], U[k]
             G = current_gram()
-            d, mu = _gso(G)
+            d, mu = cholesky_rational(G)
             k = max(k - 1, 1)
     return G, U
 
@@ -96,21 +77,18 @@ def _frac_sqrt_bounds(x: Fraction) -> float:
     return sqrt(float(x)) if x > 0 else 0.0
 
 
-def short_vectors(gram: list[list[Fraction]], bound, reduce_first: bool = True) -> list[tuple[int, ...]]:
+def short_vectors(reduced, bound) -> list[tuple[int, ...]]:
     """All nonzero integer vectors with x^T G x <= bound, up to sign.
 
-    The Gram matrix is LLL-reduced first so the enumeration tree stays tight;
-    results are mapped back to the original basis.  Interval tests on the
-    quadratic form are exact rational; the float square root only seeds the
-    integer range.  The canonical representative of each +-pair has key
-    max(v, -v).
+    `reduced` is the pair (reduced gram, U) that lll_reduce_gram(G) returns,
+    so the enumeration tree stays tight; results are in the basis of G.
+    Interval tests on the quadratic form are exact rational; the float square
+    root only seeds the integer range.  The canonical representative of each
+    +-pair has key max(v, -v), and the list is sorted.
     """
-    n = len(gram)
+    G, U = reduced
+    n = len(G)
     B = Fraction(bound)
-    if reduce_first and n > 1:
-        G, U = lll_reduce_gram(gram)
-    else:
-        G, U = gram, [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     d, mu = cholesky_rational(G)
     out: list[tuple[int, ...]] = []
     x = [0] * n

@@ -29,7 +29,6 @@ from relclass.cm import class_counts, make_cm
 from relclass.errors import LemmaViolation
 from relclass.field import make_field
 from relclass.imagquad import class_group_counts
-from relclass.lattice import short_vectors
 
 ROOT = Path(__file__).resolve().parent.parent
 Q = make_field(1)

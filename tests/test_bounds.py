@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +211,48 @@ def test_zeta_inv_prime_closed_form():
     got = bnd.zeta_F_a_inv_prime_at_1(Q, tw.level)
     expect = 1.0 / ((36 / 37) * (138 / 139))
     assert abs(got - expect) < 1e-12
+
+
+def _norm_count_fields():
+    from relclass.cli import load_corpus
+
+    root = Path(__file__).resolve().parent.parent / "corpus"
+    rows = {
+        "q50.txt": [(1, None, -1947), (1, None, -302), (1, None, -21)],
+        "quartic80.txt": [(2, 2, -5), (2, 3, -21), (2, 5, -11)],
+    }
+    Ks = []
+    for name, wanted in rows.items():
+        for e in load_corpus(str(root / name)):
+            if (e.n, e.m, e.delta_a) in wanted and e.delta_b == 0:
+                K = e.cm()
+                if K.unit_equal:
+                    Ks.append(K)
+    return Ks
+
+
+@pytest.mark.parametrize("t", [Fraction(5), Fraction(7, 3), Fraction(12)])
+def test_norm_count_K_matches_direct_enumeration(t):
+    """The orbit count of inequality (a) against a direct short-vector scan in
+    twice the unit window, off the same minimal saturated line."""
+    from relclass.cm import canonical_unit_rep, line_norms, on_line, unit_window
+    from relclass.lattice import lll_reduce_gram, short_vectors
+
+    Ks = _norm_count_fields()
+    assert len(Ks) >= 4
+    for K in Ks:
+        lat = bnd.lattice_constants(K.F)
+        for Ni in K.class_data().N_reps:
+            tprime = t * Ni.abs_norm()
+            mink = (2 / math.pi) ** K.F.n * math.sqrt(K.abs_disc) + 2
+            exclude = next((z for _, sat, z in line_norms(K, Ni, max(t, Fraction(mink))) if sat), None)
+            basis = Ni.basis_kelems()
+            seen = set()
+            for v in short_vectors(lll_reduce_gram(Ni.gram()), 2 * unit_window(K, tprime)):
+                z = basis[0].scale(v[0])
+                for c, b in zip(v[1:], basis[1:]):
+                    z = z + b.scale(c)
+                if z.abs_norm() > tprime or (exclude is not None and on_line(z, exclude)):
+                    continue
+                seen.add(tuple(canonical_unit_rep(K, z).coords()))
+            assert bnd.norm_count_check_K(K, Ni, t, lat)["count"] == len(seen)

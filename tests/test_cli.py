@@ -152,6 +152,7 @@ def test_bad_row_becomes_input_status(tmp_path, command, line, error):
         ["verify", "--corpus", "c.txt", "--pmax", "5"],
         ["bound", "--corpus", "c.txt", "--seed", "1"],
         ["bound", "--corpus", "c.txt", "--budget", "5"],
+        ["verify", "--corpus", "c.txt", "--budget", "5"],
     ],
 )
 def test_unread_flags_are_rejected(args):

@@ -206,3 +206,8 @@ def test_embedding_signs_exact():
     y = F2.elem(0, 1)
     assert not y.is_totally_positive()
     assert F2.elem(3, 1).is_totally_positive()
+
+
+def test_make_field_one_object_per_field():
+    assert make_field(1) is make_field(1, None)
+    assert make_field(2, 5) is make_field(2, m=5)

@@ -1,8 +1,8 @@
 """Source hygiene of the relclass package, checked on its syntax trees.
 
-Each module-level function has one home, and every function or method is
-used: its name is referenced outside its own definition somewhere in src/,
-tests/ or perfbench/.  A reference is a name, an attribute, an imported name,
+Each module-level function has one home, and every class, function or
+method is used: its name is referenced outside its own definition somewhere
+in src/, tests/ or perfbench/.  A reference is a name, an attribute, an imported name,
 or an identifier string such as the "FIdeal.principal_gen" span targets of
 perfbench/spans.py.  Dunder methods are called implicitly and are exempt.
 """
@@ -48,7 +48,9 @@ def test_no_function_defined_in_two_modules():
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
-def test_every_function_is_referenced():
+def _unreferenced(kinds):
+    """Definitions of the given node kinds in src/relclass that nothing outside
+    their own body references."""
     refs = defaultdict(list)  # name -> [(path, line)]
     for path, tree in _trees("src", "tests", "perfbench"):
         for name, line in _references(tree):
@@ -56,11 +58,19 @@ def test_every_function_is_referenced():
     unused = []
     for path, tree in _trees("src/relclass"):
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, kinds):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             if not any(p != path or line not in own for p, line in refs[node.name]):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_function_is_referenced():
+    assert _unreferenced((ast.FunctionDef, ast.AsyncFunctionDef)) == []
+
+
+def test_every_class_is_referenced():
+    assert _unreferenced(ast.ClassDef) == []
