@@ -11,6 +11,7 @@ are injected; reports carry a rigor ledger saying which is which.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -520,10 +521,20 @@ def g_constants(
     """G1 (lower), G2/G3 (upper) for the chosen Dirichlet-series pair.
 
     heuristic: truncated symmetric-square data and contour quadrature;
-    injected: caller-supplied positive values pass through verbatim."""
+    injected: caller-supplied finite positive reals pass through verbatim."""
     if strategy == "injected":
-        if not injected or any(injected.get(k, 0) <= 0 for k in ("G1", "G2", "G3")):
-            raise StrategyUnavailable("injected G constants must be positive")
+        given = injected if isinstance(injected, dict) else {}
+        bad = [
+            k
+            for k in ("G1", "G2", "G3")
+            if isinstance(given.get(k), bool)
+            or not isinstance(given.get(k), numbers.Real)
+            or not 0 < given[k] < math.inf
+        ]
+        if bad:
+            raise StrategyUnavailable(
+                f"injected G constants must be finite positive reals: {', '.join(bad)}"
+            )
         return GConstants(injected["G1"], injected["G2"], injected["G3"], "injected")
     if strategy != "heuristic":
         raise StrategyUnavailable(f"unknown strategy {strategy}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, sqrt
+from math import ceil, floor, lcm, sqrt
 
 
 def lll_reduce_gram(gram: list[list[Fraction]], delta=Fraction(99, 100)):
@@ -12,44 +12,82 @@ def lll_reduce_gram(gram: list[list[Fraction]], delta=Fraction(99, 100)):
     Returns (reduced gram, U) with U integer unimodular and
     reduced = U * gram * U^T; row i of U expresses the i-th reduced basis
     vector in the original basis.
+
+    Integral LLL with incremental Gram-Schmidt data (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7), run on the Gram matrix
+    scaled by the lcm of its denominators.  The state is U, the leading minors
+    d[0] = 1, d[1..n] of the current basis and lam[k][j] = d[j+1] * mu[k][j];
+    each size reduction and swap updates them in place by exact division.
+    The Lovasz test with delta = p/q reads q d[k+1] d[k-1] >= p d[k]^2 - q lam^2.
+    One deliberate departure from Cohen: row k is size-reduced against every
+    j = k-1 .. 0 before the Lovasz test, rounding mu to the nearest integer
+    with ties away from zero (so |mu| = 1/2 is reduced too).  That keeps every
+    decision, and so U, identical to the Fraction implementation this one
+    replaced (kept as the reference in tests/oracles.py).
     """
     n = len(gram)
     G0 = [[Fraction(x) for x in row] for row in gram]
+    D = lcm(*(x.denominator for row in G0 for x in row))
+    Gi = [[x.numerator * (D // x.denominator) for x in row] for row in G0]
     U = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-
-    def current_gram():
-        out = []
-        for i in range(n):
-            tmp = [sum(U[i][a] * G0[a][b] for a in range(n)) for b in range(n)]
-            out.append([sum(tmp[b] * U[j][b] for b in range(n)) for j in range(n)])
-        return out
-
-    G = current_gram()
-    d, mu = cholesky_rational(G)
-    k = 1
+    p, q = Fraction(delta).as_integer_ratio()
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    kmax = -1
+    k = 0
     guard = 0
     while k < n:
+        if k > kmax:
+            # first visit of row k: it is still the k-th original basis vector
+            kmax = k
+            for j in range(k + 1):
+                u = sum(g * c for g, c in zip(Gi[k], U[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError("Gram matrix not positive definite")
+                else:
+                    d[k + 1] = u
+        if k == 0:  # nothing to reduce row 0 against
+            k = 1
+            continue
         guard += 1
         if guard > 10000:  # pragma: no cover - LLL always terminates
             raise RuntimeError("LLL guard tripped")
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = _nearest_int(mu[k][j])
-            if q:
-                U[k] = [a - q * b for a, b in zip(U[k], U[j])]
-                G = current_gram()
-                d, mu = cholesky_rational(G)
-        if d[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * d[k - 1]:
+            dj = d[j + 1]
+            r = (2 * abs(lk[j]) + dj) // (2 * dj)
+            if r:
+                r = r if lk[j] > 0 else -r
+                U[k] = [a - r * b for a, b in zip(U[k], U[j])]
+                lk[j] -= r * dj
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= r * lj[i]
+        lkk = lk[k - 1]
+        if q * d[k + 1] * d[k - 1] >= p * d[k] * d[k] - q * lkk * lkk:
             k += 1
-        else:
-            U[k], U[k - 1] = U[k - 1], U[k]
-            G = current_gram()
-            d, mu = cholesky_rational(G)
-            k = max(k - 1, 1)
+            continue
+        U[k], U[k - 1] = U[k - 1], U[k]
+        lk1 = lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        B = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (B * t + lkk * li[k]) // d[k + 1]
+        d[k] = B
+        k = max(k - 1, 1)
+    G = []
+    for row in U:
+        tmp = [sum(c * g for c, g in zip(row, col)) for col in zip(*Gi)]
+        G.append([Fraction(sum(t * c for t, c in zip(tmp, other)), D) for other in U])
     return G, U
-
-
-def _nearest_int(x: Fraction) -> int:
-    return int((2 * x + 1) // 2) if x >= 0 else -int((2 * (-x) + 1) // 2)
 
 
 def cholesky_rational(gram: list[list[Fraction]]):

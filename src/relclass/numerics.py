@@ -35,8 +35,9 @@ class Interval:
             hi = _up(f) if Fraction(f) < hi else f
         self.lo = float(lo)
         self.hi = float(hi)
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{lo}, {hi}]")
+        if not self.lo <= self.hi:
+            kind = "NaN endpoint in" if math.isnan(self.lo) or math.isnan(self.hi) else "empty"
+            raise ValueError(f"{kind} interval [{lo}, {hi}]")
 
     @staticmethod
     def exact(x) -> "Interval":

@@ -8,6 +8,8 @@ arithmetic facts are recomputed from first principles.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     """All reduced positive definite binary forms of discriminant D < 0:
@@ -301,3 +303,48 @@ def _box_iter(dim, box):
             coords = (x,) + rest
             if max(abs(v) for v in coords) == box:
                 yield coords
+
+
+def lll_reduce_gram(gram, delta=Fraction(99, 100)):
+    """Reference LLL: the Fraction implementation that relclass.lattice used
+    before its integral one, kept verbatim.  It rebuilds the Gram matrix and
+    its LDL^T data after every size-reduction step and every swap."""
+    from relclass.lattice import cholesky_rational
+
+    n = len(gram)
+    G0 = [[Fraction(x) for x in row] for row in gram]
+    U = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+
+    def current_gram():
+        out = []
+        for i in range(n):
+            tmp = [sum(U[i][a] * G0[a][b] for a in range(n)) for b in range(n)]
+            out.append([sum(tmp[b] * U[j][b] for b in range(n)) for j in range(n)])
+        return out
+
+    G = current_gram()
+    d, mu = cholesky_rational(G)
+    k = 1
+    guard = 0
+    while k < n:
+        guard += 1
+        if guard > 10000:  # pragma: no cover - LLL always terminates
+            raise RuntimeError("LLL guard tripped")
+        for j in range(k - 1, -1, -1):
+            q = _nearest_int(mu[k][j])
+            if q:
+                U[k] = [a - q * b for a, b in zip(U[k], U[j])]
+                G = current_gram()
+                d, mu = cholesky_rational(G)
+        if d[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * d[k - 1]:
+            k += 1
+        else:
+            U[k], U[k - 1] = U[k - 1], U[k]
+            G = current_gram()
+            d, mu = cholesky_rational(G)
+            k = max(k - 1, 1)
+    return G, U
+
+
+def _nearest_int(x: Fraction) -> int:
+    return int((2 * x + 1) // 2) if x >= 0 else -int((2 * (-x) + 1) // 2)

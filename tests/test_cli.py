@@ -120,6 +120,19 @@ def test_bound_injected(tmp_path):
     assert rows[0]["status"] == "ok"
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", '"1.0"'])
+def test_bound_injected_must_be_finite_positive(tmp_path, value):
+    inj = tmp_path / "g.json"
+    inj.write_text('{"G1": 1, "G2": 1, "G3": %s}' % value)
+    p = tmp_path / "c.txt"
+    p.write_text("1,-,-1991,0\n")
+    code, out, err = run_cli(
+        ["bound", "--corpus", str(p), "--strategy", f"injected:{inj}", "--pmax", "40"]
+    )
+    assert code == EXIT_INPUT and "Traceback" not in err
+    assert json.loads(out)[0]["status"].startswith("INPUT: StrategyUnavailable: ")
+
+
 def test_csv_output(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("1,-,-5,0,2,\n")

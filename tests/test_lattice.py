@@ -2,10 +2,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import lll_reduce_gram as lll_reference
 
-from relclass.lattice import lll_reduce_gram, short_vectors
+from relclass.lattice import cholesky_rational, lll_reduce_gram, short_vectors
+
+DENOMINATORS = (1, 2, 3, 12, 360)
 
 
 @st.composite
@@ -37,3 +41,70 @@ def test_short_vectors_match_brute_force(gb):
     G, B = gb
     gram = [[Fraction(a) for a in row] for row in G]
     assert short_vectors(lll_reduce_gram(gram), B) == _brute_force(G, B)
+
+
+@st.composite
+def rational_gram(draw):
+    """A positive definite Gram matrix L diag(B) L^T of dimension 2-4 whose
+    entries have denominators from DENOMINATORS.  L is unit lower triangular
+    and its entries are often half-integers, so |mu| = 1/2 ties come up in
+    the size reductions."""
+    n = draw(st.integers(2, 4))
+    den = st.sampled_from(DENOMINATORS)
+    entry = st.one_of(st.builds(Fraction, st.integers(-7, 7), st.just(2)),
+                      st.builds(Fraction, st.integers(-40, 40), den))
+    B = [draw(st.builds(Fraction, st.integers(1, 60), den)) for _ in range(n)]
+    L = [[draw(entry) if j < i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[sum(L[i][k] * B[k] * L[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _as_fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+TIES = [
+    [[2, 1], [1, 2]],  # A2: mu = 1/2 at the first step
+    [[2, -1], [-1, 2]],
+    [[4, 2, 2], [2, 4, 2], [2, 2, 4]],
+    [[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]],
+    [[Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 6), Fraction(361, 360)]],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_gram())
+@example(_as_fractions(TIES[0]))
+@example(_as_fractions(TIES[1]))
+@example(_as_fractions(TIES[2]))
+@example(_as_fractions(TIES[3]))
+@example(TIES[4])
+def test_lll_matches_fraction_reference(gram):
+    assert lll_reduce_gram(gram) == lll_reference(gram)
+
+
+def _det(M):
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_gram())
+def test_lll_result_is_reduced(gram):
+    G, U = lll_reduce_gram(gram)
+    n = len(gram)
+    assert G == [[sum(U[i][a] * gram[a][b] * U[j][b] for a in range(n) for b in range(n))
+                  for j in range(n)] for i in range(n)]
+    assert abs(_det(U)) == 1
+    d, mu = cholesky_rational(G)
+    assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+    assert all(d[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * d[k - 1] for k in range(1, n))
+
+
+@pytest.mark.parametrize(
+    "gram", [[[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[2, 0, 1], [0, 1, 0], [1, 0, -3]]]
+)
+def test_lll_rejects_gram_not_positive_definite(gram):
+    with pytest.raises(ValueError):
+        lll_reduce_gram(gram)
