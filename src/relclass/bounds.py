@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .cm import CMField, line_norms, on_line
+from .cm import CMField, class_counts, line_norms, on_line
 from .errors import (
     AssumptionViolated,
     BoundViolated,
@@ -29,7 +29,7 @@ from .errors import (
     StrategyUnavailable,
 )
 from .field import Field, FIdeal, PrimeIdeal, kronecker, prime_divisors, primes_up_to
-from .hecke import EigenvalueTable, QuadChar, symsq_L1, symsq_log_deriv_L1
+from .hecke import EigenvalueTable, symsq_L1, symsq_log_deriv_L1
 from .lattice import lll_reduce_gram, short_vectors
 from .numerics import (
     EULER_GAMMA,
@@ -48,6 +48,8 @@ from .numerics import (
 )
 
 LOG_37 = Interval(3.6109179126442243, 3.6109179126442248)
+# prime norms up to this enter the F2 products
+F2_CAP = 131
 
 
 def _sqrt_m_interval(m: int) -> Interval:
@@ -140,10 +142,9 @@ class LatticeConstants:
     A2: Interval
 
 
-def lattice_constants(F: Field, T0: Interval | None = None) -> LatticeConstants:
+def lattice_constants(F: Field) -> LatticeConstants:
     d0 = d0_interval(F)
-    if T0 is None:
-        T0 = t0_interval(F, d0)
+    T0 = t0_interval(F, d0)
     C_T0 = covering_count_bound(F, T0)
     C_1 = covering_count_bound(F, Interval(1.0))
     n = F.n
@@ -204,7 +205,7 @@ def box_bound_check(F: Field, consts: LatticeConstants, idl: FIdeal, x0: tuple, 
     for v in c:
         prod_c *= v
     nm = idl.norm()
-    pre_ok = prod_c >= Fraction(consts.T0.hi).limit_denominator(10**12) * nm
+    pre_ok = prod_c >= Fraction(consts.T0.hi) * nm
     count = count_box(F, idl, x0, c)
     n = F.n
     bound = (
@@ -324,15 +325,15 @@ def bound_params(K: CMField) -> BoundParams:
         raise AssumptionViolated(f"|disc| = {d} <= 4^{n}")
     if not K.unit_equal:
         raise AssumptionViolated("extension has extra units")
-    cd = K.class_data()
+    h_K, h, _ = class_counts(K)
     u = K.F.unit_sq_index
     r = 1
-    while 2 * r * r + 2 * r < u * cd.h_K:
+    while 2 * r * r + 2 * r < u * h_K:
         r += 1
     m = Fraction(max(Fraction(r), Fraction(3, 2)))
     # brute-force cross-check of the minimal r
-    assert 2 * r * r + 2 * r >= u * cd.h_K and (r == 1 or 2 * (r - 1) ** 2 + 2 * (r - 1) < u * cd.h_K)
-    V = (d / 4**n) ** (1.0 / cd.h)
+    assert 2 * r * r + 2 * r >= u * h_K and (r == 1 or 2 * (r - 1) ** 2 + 2 * (r - 1) < u * h_K)
+    V = (d / 4**n) ** (1.0 / h)
     U = (math.sqrt(d) / 2**n) ** (1.0 / float(m))
     if U <= 1:
         raise LemmaViolation("U <= 1 under the standing assumptions")
@@ -358,7 +359,7 @@ def bound_params(K: CMField) -> BoundParams:
     if R < U:
         raise LemmaViolation(f"R = {R} < U = {U}")
     assert all(pr in P_K for pr in P_UK)
-    return BoundParams(len(ram), m, V, U, R, P_UK, P_K, cd.h, cd.h_K)
+    return BoundParams(len(ram), m, V, U, R, P_UK, P_K, h, h_K)
 
 
 # -- D constants ---------------------------------------------------------------------
@@ -408,11 +409,13 @@ def d_constants_lambda(n: int, lam: float) -> dict:
 # -- B constants ------------------------------------------------------------------------
 
 
-def zeta_F_2_interval(F: Field, X: int = 4000) -> Interval:
-    """zeta_F(2) = zeta(2) * L(2, chi_dF) with a certified alternating tail."""
+def zeta_F_2_interval(F: Field) -> Interval:
+    """zeta_F(2) = zeta(2) * L(2, chi_dF): 4000 terms and a certified
+    alternating tail."""
     z2 = PI * PI / Interval(6.0)
     if F.n == 1:
         return z2
+    X = 4000
     part = Interval(0.0)
     for nn in range(1, X + 1):
         ch = kronecker(F.d_F, nn)
@@ -480,9 +483,9 @@ def zeta_F_a_inv_prime_at_1(F: Field, level: FIdeal) -> float:
     return 1.0 / (rho * prod)
 
 
-def zeta_F_a_inv_second_over_first(F: Field, level: FIdeal, h: float = 1e-4) -> float:
-    """(zeta^{-1})''(1)/(zeta^{-1})'(1) by central differences on the
-    pole-removed factor; heuristic."""
+def zeta_F_a_inv_second_over_first(F: Field, level: FIdeal) -> float:
+    """(zeta^{-1})''(1)/(zeta^{-1})'(1) by central differences of step 1e-4
+    on the pole-removed factor; heuristic."""
 
     def inv_zeta_fa(s: float) -> float:
         z = zeta_F_numeric(F, s).real
@@ -494,6 +497,7 @@ def zeta_F_a_inv_second_over_first(F: Field, level: FIdeal, h: float = 1e-4) -> 
         return 1.0 / z
 
     # g(s) = inv_zeta(s)/(s-1): second/first derivative of inv at 1 equals 2 g'(1)/g(1)
+    h = 1e-4
     g_plus = inv_zeta_fa(1 + h) / h
     g_minus = inv_zeta_fa(1 - h) / (-h)
     g_mid = (g_plus + g_minus) / 2
@@ -512,11 +516,9 @@ class GConstants:
 
 def g_constants(
     table: EigenvalueTable,
-    chi: QuadChar | None,
     strategy: str = "heuristic",
     injected: dict | None = None,
     prime_cap: int = 400,
-    eta: float = 0.125,
 ) -> GConstants:
     """G1 (lower), G2/G3 (upper) for the chosen Dirichlet-series pair.
 
@@ -561,7 +563,7 @@ def g_constants(
         + zsecond
         + corr2
     )
-    G3 = _g3_quadrature(table, prime_cap, eta)
+    G3 = _g3_quadrature(table, prime_cap, 0.125)
     return GConstants(
         G1,
         G2,
@@ -664,22 +666,20 @@ class ConstantBundle:
     Mp: Interval
     B: dict
     G: GConstants
-    contour_eta: float
-    sigma_doc: float  # documented abscissa of the J-integrals; nothing integrates over it
     F2: Interval
     lambda_grid: list[float]
     rigor: dict
 
 
-def f2_uniform(F: Field, cap: int = 131) -> Interval:
-    """K-independent product over candidate prime norms <= cap of
+def f2_uniform(F: Field) -> Interval:
+    """K-independent product over candidate prime norms <= F2_CAP of
     sqrt(q)/(q^(1/4)-1)^2."""
     out = Interval(1.0)
     seen = set()
-    for p in primes_up_to(cap):
+    for p in primes_up_to(F2_CAP):
         for pr in F.splitting(p).primes:
             q = pr.norm()
-            if q > cap or q in seen:
+            if q > F2_CAP or q in seen:
                 continue
             seen.add(q)
             qi = Interval(float(q))
@@ -687,11 +687,11 @@ def f2_uniform(F: Field, cap: int = 131) -> Interval:
     return out
 
 
-def f2_per_K(params: BoundParams, cap: int = 131) -> float:
+def f2_per_K(params: BoundParams) -> float:
     out = 1.0
     for pr in params.P_UK:
         q = pr.norm()
-        if q <= cap:
+        if q <= F2_CAP:
             out *= math.sqrt(q) / (q**0.25 - 1) ** 2
     return out
 
@@ -701,14 +701,13 @@ def make_bundle(
     table: EigenvalueTable,
     strategy: str = "heuristic",
     injected: dict | None = None,
-    chi: QuadChar | None = None,
     lambda_grid: list[float] | None = None,
     prime_cap: int = 400,
 ) -> ConstantBundle:
     lat = lattice_constants(F)
     Mp = m_prime(F, table.level)
     B = b_constants(F, lat, Mp)
-    G = g_constants(table, chi, strategy, injected, prime_cap=prime_cap)
+    G = g_constants(table, strategy, injected, prime_cap=prime_cap)
     F2 = f2_uniform(F)
     grid = lambda_grid if lambda_grid is not None else [1, 2, 5, 10, 20, 50, 100, 200]
     rigor = {
@@ -727,7 +726,7 @@ def make_bundle(
         "F2": "interval",
         "final_C": "conservative-min" if G.provenance == "injected" else "heuristic",
     }
-    return ConstantBundle(F, table, lat, Mp, B, G, 0.125, 1.5, F2, [float(x) for x in grid], rigor)
+    return ConstantBundle(F, table, lat, Mp, B, G, F2, [float(x) for x in grid], rigor)
 
 
 def f1_lambda(bundle: ConstantBundle, lam: float) -> Interval:

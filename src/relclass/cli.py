@@ -21,7 +21,7 @@ import mpmath
 
 from . import bounds as bnd
 from . import dseries, forms, hecke
-from .cm import class_counts, class_group_K, make_cm
+from .cm import class_counts, make_cm
 from .errors import (
     AssumptionViolated,
     BoundViolated,
@@ -118,7 +118,7 @@ def cmd_classify(args) -> int:
     except RelclassError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return EXIT_INPUT
-    h_K, reps, orbits, h, hp = class_group_K(K)
+    h_K, h, orbits = class_counts(K)
     strong, weak = forms.classify(K)
     decorated = []
     for Q in weak:
@@ -214,7 +214,7 @@ def cmd_verify(args) -> int:
         K = entry.cm()
         row["reldisc"] = K.rel_disc_norm
         row["unit_equal"] = K.unit_equal
-        h_K, orbits = class_counts(K)
+        h_K, _, orbits = class_counts(K)
         row["h_K"] = h_K
         row["orbits"] = orbits
         if "regression" in checks and entry.expected_hK is not None:
@@ -234,8 +234,7 @@ def cmd_verify(args) -> int:
             row["lemma41"] = f"V={bp.V:.4g},U={bp.U:.4g},R={bp.R}"
         if "normcounts" in checks and K.unit_equal:
             lat = lattice(K.F)
-            cd = K.class_data()
-            bnd.norm_count_check_K(K, cd.N_reps[0], Fraction(5), lat)
+            bnd.norm_count_check_K(K, K.maximal_order(), Fraction(5), lat)
             bnd.norm_count_check_F(K.F, K.F.unit_ideal(), Fraction(7), lat)
             row["normcounts"] = "ok"
         if "measures" in checks and K.unit_equal:

@@ -20,11 +20,11 @@ classification machinery stamps their reports non-applicable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     DecompositionFailed,
@@ -43,6 +43,7 @@ from .field import (
     primes_up_to,
 )
 from .finitefield import ResidueField
+from .imagquad import class_group_counts
 from .intmat import hnf_lattice, solve_exact, zspan_kernel, zspan_solve
 from .lattice import lll_reduce_gram, short_vectors
 
@@ -433,22 +434,6 @@ class CMField:
             uniq.setdefault(idl.key(), idl)
         return sorted(uniq.values(), key=lambda i: (i.abs_norm(), i.key()))
 
-    def to_json(self) -> str:
-        cd = self.class_data()
-        data = {
-            "base": json.loads(self.F.to_json()),
-            "delta": [
-                f"{self.delta.a.numerator}/{self.delta.a.denominator}",
-                f"{self.delta.b.numerator}/{self.delta.b.denominator}",
-            ],
-            "reldisc_norm": self.rel_disc_norm,
-            "hK": cd.h_K,
-            "h": cd.h,
-            "orbits": cd.orbits,
-            "unit_equal": self.unit_equal,
-        }
-        return json.dumps(data, sort_keys=True)
-
     def __repr__(self):
         return f"{self.F}(sqrt({self.delta}))"
 
@@ -737,13 +722,35 @@ class KIdeal:
 
 @dataclass
 class ClassData:
-    h_K: int
+    """Class representatives of K, the conjugation action on them, and
+    representatives of Cl(K) modulo the image of Cl(F)."""
+
     reps: list[KIdeal]
-    conj_pairs: list[int]
-    orbits: int
-    h: int
-    h_prime: int
+    conj_pairs: list[int]  # conj_pairs[i]: index of the class of conj(reps[i])
     N_reps: list[KIdeal]
+
+    @property
+    def h_K(self) -> int:
+        return len(self.reps)
+
+    @property
+    def h(self) -> int:
+        return len(self.N_reps)
+
+    @property
+    def orbit_reps(self) -> list[KIdeal]:
+        """The first representative of each conjugation orbit."""
+        seen = set()
+        out = []
+        for i, j in enumerate(self.conj_pairs):
+            if i not in seen:
+                seen.update((i, j))
+                out.append(self.reps[i])
+        return out
+
+    @property
+    def orbits(self) -> int:
+        return len(self.orbit_reps)
 
 
 def _compute_class_data(K: CMField) -> ClassData:
@@ -805,7 +812,6 @@ def _class_data_by_closure(K: CMField) -> ClassData:
                     prod = (pw * rep).small_class_rep()
                     new_elements.append((tuple(nv), prod))
             elements = new_elements
-    h_K = len(elements)
     # canonical residue reduction for dlog vectors modulo the relation lattice
     rel_rows = hnf_lattice(relations) if relations else []
 
@@ -820,20 +826,13 @@ def _class_data_by_closure(K: CMField) -> ClassData:
         return tuple(v)
 
     index = {reduce_vec(vec): i for i, (vec, rep) in enumerate(elements)}
-    assert len(index) == h_K, "discrete logs do not separate classes"
+    assert len(index) == len(elements), "discrete logs do not separate classes"
     conj_pairs = []
     for vec, rep in elements:
         inv = reduce_vec([-x for x in vec])
         conj_pairs.append(index[inv])
-    orbits = 0
-    seen = set()
-    for i, j in enumerate(conj_pairs):
-        if i not in seen:
-            orbits += 1
-            seen.add(i)
-            seen.add(j)
     reps = [rep for _, rep in elements]
-    return ClassData(h_K, reps, conj_pairs, orbits, h_K, 1, list(reps))
+    return ClassData(reps, conj_pairs, list(reps))
 
 
 def _class_data_by_partition(K: CMField) -> ClassData:
@@ -850,14 +849,6 @@ def _class_data_by_partition(K: CMField) -> ClassData:
         if idx is None:
             raise SearchBudgetExceeded("conjugate class not found among representatives")
         conj_pairs.append(idx)
-    h_K = len(reps)
-    orbits = 0
-    seen = set()
-    for i, j in enumerate(conj_pairs):
-        if i not in seen:
-            orbits += 1
-            seen.add(i)
-            seen.add(j)
     im_indices = {0}
     base_images = []
     for a in K.F.class_reps[1:]:
@@ -873,9 +864,7 @@ def _class_data_by_partition(K: CMField) -> ClassData:
                 if kk not in im_indices:
                     im_indices.add(kk)
                     changed = True
-    h_prime = len(im_indices)
-    assert h_K % h_prime == 0
-    h = h_K // h_prime
+    assert len(reps) % len(im_indices) == 0
     N_reps = []
     covered: set[int] = set()
     for i, r in enumerate(reps):
@@ -885,28 +874,28 @@ def _class_data_by_partition(K: CMField) -> ClassData:
         for j in im_indices:
             prod = reps[i] * reps[j]
             covered.add(next(ri for ri, r2 in enumerate(reps) if prod.in_same_class(r2)))
-    assert len(N_reps) == h
-    return ClassData(h_K, reps, conj_pairs, orbits, h, h_prime, N_reps)
+    assert len(N_reps) * len(im_indices) == len(reps)
+    return ClassData(reps, conj_pairs, N_reps)
 
 
-def class_group_K(K: CMField):
-    """(h_K, class list, conjugation orbit count, h, h') per the class data."""
-    cd = K.class_data()
-    return cd.h_K, cd.reps, cd.orbits, cd.h, cd.h_prime
+class ClassCounts(NamedTuple):
+    h_K: int
+    h: int  # h_K / |image of Cl(F) in Cl(K)|
+    orbits: int  # conjugation orbits on Cl(K)
 
 
-def class_counts(K: CMField) -> tuple[int, int]:
-    """(h_K, conjugation orbit count) without materializing representatives.
+def class_counts(K: CMField) -> ClassCounts:
+    """h_K, h and the conjugation orbit count: the one entry point for counts.
 
-    Degree-1 fields go through the integer-only lattice pipeline, which is the
-    same reduction the generic path applies, minus the object overhead.
+    Degree-1 fields go through the integer-only lattice pipeline of imagquad,
+    which builds no representatives (h = h_K over Q); other fields read them
+    off the class data.
     """
     if K.F.n == 1:
-        from .imagquad import class_group_counts
-
-        return class_group_counts(-K.rel_disc_norm)
+        h_K, orbits = class_group_counts(-K.rel_disc_norm)
+        return ClassCounts(h_K, h_K, orbits)
     cd = K.class_data()
-    return cd.h_K, cd.orbits
+    return ClassCounts(cd.h_K, cd.h, cd.orbits)
 
 
 # -- unit-exceptional extensions ----------------------------------------------------

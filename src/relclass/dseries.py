@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .cm import CMField, line_norms, on_line
+from .cm import CMField, class_counts, line_norms, on_line
 from .errors import InequalityViolated, OutOfRegion, TruncationTooLarge
 from .field import Field, primes_up_to
 
@@ -102,9 +102,9 @@ def _geom(X: int, q: int) -> list[Fraction]:
     return [Fraction(1)] * ln
 
 
-def zeta_coeffs_field(F: Field, X: int, cross_check_cap: int = 400) -> CoeffSeries:
+def zeta_coeffs_field(F: Field, X: int) -> CoeffSeries:
     """Ideal counts of the base field, Euler product route, cross-checked
-    against a direct sublattice enumeration on an initial segment."""
+    against a direct sublattice enumeration on the first 400 coefficients."""
     if X > MAX_TRUNCATION:
         raise TruncationTooLarge(f"X = {X} > {MAX_TRUNCATION}")
     factors = []
@@ -113,8 +113,7 @@ def zeta_coeffs_field(F: Field, X: int, cross_check_cap: int = 400) -> CoeffSeri
             if pr.norm() <= X:
                 factors.append((pr.norm(), _geom(X, pr.norm())))
     coeffs = _euler_coeffs(factors, X)
-    cap = min(X, cross_check_cap)
-    for n in range(1, cap + 1):
+    for n in range(1, min(X, 400) + 1):
         direct = _ideal_count_direct(F, n)
         assert coeffs[n - 1] == direct, (n, coeffs[n - 1], direct)
     return CoeffSeries(X, coeffs, "ideal-count")
@@ -146,8 +145,9 @@ def _ideal_count_direct(F: Field, n: int) -> int:
     return count
 
 
-def zeta_coeffs_cm(K: CMField, X: int, cross_check_cap: int = 60) -> CoeffSeries:
-    """Ideal counts of the extension field, with a small direct cross-check."""
+def zeta_coeffs_cm(K: CMField, X: int) -> CoeffSeries:
+    """Ideal counts of the extension field, cross-checked by direct
+    enumeration on the first 60 coefficients."""
     if X > MAX_TRUNCATION:
         raise TruncationTooLarge(f"X = {X} > {MAX_TRUNCATION}")
     factors = []
@@ -159,7 +159,7 @@ def zeta_coeffs_cm(K: CMField, X: int, cross_check_cap: int = 60) -> CoeffSeries
                 if kp.norm() <= X:
                     factors.append((kp.norm(), _geom(X, kp.norm())))
     coeffs = _euler_coeffs(factors, X)
-    cap = min(X, cross_check_cap)
+    cap = min(X, 60)
     direct = _ideal_count_direct_cm(K, cap)
     for n in range(1, cap + 1):
         assert coeffs[n - 1] == direct[n - 1], (n, coeffs[n - 1], direct[n - 1])
@@ -274,16 +274,16 @@ def vsum_check(K: CMField, X: int | None = None) -> dict:
     for n in range(1, X + 1):
         if n * n * 4**K.F.n < K.rel_disc_norm:
             total += vs.coeff(n)
-    cd = K.class_data()
-    ok = total <= cd.h
+    h = class_counts(K).h
+    ok = total <= h
     if not ok:
-        raise InequalityViolated(f"vsum {total} > h = {cd.h}")
+        raise InequalityViolated(f"vsum {total} > h = {h}")
     return {
         "threshold": threshold,
         "partial_sum": int(total),
-        "h": cd.h,
+        "h": h,
         "ok": ok,
-        "margin": cd.h - int(total),
+        "margin": h - int(total),
     }
 
 
@@ -298,7 +298,7 @@ class StepMeasure:
     density: list[tuple[float, float, float, float]] = field(default_factory=list)
     # density entries: (c, gamma, lo, hi); hi = inf allowed
 
-    def integral_of_mass(self, x: float, grid: int = 2000) -> float:
+    def integral_of_mass(self, x: float) -> float:
         """int_0^x mass([0,t]) dt; exact for atom-only measures, panelwise
         closed-form for the density pieces."""
         out = 0.0
@@ -376,12 +376,12 @@ def measure_mu_K(K: CMField, x_max: float) -> StepMeasure:
 
 
 def measure_mu_K_bound(K: CMField, A1: float) -> StepMeasure:
-    cd = K.class_data()
+    h_K = class_counts(K).h_K
     d = K.rel_disc_norm
     t0 = math.sqrt(d) / 2**K.F.n
-    c = A1 * cd.h_K / math.sqrt(d)
+    c = A1 * h_K / math.sqrt(d)
     mu = StepMeasure()
-    mu.atoms.append((t0, A1 * cd.h_K / 2**K.F.n))
+    mu.atoms.append((t0, A1 * h_K / 2**K.F.n))
     mu.density.append((c, 0.0, t0, math.inf))
     return mu
 

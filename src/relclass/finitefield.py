@@ -41,8 +41,8 @@ class ResidueField:
     def one(self):
         return (1, 0)
 
-    def make(self, a0: int, a1: int = 0):
-        return (a0 % self.p, a1 % self.p)
+    def make(self, a0: int):
+        return (a0 % self.p, 0)
 
     def add(self, x, y):
         return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cm import CMField, KElem, KIdeal, make_cm
+from .cm import CMField, KElem, KIdeal, class_counts, make_cm
 from .errors import (
     CriterionFails,
     DegenerateForm,
@@ -39,6 +39,9 @@ from .field import (
 from .finitefield import ResidueField
 from .intmat import hnf_lattice, zspan_kernel, zspan_solve
 from .lattice import lll_reduce_gram, short_vectors
+
+# cap on the elements prescribe_genus scans
+GENUS_SCAN_BUDGET = 200_000
 
 
 @dataclass
@@ -384,15 +387,7 @@ def classify(K: CMField):
     unit-square scaling action separated through genus vectors, a certified
     lower bound on the strong count.
     """
-    cd = K.class_data()
-    seen = set()
-    weak = []
-    for i, j in enumerate(cd.conj_pairs):
-        if i in seen:
-            continue
-        seen.add(i)
-        seen.add(j)
-        weak.append(ideal_to_form(K, cd.reps[i]))
+    weak = [ideal_to_form(K, r) for r in K.class_data().orbit_reps]
     units = _unit_square_reps(K.F)
     strong = []
     strong_keys = set()
@@ -404,8 +399,9 @@ def classify(K: CMField):
             if key not in strong_keys:
                 strong_keys.add(key)
                 strong.append((Qu, gv))
-    assert len(weak) == cd.orbits
-    assert len(weak) <= cd.h_K <= 2 * len(weak)
+    counts = class_counts(K)
+    assert len(weak) == counts.orbits
+    assert len(weak) <= counts.h_K <= 2 * len(weak)
     return strong, weak
 
 
@@ -660,12 +656,12 @@ def represent_search(K: CMField, s: FElem):
     Qs = PseudoForm(F, F.unit_ideal(), Q.a / gamma, Q.b / gamma, Q.c / gamma)
     # witness: coordinates of z in the free basis of A
     alpha, beta = free_module_basis(K, A)
-    xy = _coords_in_basis(K, z, alpha, beta)
+    xy = _coords_in_basis(z, alpha, beta)
     assert Qs.value(xy[0], xy[1]) == s
     return Qs, A, gamma, xy
 
 
-def _coords_in_basis(K: CMField, z: KElem, alpha: KElem, beta: KElem):
+def _coords_in_basis(z: KElem, alpha: KElem, beta: KElem):
     # z = x alpha + y beta with x, y in F: solve 2x2 linear system over F
     det = alpha.x * beta.y - alpha.y * beta.x
     if det.is_zero():
@@ -681,7 +677,7 @@ def _coords_in_basis(K: CMField, z: KElem, alpha: KElem, beta: KElem):
     return (x, y)
 
 
-def prescribe_genus(K: CMField, signs: dict, budget: int = 200000):
+def prescribe_genus(K: CMField, signs: dict):
     """A form whose genus vector matches the requested signs (product must be 1).
 
     Scans totally-controlled principal primes satisfying the sign and
@@ -699,7 +695,7 @@ def prescribe_genus(K: CMField, signs: dict, budget: int = 200000):
     count = 0
     for e0 in _small_elements(F):
         count += 1
-        if count > budget:
+        if count > GENUS_SCAN_BUDGET:
             raise SearchBudgetExceeded("genus prescription scan budget")
         if e0.is_zero():
             continue
@@ -764,9 +760,7 @@ def lower_bound_t(K: CMField) -> tuple[int, int]:
     discriminant; the bound 2^(t+n-1)/2^n <= h_K is asserted."""
     t = len(K.rel_disc_primes)
     bound = 2 ** (t + K.F.n - 1) // K.F.unit_sq_index
-    from .cm import class_counts
-
-    h_K, _ = class_counts(K)
+    h_K = class_counts(K).h_K
     assert bound <= h_K, f"genus bound {bound} exceeds h_K = {h_K}"
     return t, bound
 
@@ -830,7 +824,7 @@ def minimal_lines(Q: PseudoForm) -> list[tuple]:
         I = F.ideal(qv) * (b_id * b_id)
         lhs = I.norm() * I.norm()
         if lhs * Fraction(4**F.n) < disc_norm:
-            key = _line_key(F, Q, x, y, b_id)
+            key = _line_key(x, y, b_id)
             lines.setdefault(key, (I, (x, y)))
     out = sorted(lines.items(), key=lambda t: str(t[0]))
     if len(out) > 1:
@@ -873,7 +867,7 @@ def _ideal_intersect(F: Field, A: FIdeal, B: FIdeal) -> FIdeal:
     return FIdeal.from_generators(F, gens)
 
 
-def _line_key(F: Field, Q: PseudoForm, x: FElem, y: FElem, b_id: FIdeal):
+def _line_key(x: FElem, y: FElem, b_id: FIdeal):
     """Canonical key of the saturated line through (x, y)."""
     # saturate: the line is {(t x, t y) : t in b_id}
     gens = []

@@ -343,8 +343,8 @@ def d_factor(table: EigenvalueTable, pr: PrimeIdeal) -> EulerFactor:
     return EulerFactor(q, (1,), (1, -lam, q))
 
 
-def symsq_factor(table: EigenvalueTable, pr: PrimeIdeal, shift: bool = True) -> EulerFactor:
-    """Local factor of L(2s-1, sym^2) (shift=True) or L(s, sym^2) at pr.
+def symsq_factor(table: EigenvalueTable, pr: PrimeIdeal) -> EulerFactor:
+    """Local factor of the shifted L(2s-1, sym^2) at pr.
 
     In the shifted variable T = q^-s the three good-prime pieces become
     (1 - lam T + q T^2)(1 - q T^2)(1 + lam T + q T^2)."""
@@ -418,11 +418,12 @@ def phi_reduced(table: EigenvalueTable, chi: QuadChar, pr: PrimeIdeal) -> EulerF
     return EulerFactor(q, (1,), (1, -table.lam(pr)))
 
 
-def check_root_bounds(phi: EulerFactor, q: int, tol: float = 1e-9) -> bool:
-    """|alpha| <= sqrt(q) for the inverse roots of numerator and denominator."""
+def check_root_bounds(phi: EulerFactor, q: int) -> bool:
+    """|alpha| <= sqrt(q) + 1e-9 for the inverse roots of numerator and
+    denominator."""
     for poly in (phi.num, phi.den):
         for r in _poly_inverse_roots(poly):
-            if abs(r) > math.sqrt(q) + tol:
+            if abs(r) > math.sqrt(q) + 1e-9:
                 return False
     return True
 
@@ -458,7 +459,7 @@ def epsilon_factor(table: EigenvalueTable, chi: QuadChar, eps_f: int) -> int:
     return out
 
 
-def epsilon_numeric(table: EigenvalueTable, n_terms: int | None = None) -> tuple[int, float]:
+def epsilon_numeric(table: EigenvalueTable) -> tuple[int, float]:
     """Functional-equation residual selection of eps over Q.
 
     g(y) = sum a_n e^(-2 pi n y) satisfies g(1/(N y)) = eps N y^2 g(y); the
@@ -467,8 +468,7 @@ def epsilon_numeric(table: EigenvalueTable, n_terms: int | None = None) -> tuple
     if table.F.n != 1:
         raise DegreeUnsupported("numeric epsilon requires a rational table")
     N = int(table.level.norm())
-    if n_terms is None:
-        n_terms = min(max(60, int(50 * math.sqrt(N))), table.pmax)
+    n_terms = min(max(60, int(50 * math.sqrt(N))), table.pmax)
     if n_terms < 8 * math.sqrt(N):
         raise InsufficientCoefficients(
             f"need coefficients to ~8 sqrt(level) = {8 * math.sqrt(N):.0f}"

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm, sqrt
 
 
-def lll_reduce_gram(gram: list[list[Fraction]], delta=Fraction(99, 100)):
+def lll_reduce_gram(gram: list[list[Fraction]]):
     """LLL-reduce a positive definite Gram matrix.
 
     Returns (reduced gram, U) with U integer unimodular and
@@ -18,7 +18,8 @@ def lll_reduce_gram(gram: list[list[Fraction]], delta=Fraction(99, 100)):
     scaled by the lcm of its denominators.  The state is U, the leading minors
     d[0] = 1, d[1..n] of the current basis and lam[k][j] = d[j+1] * mu[k][j];
     each size reduction and swap updates them in place by exact division.
-    The Lovasz test with delta = p/q reads q d[k+1] d[k-1] >= p d[k]^2 - q lam^2.
+    The Lovasz test with delta = p/q = 99/100 reads
+    q d[k+1] d[k-1] >= p d[k]^2 - q lam^2.
     One deliberate departure from Cohen: row k is size-reduced against every
     j = k-1 .. 0 before the Lovasz test, rounding mu to the nearest integer
     with ties away from zero (so |mu| = 1/2 is reduced too).  That keeps every
@@ -30,7 +31,7 @@ def lll_reduce_gram(gram: list[list[Fraction]], delta=Fraction(99, 100)):
     D = lcm(*(x.denominator for row in G0 for x in row))
     Gi = [[x.numerator * (D // x.denominator) for x in row] for row in G0]
     U = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    p, q = Fraction(delta).as_integer_ratio()
+    p, q = 99, 100
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     kmax = -1

@@ -78,7 +78,7 @@ def test_02_correspondence_real_quadratic():
     for e in entries:
         K = e.cm()
         assert K.unit_equal and K.rel_disc_norm <= 5000
-        h, orbits = class_counts(K)
+        h, _, orbits = class_counts(K)
         oh, oorbits = relation_class_number(K)
         assert (h, orbits) == (oh, oorbits), (e.label(), (h, orbits), (oh, oorbits))
         assert h == e.expected_hK
@@ -93,7 +93,7 @@ def test_03_genus_bound():
     for e in load_corpus(str(ROOT / "corpus" / "q50.txt")):
         K = e.cm()
         t, bound = forms.lower_bound_t(K)  # asserts bound <= h_K internally
-        h, _ = class_counts(K)
+        h, _, _ = class_counts(K)
         if bound == h:
             witnesses[t] = e.label()
     for e in load_corpus(str(ROOT / "corpus" / "quartic80.txt")):

@@ -41,6 +41,14 @@ def test_quadratic_lattice_constants_cover_reevaluation():
     assert lat.T0.lo <= t0_hp <= lat.T0.hi
 
 
+def test_box_precondition_compares_against_exact_T0():
+    # the best rational approximation with denominator <= 10^12 lies below T0.hi
+    c0 = Fraction(LAT_Q.T0.hi).limit_denominator(10**12)
+    assert c0 < Fraction(LAT_Q.T0.hi)
+    rep = bnd.box_bound_check(Q, LAT_Q, Q.unit_ideal(), (0,), (c0,))
+    assert rep["precondition"] is False
+
+
 def test_count_box_examples():
     assert bnd.count_box(Q, Q.unit_ideal(), (0,), (5,)) == 11
     assert bnd.count_box(Q, Q.ideal(3), (0,), (5,)) == 3
@@ -121,12 +129,12 @@ def test_zeta_F_2_certified():
 
 def test_g_injected_passthrough_and_validation():
     tab = gz_table(120)
-    g = bnd.g_constants(tab, None, "injected", {"G1": 3.5, "G2": 2.0, "G3": 1.0})
+    g = bnd.g_constants(tab, "injected", {"G1": 3.5, "G2": 2.0, "G3": 1.0})
     assert (g.G1, g.G2, g.G3) == (3.5, 2.0, 1.0) and g.provenance == "injected"
     with pytest.raises(StrategyUnavailable):
-        bnd.g_constants(tab, None, "injected", {"G1": -1, "G2": 2, "G3": 1})
+        bnd.g_constants(tab, "injected", {"G1": -1, "G2": 2, "G3": 1})
     with pytest.raises(StrategyUnavailable):
-        bnd.g_constants(tab, None, "nonsense")
+        bnd.g_constants(tab, "nonsense")
 
 
 def test_final_C_grid_behavior():

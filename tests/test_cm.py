@@ -5,16 +5,17 @@ from pathlib import Path
 from oracles import class_number_oracle, conj_orbits_oracle, relation_class_number
 
 from relclass.cli import load_corpus
+from relclass import bounds, dseries, forms
 from relclass.cm import (
     class_counts,
-    class_group_K,
     decompose_ideal,
     exceptional_extensions,
     line_norms,
     make_cm,
 )
-from relclass.errors import NotIntegral, NotTotallyNegative
+from relclass.errors import NotIntegral, NotTotallyNegative, RelclassError
 from relclass.field import kronecker, make_field, primes_up_to
+from relclass.imagquad import class_group_counts
 
 Q = make_field(1)
 F2 = make_field(2, 2)
@@ -86,13 +87,46 @@ def test_exceptional_extensions_dedup_sqrt3():
 )
 def test_class_groups_over_Q(delta, h, orbits):
     K = make_cm(Q, delta)
-    hK, reps, orb, h_, hp = class_group_K(K)
-    assert (hK, orb) == (h, orbits)
-    assert h_ * hp == hK
-    assert class_counts(K) == (h, orbits)
+    cd = K.class_data()  # the closure, against the imagquad path of class_counts
+    assert (cd.h_K, cd.h, cd.orbits) == (h, h, orbits)
+    assert class_counts(K) == (h, h, orbits)
     D = -K.rel_disc_norm
     assert class_number_oracle(D) == h
     assert conj_orbits_oracle(D) == orbits
+
+
+@pytest.mark.parametrize(
+    "d,counts,n_reps",
+    [(-7, (4, 2, 3), 2), (-11, (12, 6, 7), 6), (-13, (8, 4, 8), 4)],
+)
+def test_class_data_by_partition_over_Q_sqrt10(d, counts, n_reps):
+    F = make_field(2, 10)
+    assert F.h_F == 2  # the partition path: Cl(F) is not trivial
+    K = make_cm(F, F.elem(d))
+    cd = K.class_data()
+    assert (cd.h_K, cd.h, cd.orbits) == counts
+    assert len(cd.N_reps) == n_reps
+    assert all(cd.conj_pairs[j] == i for i, j in enumerate(cd.conj_pairs))
+    assert cd.N_reps[0] is K.maximal_order()
+    assert class_counts(K) == counts
+    # Kuroda's class number formula for the biquadratic K = Q(sqrt 10, sqrt d):
+    # h_K = Q h(F) h(Q(sqrt d)) h(Q(sqrt 10d)) / 2 with unit index Q in {1, 2}
+    h_d, h_10d = (class_group_counts(e if e % 4 == 1 else 4 * e)[0] for e in (d, 10 * d))
+    assert 2 * cd.h_K in (F.h_F * h_d * h_10d, 2 * F.h_F * h_d * h_10d)
+
+
+def test_count_readers_build_no_class_data_over_Q():
+    lat = bounds.lattice_constants(Q)
+    for entry in load_corpus(str(Path(__file__).resolve().parent.parent / "corpus" / "q50.txt")):
+        K = entry.cm()
+        forms.lower_bound_t(K)
+        dseries.vsum_check(K)
+        dseries.measure_mu_K_bound(K, lat.A1.hi)
+        try:
+            bounds.bound_params(K)
+        except RelclassError:
+            pass  # the lemma's scan checks may fail after the counts are read
+        assert K._class_data is None, entry.label()
 
 
 def test_conjugation_closes_on_classes():
@@ -100,6 +134,7 @@ def test_conjugation_closes_on_classes():
     cd = K.class_data()
     for i, j in enumerate(cd.conj_pairs):
         assert cd.conj_pairs[j] == i
+    assert cd.N_reps[0] is K.maximal_order()  # the ideal verify's normcounts check uses
 
 
 @pytest.mark.parametrize(
@@ -117,16 +152,16 @@ def test_conjugation_closes_on_classes():
 def test_quartic_class_numbers_biquadratic(m, d, expected_h):
     F = make_field(2, m)
     K = make_cm(F, F.elem(d))
-    hK, _, orbits, h_, hp = class_group_K(K)
+    hK, h, _ = class_counts(K)
     assert hK == expected_h
-    assert h_ * hp == hK
+    assert h == hK  # Cl(F) is trivial
 
 
 def test_quartic_vs_relation_oracle():
     for (m, d) in ((2, -5), (2, -7), (5, -11), (13, -11)):
         F = make_field(2, m)
         K = make_cm(F, F.elem(d))
-        hK, _, orbits, _, _ = class_group_K(K)
+        hK, _, orbits = class_counts(K)
         oh, oorb = relation_class_number(K)
         assert (oh, oorb) == (hK, orbits)
 
@@ -136,7 +171,7 @@ def test_nonrational_delta():
     delta = F.elem(-4, 1)  # (-7 + sqrt 5)/2
     assert delta.is_totally_negative()
     K = make_cm(F, delta)
-    hK, _, orbits, _, _ = class_group_K(K)
+    hK, _, orbits = class_counts(K)
     assert hK >= 1
     oh, oorb = relation_class_number(K)
     assert (oh, oorb) == (hK, orbits)

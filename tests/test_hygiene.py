@@ -5,6 +5,7 @@ method is used: its name is referenced outside its own definition somewhere
 in src/, tests/ or perfbench/.  A reference is a name, an attribute, an imported name,
 or an identifier string such as the "FIdeal.principal_gen" span targets of
 perfbench/spans.py.  Dunder methods are called implicitly and are exempt.
+Every parameter other than self/cls is read in its function's body.
 """
 
 import ast
@@ -74,3 +75,18 @@ def test_every_function_is_referenced():
 
 def test_every_class_is_referenced():
     assert _unreferenced(ast.ClassDef) == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path, tree in _trees("src/relclass"):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            for p in params:
+                if p.arg not in ("self", "cls") and p.arg not in read:
+                    unread.append(f"{path.name}:{node.lineno} {node.name}({p.arg})")
+    assert unread == []
