@@ -225,7 +225,7 @@ def box_bound_check(F: Field, consts: LatticeConstants, idl: FIdeal, x0: tuple, 
 def canonical_unit_rep_F(F: Field, x):
     """Representative of x modulo units, via the convex trace form."""
     if F.n == 1:
-        return x if x.a >= 0 else -x
+        return x if x.na >= 0 else -x
 
     def q(z):
         return (z * z).trace()

@@ -99,11 +99,7 @@ def load_corpus(path: str) -> list[CorpusEntry]:
 
 
 def cmd_field(args) -> int:
-    try:
-        F = make_field(args.n, args.m)
-    except RelclassError as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return EXIT_INPUT
+    F = make_field(args.n, args.m)
     data = json.loads(F.to_json())
     data["regulator"] = F.regulator
     data["class_reps"] = len(F.class_reps)
@@ -112,12 +108,8 @@ def cmd_field(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        F = make_field(args.n, args.m)
-        K = make_cm(F, F.elem(args.delta_a, args.delta_b))
-    except RelclassError as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return EXIT_INPUT
+    F = make_field(args.n, args.m)
+    K = make_cm(F, F.elem(args.delta_a, args.delta_b))
     h_K, h, orbits = class_counts(K)
     strong, weak = forms.classify(K)
     decorated = []
@@ -153,9 +145,9 @@ def cmd_classify(args) -> int:
     return EXIT_OK if data["bijection_ok"] else EXIT_VIOLATION
 
 
-# Row status prefix and exit code for each error a corpus row may end in,
-# matched on the error's class or nearest listed base class; any other
-# RelclassError is an input error of that row.
+# Row status prefix and exit code for each error a corpus row or a
+# single-field command may end in, matched on the error's class or nearest
+# listed base class; any other RelclassError is an input error.
 ROW_OUTCOMES = {
     InequalityViolated: ("VIOLATION", EXIT_VIOLATION),
     LemmaViolation: ("VIOLATION", EXIT_VIOLATION),
@@ -165,6 +157,12 @@ ROW_OUTCOMES = {
     ParityFails: ("ParityFails", EXIT_OK),
     NoFeasibleLambda: ("NoFeasibleLambda", EXIT_OK),
 }
+
+
+def outcome(exc: RelclassError) -> tuple[str, int]:
+    """(status prefix, exit code) of a package error, from ROW_OUTCOMES."""
+    listed = [ROW_OUTCOMES[t] for t in type(exc).__mro__ if t in ROW_OUTCOMES]
+    return listed[0] if listed else (f"INPUT: {type(exc).__name__}", EXIT_INPUT)
 
 
 def run_corpus(path: str, run_row):
@@ -186,8 +184,7 @@ def run_corpus(path: str, run_row):
             run_row(entry, row)
             row["status"] = "ok"
         except RelclassError as exc:
-            listed = [ROW_OUTCOMES[t] for t in type(exc).__mro__ if t in ROW_OUTCOMES]
-            prefix, code = listed[0] if listed else (f"INPUT: {type(exc).__name__}", EXIT_INPUT)
+            prefix, code = outcome(exc)
             row["status"] = f"{prefix}: {exc}"
             worst = max(worst, code)
         rows.append(row)
@@ -340,7 +337,13 @@ def main(argv=None) -> int:
         p.add_argument("--csv", action="store_true")
 
     args = ap.parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except RelclassError as exc:
+        # field and classify report one object, so its error ends the command;
+        # a row status that exits 0 (such as skipped) still leaves it unanswered
+        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+        return outcome(exc)[1] or EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -39,12 +39,13 @@ from .field import (
     PrimeIdeal,
     elem_with_valuation,
     ideal_transversal,
+    integer_rows,
     prime_divisors,
     primes_up_to,
 )
 from .finitefield import ResidueField
 from .imagquad import class_group_counts
-from .intmat import hnf_lattice, solve_exact, zspan_kernel, zspan_solve
+from .intmat import echelon_contains, hnf_lattice, solve_exact, zspan_kernel, zspan_solve
 from .lattice import lll_reduce_gram, short_vectors
 
 
@@ -78,7 +79,7 @@ class KElem:
         )
 
     def scale(self, r) -> "KElem":
-        f = self.K.F.elem(Fraction(r))
+        f = self.K.F.elem(r)
         return KElem(self.K, self.x * f, self.y * f)
 
     def conj(self) -> "KElem":
@@ -176,35 +177,55 @@ class CMField:
         deg = self.deg
         basis = self.order_basis
         amb = [z.coords() for z in basis]  # rows: ambient coordinates
-        # inv_cols[b] is column b of amb^-1: it solves amb * x = e_b
-        inv_cols = [solve_exact(amb, [int(a == b) for a in range(deg)]) for b in range(deg)]
+        # column b of amb^-1 solves amb * x = e_b; amb^-1 is an integer matrix
+        # because Z[omega, sqrt(delta)] lies in o_K
+        cols = [solve_exact(amb, [int(a == b) for a in range(deg)]) for b in range(deg)]
+        assert all(c.denominator == 1 for col in cols for c in col)
+        self._order_mat = [[int(col[a]) for col in cols] for a in range(deg)]
 
-        def to_order(z: KElem) -> list[Fraction]:
-            c = z.coords()
-            return [sum(c[a] * col[a] for a in range(deg)) for col in inv_cols]
+        def integral_row(z: KElem) -> tuple[int, ...]:
+            row, den = self._to_order(z)
+            assert all(c % den == 0 for c in row)
+            return tuple(c // den for c in row)
 
-        self._to_order = to_order
         table = [[None] * deg for _ in range(deg)]
         for i in range(deg):
             for j in range(i, deg):
-                row = to_order(basis[i] * basis[j])
-                assert all(c.denominator == 1 for c in row)
-                t = tuple(int(c) for c in row)
+                t = integral_row(basis[i] * basis[j])
                 table[i][j] = t
                 table[j][i] = t
         self._mt = table
         conj_rows = []
         g = [[0] * deg for _ in range(deg)]
         for i in range(deg):
-            row = to_order(basis[i].conj())
-            assert all(c.denominator == 1 for c in row)
-            conj_rows.append(tuple(int(c) for c in row))
+            conj_rows.append(integral_row(basis[i].conj()))
             for j in range(deg):
                 tr = (basis[i] * basis[j].conj()).abs_trace()
                 assert tr.denominator == 1
                 g[i][j] = int(tr)
         self._conj_mat = conj_rows
         self._trace_mat = g
+
+    def _to_order(self, z: KElem) -> tuple[list[int], int]:
+        """(row, den): the coordinates of z over the order basis are row/den,
+        with den the common denominator of z's ambient coordinates."""
+        x, y = z.x, z.y
+        d = x.den * y.den // gcd(x.den, y.den)
+        sx, sy = d // x.den, d // y.den
+        if self.F.n == 1:
+            c = (x.na * sx, y.na * sy)
+        else:
+            c = (x.na * sx, x.nb * sx, y.na * sy, y.nb * sy)
+        cols = range(self.deg)
+        M = self._order_mat
+        return [sum(ca * Ma[b] for ca, Ma in zip(c, M) if ca) for b in cols], d
+
+    def order_rows(self, zs: list[KElem]) -> tuple[list[list[int]], int]:
+        """(rows, D): order coordinates of each z as an integer row over one
+        common denominator D."""
+        pairs = [self._to_order(z) for z in zs]
+        den = math.lcm(*(d for _, d in pairs))
+        return [[c * (den // d) for c in row] for row, d in pairs], den
 
     def _row_mul(self, r1, r2):
         deg = self.deg
@@ -322,8 +343,8 @@ class CMField:
 
     def elem(self, x, y=0) -> KElem:
         F = self.F
-        xx = x if isinstance(x, FElem) else F.elem(Fraction(x))
-        yy = y if isinstance(y, FElem) else F.elem(Fraction(y))
+        xx = x if isinstance(x, FElem) else F.elem(x)
+        yy = y if isinstance(y, FElem) else F.elem(y)
         return KElem(self, xx, yy)
 
     def zero(self) -> KElem:
@@ -349,7 +370,7 @@ class CMField:
     # -- primes ---------------------------------------------------------------------
 
     def primes_above(self, pr: PrimeIdeal) -> list[KPrime]:
-        key = (pr.p, pr.second_gen.a, pr.second_gen.b)
+        key = (pr.p, pr.second_gen)
         if key in self._kprime_cache:
             return self._kprime_cache[key]
         F = self.F
@@ -474,13 +495,10 @@ class KIdeal:
 
     @staticmethod
     def from_generators(K: CMField, gens: list[KElem]) -> "KIdeal":
-        coords = [K._to_order(g * b) for g in gens for b in K.order_basis]
-        den = 1
-        for row in coords:
-            for c in row:
-                den = math.lcm(den, c.denominator)
-        rows = [[int(c * den) for c in row] for row in coords]
-        return KIdeal.from_rows(K, rows, den)
+        # g * b for each order-basis element b is one product with _mt
+        rows, den = K.order_rows(gens)
+        units = K.maximal_order().num
+        return KIdeal.from_rows(K, [K._row_mul(r, e) for r in rows for e in units], den)
 
     def key(self):
         return (self.den, tuple(tuple(r) for r in self.num))
@@ -525,11 +543,7 @@ class KIdeal:
     def __mul__(self, other):
         K = self.K
         if isinstance(other, KElem):
-            oc = K._to_order(other)
-            den2 = 1
-            for c in oc:
-                den2 = math.lcm(den2, c.denominator)
-            orow = [int(c * den2) for c in oc]
+            orow, den2 = K._to_order(other)
             rows = [K._row_mul(r, orow) for r in self.num]
             return KIdeal.from_rows(K, rows, self.den * den2)
         rows = [K._row_mul(r1, r2) for r1 in self.num for r2 in other.num]
@@ -559,30 +573,11 @@ class KIdeal:
         return out
 
     def contains(self, z: KElem) -> bool:
-        scaled = [c * self.den for c in self.K._to_order(z)]
-        if any(s.denominator != 1 for s in scaled):
+        row, den = self.K._to_order(z)
+        scaled = [c * self.den for c in row]
+        if any(s % den for s in scaled):
             return False
-        target = [int(s) for s in scaled]
-        return self._contains_row(target)
-
-    def _contains_row(self, target: list[int]) -> bool:
-        # back-substitution against the lower-left HNF basis
-        n = len(target)
-        t = list(target)
-        piv = {}
-        for r in self.num:
-            c = next(k for k in range(n) if r[k] != 0)
-            piv[c] = r
-        for c in range(n):
-            if t[c] == 0:
-                continue
-            r = piv.get(c)
-            if r is None or t[c] % r[c] != 0:
-                return False
-            q = t[c] // r[c]
-            for k in range(c, n):
-                t[k] -= q * r[k]
-        return all(v == 0 for v in t)
+        return echelon_contains(self.num, [s // den for s in scaled])
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -591,16 +586,9 @@ class KIdeal:
         """self | other, i.e. other subset of self (lattice containment)."""
         s = math.lcm(self.den, other.den)
         self_rows = [[x * (s // self.den) for x in r] for r in self.num]
-        aux = KIdeal.__new__(KIdeal)
-        aux.K = self.K
-        aux.num = self_rows
-        aux.den = 1
-        aux._basis = aux._relnorm = aux._absnorm = aux._gram = None
-        for r in other.num:
-            row = [x * (s // other.den) for x in r]
-            if not aux._contains_row(row):
-                return False
-        return True
+        return all(
+            echelon_contains(self_rows, [x * (s // other.den) for x in r]) for r in other.num
+        )
 
     def valuation(self, kp: KPrime) -> int:
         num_part = KIdeal(self.K, [list(r) for r in self.num], 1)
@@ -772,7 +760,7 @@ def _class_data_by_closure(K: CMField) -> ClassData:
     for kp in kps:
         if kp.rel_f == 2:
             continue  # inert primes extend base primes: principal over h_F = 1
-        bkey = (kp.base.p, kp.base.second_gen.a, kp.base.second_gen.b)
+        bkey = (kp.base.p, kp.base.second_gen)
         if bkey in seen_base:
             continue  # one prime per split pair; the other is its inverse class
         seen_base.add(bkey)
@@ -937,11 +925,7 @@ def line_colon_ideal(K: CMField, alpha: KElem, module: KIdeal) -> FIdeal:
     cross products with alpha."""
     F = K.F
     bs = module.basis_kelems()
-    crosses = [b.x * alpha.y - b.y * alpha.x for b in bs]
-    den = 1
-    for c in crosses:
-        den = math.lcm(den, c.a.denominator, c.b.denominator)
-    rows = [[int(c.a * den)] + ([int(c.b * den)] if F.n == 2 else []) for c in crosses]
+    rows, _ = integer_rows([b.x * alpha.y - b.y * alpha.x for b in bs])
     ker = zspan_kernel(rows)
     gens = []
     for comb in ker:

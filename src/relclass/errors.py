@@ -21,6 +21,10 @@ class SearchBudgetExceeded(RelclassError):
     """A bounded search ran out of budget; the answer is undecided, never guessed."""
 
 
+class NontrivialBaseClassGroup(RelclassError):
+    """The computation is implemented only over base fields with h_F = 1."""
+
+
 class NotTotallyNegative(RelclassError):
     pass
 

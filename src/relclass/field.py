@@ -20,7 +20,7 @@ from .errors import (
     NonSquarefree,
     SearchBudgetExceeded,
 )
-from .intmat import hnf_lattice, solve_exact
+from .intmat import echelon_contains, hnf_lattice
 
 # most coordinates FIdeal.principal_gen may scan before it gives up undecided
 PRINCIPAL_SCAN_BUDGET = 10**6
@@ -183,7 +183,7 @@ class Field:
     # -- element constructors ---------------------------------------------
 
     def elem(self, a, b=0) -> "FElem":
-        return FElem(self, Fraction(a), Fraction(b))
+        return FElem(self, a, b)
 
     def zero(self) -> "FElem":
         return self.elem(0)
@@ -239,8 +239,8 @@ class Field:
             "m": self.m,
             "dF": self.d_F,
             "hF": self.h_F,
-            "eps": [f"{self.eps.a.numerator}/{self.eps.a.denominator}",
-                    f"{self.eps.b.numerator}/{self.eps.b.denominator}"],
+            "eps": ["%d/%d" % self.eps.a.as_integer_ratio(),
+                    "%d/%d" % self.eps.b.as_integer_ratio()],
             "d0": self.d0,
         }
         return json.dumps(data, sort_keys=True)
@@ -309,54 +309,96 @@ def fundamental_unit_xy(m: int) -> tuple[int, int]:
 
 
 class FElem:
-    """Element a + b*omega of a base field, exact rational coordinates."""
+    """Element (na + nb*omega)/den of a base field: integers over one
+    denominator, normalised so that den > 0 and gcd(na, nb, den) = 1.
 
-    __slots__ = ("F", "a", "b")
+    Arithmetic stays on integers with one gcd per result; the coordinates
+    a = na/den and b = nb/den are read-only Fraction views for reports.
+    """
 
-    def __init__(self, F: Field, a: Fraction, b: Fraction):
+    __slots__ = ("F", "na", "nb", "den")
+
+    def __init__(self, F: Field, a, b):
+        if type(a) is int and type(b) is int:
+            na, nb, den = a, b, 1
+        else:
+            a, b = Fraction(a), Fraction(b)
+            den = math.lcm(a.denominator, b.denominator)
+            na = a.numerator * (den // a.denominator)
+            nb = b.numerator * (den // b.denominator)
         self.F = F
-        self.a = a
-        self.b = b
+        self.na = na
+        self.nb = nb
+        self.den = den
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.na, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.nb, self.den)
 
     def _coerce(self, other) -> "FElem":
         if not isinstance(other, FElem):
-            return FElem(self.F, Fraction(other), Fraction(0))
-        if other.F != self.F:
+            if type(other) is int:
+                return _raw(self.F, other, 0, 1)
+            return FElem(self.F, other, 0)
+        if other.F is not self.F and other.F != self.F:
             raise MixedFields(f"{self.F} vs {other.F}")
         return other
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return FElem(self.F, self.a + o.a, self.b + o.b)
+        o = other if other.__class__ is FElem and other.F is self.F else self._coerce(other)
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            return _felem(self.F, self.na + o.na, self.nb + o.nb, d1)
+        return _felem(self.F, self.na * d2 + o.na * d1, self.nb * d2 + o.nb * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FElem(self.F, -self.a, -self.b)
+        return _raw(self.F, -self.na, -self.nb, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = other if other.__class__ is FElem and other.F is self.F else self._coerce(other)
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            return _felem(self.F, self.na - o.na, self.nb - o.nb, d1)
+        return _felem(self.F, self.na * d2 - o.na * d1, self.nb * d2 - o.nb * d1, d1 * d2)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is FElem and other.F is self.F else self._coerce(other)
         F = self.F
-        a = self.a * o.a + self.b * o.b * F.c0
-        b = self.a * o.b + self.b * o.a + self.b * o.b * F.c1
-        return FElem(F, a, b)
+        a1, b1, a2, b2 = self.na, self.nb, o.na, o.nb
+        if b1 and b2:
+            bb = b1 * b2
+            na = a1 * a2 + bb * F.c0
+            nb = a1 * b2 + b1 * a2 + bb * F.c1
+        else:
+            na = a1 * a2
+            nb = a1 * b2 + b1 * a2
+        return _felem(F, na, nb, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        c = o.conj()
-        den = (o * c).a  # rational: product of the conjugates
-        if den == 0:
+        o = other if other.__class__ is FElem and other.F is self.F else self._coerce(other)
+        F = self.F
+        # x / o = x * conj(o) / N(o); with o = (a + b w)/d that is
+        # x * (ca - b w) * d / (a ca - c0 b^2), ca = a + c1 b
+        a, b = o.na, o.nb
+        ca = a + b * F.c1
+        nrm = a * ca - F.c0 * b * b
+        if nrm == 0:
             raise ZeroDivisionError
-        num = self * c
-        return FElem(self.F, num.a / den, num.b / den)
+        x1, y1 = self.na, self.nb
+        na = x1 * ca - y1 * b * F.c0
+        nb = y1 * ca - x1 * b - y1 * b * F.c1
+        return _felem(F, na * o.den, nb * o.den, self.den * nrm)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -366,52 +408,63 @@ class FElem:
             return False
         if not isinstance(other, FElem):
             try:
-                other = FElem(self.F, Fraction(other), Fraction(0))
+                other = FElem(self.F, other, 0)
             except (TypeError, ValueError):
                 return NotImplemented
-        return self.F == other.F and self.a == other.a and self.b == other.b
+        return (
+            (self.F is other.F or self.F == other.F)
+            and self.na == other.na
+            and self.nb == other.nb
+            and self.den == other.den
+        )
 
     def __hash__(self):
+        # equal to hash((F, a, b)) on the Fraction views, so the order of
+        # sets and dicts of elements is what it was with Fraction storage
+        if self.den == 1:
+            return hash((self.F, self.na, self.nb))
         return hash((self.F, self.a, self.b))
 
     def __repr__(self):
-        if self.F.n == 1 or self.b == 0:
+        if self.F.n == 1 or self.nb == 0:
             return str(self.a)
         return f"({self.a}+{self.b}w)"
 
     def conj(self) -> "FElem":
-        return FElem(self.F, self.a + self.b * self.F.c1, -self.b)
+        # gcd(na + c1 nb, nb, den) = gcd(na, nb, den) = 1
+        return _raw(self.F, self.na + self.nb * self.F.c1, -self.nb, self.den)
 
     def trace(self) -> Fraction:
         if self.F.n == 1:
-            return self.a
-        return 2 * self.a + self.b * self.F.c1
+            return Fraction(self.na, self.den)
+        return Fraction(2 * self.na + self.nb * self.F.c1, self.den)
 
     def norm(self) -> Fraction:
         if self.F.n == 1:
-            return self.a
-        return self.a * self.a + self.F.c1 * self.a * self.b - self.F.c0 * self.b * self.b
+            return Fraction(self.na, self.den)
+        F, a, b = self.F, self.na, self.nb
+        return Fraction(a * a + F.c1 * a * b - F.c0 * b * b, self.den * self.den)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.na == 0 and self.nb == 0
 
     def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self.den == 1
 
     def coords(self) -> tuple[Fraction, Fraction]:
         return (self.a, self.b)
 
-    # sqrt(m)-coordinates: x = (u + v*sqrt m)/2
-    def _uv(self) -> tuple[Fraction, Fraction]:
+    # sqrt(m)-coordinates: x = (u + v*sqrt m) / (2*den)
+    def _uv(self) -> tuple[int, int]:
         if self.F.c1 == 0:
-            return (2 * self.a, 2 * self.b)
-        return (2 * self.a + self.b, self.b)
+            return (2 * self.na, 2 * self.nb)
+        return (2 * self.na + self.nb, self.nb)
 
     def embedding_sign(self, i: int) -> int:
         """Exact sign of the i-th real embedding (index 0 sends sqrt m -> +)."""
         if self.F.n == 1:
-            return (self.a > 0) - (self.a < 0)
-        u, v = self._uv()
+            return (self.na > 0) - (self.na < 0)
+        u, v = self._uv()  # den > 0 leaves every sign below unchanged
         if i == 1:
             v = -v
         if v == 0:
@@ -435,8 +488,8 @@ class FElem:
 
     def embed(self, i: int) -> float:
         if self.F.n == 1:
-            return float(self.a)
-        return float(self.a) + float(self.b) * self.F.omega_embeddings[i]
+            return self.na / self.den
+        return self.na / self.den + self.nb / self.den * self.F.omega_embeddings[i]
 
     def is_square(self) -> bool:
         return self.square_root() is not None
@@ -495,6 +548,41 @@ class FElem:
         return None
 
 
+_new = object.__new__
+
+
+def _raw(F: Field, na: int, nb: int, den: int) -> FElem:
+    """The element (na + nb*omega)/den from integers already normalised."""
+    x = _new(FElem)
+    x.F = F
+    x.na = na
+    x.nb = nb
+    x.den = den
+    return x
+
+
+def _felem(F: Field, na: int, nb: int, den: int) -> FElem:
+    """The element (na + nb*omega)/den, normalised with one gcd (den != 0)."""
+    if den != 1:
+        g = gcd(na, nb, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            na //= g
+            nb //= g
+            den //= g
+    return _raw(F, na, nb, den)
+
+
+def integer_rows(xs: list[FElem]) -> tuple[list[list[int]], int]:
+    """(rows, D): the coordinates of each x over {1, omega} as an integer
+    row over one common denominator D (one column when n = 1)."""
+    den = math.lcm(*(x.den for x in xs))
+    if xs and xs[0].F.n == 1:
+        return [[x.na * (den // x.den)] for x in xs], den
+    return [[x.na * (den // x.den), x.nb * (den // x.den)] for x in xs], den
+
+
 def _rat_sqrt(x: Fraction) -> Fraction | None:
     if x < 0:
         return None
@@ -547,16 +635,7 @@ class FIdeal:
     @staticmethod
     def from_generators(F: Field, gens: list[FElem]) -> "FIdeal":
         mults = F.maximal_order_basis()
-        prods = [g * mul for g in gens for mul in mults]
-        den = 1
-        for x in prods:
-            den = math.lcm(den, x.a.denominator, x.b.denominator)
-        rows = []
-        for x in prods:
-            if F.n == 1:
-                rows.append([int(x.a * den)])
-            else:
-                rows.append([int(x.a * den), int(x.b * den)])
+        rows, den = integer_rows([g * mul for g in gens for mul in mults])
         h = hnf_lattice(rows)
         if len(h) != F.n:
             raise ZeroDivisionError("zero ideal")
@@ -564,10 +643,8 @@ class FIdeal:
 
     def basis_elems(self) -> list[FElem]:
         if self.F.n == 1:
-            return [self.F.elem(Fraction(self.num[0][0], self.den))]
-        return [
-            self.F.elem(Fraction(r[0], self.den), Fraction(r[1], self.den)) for r in self.num
-        ]
+            return [_felem(self.F, self.num[0][0], 0, self.den)]
+        return [_felem(self.F, r[0], r[1], self.den) for r in self.num]
 
     def norm(self) -> Fraction:
         if self._norm is None:
@@ -607,18 +684,12 @@ class FIdeal:
         return out
 
     def contains(self, x: FElem) -> bool:
-        va = x.a * self.den
-        vb = x.b * self.den
-        if va.denominator != 1 or vb.denominator != 1:
+        va, vb = x.na * self.den, x.nb * self.den
+        if va % x.den or vb % x.den:
             return False
         if self.F.n == 1:
-            return int(va) % self.num[0][0] == 0
-        mat = [
-            [Fraction(self.num[0][0]), Fraction(self.num[1][0])],
-            [Fraction(self.num[0][1]), Fraction(self.num[1][1])],
-        ]
-        sol = solve_exact(mat, [Fraction(int(va)), Fraction(int(vb))])
-        return sol is not None and all(s.denominator == 1 for s in sol)
+            return va // x.den % self.num[0][0] == 0
+        return echelon_contains(self.num, [va // x.den, vb // x.den])
 
     def is_integral(self) -> bool:
         return self.den == 1

@@ -6,7 +6,7 @@ Elements are pairs (a0, a1) over F_p modulo the minimal polynomial of omega
 
 from __future__ import annotations
 
-import math
+from math import gcd
 
 from .errors import SearchBudgetExceeded
 from .field import Field, FElem, PrimeIdeal, sqrt_mod_p
@@ -152,41 +152,36 @@ class ResidueField:
     def reduce_integral(self, x: FElem):
         """Image of an integral element."""
         assert x.is_integral()
-        a, b = int(x.a), int(x.b)
+        a, b = x.na, x.nb
         if self.f == 1:
             return ((a + b * self.omega_image) % self.p, 0)
         return (a % self.p, b % self.p)
 
     def reduce(self, x: FElem):
         """Image of any x with v_prime(x) >= 0 (denominators handled)."""
-        d = math.lcm(x.a.denominator, x.b.denominator)
-        num = x * self.F.elem(d)
+        F, p = self.F, self.p
+        d = x.den
+        num = F.elem(x.na, x.nb)  # x * d, integral
         correction = self.one()
         guard = 0
-        while d % self.p == 0:
+        while d % p == 0:
             guard += 1
             if guard > 64:  # pragma: no cover
                 raise SearchBudgetExceeded("residue reduction loop")
-            if num.a % self.p == 0 and num.b % self.p == 0:
-                num = self.F.elem(num.a / self.p, num.b / self.p)
-                d //= self.p
+            if num.na % p == 0 and num.nb % p == 0:
+                num = F.elem(num.na // p, num.nb // p)
+                d //= p
                 continue
             # split prime: clear the conjugate-prime denominator
             t = self.prime.second_gen.conj()
             num = num * t
             correction = self.mul(correction, self.reduce_integral(t))
-            dn = math.lcm(num.a.denominator, num.b.denominator)
-            num = num * self.F.elem(dn)
-            d *= dn
-            # re-reduce the fraction d/num
-            from math import gcd as _g
-
-            g = _g(_g(int(num.a), int(num.b)), d)
+            g = gcd(num.na, num.nb, d)
             if g > 1:
-                num = self.F.elem(num.a / g, num.b / g)
+                num = F.elem(num.na // g, num.nb // g)
                 d //= g
         img = self.reduce_integral(num)
-        dinv = self.inv(self.make(d % self.p))
+        dinv = self.inv(self.make(d % p))
         out = self.mul(img, dinv)
         if correction != self.one():
             out = self.mul(out, self.inv(correction))

@@ -22,6 +22,7 @@ from .errors import (
     CriterionFails,
     DegenerateForm,
     LemmaViolation,
+    NontrivialBaseClassGroup,
     NoRepresentedValueFound,
     NotFundamental,
     SearchBudgetExceeded,
@@ -33,6 +34,7 @@ from .field import (
     PrimeIdeal,
     elem_with_valuation,
     ideal_transversal,
+    integer_rows,
     is_prime_int,
     prime_divisors,
 )
@@ -204,8 +206,7 @@ def _rel_disc_of_form_field(Q: PseudoForm) -> FIdeal:
 def form_field(Q: PseudoForm) -> CMField:
     """K = F(sqrt(b^2 - 4ac)), via an integral totally negative scaling."""
     d = Q.field_disc()
-    den = math.lcm(d.a.denominator, d.b.denominator)
-    delta = d * Q.F.elem(den * den)
+    delta = d * Q.F.elem(d.den * d.den)
     return make_cm(Q.F, delta)
 
 
@@ -219,9 +220,8 @@ def free_module_basis(K: CMField, A: KIdeal) -> tuple[KElem, KElem]:
     """
     F = K.F
     if F.h_F != 1:
-        raise SearchBudgetExceeded("free basis requires trivial base class group")
+        raise NontrivialBaseClassGroup("free bases need h_F = 1; pseudo-bases are not implemented")
     vs = A.basis_kelems()
-    n = F.n
     # content ideal of the sqrt(delta)-coordinates; h_F = 1 makes it principal
     ygens = [v.y for v in vs if not v.y.is_zero()]
     C = FIdeal.from_generators(F, ygens)
@@ -231,11 +231,8 @@ def free_module_basis(K: CMField, A: KIdeal) -> tuple[KElem, KElem]:
     # beta = sum c_i (v_i t) with integral coefficients and y-part exactly g
     mults = F.maximal_order_basis()
     pieces = [v * KElem(K, t, F.zero()) for v in vs for t in mults]
-    den = math.lcm(g.a.denominator, g.b.denominator)
-    for z in pieces:
-        den = math.lcm(den, z.y.a.denominator, z.y.b.denominator)
-    rows = [[int(z.y.a * den)] + ([int(z.y.b * den)] if n == 2 else []) for z in pieces]
-    target = [int(g.a * den)] + ([int(g.b * den)] if n == 2 else [])
+    rows, _ = integer_rows([z.y for z in pieces] + [g])
+    target = rows.pop()
     sol = zspan_solve(rows, target)
     if sol is None:
         raise SearchBudgetExceeded("content not attained by module combination")
@@ -245,10 +242,7 @@ def free_module_basis(K: CMField, A: KIdeal) -> tuple[KElem, KElem]:
             piece = z.scale(c)
             beta = piece if beta is None else beta + piece
     # intersection with F: integer combinations of the Z-basis with zero y-part
-    dy = 1
-    for v in vs:
-        dy = math.lcm(dy, v.y.a.denominator, v.y.b.denominator)
-    rows_y = [[int(v.y.a * dy)] + ([int(v.y.b * dy)] if n == 2 else []) for v in vs]
+    rows_y, _ = integer_rows([v.y for v in vs])
     ker = zspan_kernel(rows_y)
     xgens = []
     for comb in ker:
@@ -265,26 +259,9 @@ def free_module_basis(K: CMField, A: KIdeal) -> tuple[KElem, KElem]:
     if alpha_f is None:
         raise SearchBudgetExceeded("intersection generator not found")
     alpha = KElem(K, alpha_f, F.zero())
-    check = KIdeal.from_rows(K, _span_rows(K, [alpha, beta]), _span_den(K, [alpha, beta]))
+    check = KIdeal.from_rows(K, *K.order_rows([z * t for z in (alpha, beta) for t in mults]))
     assert check.num == A.num and check.den == A.den, "free basis does not span the module"
     return alpha, beta
-
-
-def _span_rows(K: CMField, gens: list[KElem]) -> list[list[int]]:
-    mults = K.F.maximal_order_basis()
-    coords = [K._to_order(g * t) for g in gens for t in mults]
-    den = _span_den(K, gens)
-    return [[int(c * den) for c in row] for row in coords]
-
-
-def _span_den(K: CMField, gens: list[KElem]) -> int:
-    mults = K.F.maximal_order_basis()
-    den = 1
-    for g in gens:
-        for t in mults:
-            for c in K._to_order(g * t):
-                den = math.lcm(den, c.denominator)
-    return den
 
 
 def ideal_to_form(K: CMField, A: KIdeal) -> PseudoForm:
@@ -321,21 +298,13 @@ def form_to_ideal(Q: PseudoForm) -> tuple[CMField, KIdeal, FElem]:
     K = form_field(Q)
     F = Q.F
     d = Q.field_disc()
-    den = math.lcm(d.a.denominator, d.b.denominator)
-    # sqrt(d) = sqrt(delta)/den with delta = d * den^2
-    sqrt_d = KElem(K, F.zero(), F.elem(Fraction(1, den)))
+    # sqrt(d) = sqrt(delta)/d.den with delta = d * d.den^2 (form_field)
+    sqrt_d = KElem(K, F.zero(), F.elem(Fraction(1, d.den)))
     two_a = KElem(K, Q.a + Q.a, F.zero())
     second = KElem(K, -Q.b, F.zero()) + sqrt_d
-    gens_rows = []
-    den_rows = 1
     pieces = [two_a * KElem(K, t, F.zero()) for t in F.maximal_order_basis()]
     pieces += [second * KElem(K, s, F.zero()) for s in Q.steinitz.basis_elems()]
-    for z in pieces:
-        for c in K._to_order(z):
-            den_rows = math.lcm(den_rows, c.denominator)
-    for z in pieces:
-        gens_rows.append([int(c * den_rows) for c in K._to_order(z)])
-    A = KIdeal.from_rows(K, gens_rows, den_rows)
+    A = KIdeal.from_rows(K, *K.order_rows(pieces))
     # stability under the maximal order (the ideal criterion)
     for z in A.basis_kelems():
         for t in K.order_basis:
@@ -472,16 +441,12 @@ def _reduce_by_square(F: Field, x: FElem, pr: PrimeIdeal, g: FElem) -> FElem:
     # clear denominators at p by multiplying with conjugate-uniformizer squares
     t = g.conj()
     guard = 0
-    while _den_of(x) % pr.p == 0:
+    while x.den % pr.p == 0:
         x = x * t * t
         guard += 1
         if guard > 64:
             raise SearchBudgetExceeded("denominator clearing loop")
     return x
-
-
-def _den_of(x: FElem) -> int:
-    return math.lcm(x.a.denominator, x.b.denominator)
 
 
 def _soluble_mod(F: Field, pr: PrimeIdeal, s: FElem, d: FElem, m: int):
@@ -540,7 +505,7 @@ def _val_capped(F: Field, x: FElem, pr: PrimeIdeal, cap: int) -> int:
 
 def _make_integral_mod(F: Field, w: FElem, pr: PrimeIdeal, m: int) -> FElem:
     """Integral representative of a pr-integral element modulo pr^m."""
-    dw = math.lcm(w.a.denominator, w.b.denominator)
+    dw = w.den
     if dw == 1:
         return w
     assert dw % pr.p != 0, "denominator not coprime to p"
@@ -557,8 +522,8 @@ def _red_key(F: Field, x: FElem, modulus: FIdeal):
     the pivot-[0, C] row."""
     if F.n == 1:
         A = modulus.num[0][0]
-        return (int(x.a) % A,)
-    aa, bb = int(x.a), int(x.b)
+        return (x.na % A,)
+    aa, bb = x.na, x.nb
     r0, r1 = modulus.num[0], modulus.num[1]
     q = aa // r0[0]
     aa -= q * r0[0]

@@ -51,6 +51,27 @@ def hnf_lattice(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
+def echelon_contains(rows: list[list[int]], target: list[int]) -> bool:
+    """Whether target lies in the lattice spanned by echelon rows (for
+    instance an HNF basis), by back-substitution."""
+    n = len(target)
+    t = list(target)
+    piv = {}
+    for r in rows:
+        c = next(k for k in range(n) if r[k] != 0)
+        piv[c] = r
+    for c in range(n):
+        if t[c] == 0:
+            continue
+        r = piv.get(c)
+        if r is None or t[c] % r[c] != 0:
+            return False
+        q = t[c] // r[c]
+        for k in range(c, n):
+            t[k] -= q * r[k]
+    return all(v == 0 for v in t)
+
+
 def lattice_index(basis: list[list[int]]) -> int:
     """Determinant (covolume) of a full-rank square HNF basis."""
     det = 1

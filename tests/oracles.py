@@ -9,6 +9,9 @@ arithmetic facts are recomputed from first principles.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
+
+from relclass.errors import MixedFields
 
 
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
@@ -348,3 +351,206 @@ def lll_reduce_gram(gram, delta=Fraction(99, 100)):
 
 def _nearest_int(x: Fraction) -> int:
     return int((2 * x + 1) // 2) if x >= 0 else -int((2 * (-x) + 1) // 2)
+
+
+class FElem:
+    """Reference element a + b*omega of a base field: the Fraction
+    implementation that relclass.field used before its integer one, kept
+    verbatim except that square_root builds reference elements."""
+
+    __slots__ = ("F", "a", "b")
+
+    def __init__(self, F: Field, a: Fraction, b: Fraction):
+        self.F = F
+        self.a = a
+        self.b = b
+
+    def _coerce(self, other) -> "FElem":
+        if not isinstance(other, FElem):
+            return FElem(self.F, Fraction(other), Fraction(0))
+        if other.F != self.F:
+            raise MixedFields(f"{self.F} vs {other.F}")
+        return other
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FElem(self.F, self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FElem(self.F, -self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        F = self.F
+        a = self.a * o.a + self.b * o.b * F.c0
+        b = self.a * o.b + self.b * o.a + self.b * o.b * F.c1
+        return FElem(F, a, b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        c = o.conj()
+        den = (o * c).a  # rational: product of the conjugates
+        if den == 0:
+            raise ZeroDivisionError
+        num = self * c
+        return FElem(self.F, num.a / den, num.b / den)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __eq__(self, other):
+        if other is None:
+            return False
+        if not isinstance(other, FElem):
+            try:
+                other = FElem(self.F, Fraction(other), Fraction(0))
+            except (TypeError, ValueError):
+                return NotImplemented
+        return self.F == other.F and self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.F, self.a, self.b))
+
+    def __repr__(self):
+        if self.F.n == 1 or self.b == 0:
+            return str(self.a)
+        return f"({self.a}+{self.b}w)"
+
+    def conj(self) -> "FElem":
+        return FElem(self.F, self.a + self.b * self.F.c1, -self.b)
+
+    def trace(self) -> Fraction:
+        if self.F.n == 1:
+            return self.a
+        return 2 * self.a + self.b * self.F.c1
+
+    def norm(self) -> Fraction:
+        if self.F.n == 1:
+            return self.a
+        return self.a * self.a + self.F.c1 * self.a * self.b - self.F.c0 * self.b * self.b
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def is_integral(self) -> bool:
+        return self.a.denominator == 1 and self.b.denominator == 1
+
+    def coords(self) -> tuple[Fraction, Fraction]:
+        return (self.a, self.b)
+
+    # sqrt(m)-coordinates: x = (u + v*sqrt m)/2
+    def _uv(self) -> tuple[Fraction, Fraction]:
+        if self.F.c1 == 0:
+            return (2 * self.a, 2 * self.b)
+        return (2 * self.a + self.b, self.b)
+
+    def embedding_sign(self, i: int) -> int:
+        """Exact sign of the i-th real embedding (index 0 sends sqrt m -> +)."""
+        if self.F.n == 1:
+            return (self.a > 0) - (self.a < 0)
+        u, v = self._uv()
+        if i == 1:
+            v = -v
+        if v == 0:
+            return (u > 0) - (u < 0)
+        if u == 0:
+            return 1 if v > 0 else -1
+        if u > 0 and v > 0:
+            return 1
+        if u < 0 and v < 0:
+            return -1
+        lhs, rhs = u * u, self.F.m * v * v
+        if u > 0:
+            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+
+    def is_totally_positive(self) -> bool:
+        return all(self.embedding_sign(i) > 0 for i in range(self.F.n))
+
+    def is_totally_negative(self) -> bool:
+        return all(self.embedding_sign(i) < 0 for i in range(self.F.n))
+
+    def embed(self, i: int) -> float:
+        if self.F.n == 1:
+            return float(self.a)
+        return float(self.a) + float(self.b) * self.F.omega_embeddings[i]
+
+    def is_square(self) -> bool:
+        return self.square_root() is not None
+
+    def square_root(self) -> "FElem | None":
+        """Exact square root in the field, if one exists."""
+        F = self.F
+        if self.is_zero():
+            return FElem(F, Fraction(0), Fraction(0))
+        if F.n == 1:
+            r = _rat_sqrt(self.a)
+            return None if r is None else _ref_elem(F, r)
+        # (p + q w)^2 = p^2 + q^2 c0 + (2pq + q^2 c1) w
+        a, b = self.a, self.b
+        if b == 0:
+            r = _rat_sqrt(a)
+            if r is not None:
+                return _ref_elem(F, r)
+            # may be sqrt of a rational times sqrt m: (q w')^2 with w' = sqrt m
+            r2 = _rat_sqrt(a / F.m)
+            if r2 is not None:
+                return _ref_elem(F, 0, r2) if F.c1 == 0 else _ref_elem(F, -r2, 2 * r2)
+            return None
+        # q != 0: from 2pq + q^2 c1 = b and p^2 + q^2 c0 = a
+        # substitute p = (b - q^2 c1)/(2 q): quartic in q; solve via norm: N(x) = (p^2+q^2c0)^2 - ...
+        nrm = self.norm()
+        rn = _rat_sqrt(nrm) if nrm >= 0 else None
+        if rn is None:
+            return None
+        for sign in (rn, -rn):
+            # p^2 + c1 p q - c0 q^2 = sign and candidate trace relation
+            tr = self.trace()
+            # x = y^2 => trace(x) = trace(y)^2 - 2*sign(N(y)) ... solve t^2 = tr + 2*sign
+            t2 = tr + 2 * sign
+            if t2 < 0:
+                continue
+            t = _rat_sqrt(t2)
+            if t is None:
+                continue
+            for tt in {t, -t}:
+                if tt == 0:
+                    continue
+                # y has trace tt and norm sign: y = (tt +- sqrt(tt^2-4 sign))/2 as element
+                # solve y from linear system: y + conj(y) = tt, y*conj(y) = sign
+                # y = a' + b' w with 2a' + b' c1 = tt and norm = sign
+                # b' from: y - conj(y) = b'(2w - c1) = +-sqrt(d) ... use direct: y^2 = self
+                # parametrize b' via y^2 relation: (y^2).b = b => 2 a' b' + b'^2 c1 = b
+                # with a' = (tt - b' c1)/2: b'(tt - b' c1) + b'^2 c1 = b => b' tt = b
+                if tt == 0:
+                    continue
+                bprime = self.b / tt
+                aprime = (tt - bprime * F.c1) / 2
+                y = _ref_elem(F, aprime, bprime)
+                if y * y == self:
+                    return y
+        return None
+
+
+def _rat_sqrt(x: Fraction) -> Fraction | None:
+    if x < 0:
+        return None
+    rn = isqrt(x.numerator)
+    rd = isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _ref_elem(F, a, b=0) -> FElem:
+    return FElem(F, Fraction(a), Fraction(b))

@@ -44,6 +44,13 @@ def test_classify_examples():
     assert data["orbits"] == 2 and data["h_K"] == 3
 
 
+def test_classify_error_after_field_construction_is_one_line():
+    # Q(sqrt 10) has h_F = 2, and the form side needs a free basis (h_F = 1)
+    code, out, err = run_cli(["classify", "--n", "2", "--m", "10", "--delta-a", "-7"])
+    assert code == EXIT_INPUT and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("NontrivialBaseClassGroup: ")
+
+
 def test_corpus_parsing(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("# comment\n1,-,-5,0,2,2\n\n2,5,-11,0\n")

@@ -15,6 +15,7 @@ from relclass.cm import (
 )
 from relclass.errors import NotIntegral, NotTotallyNegative, RelclassError
 from relclass.field import kronecker, make_field, primes_up_to
+from relclass.intmat import solve_exact
 from relclass.imagquad import class_group_counts
 
 Q = make_field(1)
@@ -263,3 +264,36 @@ def test_decompose_random_products():
                 idl = idl * kps[rng.randrange(len(kps))].ideal
             decompose_ideal(K, idl)  # exact reconstruction verified inside
             count += 1
+
+
+CORPORA = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _order_coords_by_solve(K, z):
+    """Order coordinates of z from one Fraction solve of o . amb = coords(z)."""
+    amb = [b.coords() for b in K.order_basis]
+    return solve_exact([list(col) for col in zip(*amb)], z.coords())
+
+
+@pytest.mark.parametrize("corpus", ["q50", "quartic80"])
+def test_integer_to_order_matches_fraction_solve(corpus):
+    for entry in load_corpus(str(CORPORA / f"{corpus}.txt")):
+        K = entry.cm()
+        basis = K.order_basis
+        w = K.elem(Fraction(1, 3), Fraction(-1, 4))
+        for i, bi in enumerate(basis):
+            for bj in basis[i:]:
+                for z in (bi * bj, (bi * bj.conj()).scale(Fraction(5, 12)), bi * bj + w):
+                    row, den = K._to_order(z)
+                    assert [Fraction(c, den) for c in row] == _order_coords_by_solve(K, z)
+
+
+def test_divides_is_lattice_containment():
+    """divides agrees with containment of each basis element."""
+    for K in (make_cm(Q, -5), make_cm(F5, -11)):
+        mo = K.maximal_order()
+        for kp in K.kprimes_up_to(30):
+            P = kp.ideal
+            for M in (P * P, (P * P).scale(Fraction(1, 2)), mo):
+                assert P.divides(M) == all(P.contains(z) for z in M.basis_kelems())
+            assert mo.divides(P) and P.divides(P * P) and not (P * P).divides(P)

@@ -1,12 +1,15 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import FElem as RefElem
 
 from relclass.errors import MixedFields, NonSquarefree
 from relclass.field import (
+    FElem,
     FIdeal,
     class_group_F,
     elem_op,
@@ -211,3 +214,83 @@ def test_embedding_signs_exact():
 def test_make_field_one_object_per_field():
     assert make_field(1) is make_field(1, None)
     assert make_field(2, 5) is make_field(2, m=5)
+
+
+# -- the integer element kernel against the Fraction reference -------------------
+
+REF_FIELDS = [make_field(1)] + [make_field(2, m) for m in (2, 3, 5, 13)]
+NUMERATORS = st.integers(-(2**60), 2**60)
+DENOMINATORS = st.sampled_from([1, 2, 3, 12, 360])
+
+
+@st.composite
+def coordinates(draw, F):
+    a = Fraction(draw(NUMERATORS), draw(DENOMINATORS))
+    b = Fraction(draw(NUMERATORS), draw(DENOMINATORS)) if F.n == 2 else Fraction(0)
+    return a, b
+
+
+@st.composite
+def field_and_pair(draw):
+    F = draw(st.sampled_from(REF_FIELDS))
+    x = draw(coordinates(F))
+    y = draw(st.one_of(coordinates(F), st.just(x), st.just((Fraction(0), Fraction(0)))))
+    return F, x, y
+
+
+def _agrees(z, ref):
+    """The integer element equals the reference, coordinate for coordinate."""
+    assert isinstance(z, FElem) and isinstance(ref, RefElem)
+    assert (z.a, z.b) == (ref.a, ref.b)
+    assert z.den > 0 and math.gcd(z.na, z.nb, z.den) == 1
+    assert hash(z) == hash(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_and_pair(), st.integers(-50, 50))
+def test_elements_match_fraction_reference(case, k):
+    F, (xa, xb), (ya, yb) = case
+    x, y = FElem(F, xa, xb), FElem(F, ya, yb)
+    rx, ry = RefElem(F, xa, xb), RefElem(F, ya, yb)
+    _agrees(x, rx)
+    _agrees(x + y, rx + ry)
+    _agrees(x - y, rx - ry)
+    _agrees(x * y, rx * ry)
+    _agrees(-x, -rx)
+    _agrees(x.conj(), rx.conj())
+    _agrees(x + k, rx + k)
+    _agrees(k - x, k - rx)
+    _agrees(x * k, rx * k)
+    if ry.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        _agrees(x / y, rx / ry)
+        _agrees(k / y, k / ry)
+    assert x.norm() == rx.norm() and x.trace() == rx.trace()
+    for i in range(F.n):
+        assert x.embedding_sign(i) == rx.embedding_sign(i)
+        assert x.embed(i) == rx.embed(i)
+    assert (x == y) == (rx == ry) and (x == k) == (rx == k)
+    assert x.is_zero() == rx.is_zero() and x.is_integral() == rx.is_integral()
+    assert repr(x) == repr(rx)
+    r_eps = RefElem(F, F.eps.a, F.eps.b)
+    for z, rz in ((x, rx), (x * x, rx * rx), (x * x * F.eps, rx * rx * r_eps)):
+        root, ref_root = z.square_root(), rz.square_root()
+        assert (root is None) == (ref_root is None)
+        if root is not None:
+            _agrees(root, ref_root)
+
+
+def test_element_views_and_errors():
+    F = make_field(2, 5)
+    x = FElem(F, Fraction(3, 4), Fraction(-1, 6))
+    assert (x.na, x.nb, x.den) == (9, -2, 12)
+    assert (x.a, x.b) == (Fraction(3, 4), Fraction(-1, 6))
+    with pytest.raises(AttributeError):
+        x.a = Fraction(1)
+    with pytest.raises(MixedFields):
+        x + make_field(2, 13).one()
+    with pytest.raises(ZeroDivisionError):
+        x / F.zero()
+    assert F.elem(2) == 2 and F.elem(Fraction(1, 2)) == 0.5 and x != None  # noqa: E711

@@ -90,3 +90,19 @@ def test_every_parameter_is_read():
                 if p.arg not in ("self", "cls") and p.arg not in read:
                     unread.append(f"{path.name}:{node.lineno} {node.name}({p.arg})")
     assert unread == []
+
+
+def test_no_denominator_read_through_element_views():
+    """Base-field elements carry one integer denominator, `den`; the Fraction
+    views `.a` and `.b` are for reports, not for finding denominators."""
+    reads = []
+    for path, tree in _trees("src/relclass"):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "denominator"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr in ("a", "b")
+            ):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
