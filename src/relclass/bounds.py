@@ -161,7 +161,13 @@ def lattice_constants(F: Field) -> LatticeConstants:
 
 def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
     """Exact number of lattice points of the ideal in the box
-    |sigma_j(x) - x0_j| <= c_j; all comparisons are exact."""
+    |sigma_j(x) - x0_j| <= c_j.
+
+    For n = 2 the points r*b0 + s*b1 are counted one line of fixed r at a
+    time.  On a line sigma_j(x) is linear in s, so each side of the box bounds
+    s by sigma_j((q - r*b0)/b1) for an end q of the box, the ends swapped where
+    sigma_j(b1) < 0; the line holds an integer interval of s.  Every bound is
+    an exact floor of an embedding."""
     x0 = tuple(Fraction(v) for v in x0)
     c = tuple(Fraction(v) for v in c)
     if F.n == 1:
@@ -170,32 +176,37 @@ def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
         hi = (x0[0] + c[0]) / g
         return math.floor(hi) - math.ceil(lo) + 1
     b0, b1 = idl.basis_elems()
-    # float ranges with margin, exact membership filter
-    e = [[b.embed(i) for i in range(2)] for b in (b0, b1)]
-    det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    lim0 = float(c[0]) + abs(float(x0[0]))
-    lim1 = float(c[1]) + abs(float(x0[1]))
-    rmax = (
-        int((abs(e[0][0]) + abs(e[0][1])) * (lim0 + lim1) / abs(det))
-        + int((abs(e[1][0]) + abs(e[1][1])) * (lim0 + lim1) / abs(det))
-        + 3
-    )
+    r_lo, r_hi = _line_range(b0, b1, x0, c)
+    w = b0 / b1
+    ends = []  # (j, e_lo, e_hi): sigma_j(e_lo - r*w) <= s <= sigma_j(e_hi - r*w)
+    for j in range(2):
+        e = [F.elem(x0[j] - c[j]) / b1, F.elem(x0[j] + c[j]) / b1]
+        if b1.embedding_sign(j) < 0:
+            e.reverse()
+        ends.append((j, *e))
     count = 0
-    for r in range(-rmax, rmax + 1):
-        for s in range(-rmax, rmax + 1):
-            x = b0 * F.elem(r) + b1 * F.elem(s)
-            if _in_box_exact(F, x, x0, c):
-                count += 1
+    for r in range(r_lo, r_hi + 1):
+        rw = w * r
+        s_lo = max(-(rw - e_lo).embedding_floor(j) for j, e_lo, _ in ends)
+        s_hi = min((e_hi - rw).embedding_floor(j) for j, _, e_hi in ends)
+        count += max(0, s_hi - s_lo + 1)
     return count
 
 
-def _in_box_exact(F: Field, x, x0, c) -> bool:
-    for i in range(F.n):
-        hi = x - F.elem(x0[i] + c[i])
-        lo = x - F.elem(x0[i] - c[i])
-        if hi.embedding_sign(i) > 0 or lo.embedding_sign(i) < 0:
-            return False
-    return True
+def _line_range(b0, b1, x0: tuple, c: tuple) -> tuple[int, int]:
+    """Least and greatest r whose line r*b0 + s*b1 (s real) meets the box.
+
+    r = Tr(b0* x) for the trace-dual element b0* = (Tr(b1^2) b0 - Tr(b0 b1) b1)/det,
+    so r = sum_j sigma_j(b0*) sigma_j(x) is extreme at the corner q of the box
+    that the signs of sigma_j(b0*) pick, where it is sigma_0(b0* q_0 + conj(b0*) q_1).
+    """
+    t00, t01, t11 = (b0 * b0).trace(), (b0 * b1).trace(), (b1 * b1).trace()
+    dual = (b0 * t11 - b1 * t01) / (t00 * t11 - t01 * t01)
+    dc = dual.conj()
+    sg = [dual.embedding_sign(j) for j in range(2)]
+    top = dual * (x0[0] + sg[0] * c[0]) + dc * (x0[1] + sg[1] * c[1])
+    bottom = dual * (x0[0] - sg[0] * c[0]) + dc * (x0[1] - sg[1] * c[1])
+    return -(-bottom).embedding_floor(0), top.embedding_floor(0)
 
 
 def box_bound_check(F: Field, consts: LatticeConstants, idl: FIdeal, x0: tuple, c: tuple) -> dict:
@@ -213,7 +224,7 @@ def box_bound_check(F: Field, consts: LatticeConstants, idl: FIdeal, x0: tuple, 
         * Interval(prod_c)
         / Interval(Fraction(nm))
     )
-    ok = count <= bound.lo * (1 + 1e-12) + 1e-9
+    ok = count <= bound.lo
     if pre_ok and not ok:
         raise BoundViolated(f"count {count} exceeds certified bound {bound}")
     return {"count": count, "bound": bound.lo, "precondition": pre_ok, "ok": ok or not pre_ok}
@@ -259,8 +270,10 @@ def count_norm_orbits_F(F: Field, idl: FIdeal, t: Fraction) -> int:
     if F.n == 1:
         g = Fraction(idl.num[0][0], idl.den)
         return math.floor(tprime / g)
-    e1 = F.eps.embed(0)
-    q_bound = Fraction(math.ceil(float(tprime) * (e1 + 1 / e1) * (1 + 1e-9) * 2**16), 2**16)
+    # a unit multiple of x has sigma_0(x)^2/|N(x)| in [1/eps, eps], so
+    # Tr(x^2) <= t' (eps + 1/eps); the window is that, rounded up to 2^-16
+    window = (F.eps + F.one() / F.eps) * (tprime * 2**16)
+    q_bound = Fraction(-(-window).embedding_floor(0), 2**16)
     b = idl.basis_elems()
     gram = [[Fraction((b[i] * b[j]).trace()) for j in range(2)] for i in range(2)]
     seen = set()

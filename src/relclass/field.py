@@ -480,6 +480,21 @@ class FElem:
             return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
         return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
 
+    def embedding_floor(self, i: int) -> int:
+        """Exact floor of the i-th real embedding; the ceiling is
+        -(-x).embedding_floor(i)."""
+        if self.F.n == 1:
+            return self.na // self.den
+        u, v = self._uv()
+        if i == 1:
+            v = -v
+        # floor(v*sqrt m) exactly; then floor((u + it)/(2 den)) = floor(x)
+        mv2 = self.F.m * v * v
+        w = isqrt(mv2)
+        if v < 0:
+            w = -w - (w * w != mv2)
+        return (u + w) // (2 * self.den)
+
     def is_totally_positive(self) -> bool:
         return all(self.embedding_sign(i) > 0 for i in range(self.F.n))
 

@@ -8,10 +8,12 @@ arithmetic facts are recomputed from first principles.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import isqrt
 
 from relclass.errors import MixedFields
+from relclass.field import Field, FIdeal
 
 
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
@@ -554,3 +556,48 @@ def _rat_sqrt(x: Fraction) -> Fraction | None:
 
 def _ref_elem(F, a, b=0) -> FElem:
     return FElem(F, Fraction(a), Fraction(b))
+
+
+# -- box counting ---------------------------------------------------------------------
+# The point-by-point counter that relclass.bounds used before its line-by-line
+# one, kept verbatim: it scans a padded (2*rmax+1)^2 square of coefficients and
+# tests every point with four exact embedding signs.
+
+
+def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
+    """Exact number of lattice points of the ideal in the box
+    |sigma_j(x) - x0_j| <= c_j; all comparisons are exact."""
+    x0 = tuple(Fraction(v) for v in x0)
+    c = tuple(Fraction(v) for v in c)
+    if F.n == 1:
+        g = Fraction(idl.num[0][0], idl.den)
+        lo = (x0[0] - c[0]) / g
+        hi = (x0[0] + c[0]) / g
+        return math.floor(hi) - math.ceil(lo) + 1
+    b0, b1 = idl.basis_elems()
+    # float ranges with margin, exact membership filter
+    e = [[b.embed(i) for i in range(2)] for b in (b0, b1)]
+    det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
+    lim0 = float(c[0]) + abs(float(x0[0]))
+    lim1 = float(c[1]) + abs(float(x0[1]))
+    rmax = (
+        int((abs(e[0][0]) + abs(e[0][1])) * (lim0 + lim1) / abs(det))
+        + int((abs(e[1][0]) + abs(e[1][1])) * (lim0 + lim1) / abs(det))
+        + 3
+    )
+    count = 0
+    for r in range(-rmax, rmax + 1):
+        for s in range(-rmax, rmax + 1):
+            x = b0 * F.elem(r) + b1 * F.elem(s)
+            if _in_box_exact(F, x, x0, c):
+                count += 1
+    return count
+
+
+def _in_box_exact(F: Field, x, x0, c) -> bool:
+    for i in range(F.n):
+        hi = x - F.elem(x0[i] + c[i])
+        lo = x - F.elem(x0[i] - c[i])
+        if hi.embedding_sign(i) > 0 or lo.embedding_sign(i) < 0:
+            return False
+    return True

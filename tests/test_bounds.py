@@ -1,13 +1,17 @@
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
+import oracles
 import pytest
 
 from relclass import bounds as bnd
 from relclass.cm import make_cm
 from relclass.errors import (
     AssumptionViolated,
+    BoundViolated,
     LambdaTooSmall,
     NoFeasibleLambda,
     ParityFails,
@@ -52,8 +56,88 @@ def test_box_precondition_compares_against_exact_T0():
 def test_count_box_examples():
     assert bnd.count_box(Q, Q.unit_ideal(), (0,), (5,)) == 11
     assert bnd.count_box(Q, Q.ideal(3), (0,), (5,)) == 3
-    c = bnd.count_box(F5, F5.unit_ideal(), (0, 0), (3, 3))
-    assert c >= 7
+    assert bnd.count_box(F5, F5.unit_ideal(), (0, 0), (3, 3)) == 17
+
+
+def _acceptance_07_boxes():
+    """The boxes of acceptance 07 (seed 11, 500 per field), drawn the same way."""
+    rng = random.Random(11)
+    for F in [Q] + [make_field(2, m) for m in (2, 3, 5, 13)]:
+        lat = bnd.lattice_constants(F)
+        ideals = [F.unit_ideal()] + [pr.ideal for p in (2, 3, 5) for pr in F.splitting(p).primes]
+        for _ in range(500):
+            idl = ideals[rng.randrange(len(ideals))]
+            x0 = tuple(Fraction(rng.randrange(-8, 9), 2) for _ in range(F.n))
+            base = (lat.T0.hi * float(idl.norm())) ** (1.0 / F.n)
+            c = tuple(Fraction(math.ceil((base + rng.random() * 4) * 8), 8) for _ in range(F.n))
+            yield F, idl, x0, c
+
+
+def _edge_boxes():
+    """Boxes with lattice points exactly on their sides, corners and centres."""
+    F6, F7 = make_field(2, 6), make_field(2, 7)
+    p2 = F5.splitting(2).primes[0].ideal  # (2): its rational points are 2Z
+    for F in (F5, F6, F7):
+        one = F.unit_ideal()
+        yield F, one, (0, 0), (2, 2)  # +-2 on two corners
+        yield F, one, (0, 0), (2, 3)  # +-2 on the sides sigma_0 = +-2
+        yield F, one, (0, 0), (3, 2)  # +-2 on the sides sigma_1 = +-2
+        yield F, one, (Fraction(1, 2), 0), (Fraction(3, 2), 5)  # -1 on sigma_0 = -1, 2 on sigma_0 = 2
+        yield F, one, (3, 3), (0, 0)  # a zero-width box on the point 3
+        yield F, one, (Fraction(1, 2), Fraction(1, 2)), (0, 0)  # a zero-width box on no point
+        yield F, one, (3, 2), (0, 0)  # no element has the embeddings (3, 2)
+        yield F, F.splitting(3).primes[-1].ideal, (Fraction(-7, 3), 1), (Fraction(17, 8), Fraction(33, 8))
+    yield F5, p2, (2, 0), (2, 2)
+    yield F5, p2, (0, 0), (4, 4)
+    for p in (2, 3, 7):
+        yield Q, Q.ideal(p), (Fraction(1, 2),), (Fraction(7, 2),)
+    yield Q, Q.unit_ideal(), (3,), (0,)
+
+
+def test_count_box_matches_point_scan():
+    draw = list(_acceptance_07_boxes())
+    cases = draw[::25] + list(_edge_boxes())
+    for F, idl, x0, c in cases:
+        if F.n == 2:
+            assert idl.basis_elems()[1].embedding_sign(1) < 0  # the s-bounds of sigma_1 swap
+        assert bnd.count_box(F, idl, x0, c) == oracles.count_box(F, idl, x0, c), (F, idl, x0, c)
+
+
+def _mp(q) -> mpmath.mpf:
+    q = Fraction(q)
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def test_line_range_is_tight():
+    """r_lo and r_hi are the ceiling and floor of the extreme values of r over
+    the box, computed here at 60 digits from its four corners; an extreme
+    within 1e-40 of an integer is that integer (boxes with a corner on the
+    lattice have one)."""
+    for F, idl, x0, c in list(_acceptance_07_boxes())[500::20] + list(_edge_boxes()):
+        if F.n == 1:
+            continue
+        b0, b1 = idl.basis_elems()
+        r_lo, r_hi = bnd._line_range(b0, b1, tuple(map(Fraction, x0)), tuple(map(Fraction, c)))
+        with mpmath.workdps(60):
+            s = mpmath.sqrt(F.m)
+            omegas = (s, -s) if F.c1 == 0 else ((1 + s) / 2, (1 - s) / 2)
+            (e00, e01), (e10, e11) = [[_mp(b.a) + _mp(b.b) * w for w in omegas] for b in (b0, b1)]
+            # the coefficient r of b0 at a corner (y0, y1), by Cramer's rule
+            corners = [(_mp(x0[0]) + i * _mp(c[0]), _mp(x0[1]) + j * _mp(c[1])) for i in (-1, 1) for j in (-1, 1)]
+            rs = [(y0 * e11 - y1 * e10) / (e00 * e11 - e01 * e10) for y0, y1 in corners]
+            tol = mpmath.mpf(10) ** -40
+            assert (r_lo, r_hi) == (int(mpmath.ceil(min(rs) - tol)), int(mpmath.floor(max(rs) + tol))), (F, idl, x0, c)
+
+
+def test_box_check_compares_against_certified_lower_end():
+    # (2 + 2 C_T0/T0) * 5 lands 5e-10 below the count 11 of [-5, 5]
+    lat = bnd.LatticeConstants(
+        LAT_Q.d0, Interval(1.0), Interval(0.1 - 5e-11), LAT_Q.C_1, LAT_Q.A1, LAT_Q.A2
+    )
+    bound = (Interval(2.0) + Interval(2.0) * lat.C_T0 / lat.T0) * Interval(5.0)
+    assert 11 - 1e-9 < bound.lo < 11
+    with pytest.raises(BoundViolated):
+        bnd.box_bound_check(Q, lat, Q.unit_ideal(), (0,), (5,))
 
 
 def test_box_bound_monotone_in_slack():
@@ -264,3 +348,25 @@ def test_norm_count_K_matches_direct_enumeration(t):
                     continue
                 seen.add(tuple(canonical_unit_rep(K, z).coords()))
             assert bnd.norm_count_check_K(K, Ni, t, lat)["count"] == len(seen)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 13])
+def test_norm_count_F_matches_direct_enumeration(m):
+    """The orbit count of inequality (b) against a direct short-vector scan in
+    twice the window t' (eps + 1/eps)."""
+    from relclass.lattice import lll_reduce_gram, short_vectors
+
+    F = make_field(2, m)
+    eps = F.eps.embed(0)
+    for idl in [F.unit_ideal()] + [pr.ideal for p in (2, 3, 7) for pr in F.splitting(p).primes]:
+        b0, b1 = idl.basis_elems()
+        gram = [[(x * y).trace() for y in (b0, b1)] for x in (b0, b1)]
+        for t in (Fraction(1), Fraction(7, 3), Fraction(12), Fraction(29, 2)):
+            tprime = t * idl.norm()
+            window = 2 * tprime * Fraction(math.ceil((eps + 1 / eps) * 1000), 1000)
+            seen = set()
+            for r, s in short_vectors(lll_reduce_gram(gram), window):
+                x = b0 * r + b1 * s
+                if not x.is_zero() and abs(x.norm()) <= tprime:
+                    seen.add(bnd.canonical_unit_rep_F(F, x).coords())
+            assert bnd.count_norm_orbits_F(F, idl, t) == len(seen), (F, idl, t)

@@ -294,3 +294,31 @@ def test_element_views_and_errors():
     with pytest.raises(ZeroDivisionError):
         x / F.zero()
     assert F.elem(2) == 2 and F.elem(Fraction(1, 2)) == 0.5 and x != None  # noqa: E711
+
+
+@st.composite
+def field_and_elem(draw):
+    F = draw(st.sampled_from(REF_FIELDS))
+    return F, FElem(F, *draw(coordinates(F)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_and_elem(), st.integers(0, 1))
+def test_embedding_floor_against_exact_signs(case, i):
+    F, x = case
+    i %= F.n
+    k = x.embedding_floor(i)
+    assert (x - k).embedding_sign(i) >= 0 and (x - k - 1).embedding_sign(i) < 0
+
+
+def test_embedding_floor_where_floats_fail():
+    x = F2.elem(0, -1)  # -sqrt 2: floor(v sqrt m) for v < 0 rounds away from zero
+    assert (x.embedding_floor(0), x.embedding_floor(1)) == (-2, 1)
+    # (1 + sqrt 2)^40 lies 4e-16 below an integer that a double rounds to
+    y = F2.one()
+    for _ in range(40):
+        y = y * F2.elem(1, 1)
+    t = y.trace()
+    assert t.denominator == 1 and math.floor(y.embed(0)) == t
+    assert y.embedding_floor(0) == t - 1 and y.embedding_floor(1) == 0
+    assert (-y).embedding_floor(0) == -t
