@@ -28,7 +28,7 @@ from .errors import (
     ParityFails,
     StrategyUnavailable,
 )
-from .field import Field, FIdeal, PrimeIdeal, kronecker, prime_divisors, primes_up_to
+from .field import Field, FIdeal, PrimeIdeal, kronecker, primes_up_to
 from .hecke import EigenvalueTable, symsq_L1, symsq_log_deriv_L1
 from .lattice import lll_reduce_gram, short_vectors
 from .numerics import (
@@ -84,9 +84,14 @@ def d0_interval(F: Field) -> Interval:
     return isqrt_iv(Interval(2.0)) * ilog(eps1)
 
 
+def _sqrt_n_n1(n: int) -> Interval:
+    """An enclosure of sqrt(n(n - 1)): exactly 0 for n = 1, sqrt 2 for n = 2."""
+    return Interval(0.0) if n == 1 else isqrt_iv(Interval.exact(2))
+
+
 def t0_interval(F: Field, d0: Interval) -> Interval:
     n = F.n
-    expo = iexp(Interval(math.sqrt(n * (n - 1))) * d0 / Interval(2.0))
+    expo = iexp(_sqrt_n_n1(n) * d0 / Interval(2.0))
     return ipow(PI, n / 2.0) * expo / (Interval(2.0) ** n * isqrt_iv(Interval.exact(F.d_F)))
 
 
@@ -151,8 +156,8 @@ def lattice_constants(F: Field) -> LatticeConstants:
     base = Interval(2.0) ** n / isqrt_iv(Interval.exact(F.d_F))
     fac1 = base + Interval(2.0 * n) * C_T0 / T0
     fac2 = base + Interval(2.0 * n) * C_1
-    A1 = Interval(2.0) ** (n - 1) * iexp(Interval(math.sqrt(n * (n - 1))) * d0) * fac1 * fac2
-    A2 = iexp(Interval(math.sqrt(n * (n - 1))) * d0 / Interval(2.0)) * fac2
+    A1 = Interval(2.0) ** (n - 1) * iexp(_sqrt_n_n1(n) * d0) * fac1 * fac2
+    A2 = iexp(_sqrt_n_n1(n) * d0 / Interval(2.0)) * fac2
     return LatticeConstants(d0, T0, C_T0, C_1, A1, A2)
 
 
@@ -488,11 +493,8 @@ def zeta_F_a_inv_prime_at_1(F: Field, level: FIdeal) -> float:
     # residue of zeta_F at 1: 2^(n-1) h_F R_F / sqrt(d_F) (two roots of unity)
     rho = 2 ** (F.n - 1) * F.h_F * F.regulator / math.sqrt(F.d_F)
     prod = 1.0
-    nm = int(level.norm())
-    for p in prime_divisors(nm):
-        for pr in F.splitting(p).primes:
-            if level.valuation(pr) > 0:
-                prod *= 1.0 - 1.0 / pr.norm()
+    for pr, _ in level.factor():
+        prod *= 1.0 - 1.0 / pr.norm()
     return 1.0 / (rho * prod)
 
 
@@ -500,13 +502,12 @@ def zeta_F_a_inv_second_over_first(F: Field, level: FIdeal) -> float:
     """(zeta^{-1})''(1)/(zeta^{-1})'(1) by central differences of step 1e-4
     on the pole-removed factor; heuristic."""
 
+    level_primes = [pr for pr, _ in level.factor()]
+
     def inv_zeta_fa(s: float) -> float:
         z = zeta_F_numeric(F, s).real
-        nm = int(level.norm())
-        for p in prime_divisors(nm):
-            for pr in F.splitting(p).primes:
-                if level.valuation(pr) > 0:
-                    z *= 1.0 - float(pr.norm()) ** (-s)
+        for pr in level_primes:
+            z *= 1.0 - float(pr.norm()) ** (-s)
         return 1.0 / z
 
     # g(s) = inv_zeta(s)/(s-1): second/first derivative of inv at 1 equals 2 g'(1)/g(1)
@@ -587,13 +588,7 @@ def g_constants(
 
 
 def _square_level_primes(table: EigenvalueTable) -> list[int]:
-    out = []
-    nm = int(table.level.norm())
-    for p in prime_divisors(nm):
-        for pr in table.F.splitting(p).primes:
-            if table.level.valuation(pr) >= 2:
-                out.append(pr.norm())
-    return out
+    return [pr.norm() for pr, v in table.level.factor() if v >= 2]
 
 
 def _g3_quadrature(table: EigenvalueTable, prime_cap: int, eta: float, panels: int = 64) -> float:

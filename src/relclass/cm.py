@@ -3,9 +3,10 @@
 The maximal order is assembled from local data: at each prime the largest j
 with an integral (b + sqrt(delta))/pi^j is found (odd primes: j = v(delta)//2
 with b = 0; primes over 2: bounded residue search), and the global module
-o_K = o_F + c^{-1}(b + sqrt(delta)) is glued by CRT.  Ideals of K are integer
-HNF lattices over the fixed basis {1, omega, sqrt(delta), omega*sqrt(delta)};
-products and trace forms run through precomputed integer structure constants.
+o_K = o_F + c^{-1}(b + sqrt(delta)) is glued by CRT.  Ideals of K are
+field.LatticeIdeal lattices over the Z-basis of o_K, as ideals of F are over
+{1, omega}; products, conjugates and trace forms run through precomputed
+integer structure constants.
 
 The class group is built by subgroup closure over the prime generators with
 discrete-log bookkeeping, so conjugation (which is inversion on classes when
@@ -36,16 +37,17 @@ from .field import (
     FElem,
     Field,
     FIdeal,
+    LatticeIdeal,
     PrimeIdeal,
     elem_with_valuation,
     ideal_transversal,
-    integer_rows,
-    prime_divisors,
+    order_rows,
+    prime_products,
     primes_up_to,
 )
 from .finitefield import ResidueField
 from .imagquad import class_group_counts
-from .intmat import echelon_contains, hnf_lattice, solve_exact, zspan_kernel, zspan_solve
+from .intmat import hnf_lattice, solve_exact, vec_mat, zspan_kernel, zspan_solve
 from .lattice import lll_reduce_gram, short_vectors
 
 
@@ -216,74 +218,29 @@ class CMField:
             c = (x.na * sx, y.na * sy)
         else:
             c = (x.na * sx, x.nb * sx, y.na * sy, y.nb * sy)
-        cols = range(self.deg)
-        M = self._order_mat
-        return [sum(ca * Ma[b] for ca, Ma in zip(c, M) if ca) for b in cols], d
-
-    def order_rows(self, zs: list[KElem]) -> tuple[list[list[int]], int]:
-        """(rows, D): order coordinates of each z as an integer row over one
-        common denominator D."""
-        pairs = [self._to_order(z) for z in zs]
-        den = math.lcm(*(d for _, d in pairs))
-        return [[c * (den // d) for c in row] for row, d in pairs], den
-
-    def _row_mul(self, r1, r2):
-        deg = self.deg
-        out = [0] * deg
-        mt = self._mt
-        for i in range(deg):
-            a = r1[i]
-            if not a:
-                continue
-            for j in range(deg):
-                b = r2[j]
-                if not b:
-                    continue
-                t = mt[i][j]
-                ab = a * b
-                for kk in range(deg):
-                    out[kk] += ab * t[kk]
-        return out
-
-    def conj_row(self, row):
-        deg = self.deg
-        out = [0] * deg
-        for i in range(deg):
-            a = row[i]
-            if not a:
-                continue
-            c = self._conj_mat[i]
-            for kk in range(deg):
-                out[kk] += a * c[kk]
-        return out
+        return vec_mat(c, self._order_mat), d
 
     # -- order construction ------------------------------------------------------
 
     def _build_order(self):
         F = self.F
         delta = self.delta
-        four_delta = F.ideal(delta * F.elem(4))
         local: list[tuple[PrimeIdeal, int, FElem]] = []
         c_ideal = F.unit_ideal()
         ram_data = []
-        nrm = int(abs((delta * F.elem(4)).norm()))
-        for p in sorted(set(prime_divisors(nrm))):
-            for pr in F.splitting(p).primes:
-                v4d = four_delta.valuation(pr)
-                if v4d == 0:
-                    continue
-                if p != 2:
-                    vd = F.ideal(delta).valuation(pr)
-                    j = vd // 2
-                    b = F.zero()
-                else:
-                    j, b = self._two_adic_j(pr, v4d)
-                if j > 0:
-                    local.append((pr, j, b))
-                    c_ideal = c_ideal * (pr.ideal**j)
-                vdisc = v4d - 2 * j
-                if vdisc > 0:
-                    ram_data.append((pr, vdisc))
+        for pr, v4d in F.ideal(delta * F.elem(4)).factor():
+            if pr.p != 2:
+                vd = F.ideal(delta).valuation(pr)
+                j = vd // 2
+                b = F.zero()
+            else:
+                j, b = self._two_adic_j(pr, v4d)
+            if j > 0:
+                local.append((pr, j, b))
+                c_ideal = c_ideal * (pr.ideal**j)
+            vdisc = v4d - 2 * j
+            if vdisc > 0:
+                ram_data.append((pr, vdisc))
         self.c_ideal = c_ideal
         self.b_shift = self._crt_shift(local)
         self.rel_disc_primes = sorted(
@@ -355,8 +312,7 @@ class CMField:
 
     def maximal_order(self) -> "KIdeal":
         if self._max_order is None:
-            ident = [[1 if j == i else 0 for j in range(self.deg)] for i in range(self.deg)]
-            self._max_order = KIdeal(self, ident, 1)
+            self._max_order = KIdeal.unit(self)
         return self._max_order
 
     def ideal(self, *gens) -> "KIdeal":
@@ -395,7 +351,7 @@ class CMField:
                 out.append(KPrime(pr, 1, len(roots) == 1, ideal))
         for kp in out:
             expected = pr.norm() ** kp.rel_f
-            assert kp.ideal.abs_norm() == expected, (pr, kp.ideal.abs_norm(), expected)
+            assert kp.ideal.norm() == expected, (pr, kp.ideal.norm(), expected)
         assert (len(roots) == 1) == ram, f"residue factorization vs discriminant at {pr}"
         self._kprime_cache[key] = out
         return out
@@ -432,28 +388,10 @@ class CMField:
 
     def integral_ideals_up_to(self, bound: float) -> list["KIdeal"]:
         """All integral ideals of norm in [1, bound] (prime products)."""
-        kps = self.kprimes_up_to(bound)
-        out = [self.maximal_order()]
-
-        def rec(i: int, cur: KIdeal, nm: int):
-            if i == len(kps):
-                if nm > 1:
-                    out.append(cur)
-                return
-            rec(i + 1, cur, nm)
-            nm2, cur2 = nm, cur
-            while True:
-                nm2 *= kps[i].norm()
-                if nm2 > bound:
-                    break
-                cur2 = cur2 * kps[i].ideal
-                rec(i + 1, cur2, nm2)
-
-        rec(0, self.maximal_order(), 1)
         uniq = {}
-        for idl in out:
+        for idl, _ in prime_products(self.maximal_order(), self.kprimes_up_to(bound), bound):
             uniq.setdefault(idl.key(), idl)
-        return sorted(uniq.values(), key=lambda i: (i.abs_norm(), i.key()))
+        return sorted(uniq.values(), key=lambda i: (i.norm(), i.key()))
 
     def __repr__(self):
         return f"{self.F}(sqrt({self.delta}))"
@@ -464,44 +402,22 @@ def make_cm(F: Field, delta) -> CMField:
     return CMField(F, delta if isinstance(delta, FElem) else F.elem(Fraction(delta)))
 
 
-class KIdeal:
-    """Fractional o_K-module of full rank as an integer HNF lattice / den."""
+class KIdeal(LatticeIdeal):
+    """Fractional ideal of K as an integer HNF lattice over the order basis,
+    divided by one denominator."""
 
-    __slots__ = ("K", "num", "den", "_basis", "_relnorm", "_absnorm", "_gram", "_red")
+    __slots__ = ("_basis", "_relnorm", "_gram", "_red")
 
     def __init__(self, K: CMField, num: list[list[int]], den: int):
-        g = den
-        for r in num:
-            for x in r:
-                g = gcd(g, x)
-        if g > 1:
-            num = [[x // g for x in r] for r in num]
-            den //= g
-        self.K = K
-        self.num = num
-        self.den = den
+        super().__init__(K, num, den)
         self._basis = None
         self._relnorm = None
-        self._absnorm = None
         self._gram = None
         self._red = None
 
-    @staticmethod
-    def from_rows(K: CMField, rows: list[list[int]], den: int) -> "KIdeal":
-        h = hnf_lattice(rows)
-        if len(h) != K.deg:
-            raise ZeroDivisionError("zero module")
-        return KIdeal(K, h, den)
-
-    @staticmethod
-    def from_generators(K: CMField, gens: list[KElem]) -> "KIdeal":
-        # g * b for each order-basis element b is one product with _mt
-        rows, den = K.order_rows(gens)
-        units = K.maximal_order().num
-        return KIdeal.from_rows(K, [K._row_mul(r, e) for r in rows for e in units], den)
-
-    def key(self):
-        return (self.den, tuple(tuple(r) for r in self.num))
+    @property
+    def K(self) -> CMField:
+        return self.ring
 
     def basis_kelems(self) -> list[KElem]:
         if self._basis is None:
@@ -517,14 +433,6 @@ class KIdeal:
             self._basis = out
         return self._basis
 
-    def abs_norm(self) -> Fraction:
-        if self._absnorm is None:
-            det = 1
-            for i in range(len(self.num)):
-                det *= self.num[i][i]
-            self._absnorm = Fraction(abs(det), self.den**self.K.deg)
-        return self._absnorm
-
     def rel_norm(self) -> FIdeal:
         """Norm ideal of F, generated by element norms."""
         if self._relnorm is None:
@@ -536,93 +444,14 @@ class KIdeal:
             self._relnorm = FIdeal.from_generators(self.K.F, gens)
         return self._relnorm
 
-    def conj(self) -> "KIdeal":
-        rows = [self.K.conj_row(r) for r in self.num]
-        return KIdeal.from_rows(self.K, rows, self.den)
-
-    def __mul__(self, other):
-        K = self.K
-        if isinstance(other, KElem):
-            orow, den2 = K._to_order(other)
-            rows = [K._row_mul(r, orow) for r in self.num]
-            return KIdeal.from_rows(K, rows, self.den * den2)
-        rows = [K._row_mul(r1, r2) for r1 in self.num for r2 in other.num]
-        return KIdeal.from_rows(K, rows, self.den * other.den)
-
-    def scale(self, r) -> "KIdeal":
-        r = Fraction(r)
-        num = [[x * r.numerator for x in row] for row in self.num]
-        return KIdeal(self.K, num, self.den * r.denominator)
-
     def inverse(self) -> "KIdeal":
         nm = self.rel_norm()
         cj = self.conj()
         inv = self.K.extend_ideal(nm.inverse())
         return cj * inv
 
-    def __pow__(self, k: int) -> "KIdeal":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.K.maximal_order()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def contains(self, z: KElem) -> bool:
-        row, den = self.K._to_order(z)
-        scaled = [c * self.den for c in row]
-        if any(s % den for s in scaled):
-            return False
-        return echelon_contains(self.num, [s // den for s in scaled])
-
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def divides(self, other: "KIdeal") -> bool:
-        """self | other, i.e. other subset of self (lattice containment)."""
-        s = math.lcm(self.den, other.den)
-        self_rows = [[x * (s // self.den) for x in r] for r in self.num]
-        return all(
-            echelon_contains(self_rows, [x * (s // other.den) for x in r]) for r in other.num
-        )
-
-    def valuation(self, kp: KPrime) -> int:
-        num_part = KIdeal(self.K, [list(r) for r in self.num], 1)
-        v = 0
-        cur = num_part
-        pinv = kp.ideal.inverse()
-        mo = self.K.maximal_order()
-        while True:
-            nxt = cur * pinv
-            if not mo.divides(nxt):
-                break
-            cur = nxt
-            v += 1
-        vp_den = 0
-        d = self.den
-        while d % kp.base.p == 0:
-            d //= kp.base.p
-            vp_den += 1
-        e_total = kp.base.e * (2 if kp.ramified else 1)
-        return v - e_total * vp_den
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KIdeal)
-            and self.K is other.K
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((id(self.K), self.den, tuple(tuple(r) for r in self.num)))
-
     def __repr__(self):
-        return f"KIdeal(N={self.abs_norm()})"
+        return f"KIdeal(N={self.norm()})"
 
     # -- metric structure ---------------------------------------------------------
 
@@ -657,7 +486,7 @@ class KIdeal:
         The bound doubles until vectors appear; the first of equal norms wins.
         """
         if bound is None:
-            base = float(2 * self.K.deg) * float(self.abs_norm()) ** (1.0 / self.K.F.n) + 1.0
+            base = float(2 * self.K.deg) * float(self.norm()) ** (1.0 / self.K.F.n) + 1.0
             bound = Fraction(math.ceil(base * 2**10), 2**10)
         vecs = []
         while not vecs:
@@ -672,7 +501,7 @@ class KIdeal:
         under multiplication by units, so an empty window certifies
         non-principality.
         """
-        t = self.abs_norm()
+        t = self.norm()
         for z in self.shortest_vectors(unit_window(self.K, t)):
             if z.abs_norm() == t:
                 return z
@@ -693,7 +522,7 @@ class KIdeal:
     def small_class_rep(self) -> "KIdeal":
         """Integral ideal of Minkowski-bounded norm in the same class."""
         q = self.scale(self.den) if self.den != 1 else self
-        base = float(2 * q.abs_norm() ** Fraction(1, self.K.F.n))
+        base = float(2 * q.norm() ** Fraction(1, self.K.F.n))
         z = q.small_nonzero(Fraction(math.ceil(base * self.K.F.n * 1.2 * 2**10), 2**10))
         red = (q.inverse() * z).conj()
         return red.scale(red.den)
@@ -925,7 +754,7 @@ def line_colon_ideal(K: CMField, alpha: KElem, module: KIdeal) -> FIdeal:
     cross products with alpha."""
     F = K.F
     bs = module.basis_kelems()
-    rows, _ = integer_rows([b.x * alpha.y - b.y * alpha.x for b in bs])
+    rows, _ = order_rows(F, [b.x * alpha.y - b.y * alpha.x for b in bs])
     ker = zspan_kernel(rows)
     gens = []
     for comb in ker:
@@ -1035,7 +864,7 @@ def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
 
     Returns a sorted list of (value, saturated, alpha), alpha canonical.
     """
-    nN = Ni.abs_norm()
+    nN = Ni.norm()
     t_abs = Fraction(x_max) * nN
     seen: dict = {}
     for z in Ni.shortest_vectors(unit_window(K, t_abs)):

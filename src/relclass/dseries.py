@@ -16,7 +16,7 @@ import mpmath
 
 from .cm import CMField, class_counts, line_norms, on_line
 from .errors import InequalityViolated, OutOfRegion, TruncationTooLarge
-from .field import Field, primes_up_to
+from .field import Field, prime_products, primes_up_to
 
 MAX_TRUNCATION = 10**4
 
@@ -194,26 +194,10 @@ def _ideal_count_direct_cm(K: CMField, cap: int) -> list[int]:
         return counts
     # degree 4: enumerate prime products (products of distinct structures are
     # distinct ideals), which is the unique-factorization route
-    kps = K.kprimes_up_to(cap)
     seen = {}
-
-    def rec(i, cur, nm):
-        key = cur.key()
-        if key not in seen:
-            seen[key] = nm
-        if i == len(kps):
-            return
-        rec(i + 1, cur, nm)
-        nm2, cur2 = nm, cur
-        while True:
-            nm2 *= kps[i].norm()
-            if nm2 > cap:
-                break
-            cur2 = cur2 * kps[i].ideal
-            rec(i + 1, cur2, nm2)
-
-    rec(0, K.maximal_order(), 1)
-    for key, nm in seen.items():
+    for idl, nm in prime_products(K.maximal_order(), K.kprimes_up_to(cap), cap):
+        seen.setdefault(idl.key(), nm)
+    for nm in seen.values():
         counts[nm - 1] += 1
     return counts
 

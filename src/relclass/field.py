@@ -20,7 +20,7 @@ from .errors import (
     NonSquarefree,
     SearchBudgetExceeded,
 )
-from .intmat import echelon_contains, hnf_lattice
+from .intmat import echelon_solve, hnf_lattice, vec_mat
 
 # most coordinates FIdeal.principal_gen may scan before it gives up undecided
 PRINCIPAL_SCAN_BUDGET = 10**6
@@ -152,6 +152,14 @@ class Field:
                 self.d_F = 4 * m
         else:
             raise DegreeUnsupported(f"exact arithmetic supports n in {{1,2}}, got {n}")
+        # the ring data of LatticeIdeal: basis {1, omega}, conj(omega) = c1 - omega
+        self.deg = self.n
+        if self.n == 1:
+            self._mt = [[(1,)]]
+            self._conj_mat = [(1,)]
+        else:
+            self._mt = [[(1, 0), (0, 1)], [(0, 1), (self.c0, self.c1)]]
+            self._conj_mat = [(1, 0), (self.c1, -1)]
         self._init_units()
         self._prime_cache: dict[int, SplittingType] = {}
         self._init_class_group()
@@ -201,12 +209,16 @@ class Field:
 
     # -- ideals -------------------------------------------------------------
 
+    def _to_order(self, x: "FElem") -> tuple[list[int], int]:
+        """(row, den): the coordinates of x over {1, omega} are row/den."""
+        return ([x.na] if self.n == 1 else [x.na, x.nb]), x.den
+
     def ideal(self, *gens) -> "FIdeal":
         elems = [g if isinstance(g, FElem) else self.elem(Fraction(g)) for g in gens]
         return FIdeal.from_generators(self, elems)
 
     def unit_ideal(self) -> "FIdeal":
-        return self.ideal(self.one())
+        return FIdeal.unit(self)
 
     # -- class group ----------------------------------------------------------
 
@@ -589,15 +601,6 @@ def _felem(F: Field, na: int, nb: int, den: int) -> FElem:
     return _raw(F, na, nb, den)
 
 
-def integer_rows(xs: list[FElem]) -> tuple[list[list[int]], int]:
-    """(rows, D): the coordinates of each x over {1, omega} as an integer
-    row over one common denominator D (one column when n = 1)."""
-    den = math.lcm(*(x.den for x in xs))
-    if xs and xs[0].F.n == 1:
-        return [[x.na * (den // x.den)] for x in xs], den
-    return [[x.na * (den // x.den), x.nb * (den // x.den)] for x in xs], den
-
-
 def _rat_sqrt(x: Fraction) -> Fraction | None:
     if x < 0:
         return None
@@ -608,33 +611,49 @@ def _rat_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def elem_op(op: str, x: FElem, y: FElem | None = None):
-    """Dispatch for the elementary operations (CLI plumbing)."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "conj":
-        return x.conj()
-    if op == "norm":
-        return x.norm()
-    if op == "trace":
-        return x.trace()
-    if op == "is_totally_positive":
-        return x.is_totally_positive()
-    raise ValueError(f"unknown op {op}")
+def order_rows(ring, xs) -> tuple[list[list[int]], int]:
+    """(rows, D): the coordinates of each x over the ring's Z-basis as an
+    integer row over one common denominator D."""
+    pairs = [ring._to_order(x) for x in xs]
+    den = math.lcm(*(d for _, d in pairs))
+    return [[c * (den // d) for c in row] for row, d in pairs], den
 
 
-class FIdeal:
-    """Fractional ideal as a scaled integer HNF lattice over {1, omega}.
+def _row_mul(mt, r1: list[int], r2: list[int]) -> list[int]:
+    """The product of two elements given by their rows, through the
+    structure constants mt[i][j] = row of b_i * b_j."""
+    deg = len(r1)
+    out = [0] * deg
+    for i in range(deg):
+        a = r1[i]
+        if not a:
+            continue
+        for j in range(deg):
+            b = r2[j]
+            if not b:
+                continue
+            t = mt[i][j]
+            ab = a * b
+            for k in range(deg):
+                out[k] += ab * t[k]
+    return out
 
-    The ideal equals (rows of num)/den; canonical after gcd reduction, so
-    equality and hashing are structural.  Integral iff den == 1.
+
+class LatticeIdeal:
+    """Fractional ideal of the maximal order of a ring (F or K) as a scaled
+    integer HNF lattice over the ring's Z-basis b_1..b_deg (Cohen, GTM 138,
+    4.7).
+
+    The ideal equals (rows of num)/den, canonical after gcd reduction, so
+    equality and hashing are structural; it is integral iff den == 1.  The
+    ring supplies `deg`, the integer structure constants `_mt` (_mt[i][j] is
+    the row of b_i * b_j), the rows of the conjugates `_conj_mat`, and
+    `_to_order(x) -> (row, den)` for its elements.
     """
 
-    __slots__ = ("F", "num", "den", "_norm")
+    __slots__ = ("ring", "num", "den", "_norm")
 
-    def __init__(self, F: Field, num: list[list[int]], den: int):
+    def __init__(self, ring, num: list[list[int]], den: int):
         g = den
         for r in num:
             for x in r:
@@ -642,54 +661,65 @@ class FIdeal:
         if g > 1:
             num = [[x // g for x in r] for r in num]
             den //= g
-        self.F = F
+        self.ring = ring
         self.num = num
         self.den = den
         self._norm = None
 
-    @staticmethod
-    def from_generators(F: Field, gens: list[FElem]) -> "FIdeal":
-        mults = F.maximal_order_basis()
-        rows, den = integer_rows([g * mul for g in gens for mul in mults])
+    @classmethod
+    def from_rows(cls, ring, rows: list[list[int]], den: int):
         h = hnf_lattice(rows)
-        if len(h) != F.n:
+        if len(h) != ring.deg:
             raise ZeroDivisionError("zero ideal")
-        return FIdeal(F, h, den)
+        return cls(ring, h, den)
 
-    def basis_elems(self) -> list[FElem]:
-        if self.F.n == 1:
-            return [_felem(self.F, self.num[0][0], 0, self.den)]
-        return [_felem(self.F, r[0], r[1], self.den) for r in self.num]
+    @classmethod
+    def unit(cls, ring):
+        """The maximal order itself."""
+        return cls(ring, _identity(ring.deg), 1)
+
+    @classmethod
+    def from_generators(cls, ring, gens):
+        # g * b for each basis element b is one product with _mt
+        rows, den = order_rows(ring, gens)
+        mt = ring._mt
+        units = _identity(ring.deg)
+        return cls.from_rows(ring, [_row_mul(mt, r, e) for r in rows for e in units], den)
+
+    def key(self):
+        return (self.den, tuple(tuple(r) for r in self.num))
 
     def norm(self) -> Fraction:
+        """The absolute norm: the index of the lattice, over den^deg."""
         if self._norm is None:
             det = 1
-            for i in range(len(self.num)):
-                det *= self.num[i][i]
-            self._norm = Fraction(abs(det), self.den ** self.F.n)
+            for i, r in enumerate(self.num):
+                det *= r[i]
+            self._norm = Fraction(abs(det), self.den**self.ring.deg)
         return self._norm
 
-    real_norm = norm
-
-    def conj(self) -> "FIdeal":
-        return FIdeal.from_generators(self.F, [e.conj() for e in self.basis_elems()])
+    def conj(self):
+        rows = [vec_mat(r, self.ring._conj_mat) for r in self.num]
+        return self.from_rows(self.ring, rows, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, FElem):
-            other = FIdeal.from_generators(self.F, [other])
-        gens = [x * y for x in self.basis_elems() for y in other.basis_elems()]
-        return FIdeal.from_generators(self.F, gens)
+        ring = self.ring
+        if isinstance(other, LatticeIdeal):
+            rows = [_row_mul(ring._mt, r1, r2) for r1 in self.num for r2 in other.num]
+            return self.from_rows(ring, rows, self.den * other.den)
+        orow, den = ring._to_order(other)
+        return self.from_rows(ring, [_row_mul(ring._mt, r, orow) for r in self.num], self.den * den)
 
-    def inverse(self) -> "FIdeal":
-        if self.F.n == 1:
-            return FIdeal.from_generators(self.F, [self.F.elem(1 / self.norm())])
-        inv_n = self.F.elem(1 / self.norm())
-        return FIdeal.from_generators(self.F, [e.conj() * inv_n for e in self.basis_elems()])
+    def scale(self, r):
+        """The ideal times the positive rational r."""
+        r = Fraction(r)
+        num = [[x * r.numerator for x in row] for row in self.num]
+        return type(self)(self.ring, num, self.den * r.denominator)
 
-    def __pow__(self, k: int) -> "FIdeal":
+    def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.F.unit_ideal()
+        out = self.unit(self.ring)
         base = self
         while k:
             if k & 1:
@@ -698,30 +728,60 @@ class FIdeal:
             k >>= 1
         return out
 
-    def contains(self, x: FElem) -> bool:
-        va, vb = x.na * self.den, x.nb * self.den
-        if va % x.den or vb % x.den:
+    def contains(self, x) -> bool:
+        row, den = self.ring._to_order(x)
+        scaled = [c * self.den for c in row]
+        if any(s % den for s in scaled):
             return False
-        if self.F.n == 1:
-            return va // x.den % self.num[0][0] == 0
-        return echelon_contains(self.num, [va // x.den, vb // x.den])
+        return echelon_solve(self.num, [s // den for s in scaled]) is not None
+
+    def divides(self, other) -> bool:
+        """self | other, i.e. other is a sublattice of self."""
+        s = math.lcm(self.den, other.den)
+        rows = [[x * (s // self.den) for x in r] for r in self.num]
+        return all(echelon_solve(rows, [x * (s // other.den) for x in r]) is not None for r in other.num)
 
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def divides(self, other: "FIdeal") -> bool:
-        return all(self.contains(e) for e in other.basis_elems())
+    def is_principal(self) -> bool:
+        return self.principal_gen() is not None
 
     def __eq__(self, other):
         return (
-            isinstance(other, FIdeal)
-            and self.F == other.F
+            isinstance(other, LatticeIdeal)
+            and self.ring == other.ring
             and self.den == other.den
             and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.F, self.den, tuple(tuple(r) for r in self.num)))
+        return hash((self.ring, self.den, tuple(tuple(r) for r in self.num)))
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+class FIdeal(LatticeIdeal):
+    """Fractional ideal of a base field, over the basis {1, omega}."""
+
+    __slots__ = ()
+
+    @property
+    def F(self) -> Field:
+        return self.ring
+
+    def basis_elems(self) -> list[FElem]:
+        if self.F.n == 1:
+            return [_felem(self.F, self.num[0][0], 0, self.den)]
+        return [_felem(self.F, r[0], r[1], self.den) for r in self.num]
+
+    def inverse(self) -> "FIdeal":
+        if self.F.n == 1:
+            return FIdeal(self.F, [[self.den]], self.num[0][0])
+        # a * conj(a) = N(a) for a real quadratic field
+        return self.conj().scale(1 / self.norm())
 
     def __repr__(self):
         return f"FIdeal({self.num}/{self.den}, norm={self.norm()})"
@@ -745,8 +805,20 @@ class FIdeal:
             vp_den += 1
         return v - prime.e * vp_den
 
-    def is_principal(self) -> bool:
-        return self.principal_gen() is not None
+    def factor(self) -> list[tuple["PrimeIdeal", int]]:
+        """The primes of nonzero valuation with their valuations, by
+        ascending p and then in the order of F.splitting(p).primes.
+
+        They lie over the primes dividing den or the norm of the integral
+        ideal den times self; a fractional ideal such as P/P' can have norm 1."""
+        nm = self.norm() * self.den**self.F.n
+        out = []
+        for p in sorted(set(prime_divisors(nm) + prime_divisors(self.den))):
+            for pr in self.F.splitting(p).primes:
+                v = self.valuation(pr)
+                if v:
+                    out.append((pr, v))
+        return out
 
     def principal_gen(self) -> FElem | None:
         """Generator of matching norm, reduced into the unit fundamental domain.
@@ -888,34 +960,35 @@ def elem_with_valuation(F: Field, idl: FIdeal, pr: PrimeIdeal, v: int) -> FElem:
     raise SearchBudgetExceeded(f"no basis element of valuation {v} at {pr}")
 
 
-def class_group_F(F: Field) -> tuple[int, list[FIdeal]]:
-    """(h_F, class representatives); already computed at field construction."""
-    return F.h_F, F.class_reps
+def prime_products(one, primes, bound):
+    """Every product of powers of the given primes (records with .ideal and
+    .norm()) of norm at most bound, as (ideal, norm), starting from the unit
+    ideal `one`.
+
+    Depth first: at prime i the product without it comes before its powers.
+    Once no later prime fits under the bound, the product is yielded at once.
+    """
+    norms = [pr.norm() for pr in primes]
+    least = norms + [bound + 1]  # least[i]: the smallest norm from prime i on
+    for i in range(len(norms) - 1, -1, -1):
+        least[i] = min(norms[i], least[i + 1])
+
+    def rec(i, cur, nm):
+        if nm * least[i] > bound:
+            yield cur, nm
+            return
+        yield from rec(i + 1, cur, nm)
+        while nm * norms[i] <= bound:
+            nm *= norms[i]
+            cur = cur * primes[i].ideal
+            yield from rec(i + 1, cur, nm)
+
+    return rec(0, one, 1)
 
 
 def ideals_of_norm_up_to(F: Field, bound: int) -> list["FIdeal"]:
     """All integral ideals of norm in [2, bound], sorted by norm."""
-    primes: list[PrimeIdeal] = []
-    for p in primes_up_to(bound):
-        for pi in F.splitting(p).primes:
-            if pi.norm() <= bound:
-                primes.append(pi)
-    out: list[FIdeal] = []
-
-    def rec(i: int, cur: FIdeal, nm: int):
-        if i == len(primes):
-            if nm > 1:
-                out.append(cur)
-            return
-        rec(i + 1, cur, nm)
-        nm2, cur2 = nm, cur
-        while True:
-            nm2 *= primes[i].norm()
-            if nm2 > bound:
-                break
-            cur2 = cur2 * primes[i].ideal
-            rec(i + 1, cur2, nm2)
-
-    rec(0, F.unit_ideal(), 1)
+    primes = [pi for p in primes_up_to(bound) for pi in F.splitting(p).primes if pi.norm() <= bound]
+    out = [idl for idl, nm in prime_products(F.unit_ideal(), primes, bound) if nm > 1]
     out.sort(key=lambda idl: idl.norm())
     return out

@@ -34,8 +34,8 @@ from .field import (
     PrimeIdeal,
     elem_with_valuation,
     ideal_transversal,
-    integer_rows,
     is_prime_int,
+    order_rows,
     prime_divisors,
 )
 from .finitefield import ResidueField
@@ -101,7 +101,7 @@ class PseudoForm:
 
     def key(self):
         return (
-            self.steinitz.key() if hasattr(self.steinitz, "key") else str(self.steinitz),
+            self.steinitz.key(),
             self.a.coords(),
             self.b.coords(),
             self.c.coords(),
@@ -175,7 +175,7 @@ def is_fundamental(Q: PseudoForm, cross_check: bool = True) -> bool:
             result = False
             break
     if cross_check and Q.is_definite():
-        ideal_side = _rel_disc_of_form_field(Q)
+        ideal_side = form_field(Q).rel_disc
         assert (target == ideal_side) == result, "local tests disagree with the field discriminant"
     return result
 
@@ -196,11 +196,6 @@ def _relevant_primes(F: Field, Q: PseudoForm) -> list[PrimeIdeal]:
     for p in sorted(ps):
         out.extend(F.splitting(p).primes)
     return out
-
-
-def _rel_disc_of_form_field(Q: PseudoForm) -> FIdeal:
-    K = form_field(Q)
-    return K.rel_disc
 
 
 def form_field(Q: PseudoForm) -> CMField:
@@ -231,7 +226,7 @@ def free_module_basis(K: CMField, A: KIdeal) -> tuple[KElem, KElem]:
     # beta = sum c_i (v_i t) with integral coefficients and y-part exactly g
     mults = F.maximal_order_basis()
     pieces = [v * KElem(K, t, F.zero()) for v in vs for t in mults]
-    rows, _ = integer_rows([z.y for z in pieces] + [g])
+    rows, _ = order_rows(F, [z.y for z in pieces] + [g])
     target = rows.pop()
     sol = zspan_solve(rows, target)
     if sol is None:
@@ -242,7 +237,7 @@ def free_module_basis(K: CMField, A: KIdeal) -> tuple[KElem, KElem]:
             piece = z.scale(c)
             beta = piece if beta is None else beta + piece
     # intersection with F: integer combinations of the Z-basis with zero y-part
-    rows_y, _ = integer_rows([v.y for v in vs])
+    rows_y, _ = order_rows(F, [v.y for v in vs])
     ker = zspan_kernel(rows_y)
     xgens = []
     for comb in ker:
@@ -259,7 +254,7 @@ def free_module_basis(K: CMField, A: KIdeal) -> tuple[KElem, KElem]:
     if alpha_f is None:
         raise SearchBudgetExceeded("intersection generator not found")
     alpha = KElem(K, alpha_f, F.zero())
-    check = KIdeal.from_rows(K, *K.order_rows([z * t for z in (alpha, beta) for t in mults]))
+    check = KIdeal.from_rows(K, *order_rows(K, [z * t for z in (alpha, beta) for t in mults]))
     assert check.num == A.num and check.den == A.den, "free basis does not span the module"
     return alpha, beta
 
@@ -304,7 +299,7 @@ def form_to_ideal(Q: PseudoForm) -> tuple[CMField, KIdeal, FElem]:
     second = KElem(K, -Q.b, F.zero()) + sqrt_d
     pieces = [two_a * KElem(K, t, F.zero()) for t in F.maximal_order_basis()]
     pieces += [second * KElem(K, s, F.zero()) for s in Q.steinitz.basis_elems()]
-    A = KIdeal.from_rows(K, *K.order_rows(pieces))
+    A = KIdeal.from_rows(K, *order_rows(K, pieces))
     # stability under the maximal order (the ideal criterion)
     for z in A.basis_kelems():
         for t in K.order_basis:
@@ -543,11 +538,7 @@ def represented_value(Q: PseudoForm) -> FElem:
 def genus_char(Q: PseudoForm, K: CMField, place) -> int:
     """e_v(Q) = (s, disc)_v for a represented value s."""
     s = represented_value(Q)
-    return hilbert_symbol(Q.F, s, _delta_rep(K), place)
-
-
-def _delta_rep(K: CMField) -> FElem:
-    return K.delta
+    return hilbert_symbol(Q.F, s, K.delta, place)
 
 
 def genus_places(K: CMField):
@@ -575,14 +566,9 @@ def representable_criterion(K: CMField, s: FElem) -> bool:
     F = K.F
     if s.is_zero():
         raise ValueError("s must be nonzero")
-    nrm = abs(s.norm())
-    for p in sorted(set(prime_divisors(nrm.numerator) + prime_divisors(nrm.denominator))):
-        for pr in F.splitting(p).primes:
-            v = _val_elem(F, s, pr)
-            if v == 0:
-                continue
-            if K.splitting_kind(pr) == "inert" and v % 2 == 1:
-                return False
+    for pr, v in F.ideal(s).factor():
+        if K.splitting_kind(pr) == "inert" and v % 2 == 1:
+            return False
     return True
 
 
@@ -595,21 +581,11 @@ def represent_search(K: CMField, s: FElem):
     if not representable_criterion(K, s):
         raise CriterionFails(f"{s} has odd valuation at an inert prime")
     # B with N_{K/F}(B) = (s)
-    nrm = abs(s.norm())
     B = K.maximal_order()
-    for p in sorted(set(prime_divisors(nrm.numerator) + prime_divisors(nrm.denominator))):
-        for pr in F.splitting(p).primes:
-            v = _val_elem(F, s, pr)
-            if v == 0:
-                continue
-            kind = K.splitting_kind(pr)
-            kps = K.primes_above(pr)
-            if kind == "inert":
-                B = B * (kps[0].ideal ** (v // 2))
-            elif kind == "ramified":
-                B = B * (kps[0].ideal**v)
-            else:
-                B = B * (kps[0].ideal**v)
+    for pr, v in F.ideal(s).factor():
+        kind = K.splitting_kind(pr)
+        kps = K.primes_above(pr)
+        B = B * (kps[0].ideal ** (v // 2 if kind == "inert" else v))
     assert s.is_integral()
     assert B.rel_norm() == F.ideal(s)
     # z in B small, A = (z) B^{-1}
@@ -629,14 +605,6 @@ def represent_search(K: CMField, s: FElem):
 def _coords_in_basis(z: KElem, alpha: KElem, beta: KElem):
     # z = x alpha + y beta with x, y in F: solve 2x2 linear system over F
     det = alpha.x * beta.y - alpha.y * beta.x
-    if det.is_zero():
-        # fall back to generic solve via components
-        a1, a2 = alpha.x, beta.x
-        b1, b2 = alpha.y, beta.y
-        den = a1 * b2 - a2 * b1
-        x = (z.x * b2 - z.y * a2) / den
-        y = (a1 * z.y - b1 * z.x) / den
-        return (x, y)
     x = (z.x * beta.y - z.y * beta.x) / det
     y = (alpha.x * z.y - alpha.y * z.x) / det
     return (x, y)
@@ -656,7 +624,7 @@ def prescribe_genus(K: CMField, signs: dict):
         prod *= v
     if prod != 1:
         raise ValueError("sign system must have product 1")
-    delta = _delta_rep(K)
+    delta = K.delta
     count = 0
     for e0 in _small_elements(F):
         count += 1

@@ -142,15 +142,11 @@ class QuadChar:
     def star_ideal(self, idl: FIdeal) -> int:
         """chi* on an ideal coprime to the conductor (by factorization)."""
         out = 1
-        nm = int(idl.norm())
-        for p in prime_divisors(nm):
-            for pr in self.K.F.splitting(p).primes:
-                v = idl.valuation(pr)
-                if v:
-                    s = self.star(pr)
-                    if s == 0:
-                        raise NonQuadraticCharacter("ideal shares a ramified prime")
-                    out *= s**v
+        for pr, v in idl.factor():
+            s = self.star(pr)
+            if s == 0:
+                raise NonQuadraticCharacter("ideal shares a ramified prime")
+            out *= s**v
         return out
 
     def chi_f_minus_one(self) -> int:
@@ -185,13 +181,12 @@ def twist_table(table: EigenvalueTable, chi: QuadChar) -> EigenvalueTable:
 
 
 def _ideal_lcm(F: Field, a: FIdeal, b: FIdeal) -> FIdeal:
+    v = dict(b.factor())
+    for pr, k in a.factor():
+        v[pr] = max(k, v.get(pr, 0))
     out = F.unit_ideal()
-    nm = int(a.norm()) * int(b.norm())
-    for p in prime_divisors(nm):
-        for pr in F.splitting(p).primes:
-            v = max(a.valuation(pr), b.valuation(pr))
-            if v:
-                out = out * pr.ideal**v
+    for pr, k in v.items():
+        out = out * pr.ideal**k
     return out
 
 
@@ -200,18 +195,13 @@ def _split_level(table: EigenvalueTable, cond: FIdeal) -> tuple[FIdeal, FIdeal]:
     F = table.F
     a1 = F.unit_ideal()
     a2 = F.unit_ideal()
-    nm = int(table.level.norm())
-    for p in prime_divisors(nm):
-        for pr in F.splitting(p).primes:
-            v = table.level.valuation(pr)
-            if v == 0:
-                continue
-            if v > 1:
-                raise LevelNotSquarefree(f"level has {pr} squared")
-            if cond.valuation(pr) > 0:
-                a2 = a2 * pr.ideal
-            else:
-                a1 = a1 * pr.ideal
+    for pr, v in table.level.factor():
+        if v > 1:
+            raise LevelNotSquarefree(f"level has {pr} squared")
+        if cond.valuation(pr) > 0:
+            a2 = a2 * pr.ideal
+        else:
+            a1 = a1 * pr.ideal
     return a1, a2
 
 
@@ -246,18 +236,11 @@ def base_change_table(table: EigenvalueTable, F: Field) -> EigenvalueTable:
 def hecke_extend(table: EigenvalueTable, idl: FIdeal) -> int:
     """lambda at an integral ideal: multiplicative, degree-2 recursion at
     good primes, geometric at bad primes."""
-    nm = int(idl.norm())
-    if nm == 1:
-        return 1
     out = 1
-    for p in prime_divisors(nm):
-        if p > table.pmax:
-            raise OutOfTableRange(f"prime {p} beyond table range")
-        for pr in table.F.splitting(p).primes:
-            v = idl.valuation(pr)
-            if v == 0:
-                continue
-            out *= _lam_power(table, pr, v)
+    for pr, v in idl.factor():
+        if pr.p > table.pmax:
+            raise OutOfTableRange(f"prime {pr.p} beyond table range")
+        out *= _lam_power(table, pr, v)
     return out
 
 
@@ -451,11 +434,8 @@ def epsilon_factor(table: EigenvalueTable, chi: QuadChar, eps_f: int) -> int:
     """
     a1, a2 = _split_level(table, chi.conductor())
     out = chi.chi_f_minus_one() * chi.star_ideal(a1) * eps_f
-    nm = int(a2.norm())
-    for p in prime_divisors(nm):
-        for pr in table.F.splitting(p).primes:
-            if a2.valuation(pr) > 0:
-                out *= -table.lam(pr)
+    for pr, _ in a2.factor():
+        out *= -table.lam(pr)
     return out
 
 

@@ -51,25 +51,32 @@ def hnf_lattice(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def echelon_contains(rows: list[list[int]], target: list[int]) -> bool:
-    """Whether target lies in the lattice spanned by echelon rows (for
-    instance an HNF basis), by back-substitution."""
+def echelon_solve(rows: list[list[int]], target: list[int]) -> list[int] | None:
+    """Integer coefficients of target over echelon rows (for instance an HNF
+    basis), by back-substitution; None if target is outside their lattice.
+    The rows are independent, so the coefficients are unique."""
     n = len(target)
     t = list(target)
     piv = {}
-    for r in rows:
-        c = next(k for k in range(n) if r[k] != 0)
-        piv[c] = r
+    for i, r in enumerate(rows):
+        piv[next(k for k in range(n) if r[k] != 0)] = i
+    coeffs = [0] * len(rows)
     for c in range(n):
         if t[c] == 0:
             continue
-        r = piv.get(c)
-        if r is None or t[c] % r[c] != 0:
-            return False
-        q = t[c] // r[c]
+        i = piv.get(c)
+        if i is None or t[c] % rows[i][c] != 0:
+            return None
+        q = coeffs[i] = t[c] // rows[i][c]
+        r = rows[i]
         for k in range(c, n):
             t[k] -= q * r[k]
-    return all(v == 0 for v in t)
+    return coeffs
+
+
+def vec_mat(v: list[int], mat) -> list[int]:
+    """The row vector v times the matrix whose rows are mat."""
+    return [sum(a * row[k] for a, row in zip(v, mat) if a) for k in range(len(mat[0]))]
 
 
 def lattice_index(basis: list[list[int]]) -> int:
@@ -113,18 +120,6 @@ def solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]):
     for i, c in enumerate(pivots):
         x[c] = a[i][ncols]
     return x
-
-
-def solve_integral(basis: list[list[int]], target: list[int]):
-    """Express `target` as an integer combination of basis rows; None if outside."""
-    cols = len(target)
-    mat = [[Fraction(basis[i][j]) for i in range(len(basis))] for j in range(cols)]
-    sol = solve_exact(mat, [Fraction(t) for t in target])
-    if sol is None:
-        return None
-    if any(s.denominator != 1 for s in sol):
-        return None
-    return [int(s) for s in sol]
 
 
 def smith_normal_form(rows: list[list[int]]) -> list[int]:
@@ -212,7 +207,7 @@ def zspan_solve(vectors: list[list[int]], target: list[int]):
     aug = _augmented_hnf(vectors, width)
     lattice_rows = [r[:width] for r in aug if any(r[:width])]
     coeffs_rows = [r[width:] for r in aug if any(r[:width])]
-    sol = solve_integral(lattice_rows, target)
+    sol = echelon_solve(lattice_rows, target)
     if sol is None:
         return None
     n = len(vectors)

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from relclass.errors import MixedFields
-from relclass.field import Field, FIdeal
+from relclass.field import FElem as FieldElem
+from relclass.field import Field, _felem
+from relclass.intmat import hnf_lattice, solve_exact
 
 
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
@@ -205,7 +207,7 @@ def relation_class_number(K, budget: int = 2500, stable_window: int = 60):
         seed_ideals.append(gens[i].ideal * conj_gens[i].ideal)
     for idl in seed_ideals:
         found = 0
-        q_bound = Fraction(4 * int(idl.abs_norm()) + 8)
+        q_bound = Fraction(4 * int(idl.norm()) + 8)
         while found < 4 and q_bound < 10**9:
             for z in idl.shortest_vectors(q_bound):
                 nz = z.abs_norm()
@@ -601,3 +603,178 @@ def _in_box_exact(F: Field, x, x0, c) -> bool:
         if hi.embedding_sign(i) > 0 or lo.embedding_sign(i) < 0:
             return False
     return True
+
+
+# -- ideals of the base field ---------------------------------------------------------
+# The FIdeal that relclass.field used before one lattice ideal type served both
+# F and K, kept verbatim with the helpers it called, but for the three lines
+# marked "oracle" (this module's FElem is the Fraction one; the unit ideal and
+# the prime's ideal are built as oracle ideals), and without principal_gen,
+# which the library keeps unchanged.  It multiplies
+# generators by {1, omega} as elements and takes the HNF of all the products.
+
+
+def integer_rows(xs: list[FElem]) -> tuple[list[list[int]], int]:
+    """(rows, D): the coordinates of each x over {1, omega} as an integer
+    row over one common denominator D (one column when n = 1)."""
+    den = math.lcm(*(x.den for x in xs))
+    if xs and xs[0].F.n == 1:
+        return [[x.na * (den // x.den)] for x in xs], den
+    return [[x.na * (den // x.den), x.nb * (den // x.den)] for x in xs], den
+
+
+def echelon_contains(rows: list[list[int]], target: list[int]) -> bool:
+    """Whether target lies in the lattice spanned by echelon rows (for
+    instance an HNF basis), by back-substitution."""
+    n = len(target)
+    t = list(target)
+    piv = {}
+    for r in rows:
+        c = next(k for k in range(n) if r[k] != 0)
+        piv[c] = r
+    for c in range(n):
+        if t[c] == 0:
+            continue
+        r = piv.get(c)
+        if r is None or t[c] % r[c] != 0:
+            return False
+        q = t[c] // r[c]
+        for k in range(c, n):
+            t[k] -= q * r[k]
+    return all(v == 0 for v in t)
+
+
+class FIdeal:
+    """Fractional ideal as a scaled integer HNF lattice over {1, omega}.
+
+    The ideal equals (rows of num)/den; canonical after gcd reduction, so
+    equality and hashing are structural.  Integral iff den == 1.
+    """
+
+    __slots__ = ("F", "num", "den", "_norm")
+
+    def __init__(self, F: Field, num: list[list[int]], den: int):
+        g = den
+        for r in num:
+            for x in r:
+                g = gcd(g, x)
+        if g > 1:
+            num = [[x // g for x in r] for r in num]
+            den //= g
+        self.F = F
+        self.num = num
+        self.den = den
+        self._norm = None
+
+    @staticmethod
+    def from_generators(F: Field, gens: list[FElem]) -> "FIdeal":
+        mults = F.maximal_order_basis()
+        rows, den = integer_rows([g * mul for g in gens for mul in mults])
+        h = hnf_lattice(rows)
+        if len(h) != F.n:
+            raise ZeroDivisionError("zero ideal")
+        return FIdeal(F, h, den)
+
+    def basis_elems(self) -> list[FElem]:
+        if self.F.n == 1:
+            return [_felem(self.F, self.num[0][0], 0, self.den)]
+        return [_felem(self.F, r[0], r[1], self.den) for r in self.num]
+
+    def norm(self) -> Fraction:
+        if self._norm is None:
+            det = 1
+            for i in range(len(self.num)):
+                det *= self.num[i][i]
+            self._norm = Fraction(abs(det), self.den ** self.F.n)
+        return self._norm
+
+    def conj(self) -> "FIdeal":
+        return FIdeal.from_generators(self.F, [e.conj() for e in self.basis_elems()])
+
+    def __mul__(self, other):
+        if isinstance(other, FieldElem):  # oracle: the library's element type
+            other = FIdeal.from_generators(self.F, [other])
+        gens = [x * y for x in self.basis_elems() for y in other.basis_elems()]
+        return FIdeal.from_generators(self.F, gens)
+
+    def inverse(self) -> "FIdeal":
+        if self.F.n == 1:
+            return FIdeal.from_generators(self.F, [self.F.elem(1 / self.norm())])
+        inv_n = self.F.elem(1 / self.norm())
+        return FIdeal.from_generators(self.F, [e.conj() * inv_n for e in self.basis_elems()])
+
+    def __pow__(self, k: int) -> "FIdeal":
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = FIdeal.from_generators(self.F, [self.F.one()])  # oracle: not the library's
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def contains(self, x: FElem) -> bool:
+        va, vb = x.na * self.den, x.nb * self.den
+        if va % x.den or vb % x.den:
+            return False
+        if self.F.n == 1:
+            return va // x.den % self.num[0][0] == 0
+        return echelon_contains(self.num, [va // x.den, vb // x.den])
+
+    def is_integral(self) -> bool:
+        return self.den == 1
+
+    def divides(self, other: "FIdeal") -> bool:
+        return all(self.contains(e) for e in other.basis_elems())
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FIdeal)
+            and self.F == other.F
+            and self.den == other.den
+            and self.num == other.num
+        )
+
+    def __hash__(self):
+        return hash((self.F, self.den, tuple(tuple(r) for r in self.num)))
+
+    def __repr__(self):
+        return f"FIdeal({self.num}/{self.den}, norm={self.norm()})"
+
+    def valuation(self, prime: "PrimeIdeal") -> int:
+        """Exact valuation at a prime of the base field."""
+        num_ideal = FIdeal(self.F, [list(r) for r in self.num], 1)
+        v = 0
+        cur = num_ideal
+        pinv = FIdeal.from_generators(self.F, prime.ideal.basis_elems()).inverse()  # oracle
+        while True:
+            nxt = cur * pinv
+            if not nxt.is_integral():
+                break
+            cur = nxt
+            v += 1
+        vp_den = 0
+        d = self.den
+        while d % prime.p == 0:
+            d //= prime.p
+            vp_den += 1
+        return v - prime.e * vp_den
+
+
+# -- integral solves ------------------------------------------------------------------
+# The Fraction Gauss-Jordan route that relclass.intmat.zspan_solve took before
+# its echelon back-substitution, kept verbatim.
+
+
+def solve_integral(basis: list[list[int]], target: list[int]):
+    """Express `target` as an integer combination of basis rows; None if outside."""
+    cols = len(target)
+    mat = [[Fraction(basis[i][j]) for i in range(len(basis))] for j in range(cols)]
+    sol = solve_exact(mat, [Fraction(t) for t in target])
+    if sol is None:
+        return None
+    if any(s.denominator != 1 for s in sol):
+        return None
+    return [int(s) for s in sol]

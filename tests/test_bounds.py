@@ -45,6 +45,22 @@ def test_quadratic_lattice_constants_cover_reevaluation():
     assert lat.T0.lo <= t0_hp <= lat.T0.hi
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 13])
+def test_T0_encloses_its_value(m):
+    # T0 = pi^(n/2) exp(sqrt(n(n-1)) d0/2) / (2^n sqrt(d_F)), d0 = sqrt 2 log eps
+    F = make_field(2, m)
+    T0 = bnd.lattice_constants(F).T0
+    with mpmath.workdps(50):
+        s = mpmath.sqrt(m)
+        om = s if F.c1 == 0 else (1 + s) / 2
+        eps = (F.eps.na + F.eps.nb * om) / F.eps.den
+        d0 = mpmath.sqrt(2) * mpmath.log(eps)
+        t0 = mpmath.pi * mpmath.exp(mpmath.sqrt(2) * d0 / 2) / (4 * mpmath.sqrt(F.d_F))
+        assert T0.lo <= t0 <= T0.hi
+    root2 = bnd._sqrt_n_n1(2)  # the factor itself encloses sqrt 2
+    assert Fraction(root2.lo) ** 2 <= 2 <= Fraction(root2.hi) ** 2
+
+
 def test_box_precondition_compares_against_exact_T0():
     # the best rational approximation with denominator <= 10^12 lies below T0.hi
     c0 = Fraction(LAT_Q.T0.hi).limit_denominator(10**12)
@@ -335,7 +351,7 @@ def test_norm_count_K_matches_direct_enumeration(t):
     for K in Ks:
         lat = bnd.lattice_constants(K.F)
         for Ni in K.class_data().N_reps:
-            tprime = t * Ni.abs_norm()
+            tprime = t * Ni.norm()
             mink = (2 / math.pi) ** K.F.n * math.sqrt(K.abs_disc) + 2
             exclude = next((z for _, sat, z in line_norms(K, Ni, max(t, Fraction(mink))) if sat), None)
             basis = Ni.basis_kelems()

@@ -185,7 +185,7 @@ def test_rel_norm_multiplicative():
         for b in kps[:4]:
             prod = a.ideal * b.ideal
             assert prod.rel_norm() == a.ideal.rel_norm() * b.ideal.rel_norm()
-            assert prod.abs_norm() == a.ideal.abs_norm() * b.ideal.abs_norm()
+            assert prod.norm() == a.ideal.norm() * b.ideal.norm()
 
 
 def test_conj_is_involution_and_norm_preserving():
@@ -194,7 +194,7 @@ def test_conj_is_involution_and_norm_preserving():
     for kp in K.kprimes_up_to(20):
         c = kp.ideal.conj()
         assert c.conj() == kp.ideal
-        assert c.abs_norm() == kp.ideal.abs_norm()
+        assert c.norm() == kp.ideal.norm()
 
 
 def test_splitting_kinds_match_disc():
@@ -297,3 +297,61 @@ def test_divides_is_lattice_containment():
             for M in (P * P, (P * P).scale(Fraction(1, 2)), mo):
                 assert P.divides(M) == all(P.contains(z) for z in M.basis_kelems())
             assert mo.divides(P) and P.divides(P * P) and not (P * P).divides(P)
+
+
+# The lists the recursion gave before one generator served F and K, keyed by
+# (n, m, delta), as the flattened HNF rows of each ideal (all have den = 1).
+INTEGRAL_IDEALS_UP_TO_16 = {
+    (1, None, -5): [(1, 0, 0, 1), (1, 1, 0, 2), (1, 1, 0, 3), (1, 2, 0, 3), (2, 0, 0, 2), (5, 0, 0, 1),
+         (1, 1, 0, 6), (1, 5, 0, 6), (1, 2, 0, 7), (1, 5, 0, 7), (2, 2, 0, 4), (1, 4, 0, 9),
+         (1, 5, 0, 9), (3, 0, 0, 3), (5, 1, 0, 2), (2, 2, 0, 6), (2, 4, 0, 6), (1, 5, 0, 14),
+         (1, 9, 0, 14), (5, 1, 0, 3), (5, 2, 0, 3), (4, 0, 0, 4)],
+    (1, None, -23): [(1, 0, 0, 1), (1, 1, 0, 2), (2, 0, 0, 1), (1, 2, 0, 3), (3, 0, 0, 1), (1, 1, 0, 4),
+         (2, 0, 0, 2), (2, 1, 0, 2), (1, 5, 0, 6), (2, 1, 0, 3), (3, 1, 0, 2), (6, 0, 0, 1),
+         (1, 1, 0, 8), (2, 2, 0, 4), (2, 3, 0, 4), (4, 0, 0, 2), (1, 2, 0, 9), (3, 0, 0, 3),
+         (3, 1, 0, 3), (1, 5, 0, 12), (2, 1, 0, 6), (2, 4, 0, 6), (3, 3, 0, 4), (6, 0, 0, 2),
+         (6, 1, 0, 2), (1, 5, 0, 13), (1, 10, 0, 13), (1, 9, 0, 16), (2, 2, 0, 8), (2, 3, 0, 8),
+         (4, 0, 0, 4), (4, 2, 0, 4)],
+    (2, 5, -1): [(1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+         (1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 2, 0, 0, 0, 0, 2),
+         (1, 0, 0, 1, 0, 1, 0, 3, 0, 0, 1, 3, 0, 0, 0, 5),
+         (1, 0, 0, 4, 0, 1, 0, 2, 0, 0, 1, 3, 0, 0, 0, 5),
+         (1, 0, 1, 1, 0, 1, 1, 2, 0, 0, 3, 0, 0, 0, 0, 3),
+         (1, 0, 2, 2, 0, 1, 2, 1, 0, 0, 3, 0, 0, 0, 0, 3),
+         (2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2)],
+    (2, 2, -3): [(1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+         (2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1),
+         (1, 0, 0, 1, 0, 1, 0, 4, 0, 0, 1, 5, 0, 0, 0, 7),
+         (1, 0, 0, 3, 0, 1, 0, 2, 0, 0, 1, 2, 0, 0, 0, 7),
+         (1, 0, 0, 4, 0, 1, 0, 2, 0, 0, 1, 5, 0, 0, 0, 7),
+         (1, 0, 0, 6, 0, 1, 0, 4, 0, 0, 1, 2, 0, 0, 0, 7),
+         (1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 3, 0, 0, 0, 0, 3),
+         (2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2)],
+    (2, 10, -7): [(1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+         (1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1),
+         (2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+         (1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 2, 0, 0, 0, 0, 2),
+         (2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1),
+         (2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+         (1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 4, 0, 0, 0, 0, 2),
+         (2, 0, 0, 0, 0, 1, 0, 1, 0, 0, 2, 0, 0, 0, 0, 2),
+         (2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1),
+         (2, 0, 1, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1),
+         (1, 1, 0, 0, 0, 3, 0, 0, 0, 0, 1, 1, 0, 0, 0, 3),
+         (1, 2, 0, 0, 0, 3, 0, 0, 0, 0, 1, 2, 0, 0, 0, 3),
+         (1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 4, 0, 0, 0, 0, 4),
+         (2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2),
+         (2, 0, 1, 0, 0, 2, 0, 1, 0, 0, 2, 0, 0, 0, 0, 2),
+         (2, 0, 2, 0, 0, 1, 0, 1, 0, 0, 4, 0, 0, 0, 0, 2),
+         (4, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("n,m,delta", list(INTEGRAL_IDEALS_UP_TO_16))
+def test_integral_ideals_up_to_pinned(n, m, delta):
+    F = make_field(n, m)
+    got = make_cm(F, F.elem(delta)).integral_ideals_up_to(16.0)
+    assert all(idl.den == 1 for idl in got)
+    want = INTEGRAL_IDEALS_UP_TO_16[n, m, delta]
+    assert [tuple(x for r in idl.num for x in r) for idl in got] == want
+

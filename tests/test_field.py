@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import FElem as RefElem
+from oracles import FIdeal as RefIdeal
 
 from relclass.errors import MixedFields, NonSquarefree
 from relclass.field import (
     FElem,
     FIdeal,
-    class_group_F,
-    elem_op,
     factor_prime,
     ideals_of_norm_up_to,
     make_field,
@@ -83,14 +82,14 @@ def test_unit_is_fundamental_exhaustive(m):
 
 
 def test_elem_ops():
-    assert elem_op("trace", F2.omega()) == 0
-    assert elem_op("norm", F2.elem(3, 1)) == 7
-    assert not elem_op("is_totally_positive", F2.elem(1, 1))
-    assert elem_op("is_totally_positive", F2.elem(3, 1))
+    assert F2.omega().trace() == 0
+    assert F2.elem(3, 1).norm() == 7
+    assert not F2.elem(1, 1).is_totally_positive()
+    assert F2.elem(3, 1).is_totally_positive()
     x = F5.elem(1, 2)
-    assert elem_op("conj", elem_op("conj", x)) == x
+    assert x.conj().conj() == x
     with pytest.raises(MixedFields):
-        elem_op("add", F2.one(), F5.one())
+        F2.one() + F5.one()
 
 
 def test_norm_multiplicative():
@@ -145,9 +144,9 @@ def test_second_gen_valuations():
 
 
 def test_class_groups():
-    assert class_group_F(Q)[0] == 1
-    assert class_group_F(F5)[0] == 1
-    assert class_group_F(F10)[0] == 2
+    assert Q.h_F == 1
+    assert F5.h_F == 1
+    assert F10.h_F == 2
     assert make_field(2, 3).h_F == 1
     assert make_field(2, 13).h_F == 1
 
@@ -322,3 +321,139 @@ def test_embedding_floor_where_floats_fail():
     assert t.denominator == 1 and math.floor(y.embed(0)) == t
     assert y.embedding_floor(0) == t - 1 and y.embedding_floor(1) == 0
     assert (-y).embedding_floor(0) == -t
+
+
+# -- the lattice ideal type against the FIdeal it replaced -----------------------
+
+IDEAL_FIELDS = [make_field(1)] + [make_field(2, m) for m in (2, 3, 5, 10, 13)]
+
+
+@st.composite
+def small_elem(draw, F):
+    a = Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from([1, 2, 3, 6])))
+    b = Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from([1, 2, 5]))) if F.n == 2 else 0
+    return FElem(F, a, b)
+
+
+@st.composite
+def field_and_ideals(draw):
+    """A field, two generator lists (each spans a nonzero ideal, fractional
+    when a denominator is drawn), an element and an integral element."""
+    F = draw(st.sampled_from(IDEAL_FIELDS))
+    gens = st.lists(small_elem(F), min_size=1, max_size=3).filter(
+        lambda xs: any(not x.is_zero() for x in xs)
+    )
+    integral = FElem(F, draw(st.integers(-9, 9)), draw(st.integers(-9, 9)) if F.n == 2 else 0)
+    return F, draw(gens), draw(gens), draw(small_elem(F)), integral
+
+
+def _same(ideal, ref):
+    assert isinstance(ideal, FIdeal) and isinstance(ref, RefIdeal)
+    assert (ideal.num, ideal.den) == (ref.num, ref.den)
+    assert hash(ideal) == hash(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_ideals(), st.integers(-2, 3))
+def test_ideals_match_reference(case, k):
+    F, gens1, gens2, x, w = case
+    a, b = FIdeal.from_generators(F, gens1), FIdeal.from_generators(F, gens2)
+    ra, rb = RefIdeal.from_generators(F, gens1), RefIdeal.from_generators(F, gens2)
+    _same(a, ra)
+    _same(b, rb)
+    _same(a * b, ra * rb)
+    _same(a.conj(), ra.conj())
+    _same(a.inverse(), ra.inverse())
+    _same(a**k, ra**k)
+    if not x.is_zero():
+        _same(a * x, ra * x)
+    assert a.norm() == ra.norm()
+    y = gens1[0] * w  # in a
+    for z in (x, y):
+        assert a.contains(z) == ra.contains(z)
+    assert a.contains(y)
+    for c, rc in ((b, rb), (a * b, ra * rb), (a * F.ideal(2), ra * RefIdeal.from_generators(F, [F.elem(2)]))):
+        assert a.divides(c) == ra.divides(rc)
+    for p in (2, 3, 5, 7):
+        for pr in F.splitting(p).primes:
+            assert a.valuation(pr) == ra.valuation(pr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_ideals())
+def test_factor_recomposes(case):
+    F, gens, *_ = case
+    a = FIdeal.from_generators(F, gens)
+    fac = a.factor()
+    prod = F.unit_ideal()
+    for pr, v in fac:
+        assert v != 0 and v == a.valuation(pr)
+        prod = prod * pr.ideal**v
+    assert prod == a
+    order = [(pr.p, F.splitting(pr.p).primes.index(pr)) for pr, _ in fac]
+    assert order == sorted(order)
+
+
+def test_factor_of_norm_one_quotient():
+    # P/P' over 7 in Q(sqrt 2) has norm 1: its primes divide no norm
+    P, P2 = F2.splitting(7).primes
+    idl = P.ideal * P2.ideal.inverse()
+    assert idl.norm() == 1
+    assert idl.factor() == [(P, 1), (P2, -1)]
+    assert (P.ideal**2 * F2.ideal(Fraction(1, 6))).factor() == [
+        (F2.splitting(2).primes[0], -2),
+        (F2.splitting(3).primes[0], -1),
+        (P, 2),
+    ]
+
+
+# The lists the recursion gave before one generator served F and K, keyed by
+# (n, m), as the flattened HNF rows of each ideal (all have den = 1).
+IDEALS_OF_NORM_UP_TO_60 = {
+    (1, None): [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,), (12,), (13,), (14,),
+         (15,), (16,), (17,), (18,), (19,), (20,), (21,), (22,), (23,), (24,), (25,), (26,),
+         (27,), (28,), (29,), (30,), (31,), (32,), (33,), (34,), (35,), (36,), (37,), (38,),
+         (39,), (40,), (41,), (42,), (43,), (44,), (45,), (46,), (47,), (48,), (49,), (50,),
+         (51,), (52,), (53,), (54,), (55,), (56,), (57,), (58,), (59,), (60,)],
+    (2, 2): [(2, 0, 0, 1), (2, 0, 0, 2), (1, 5, 0, 7), (1, 2, 0, 7), (4, 0, 0, 2), (3, 0, 0, 3),
+         (2, 3, 0, 7), (2, 4, 0, 7), (4, 0, 0, 4), (1, 3, 0, 17), (1, 14, 0, 17), (6, 0, 0, 3),
+         (1, 14, 0, 23), (1, 9, 0, 23), (5, 0, 0, 5), (2, 10, 0, 14), (2, 4, 0, 14),
+         (1, 4, 0, 31), (1, 27, 0, 31), (8, 0, 0, 4), (2, 6, 0, 17), (2, 11, 0, 17),
+         (6, 0, 0, 6), (1, 29, 0, 41), (1, 12, 0, 41), (2, 5, 0, 23), (2, 18, 0, 23),
+         (1, 27, 0, 47), (1, 20, 0, 47), (1, 5, 0, 49), (7, 0, 0, 7), (1, 44, 0, 49),
+         (10, 0, 0, 5), (4, 6, 0, 14), (4, 8, 0, 14)],
+    (2, 5): [(2, 0, 0, 2), (1, 3, 0, 5), (3, 0, 0, 3), (1, 4, 0, 11), (1, 8, 0, 11), (4, 0, 0, 4),
+         (1, 5, 0, 19), (1, 15, 0, 19), (2, 6, 0, 10), (5, 0, 0, 5), (1, 6, 0, 29),
+         (1, 24, 0, 29), (1, 13, 0, 31), (1, 19, 0, 31), (6, 0, 0, 6), (1, 7, 0, 41),
+         (1, 35, 0, 41), (2, 8, 0, 22), (2, 16, 0, 22), (3, 9, 0, 15), (7, 0, 0, 7),
+         (1, 48, 0, 55), (1, 8, 0, 55), (1, 26, 0, 59), (1, 34, 0, 59)],
+    (2, 10): [(2, 0, 0, 1), (1, 1, 0, 3), (1, 2, 0, 3), (2, 0, 0, 2), (5, 0, 0, 1), (2, 2, 0, 3),
+         (2, 1, 0, 3), (4, 0, 0, 2), (1, 1, 0, 9), (3, 0, 0, 3), (1, 8, 0, 9), (10, 0, 0, 1),
+         (2, 2, 0, 6), (2, 4, 0, 6), (1, 11, 0, 13), (1, 2, 0, 13), (5, 2, 0, 3), (5, 1, 0, 3),
+         (4, 0, 0, 4), (2, 2, 0, 9), (6, 0, 0, 3), (2, 7, 0, 9), (10, 0, 0, 2), (4, 4, 0, 6),
+         (4, 2, 0, 6), (5, 0, 0, 5), (2, 9, 0, 13), (2, 4, 0, 13), (1, 10, 0, 27), (3, 3, 0, 9),
+         (3, 6, 0, 9), (1, 17, 0, 27), (10, 1, 0, 3), (10, 2, 0, 3), (1, 20, 0, 31),
+         (1, 11, 0, 31), (8, 0, 0, 4), (2, 2, 0, 18), (6, 0, 0, 6), (2, 16, 0, 18),
+         (1, 27, 0, 37), (1, 10, 0, 37), (1, 37, 0, 39), (1, 28, 0, 39), (1, 11, 0, 39),
+         (1, 2, 0, 39), (20, 0, 0, 2), (1, 18, 0, 41), (1, 23, 0, 41), (1, 23, 0, 43),
+         (1, 20, 0, 43), (5, 5, 0, 9), (15, 0, 0, 3), (5, 4, 0, 9), (4, 4, 0, 12),
+         (4, 8, 0, 12), (7, 0, 0, 7), (10, 0, 0, 5), (2, 22, 0, 26), (2, 4, 0, 26),
+         (1, 49, 0, 53), (1, 4, 0, 53), (2, 20, 0, 27), (6, 6, 0, 9), (6, 3, 0, 9),
+         (2, 7, 0, 27), (10, 4, 0, 6), (10, 2, 0, 6)],
+    (2, 13): [(1, 2, 0, 3), (3, 0, 0, 1), (2, 0, 0, 2), (1, 2, 0, 9), (3, 0, 0, 3), (3, 1, 0, 3),
+         (2, 4, 0, 6), (6, 0, 0, 2), (1, 11, 0, 13), (4, 0, 0, 4), (1, 13, 0, 17),
+         (1, 10, 0, 17), (1, 3, 0, 23), (1, 5, 0, 23), (5, 0, 0, 5), (1, 11, 0, 27),
+         (3, 6, 0, 9), (9, 0, 0, 3), (3, 4, 0, 9), (1, 13, 0, 29), (1, 26, 0, 29),
+         (2, 4, 0, 18), (6, 0, 0, 6), (6, 2, 0, 6), (1, 11, 0, 39), (3, 7, 0, 13),
+         (1, 4, 0, 43), (1, 25, 0, 43), (4, 8, 0, 12), (12, 0, 0, 4), (7, 0, 0, 7),
+         (1, 47, 0, 51), (1, 44, 0, 51), (3, 5, 0, 17), (3, 13, 0, 17), (2, 22, 0, 26),
+         (1, 38, 0, 53), (1, 33, 0, 53)],
+}
+
+
+@pytest.mark.parametrize("n,m", list(IDEALS_OF_NORM_UP_TO_60))
+def test_ideals_of_norm_up_to_pinned(n, m):
+    got = ideals_of_norm_up_to(make_field(n, m), 60)
+    assert all(idl.den == 1 for idl in got)
+    assert [tuple(x for r in idl.num for x in r) for idl in got] == IDEALS_OF_NORM_UP_TO_60[n, m]
+

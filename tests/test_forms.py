@@ -107,9 +107,9 @@ def test_ideal_to_form_examples():
 def test_form_to_ideal_examples():
     K, A, scale = form_to_ideal(make_form(Q, 1, 0, 1))
     assert scale == Q.elem(4)
-    assert A.abs_norm() == 4  # the module Z*2 + Z*2i = (2)
+    assert A.norm() == 4  # the module Z*2 + Z*2i = (2)
     K, A, scale = form_to_ideal(make_form(Q, 2, 1, 3))
-    assert A.abs_norm() == 8
+    assert A.norm() == 8
     with pytest.raises(NotFundamental):
         form_to_ideal(make_form(Q, 1, 0, 4))
 

@@ -1,10 +1,11 @@
 """Source hygiene of the relclass package, checked on its syntax trees.
 
-Each module-level function has one home, and every class, function or
-method is used: its name is referenced outside its own definition somewhere
-in src/, tests/ or perfbench/.  A reference is a name, an attribute, an imported name,
-or an identifier string such as the "FIdeal.principal_gen" span targets of
-perfbench/spans.py.  Dunder methods are called implicitly and are exempt.
+Each module-level function has one home, and every class, function, method
+or class-level alias is used: its name is referenced outside its own
+definition somewhere in src/, tests/ or perfbench/.  A reference is a name, an
+attribute, an imported name, or an identifier string such as the
+"FIdeal.principal_gen" span targets of perfbench/spans.py.  Dunder names are
+used implicitly and are exempt.
 Every parameter other than self/cls is read in its function's body.
 """
 
@@ -49,23 +50,36 @@ def test_no_function_defined_in_two_modules():
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
+def _definitions(tree, kinds):
+    """(name, node) of each definition of the given node kinds.  An ast.Assign
+    defines the names that a class body binds, such as an alias `b = a`."""
+    for node in ast.walk(tree):
+        if isinstance(node, kinds) and not isinstance(node, ast.Assign):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and ast.Assign in kinds:
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    for target in stmt.targets:
+                        if isinstance(target, ast.Name):
+                            yield target.id, stmt
+
+
 def _unreferenced(kinds):
     """Definitions of the given node kinds in src/relclass that nothing outside
     their own body references."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
     refs = defaultdict(list)  # name -> [(path, line)]
     for path, tree in _trees("src", "tests", "perfbench"):
         for name, line in _references(tree):
             refs[name].append((path, line))
     unused = []
     for path, tree in _trees("src/relclass"):
-        for node in ast.walk(tree):
-            if not isinstance(node, kinds):
-                continue
-            if node.name.startswith("__") and node.name.endswith("__"):
+        for name, node in _definitions(tree, kinds):
+            if name.startswith("__") and name.endswith("__"):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(p != path or line not in own for p, line in refs[node.name]):
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+            if not any(p != path or line not in own for p, line in refs[name]):
+                unused.append(f"{path.name}:{node.lineno} {name}")
     return unused
 
 
@@ -75,6 +89,10 @@ def test_every_function_is_referenced():
 
 def test_every_class_is_referenced():
     assert _unreferenced(ast.ClassDef) == []
+
+
+def test_every_class_level_alias_is_referenced():
+    assert _unreferenced(ast.Assign) == []
 
 
 def test_every_parameter_is_read():
