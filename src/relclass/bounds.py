@@ -630,10 +630,17 @@ def _g3_quadrature(table: EigenvalueTable, prime_cap: int, eta: float, panels: i
             out *= 1.0 / ((1 - lam * u + t) * (1 + lam * u + t))
         return out
 
+    # Adjacent Simpson segments share end nodes, and the stop test reads the
+    # next segment's first node, so each node is evaluated once.  Gamma is
+    # taken in mpmath's double-precision context: the sum is in doubles.
+    values: dict[complex, float] = {}
+
     def integrand(s: complex) -> float:
-        g = complex(mpmath.gamma(s + 0.5)) ** (2 * n)
-        Ls = L_sym_over_zeta_fa(2 * s)
-        return abs(g * Ls / (s - 0.5) ** 3)
+        v = values.get(s)
+        if v is None:
+            g = mpmath.fp.gamma(s + 0.5) ** (2 * n)
+            v = values[s] = abs(g * L_sym_over_zeta_fa(2 * s) / (s - 0.5) ** 3)
+        return v
 
     eta_p = eta
     # path pieces: two horizontals, one left vertical, two infinite verticals

@@ -17,10 +17,9 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
-
-from . import bounds as bnd
-from . import dseries, forms, hecke
+# bounds, dseries, hecke and mpmath load in the commands that use them, so
+# that field and classify start without them
+from . import forms
 from .cm import class_counts, make_cm
 from .errors import (
     AssumptionViolated,
@@ -195,6 +194,11 @@ ALL_CHECKS = ("regression", "genus", "vsum", "lemma41", "normcounts", "measures"
 
 
 def cmd_verify(args) -> int:
+    import mpmath
+
+    from . import bounds as bnd
+    from . import dseries
+
     checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
     bad = [c for c in checks if c not in ALL_CHECKS]
     if bad:
@@ -239,7 +243,8 @@ def cmd_verify(args) -> int:
             dseries.measure_compare(K, [2.0, 5.0, 10.0], lat.A1.hi, lat.A2.hi)
             row["measures"] = "ok"
 
-    rows, worst = run_corpus(args.corpus, run_row)
+    with mpmath.workprec(128):
+        rows, worst = run_corpus(args.corpus, run_row)
     if rows is None:
         return worst
     summary = {
@@ -252,6 +257,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    import mpmath
+
+    from . import bounds as bnd
+    from . import dseries, hecke
+
     strategy = args.strategy
     injected = None
     if strategy.startswith("injected:"):
@@ -298,14 +308,14 @@ def cmd_bound(args) -> int:
             }
         )
 
-    rows, worst = run_corpus(args.corpus, run_row)
+    with mpmath.workprec(128):
+        rows, worst = run_corpus(args.corpus, run_row)
     if rows is not None:
         sys.stdout.write(_emit(rows, args))
     return worst
 
 
 def main(argv=None) -> int:
-    mpmath.mp.prec = 128
     ap = argparse.ArgumentParser(prog="relclass", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

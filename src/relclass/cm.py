@@ -166,6 +166,7 @@ class CMField:
         self._build_mult_tables()
         self._class_data = None
         self._kprime_cache: dict = {}
+        self._local_cache: dict = {}
 
     # -- multiplication structure over the Z-basis of o_K ------------------------
 
@@ -325,42 +326,55 @@ class CMField:
 
     # -- primes ---------------------------------------------------------------------
 
-    def primes_above(self, pr: PrimeIdeal) -> list[KPrime]:
+    def _local_quadratic(self, pr: PrimeIdeal):
+        """(w, rf, roots, kind): an integral w of K that generates o_K over
+        o_F locally at pr, the residue field rf of pr, the roots in rf of
+        X^2 - B X - C (B, C the residues of Tr(w) and -N(w), so that w
+        reduces to one of them), and the splitting kind of pr in K, read
+        from the number of roots (Cohen, GTM 138, 1.5).  Cached per base
+        prime."""
         key = (pr.p, pr.second_gen)
-        if key in self._kprime_cache:
-            return self._kprime_cache[key]
+        if key in self._local_cache:
+            return self._local_cache[key]
         F = self.F
         cinv = self.c_ideal.inverse()
         j = -cinv.valuation(pr)
         tau = elem_with_valuation(F, cinv, pr, -j)
         w = KElem(self, tau * self.b_shift, tau)
         assert w.is_integral()
-        B = w.rel_trace()
-        C = -w.rel_norm()
         rf = ResidueField(F, pr)
-        roots = rf.quadratic_roots(rf.reduce_integral(B), rf.reduce_integral(C))
+        B, C = rf.reduce_integral(w.rel_trace()), rf.reduce_integral(-w.rel_norm())
+        roots = rf.quadratic_roots(B, C)
+        kind = {2: "split", 1: "ramified", 0: "inert"}[len(roots)]
+        ram = self.rel_disc.valuation(pr) > 0
+        assert (kind == "ramified") == ram, f"residue roots vs discriminant at {pr}"
+        self._local_cache[key] = w, rf, roots, kind
+        return w, rf, roots, kind
+
+    def primes_above(self, pr: PrimeIdeal) -> list[KPrime]:
+        key = (pr.p, pr.second_gen)
+        if key in self._kprime_cache:
+            return self._kprime_cache[key]
+        F = self.F
+        w, rf, roots, kind = self._local_quadratic(pr)
         pK = self.extend_ideal(pr.ideal)
         out: list[KPrime] = []
-        ram = self.rel_disc.valuation(pr) > 0
-        if not roots:
+        if kind == "inert":
             out.append(KPrime(pr, 2, False, pK))
         else:
             for r in roots:
                 g = w - KElem(self, _lift_residue(F, rf, r), F.zero())
                 ideal = KIdeal.from_generators(self, pK.basis_kelems() + [g])
-                out.append(KPrime(pr, 1, len(roots) == 1, ideal))
+                out.append(KPrime(pr, 1, kind == "ramified", ideal))
         for kp in out:
             expected = pr.norm() ** kp.rel_f
             assert kp.ideal.norm() == expected, (pr, kp.ideal.norm(), expected)
-        assert (len(roots) == 1) == ram, f"residue factorization vs discriminant at {pr}"
         self._kprime_cache[key] = out
         return out
 
     def splitting_kind(self, pr: PrimeIdeal) -> str:
-        ks = self.primes_above(pr)
-        if len(ks) == 2:
-            return "split"
-        return "ramified" if ks[0].ramified else "inert"
+        """'split', 'inert' or 'ramified', without building the primes above pr."""
+        return self._local_quadratic(pr)[3]
 
     def kprimes_up_to(self, bound: float) -> list[KPrime]:
         out = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -791,7 +791,7 @@ class FIdeal(LatticeIdeal):
         num_ideal = FIdeal(self.F, [list(r) for r in self.num], 1)
         v = 0
         cur = num_ideal
-        pinv = prime.ideal.inverse()
+        pinv = prime.ideal_inv
         while True:
             nxt = cur * pinv
             if not nxt.is_integral():
@@ -868,13 +868,15 @@ class FIdeal(LatticeIdeal):
 
 @dataclass(frozen=True)
 class PrimeIdeal:
-    """A prime of the base field above p; second_gen has valuation exactly 1."""
+    """A prime of the base field above p; second_gen has valuation exactly 1,
+    and ideal_inv is the inverse of ideal, which valuations divide by."""
 
     p: int
     e: int
     f: int
     ideal: FIdeal
     second_gen: FElem
+    ideal_inv: FIdeal = field(compare=False)
 
     def norm(self) -> int:
         return self.p**self.f
@@ -901,8 +903,8 @@ def factor_prime(F: Field, p: int) -> SplittingType:
     if not is_prime_int(p):
         raise ValueError(f"{p} is not prime")
     if F.n == 1:
-        pi = PrimeIdeal(p, 1, 1, F.ideal(p), F.elem(p))
-        return SplittingType(p, (pi,))
+        idl = F.ideal(p)
+        return SplittingType(p, (PrimeIdeal(p, 1, 1, idl, F.elem(p), idl.inverse()),))
     c0, c1 = F.c0, F.c1
     if F.d_F % p == 0:
         # ramified: double root of x^2 - c1 x - c0 mod p
@@ -913,7 +915,7 @@ def factor_prime(F: Field, p: int) -> SplittingType:
         g = F.omega() - F.elem(r)
         idl = F.ideal(F.elem(p), g)
         assert idl.norm() == p
-        pi = PrimeIdeal(p, 2, 1, idl, g)
+        pi = PrimeIdeal(p, 2, 1, idl, g, idl.inverse())
         return SplittingType(p, (pi,))
     # unramified: split iff disc is a QR mod p
     disc = c1 * c1 + 4 * c0  # equals d_F or d_F; nonzero mod p here
@@ -926,8 +928,8 @@ def factor_prime(F: Field, p: int) -> SplittingType:
         split = s is not None
         rts = [] if s is None else sorted({(c1 + s) * pow(2, -1, p) % p, (c1 - s) * pow(2, -1, p) % p})
     if not split:
-        pi = PrimeIdeal(p, 1, 2, F.ideal(p), F.elem(p))
-        return SplittingType(p, (pi,))
+        idl = F.ideal(p)
+        return SplittingType(p, (PrimeIdeal(p, 1, 2, idl, F.elem(p), idl.inverse()),))
     primes = []
     for r in rts:
         # lift r so that omega - r has valuation exactly 1 at this prime
@@ -936,7 +938,7 @@ def factor_prime(F: Field, p: int) -> SplittingType:
         g = F.omega() - F.elem(rr)
         idl = F.ideal(F.elem(p), F.omega() - F.elem(r))
         assert idl.norm() == p
-        primes.append(PrimeIdeal(p, 1, 1, idl, g))
+        primes.append(PrimeIdeal(p, 1, 1, idl, g, idl.inverse()))
     return SplittingType(p, tuple(primes))
 
 

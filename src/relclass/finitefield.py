@@ -105,17 +105,10 @@ class ResidueField:
         while qq % 2 == 0:
             qq //= 2
             s += 1
-        z = None
-        for a0 in range(self.p):
-            for a1 in range(self.p):
-                cand = (a0, a1)
-                if not self.is_zero(cand) and not self.is_square(cand):
-                    z = cand
-                    break
-            if z:
-                break
-        if z is None:  # pragma: no cover
-            raise SearchBudgetExceeded("no quadratic nonresidue found")
+        # GF(p) lies in the squares of GF(p^2), so the nonresidue is sought
+        # among a0 + omega: their norms are the values of an irreducible
+        # quadratic, and about half of them are nonsquares mod p
+        z = next((a0, 1) for a0 in range(self.p) if not self.is_square((a0, 1)))
         m, c = s, self.pow(z, qq)
         t, r = self.pow(x, qq), self.pow(x, (qq + 1) // 2)
         while t != self.one():

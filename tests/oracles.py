@@ -778,3 +778,76 @@ def solve_integral(basis: list[list[int]], target: list[int]):
     if any(s.denominator != 1 for s in sol):
         return None
     return [int(s) for s in sol]
+
+
+# -- G3 quadrature -------------------------------------------------------------------
+# relclass.bounds._g3_quadrature before it took Gamma in double precision and
+# evaluated each node once: Gamma at 128 bits, every node evaluated as often as
+# the Simpson segments and the stop test ask for it.
+
+
+def g3_quadrature(table, prime_cap: int, eta: float, panels: int = 64) -> float:
+    import cmath
+
+    import mpmath
+
+    from relclass.bounds import _simpson, _square_level_primes
+    from relclass.field import primes_up_to
+
+    F = table.F
+    n = F.n
+    level_norm = int(table.level.norm())
+    sq_primes = _square_level_primes(table)
+    pref = max(
+        level_norm * F.d_F**2 / (2 * math.pi) ** (2 * n),
+        F.d_F ** 1.5 / ((2 * math.pi) ** (1.5 * n) * level_norm ** (0.75 * n)),
+    )
+    for q in sq_primes:
+        pref *= math.sqrt(q) / (q**0.25 - 1) ** 2
+
+    primes_data = []
+    for p in primes_up_to(min(prime_cap, 150)):
+        for pr in F.splitting(p).primes:
+            v = table.level_val(pr)
+            primes_data.append(
+                (math.log(pr.norm()), v, 0 if v else table.lam(pr))
+            )
+
+    def L_sym_over_zeta_fa(w: complex) -> complex:
+        out = complex(1.0)
+        for lq, v, lam in primes_data:
+            t = cmath.exp(-w * lq)
+            if v >= 2:
+                out *= 1 - t  # only the zeta factor survives
+                continue
+            if v == 1:
+                out *= (1 - t) / (1 - t * math.exp(-lq))
+                continue
+            u = cmath.exp(-(w + 1) / 2 * lq)
+            out *= 1.0 / ((1 - lam * u + t) * (1 + lam * u + t))
+        return out
+
+    def integrand(s: complex) -> float:
+        with mpmath.workprec(128):  # oracle: the precision the CLI ran at
+            g = complex(mpmath.gamma(s + 0.5)) ** (2 * n)
+        Ls = L_sym_over_zeta_fa(2 * s)
+        return abs(g * Ls / (s - 0.5) ** 3)
+
+    eta_p = eta
+    # path pieces: two horizontals, one left vertical, two infinite verticals
+    total = 0.0
+    # horizontal segments at +- i eta'
+    for sgn in (1, -1):
+        total += _simpson(lambda x: integrand(complex(x, sgn * eta_p)), 0.5 - eta, 0.5, panels)
+    # left vertical segment
+    total += _simpson(lambda y: integrand(complex(0.5 - eta, y)), -eta_p, eta_p, panels)
+    # infinite verticals at Re = 1/2, |Im| >= eta'
+    y = eta_p
+    step = 0.05
+    while True:
+        seg = _simpson(lambda t: integrand(complex(0.5, t)), y, y + step, 8)
+        total += 2 * seg  # symmetric in the sign of the imaginary part
+        y += step
+        if y > 60 or integrand(complex(0.5, y)) < 1e-14:
+            break
+    return pref * total / (2 * math.pi)

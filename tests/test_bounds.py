@@ -18,7 +18,7 @@ from relclass.errors import (
     StrategyUnavailable,
 )
 from relclass.field import kronecker, make_field
-from relclass.hecke import QuadChar, gz_table, twist_table
+from relclass.hecke import QuadChar, base_change_table, gz_table, twist_table
 from relclass.numerics import Interval
 
 Q = make_field(1)
@@ -307,6 +307,28 @@ def test_g3_quadrature_refinement_drift():
     a = bnd._g3_quadrature(tab, 100, 0.125, panels=32)
     b = bnd._g3_quadrature(tab, 100, 0.125, panels=64)
     assert abs(a - b) / abs(b) < 1e-3
+
+
+def _bound_table(F, pmax=500):
+    """The twisted table `relclass bound` builds over F."""
+    table = gz_table(pmax)
+    if F.n == 2:
+        table = base_change_table(table, F)
+    return twist_table(table, QuadChar(make_cm(F, -139)))
+
+
+@pytest.mark.parametrize("m", [None, 3])
+def test_g3_matches_128_bit_quadrature(m):
+    F = make_field(1) if m is None else make_field(2, m)
+    table = _bound_table(F)
+    ref = oracles.g3_quadrature(table, 300, 0.125)
+    vals = []
+    for prec in (53, 128):
+        with mpmath.workprec(prec):
+            vals.append(bnd._g3_quadrature(table, 300, 0.125))
+    # double-precision Gamma: the ambient mpmath precision does not enter
+    assert vals[0] == vals[1]
+    assert abs(vals[0] - ref) <= 1e-12 * abs(ref)
 
 
 def test_zeta_inv_prime_closed_form():

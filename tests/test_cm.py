@@ -214,6 +214,22 @@ def test_splitting_kinds_match_disc():
             assert kinds[kronecker(-K.rel_disc_norm, p)] == K.splitting_kind(pr), (entry.label(), p)
 
 
+@pytest.mark.parametrize("corpus", ["q50", "quartic80"])
+def test_splitting_kind_matches_primes_above(corpus):
+    # the kind read from the residue roots alone agrees with the primes of K
+    # built above each base prime of norm below 200, the dyadic ones included
+    root = Path(__file__).resolve().parent.parent
+    for entry in load_corpus(str(root / "corpus" / f"{corpus}.txt")):
+        K = entry.cm()
+        for p in primes_up_to(199):
+            for pr in K.F.splitting(p).primes:
+                if pr.norm() >= 200:
+                    continue
+                ks = K.primes_above(pr)
+                built = "split" if len(ks) == 2 else ("ramified" if ks[0].ramified else "inert")
+                assert K.splitting_kind(pr) == built, (entry.label(), pr)
+
+
 def test_decompose_and_recompose_over_Q():
     K = make_cm(Q, -5)
     for idl in K.integral_ideals_up_to(12.0):

@@ -10,7 +10,10 @@ Every parameter other than self/cls is read in its function's body.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -124,3 +127,29 @@ def test_no_denominator_read_through_element_views():
             ):
                 reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+def test_no_module_sets_the_global_mpmath_precision():
+    """Precision is chosen where a computation needs it (mpmath.workprec),
+    never for the whole process."""
+    sets = []
+    for path, tree in _trees("src/relclass"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                if ast.unparse(t) in ("mpmath.mp.prec", "mpmath.mp.dps", "mp.prec", "mp.dps"):
+                    sets.append(f"{path.name}:{node.lineno}")
+    assert sets == []
+
+
+def test_cli_import_loads_no_numeric_layer():
+    """field and classify need neither mpmath nor the bound cascade."""
+    code = "import sys, relclass.cli; print(sorted({'mpmath', 'relclass.bounds'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
