@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import (
@@ -46,7 +46,7 @@ from .field import (
     primes_up_to,
 )
 from .finitefield import ResidueField
-from .imagquad import class_group_counts
+from .imagquad import class_group_counts, reduced_forms
 from .intmat import hnf_lattice, solve_exact, vec_mat, zspan_kernel, zspan_solve
 from .lattice import lll_reduce_gram, short_vectors
 
@@ -242,18 +242,18 @@ class CMField:
             vdisc = v4d - 2 * j
             if vdisc > 0:
                 ram_data.append((pr, vdisc))
-        self.c_ideal = c_ideal
+        self.c_inv = c_ideal.inverse()
         self.b_shift = self._crt_shift(local)
         self.rel_disc_primes = sorted(
             ram_data, key=lambda t: (t[0].p, t[0].norm(), str(t[0].second_gen))
         )
-        self.rel_disc = F.ideal(delta * F.elem(4)) * (c_ideal.inverse() ** 2)
+        self.rel_disc = F.ideal(delta * F.elem(4)) * (self.c_inv**2)
         assert self.rel_disc.is_integral()
         self.rel_disc_norm = int(self.rel_disc.norm())
         self.abs_disc = F.d_F**2 * self.rel_disc_norm
         beta = KElem(self, self.b_shift, F.one())
         basis: list[KElem] = [KElem(self, t, F.zero()) for t in F.maximal_order_basis()]
-        for t in self.c_ideal.inverse().basis_elems():
+        for t in self.c_inv.basis_elems():
             basis.append(beta * t)
         for z in basis:
             assert z.is_integral()
@@ -337,9 +337,8 @@ class CMField:
         if key in self._local_cache:
             return self._local_cache[key]
         F = self.F
-        cinv = self.c_ideal.inverse()
-        j = -cinv.valuation(pr)
-        tau = elem_with_valuation(F, cinv, pr, -j)
+        j = -self.c_inv.valuation(pr)
+        tau = elem_with_valuation(F, self.c_inv, pr, -j)
         w = KElem(self, tau * self.b_shift, tau)
         assert w.is_integral()
         rf = ResidueField(F, pr)
@@ -729,6 +728,28 @@ def class_counts(K: CMField) -> ClassCounts:
     return ClassCounts(cd.h_K, cd.h, cd.orbits)
 
 
+def norm_class_reps(K: CMField) -> list[KIdeal]:
+    """One ideal in each class of Cl(K) modulo the image of Cl(F).
+
+    Over Q they come from imagquad's reduced forms (a, b, c) of discriminant
+    D = -N(d_K/F), as the ideals a Z + ((-b + sqrt D)/2) Z, and no class data
+    is built; otherwise they are the class data's N_reps.  The two paths
+    choose different ideals, so only readers of class invariants may call
+    this: classify and decompose_ideal print or return their
+    representatives and read the class data themselves.
+    """
+    if K.F.n == 1:
+        D = -K.rel_disc_norm
+        r = D / K.delta.a  # sqrt D = s sqrt(delta) with s^2 = r
+        s = Fraction(isqrt(r.numerator), isqrt(r.denominator))
+        assert s * s == r
+        return [
+            KIdeal.from_generators(K, [K.elem(a), K.elem(Fraction(-b, 2), s / 2)])
+            for a, b, _ in reduced_forms(D)
+        ]
+    return K.class_data().N_reps
+
+
 # -- unit-exceptional extensions ----------------------------------------------------
 
 
@@ -802,26 +823,30 @@ def canonical_unit_rep(K: CMField, alpha: KElem) -> KElem:
 
         eps = F.eps
         eps_inv = F.one() / eps
-        cur = alpha
+        cur, qc = alpha, q(alpha)
+        up, dn = cur * eps, cur * eps_inv
+        qu, qd = q(up), q(dn)
+        # a step reuses two of the three values: after a step up, the new
+        # down-neighbour is the old point and the new point the old up
         while True:
-            up = cur * eps
-            dn = cur * eps_inv
-            qc = q(cur)
-            if q(up) < qc:
-                cur = up
-            elif q(dn) < qc:
-                cur = dn
+            if qu < qc:
+                dn, qd, cur, qc = cur, qc, up, qu
+                up = cur * eps
+                qu = q(up)
+            elif qd < qc:
+                up, qu, cur, qc = cur, qc, dn, qd
+                dn = cur * eps_inv
+                qd = q(dn)
             else:
-                best = cur
-                for cand in (up, dn):
-                    if q(cand) == qc:
-                        ck = max(tuple(cand.coords()), tuple((-cand).coords()))
-                        bk = max(tuple(best.coords()), tuple((-best).coords()))
-                        if ck > bk:
-                            best = cand
-                cur = best
                 break
-        alpha = cur
+        best = cur
+        for cand, qv in ((up, qu), (dn, qd)):
+            if qv == qc:
+                ck = max(tuple(cand.coords()), tuple((-cand).coords()))
+                bk = max(tuple(best.coords()), tuple((-best).coords()))
+                if ck > bk:
+                    best = cand
+        alpha = best
     key = tuple(alpha.coords())
     neg = tuple((-alpha).coords())
     return alpha if key >= neg else -alpha

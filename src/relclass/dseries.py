@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .cm import CMField, class_counts, line_norms, on_line
+from .cm import CMField, class_counts, line_norms, norm_class_reps, on_line
 from .errors import InequalityViolated, OutOfRegion, TruncationTooLarge
 from .field import Field, prime_products, primes_up_to
 
@@ -341,9 +341,8 @@ def mellin_quadrature(u: float, s: complex) -> complex:
 
 def measure_mu_K(K: CMField, x_max: float) -> StepMeasure:
     """Atoms |N(L N_i^-1)| over lines L in each N_i off the minimal line."""
-    cd = K.class_data()
     mu = StepMeasure()
-    for Ni in cd.N_reps:
+    for Ni in norm_class_reps(K):
         lines = line_norms(K, Ni, Fraction(math.ceil(x_max) + 1))
         if not lines:
             continue

@@ -90,11 +90,12 @@ def prime_lattice(D: int, p: int, b: int, conj: bool = False) -> tuple[int, int,
     return (p, u % p, 1)
 
 
-def class_group_counts(D: int) -> tuple[int, int]:
-    """(h, conjugation orbit count) for the field of discriminant D < 0.
+def reduced_forms(D: int) -> list[tuple[int, int, int]]:
+    """The reduced norm forms of the classes of the field of discriminant
+    D < 0, sorted: one form per ideal class.
 
     Enumerates all integral ideals of norm up to the Minkowski bound as
-    products of prime ideals and partitions them by reduced norm form.
+    products of prime ideals and collects their reduced norm forms.
     """
     bound = minkowski_bound_disc(D)
     prime_data = []
@@ -131,10 +132,15 @@ def class_group_counts(D: int) -> tuple[int, int]:
                 k += 1
 
     rec(0, one, 1)
-    h = len(keys)
+    return sorted(keys)
+
+
+def class_group_counts(D: int) -> tuple[int, int]:
+    """(h, conjugation orbit count) for the field of discriminant D < 0."""
+    forms = reduced_forms(D)
     orbits = 0
     seen = set()
-    for k in sorted(keys):
+    for k in forms:
         if k in seen:
             continue
         a, b, c = k
@@ -142,4 +148,4 @@ def class_group_counts(D: int) -> tuple[int, int]:
         seen.add(k)
         seen.add(kc)
         orbits += 1
-    return h, orbits
+    return len(forms), orbits

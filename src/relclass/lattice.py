@@ -3,7 +3,28 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, lcm, sqrt
+from math import isqrt, lcm
+
+
+def _scaled_to_integers(G: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(D, D * G) with D the lcm of the denominators of G."""
+    D = lcm(*(x.denominator for row in G for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in G]
+
+
+def _gram_schmidt_row(d: list[int], lam: list[list[int]], k: int, dots: list[int]):
+    """Fill lam[k][:k] and d[k+1] from dots[j] = <b_k, b_j> (j <= k), rows
+    below k already filled: the fraction-free Gram-Schmidt recurrence of
+    Cohen's integral LLL (Alg. 2.6.7, step 2), by exact division."""
+    for j, u in enumerate(dots):
+        for i in range(j):
+            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = u
+        elif u <= 0:
+            raise ValueError("Gram matrix not positive definite")
+        else:
+            d[k + 1] = u
 
 
 def lll_reduce_gram(gram: list[list[Fraction]]):
@@ -27,9 +48,7 @@ def lll_reduce_gram(gram: list[list[Fraction]]):
     replaced (kept as the reference in tests/oracles.py).
     """
     n = len(gram)
-    G0 = [[Fraction(x) for x in row] for row in gram]
-    D = lcm(*(x.denominator for row in G0 for x in row))
-    Gi = [[x.numerator * (D // x.denominator) for x in row] for row in G0]
+    D, Gi = _scaled_to_integers([[Fraction(x) for x in row] for row in gram])
     U = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     p, q = 99, 100
     d = [1] * (n + 1)
@@ -41,16 +60,8 @@ def lll_reduce_gram(gram: list[list[Fraction]]):
         if k > kmax:
             # first visit of row k: it is still the k-th original basis vector
             kmax = k
-            for j in range(k + 1):
-                u = sum(g * c for g, c in zip(Gi[k], U[j]))
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                elif u <= 0:
-                    raise ValueError("Gram matrix not positive definite")
-                else:
-                    d[k + 1] = u
+            dots = [sum(g * c for g, c in zip(Gi[k], U[j])) for j in range(k + 1)]
+            _gram_schmidt_row(d, lam, k, dots)
         if k == 0:  # nothing to reduce row 0 against
             k = 1
             continue
@@ -91,78 +102,69 @@ def lll_reduce_gram(gram: list[list[Fraction]]):
     return G, U
 
 
-def cholesky_rational(gram: list[list[Fraction]]):
-    """LDL^T decomposition; returns (diag d, unit lower-triangular mu)."""
-    n = len(gram)
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        mu[i][i] = Fraction(1)
-        s = gram[i][i]
-        for k in range(i):
-            s -= d[k] * mu[i][k] * mu[i][k]
-        d[i] = s
-        if s <= 0:
-            raise ValueError("Gram matrix not positive definite")
-        for j in range(i + 1, n):
-            t = gram[j][i]
-            for k in range(i):
-                t -= d[k] * mu[j][k] * mu[i][k]
-            mu[j][i] = t / d[i]
-    return d, mu
-
-
-def _frac_sqrt_bounds(x: Fraction) -> float:
-    return sqrt(float(x)) if x > 0 else 0.0
-
-
 def short_vectors(reduced, bound) -> list[tuple[int, ...]]:
     """All nonzero integer vectors with x^T G x <= bound, up to sign.
 
     `reduced` is the pair (reduced gram, U) that lll_reduce_gram(G) returns,
     so the enumeration tree stays tight; results are in the basis of G.
-    Interval tests on the quadratic form are exact rational; the float square
-    root only seeds the integer range.  The canonical representative of each
-    +-pair has key max(v, -v), and the list is sorted.
+    The canonical representative of each +-pair has key max(v, -v), and the
+    list is sorted.
+
+    Fincke-Pohst enumeration (Cohen, GTM 138, Alg. 2.7.5) in integers only.
+    With the reduced Gram matrix scaled by the lcm D of its denominators and
+    its fraction-free LDL^T data d, lam (as in lll_reduce_gram),
+    D x^T G x = sum_i t_i^2 / (d[i] d[i+1]) with the integers
+    t_i = d[i+1] x_i + sum_{j>i} lam[j][i] x_j.  Over M = lcm(d[i] d[i+1])
+    the budget M floor(D bound) is one integer, so level i takes exactly the
+    x_i with t_i^2 <= floor(rem / m_i), m_i = M / (d[i] d[i+1]).  Of each
+    +-pair only the vector whose last nonzero coordinate is positive is
+    visited.
     """
     G, U = reduced
     n = len(G)
+    D, Gi = _scaled_to_integers(G)
     B = Fraction(bound)
-    d, mu = cholesky_rational(G)
+    top = B.numerator * D // B.denominator
+    if top <= 0:
+        return []
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        _gram_schmidt_row(d, lam, k, Gi[k][: k + 1])
+    M = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    m = [M // (d[i] * d[i + 1]) for i in range(n)]
+    # column i of lam above the diagonal, as (j, lam[j][i]) pairs
+    above = [[(j, lam[j][i]) for j in range(i + 1, n)] for i in range(n)]
     out: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def rec(i: int, remaining: Fraction):
-        if i < 0:
-            if any(x):
-                out.append(tuple(x))
-            return
-        c = Fraction(0)
-        for j in range(i + 1, n):
-            if x[j]:
-                c += mu[j][i] * x[j]
-        rad = remaining / d[i]
-        r = _frac_sqrt_bounds(rad) + 1e-9
-        lo = ceil(float(-c) - r) - 1
-        hi = floor(float(-c) + r) + 1
+    def rec(i: int, rem: int, upper_zero: bool):
+        di, mi = d[i + 1], m[i]
+        c = 0
+        for j, l in above[i]:
+            c += l * x[j]
+        r = isqrt(rem // mi)
+        if upper_zero:  # c = 0: take x_i >= 0, and x_0 > 0 at the bottom
+            lo = 0 if i else 1
+        else:
+            lo = -((r + c) // di)
+        hi = (r - c) // di
         for xi in range(lo, hi + 1):
-            t = d[i] * (xi + c) * (xi + c)
-            if t <= remaining:
-                x[i] = xi
-                rec(i - 1, remaining - t)
+            x[i] = xi
+            if i:
+                t = di * xi + c
+                rec(i - 1, rem - mi * t * t, upper_zero and not xi)
+            else:
+                out.append(tuple(x))
         x[i] = 0
 
-    rec(n - 1, B)
+    rec(n - 1, M * top, True)
+    cols = list(zip(*U))
     canon = []
-    seen = set()
     for v in out:
         # map back to the original basis
-        w = tuple(sum(v[i] * U[i][j] for i in range(n)) for j in range(n))
-        neg = tuple(-a for a in w)
-        key = max(w, neg)
-        if key not in seen:
-            seen.add(key)
-            canon.append(key)
+        w = tuple(sum(a * b for a, b in zip(v, col)) for col in cols)
+        canon.append(max(w, tuple(-a for a in w)))
     canon.sort()
     return canon
 

@@ -312,12 +312,78 @@ def _box_iter(dim, box):
                 yield coords
 
 
+def cholesky_rational(gram: list[list[Fraction]]):
+    """LDL^T decomposition; returns (diag d, unit lower-triangular mu)."""
+    n = len(gram)
+    d = [Fraction(0)] * n
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        mu[i][i] = Fraction(1)
+        s = gram[i][i]
+        for k in range(i):
+            s -= d[k] * mu[i][k] * mu[i][k]
+        d[i] = s
+        if s <= 0:
+            raise ValueError("Gram matrix not positive definite")
+        for j in range(i + 1, n):
+            t = gram[j][i]
+            for k in range(i):
+                t -= d[k] * mu[j][k] * mu[i][k]
+            mu[j][i] = t / d[i]
+    return d, mu
+
+
+def short_vectors(reduced, bound) -> list[tuple[int, ...]]:
+    """Reference short-vector enumeration: the Fraction implementation that
+    relclass.lattice used before its integer one.  Interval tests on the
+    quadratic form are exact rational; a padded float square root seeds each
+    integer range."""
+    G, U = reduced
+    n = len(G)
+    B = Fraction(bound)
+    d, mu = cholesky_rational(G)
+    out: list[tuple[int, ...]] = []
+    x = [0] * n
+
+    def rec(i: int, remaining: Fraction):
+        if i < 0:
+            if any(x):
+                out.append(tuple(x))
+            return
+        c = Fraction(0)
+        for j in range(i + 1, n):
+            if x[j]:
+                c += mu[j][i] * x[j]
+        rad = remaining / d[i]
+        r = (math.sqrt(float(rad)) if rad > 0 else 0.0) + 1e-9
+        lo = math.ceil(float(-c) - r) - 1
+        hi = math.floor(float(-c) + r) + 1
+        for xi in range(lo, hi + 1):
+            t = d[i] * (xi + c) * (xi + c)
+            if t <= remaining:
+                x[i] = xi
+                rec(i - 1, remaining - t)
+        x[i] = 0
+
+    rec(n - 1, B)
+    canon = []
+    seen = set()
+    for v in out:
+        # map back to the original basis
+        w = tuple(sum(v[i] * U[i][j] for i in range(n)) for j in range(n))
+        neg = tuple(-a for a in w)
+        key = max(w, neg)
+        if key not in seen:
+            seen.add(key)
+            canon.append(key)
+    canon.sort()
+    return canon
+
+
 def lll_reduce_gram(gram, delta=Fraction(99, 100)):
     """Reference LLL: the Fraction implementation that relclass.lattice used
     before its integral one, kept verbatim.  It rebuilds the Gram matrix and
     its LDL^T data after every size-reduction step and every swap."""
-    from relclass.lattice import cholesky_rational
-
     n = len(gram)
     G0 = [[Fraction(x) for x in row] for row in gram]
     U = [[1 if j == i else 0 for j in range(n)] for i in range(n)]

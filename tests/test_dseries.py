@@ -1,9 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from relclass.cm import make_cm
+from relclass import dseries
+from relclass.cli import load_corpus
+from relclass.cm import class_counts, make_cm, norm_class_reps
 from relclass.dseries import (
     CoeffSeries,
     MAX_TRUNCATION,
@@ -175,3 +179,19 @@ def test_min_line_values_occur_in_expansion():
             nmin = min(sat_vals)
             assert nmin.denominator == 1
             assert v.coeff(int(nmin)) > 0
+
+
+def test_measure_mu_K_over_Q_matches_closure_reps(monkeypatch):
+    # over Q the reduced-form ideals stand for the classes that the closure's
+    # N_reps stand for, and the atoms, class invariants, do not see which
+    corpus = Path(__file__).resolve().parent.parent / "corpus" / "q50.txt"
+    fields = [entry.cm() for entry in load_corpus(str(corpus))]
+    fields += [make_cm(Q, d) for d in (-1, -2, -3, -12, -27)]
+    for K in fields:
+        reps = norm_class_reps(K)
+        assert len(reps) == class_counts(K).h_K, K
+        assert not any(a.in_same_class(b) for a, b in combinations(reps, 2)), K
+        ours = [measure_mu_K(K, x).atoms for x in (50.0, 400.0)]
+        with monkeypatch.context() as m:
+            m.setattr(dseries, "norm_class_reps", lambda K: K.class_data().N_reps)
+            assert [measure_mu_K(K, x).atoms for x in (50.0, 400.0)] == ours, K

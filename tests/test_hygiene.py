@@ -153,3 +153,17 @@ def test_cli_import_loads_no_numeric_layer():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_lattice_enumeration_uses_no_floats():
+    """LLL and short-vector enumeration decide on exact integers: no float
+    seed, no rounding of a float square root."""
+    calls = []
+    tree = ast.parse((PACKAGE / "lattice.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in ("float", "sqrt", "ceil", "floor"):
+                calls.append(f"lattice.py:{node.lineno} {name}")
+    assert calls == []

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import cholesky_rational
 from oracles import lll_reduce_gram as lll_reference
+from oracles import short_vectors as short_vectors_reference
 
-from relclass.lattice import cholesky_rational, lll_reduce_gram, short_vectors
+from relclass.lattice import lll_reduce_gram, short_vectors
 
 DENOMINATORS = (1, 2, 3, 12, 360)
 
@@ -80,6 +82,34 @@ TIES = [
 @example(TIES[4])
 def test_lll_matches_fraction_reference(gram):
     assert lll_reduce_gram(gram) == lll_reference(gram)
+
+
+@st.composite
+def gram_and_rational_bounds(draw):
+    """A rational Gram matrix and two bounds a small multiple of its first
+    minimum: one on a grid of step 1, 1/3 or 2^-20 (as unit_window and the
+    form windows round), and one equal to the norm of a short vector, so
+    that the boundary of x^T G x <= bound is hit."""
+    gram = draw(rational_gram())
+    red = lll_reduce_gram(gram)
+    cap = red[0][0][0] * draw(st.integers(1, 6))
+    den = draw(st.sampled_from((1, 3, 2**20)))
+    grid = Fraction(math.floor(cap * den * draw(st.fractions(0, 1))), den)
+    vecs = short_vectors_reference(red, cap)
+    v = vecs[draw(st.integers(0, len(vecs) - 1))]
+    n = len(gram)
+    norm = sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+    return red, grid, v, norm
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram_and_rational_bounds())
+def test_short_vectors_match_fraction_reference(data):
+    red, grid, v, norm = data
+    below = norm - Fraction(1, 2**40)
+    for bound in (grid, norm, below):
+        assert short_vectors(red, bound) == short_vectors_reference(red, bound)
+    assert v in short_vectors(red, norm) and v not in short_vectors(red, below)
 
 
 def _det(M):
