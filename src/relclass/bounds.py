@@ -299,10 +299,8 @@ def norm_count_check_K(K: CMField, Ni, t: Fraction, lat: LatticeConstants) -> di
     # enough that it is certainly found.  Each entry of line_norms is one unit
     # orbit, so the count reads off the same scan.
     mink = (2 / math.pi) ** K.F.n * math.sqrt(K.abs_disc) + 2
-    lines = line_norms(K, Ni, max(Fraction(t), Fraction(mink)))
-    sat = [tr for tr in lines if tr[1]]
-    exclude = sat[0][2] if sat else None
-    count = sum(1 for v, _, z in lines if v <= t and (exclude is None or not on_line(z, exclude)))
+    lines, exclude = line_norms(K, Ni, max(Fraction(t), Fraction(mink)))
+    count = sum(1 for v, z in lines if v <= t and (exclude is None or not on_line(z, exclude)))
     rhs = lat.A1 * Interval(Fraction(t)) / isqrt_iv(Interval.exact(K.rel_disc_norm))
     ok = count <= rhs.hi
     if not ok:

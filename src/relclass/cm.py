@@ -165,6 +165,7 @@ class CMField:
         self._build_order()
         self._build_mult_tables()
         self._class_data = None
+        self._counts = None
         self._kprime_cache: dict = {}
         self._local_cache: dict = {}
 
@@ -719,13 +720,16 @@ def class_counts(K: CMField) -> ClassCounts:
 
     Degree-1 fields go through the integer-only lattice pipeline of imagquad,
     which builds no representatives (h = h_K over Q); other fields read them
-    off the class data.
+    off the class data.  They are computed once per K.
     """
-    if K.F.n == 1:
-        h_K, orbits = class_group_counts(-K.rel_disc_norm)
-        return ClassCounts(h_K, h_K, orbits)
-    cd = K.class_data()
-    return ClassCounts(cd.h_K, cd.h, cd.orbits)
+    if K._counts is None:
+        if K.F.n == 1:
+            h_K, orbits = class_group_counts(-K.rel_disc_norm)
+            K._counts = ClassCounts(h_K, h_K, orbits)
+        else:
+            cd = K.class_data()
+            K._counts = ClassCounts(cd.h_K, cd.h, cd.orbits)
+    return K._counts
 
 
 def norm_class_reps(K: CMField) -> list[KIdeal]:
@@ -901,7 +905,9 @@ def unit_window(K: CMField, t: Fraction) -> Fraction:
 def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
     """Values |N(alpha)|/N(N_i) <= x_max over lines o*alpha in N_i, alpha up to units.
 
-    Returns a sorted list of (value, saturated, alpha), alpha canonical.
+    Returns (lines, exclude): lines is the sorted list of (value, alpha), alpha
+    canonical, and exclude the alpha of the first saturated line (the one of
+    least value), or None when no line is saturated.
     """
     nN = Ni.norm()
     t_abs = Fraction(x_max) * nN
@@ -911,13 +917,13 @@ def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
             continue
         zc = canonical_unit_rep(K, z)
         seen.setdefault(tuple(zc.coords()), zc)
-    out = []
-    for zc in seen.values():
+    lines = [(zc.abs_norm() / nN, zc) for zc in seen.values()]
+    lines.sort(key=lambda t: (t[0], tuple(t[1].coords())))
+    for _, zc in lines:
         b = line_colon_ideal(K, zc, Ni)
-        saturated = b.norm() == 1 and b.is_integral()
-        out.append((zc.abs_norm() / nN, saturated, zc))
-    out.sort(key=lambda t: (t[0], tuple(t[2].coords())))
-    return out
+        if b.norm() == 1 and b.is_integral():
+            return lines, zc
+    return lines, None
 
 
 def on_line(z: KElem, w: KElem) -> bool:

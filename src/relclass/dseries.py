@@ -343,13 +343,9 @@ def measure_mu_K(K: CMField, x_max: float) -> StepMeasure:
     """Atoms |N(L N_i^-1)| over lines L in each N_i off the minimal line."""
     mu = StepMeasure()
     for Ni in norm_class_reps(K):
-        lines = line_norms(K, Ni, Fraction(math.ceil(x_max) + 1))
-        if not lines:
-            continue
         # the fixed L_i: minimal |N(L o_K)| among saturated lines
-        sat = [t for t in lines if t[1]]
-        exclude = sat[0][2] if sat else None
-        for (val, is_sat, alpha) in lines:
+        lines, exclude = line_norms(K, Ni, Fraction(math.ceil(x_max) + 1))
+        for val, alpha in lines:
             if exclude is not None and on_line(alpha, exclude):
                 continue
             if float(val) <= x_max:

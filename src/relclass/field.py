@@ -735,12 +735,6 @@ class LatticeIdeal:
             return False
         return echelon_solve(self.num, [s // den for s in scaled]) is not None
 
-    def divides(self, other) -> bool:
-        """self | other, i.e. other is a sublattice of self."""
-        s = math.lcm(self.den, other.den)
-        rows = [[x * (s // self.den) for x in r] for r in self.num]
-        return all(echelon_solve(rows, [x * (s // other.den) for x in r]) is not None for r in other.num)
-
     def is_integral(self) -> bool:
         return self.den == 1
 

@@ -6,9 +6,10 @@ decided prime by prime (with the quadratic-residue-mod-4 search at primes
 over 2), and definite fundamental forms correspond to ideal classes of
 K = F(sqrt(b^2-4ac)) up to conjugation.
 
-Genus characters are local norm-residue symbols of represented values; the
-symbol at primes over 2 is decided by a certified residue enumeration, all
-other places are closed-form.
+Genus characters are local norm-residue symbols of represented values, all in
+closed form: tame symbols at odd primes, signs at real places, and at a prime
+over 2 either Hilbert reciprocity (when it is the only one) or Serre's formula
+over Q_2 (when 2 splits).
 """
 
 from __future__ import annotations
@@ -387,7 +388,9 @@ def hilbert_symbol(F: Field, s: FElem, d: FElem, place) -> int:
         raise ValueError("symbol arguments must be nonzero")
     if pr.p != 2:
         return _tame_symbol(F, s, d, pr)
-    return _twoadic_symbol(F, s, d, pr)
+    if len(F.splitting(2).primes) == 1:
+        return _symbol_by_reciprocity(F, s, d)
+    return _q2_symbol(_q2_image(F, s, pr), _q2_image(F, d, pr))
 
 
 def _tame_symbol(F: Field, s: FElem, d: FElem, pr: PrimeIdeal) -> int:
@@ -408,124 +411,55 @@ def _tame_symbol(F: Field, s: FElem, d: FElem, pr: PrimeIdeal) -> int:
     return out
 
 
-def _twoadic_symbol(F: Field, s: FElem, d: FElem, pr: PrimeIdeal) -> int:
-    """Symbol over a prime above 2 by certified residue enumeration.
+def _symbol_by_reciprocity(F: Field, s: FElem, d: FElem) -> int:
+    """(s, d) at the only prime above 2, as the product of the symbols at all
+    other places (Hilbert reciprocity; Serre, A Course in Arithmetic, III 2.1).
 
-    s and d are first normalized by exact squares (uniformizer powers) to
-    valuation 0 or 1; solubility of z^2 = s x^2 + d y^2 is then decided
-    modulo pr^(2e+1+slack) with a Hensel certificate on each witness.
-    """
-    g = pr.second_gen
-    s = _reduce_by_square(F, s, pr, g)
-    d = _reduce_by_square(F, d, pr, g)
-    e = F.ideal(F.elem(2)).valuation(pr)
-    m = 2 * e + 1
-    for _attempt in range(3):
-        res = _soluble_mod(F, pr, s, d, m)
-        if res is not None:
-            return 1 if res else -1
-        m += 2
-    raise NoRepresentedValueFound("2-adic solubility undecided after escalation")
+    At an odd prime where s and d are both units the symbol is 1, so the
+    product runs over the real places and the odd primes of s or d."""
+    out = 1
+    for i in range(F.n):
+        out *= hilbert_symbol(F, s, d, i)
+    odd = []
+    for x in (s, d):
+        odd += [pr for pr, _ in F.ideal(x).factor() if pr.p != 2 and pr not in odd]
+    for pr in odd:
+        out *= _tame_symbol(F, s, d, pr)
+    return out
 
 
-def _reduce_by_square(F: Field, x: FElem, pr: PrimeIdeal, g: FElem) -> FElem:
-    v = _val_elem(F, x, pr)
-    k = v // 2
-    for _ in range(k):
-        x = x / (g * g)
-    # clear denominators at p by multiplying with conjugate-uniformizer squares
-    t = g.conj()
-    guard = 0
-    while x.den % pr.p == 0:
-        x = x * t * t
-        guard += 1
-        if guard > 64:
-            raise SearchBudgetExceeded("denominator clearing loop")
-    return x
+def _q2_image(F: Field, x: FElem, pr: PrimeIdeal) -> tuple[int, int]:
+    """(v, u mod 8) with x = 2^v u in F_P = Q_2, for P above a split 2.
+
+    omega goes to the root R of X^2 - c1 X - c0 with omega - R in P, lifted by
+    Newton steps (the derivative 2R - c1 is odd).  The numerator na + nb R has
+    valuation at most that of its norm, so R is needed to that many digits
+    plus 3."""
+    nm = x.na * x.na + F.c1 * x.na * x.nb - F.c0 * x.nb * x.nb
+    k = _v2(nm) + 3
+    R = 0 if pr.ideal.contains(F.omega()) else 1
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        mod = 2**prec
+        R = (R - (R * R - F.c1 * R - F.c0) * pow(2 * R - F.c1, -1, mod)) % mod
+    num = (x.na + x.nb * R) % 2**k
+    vn, vd = _v2(num), _v2(x.den)
+    # odd u has u^-1 = u mod 8
+    return vn - vd, (num >> vn) * (x.den >> vd) % 8
 
 
-def _soluble_mod(F: Field, pr: PrimeIdeal, s: FElem, d: FElem, m: int):
-    """True/False when certified; None when witnesses exist but none certifies.
-
-    Enumerates primitive triples of z^2 = s x^2 + d y^2 modulo pr^m; a
-    witness certifies solubility when m >= 2k+1 for k the minimal valuation
-    among the partial derivatives (one-variable Hensel lifting), and an empty
-    witness set certifies insolubility."""
-    pm = pr.ideal**m
-    p1 = pr.ideal
-    s_int = _make_integral_mod(F, s, pr, m)
-    d_int = _make_integral_mod(F, d, pr, m)
-    reps = list(ideal_transversal(F, pm))
-    in_p = [p1.contains(r) for r in reps]
-    sq: dict = {}
-    for iz, z in enumerate(reps):
-        sq.setdefault(_red_key(F, z * z, pm), []).append(iz)
-    sx2 = [_red_key(F, s_int * x * x, pm) for x in reps]
-    dy2 = [_red_key(F, d_int * y * y, pm) for y in reps]
-    sum_lookup = {}
-    for ix, x in enumerate(reps):
-        kx = sx2[ix]
-        for iy, y in enumerate(reps):
-            ky = dy2[iy]
-            w = F.elem(kx[0] + ky[0], (kx[1] + ky[1]) if F.n == 2 else 0)
-            key = _red_key(F, w, pm)
-            if key not in sq:
-                continue
-            sum_lookup.setdefault(key, []).append((ix, iy))
-    witness_uncertified = False
-    for key, pairs in sum_lookup.items():
-        for iz in sq[key]:
-            for ix, iy in pairs:
-                if in_p[ix] and in_p[iy] and in_p[iz]:
-                    continue
-                x, y, z = reps[ix], reps[iy], reps[iz]
-                k = min(
-                    _val_capped(F, 2 * s * x, pr, m),
-                    _val_capped(F, 2 * d * y, pr, m),
-                    _val_capped(F, 2 * z, pr, m),
-                )
-                if m >= 2 * k + 1:
-                    return True
-                witness_uncertified = True
-    if witness_uncertified:
-        return None
-    return False
+def _v2(n: int) -> int:
+    return (n & -n).bit_length() - 1
 
 
-def _val_capped(F: Field, x: FElem, pr: PrimeIdeal, cap: int) -> int:
-    if x.is_zero():
-        return cap
-    return min(cap, F.ideal(x).valuation(pr))
-
-
-def _make_integral_mod(F: Field, w: FElem, pr: PrimeIdeal, m: int) -> FElem:
-    """Integral representative of a pr-integral element modulo pr^m."""
-    dw = w.den
-    if dw == 1:
-        return w
-    assert dw % pr.p != 0, "denominator not coprime to p"
-    num = w * F.elem(dw)
-    i = pow(dw, -1, pr.p**m)
-    return num * F.elem(i)
-
-
-def _red_key(F: Field, x: FElem, modulus: FIdeal):
-    """Canonical residue of an integral element modulo an integral ideal.
-
-    HNF rows come pivot-ordered ([A, r], [0, C]): the first coordinate is
-    reduced by the first row (which disturbs the second), then the second by
-    the pivot-[0, C] row."""
-    if F.n == 1:
-        A = modulus.num[0][0]
-        return (x.na % A,)
-    aa, bb = x.na, x.nb
-    r0, r1 = modulus.num[0], modulus.num[1]
-    q = aa // r0[0]
-    aa -= q * r0[0]
-    bb -= q * r0[1]
-    q = bb // r1[1]
-    bb -= q * r1[1]
-    return (aa, bb)
+def _q2_symbol(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """(2^va ua, 2^vb ub)_2 over Q_2 (Serre, A Course in Arithmetic, III 1.2 Thm 1)."""
+    (va, ua), (vb, ub) = a, b
+    eps = lambda u: (u - 1) // 2
+    omega = lambda u: (u * u - 1) // 8
+    e = eps(ua) * eps(ub) + va * omega(ub) + vb * omega(ua)
+    return -1 if e % 2 else 1
 
 
 def represented_value(Q: PseudoForm) -> FElem:

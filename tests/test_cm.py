@@ -5,11 +5,12 @@ from pathlib import Path
 from oracles import class_number_oracle, conj_orbits_oracle, relation_class_number
 
 from relclass.cli import load_corpus
-from relclass import bounds, dseries, forms
+from relclass import bounds, cm, dseries, forms
 from relclass.cm import (
     class_counts,
     decompose_ideal,
     exceptional_extensions,
+    line_colon_ideal,
     line_norms,
     make_cm,
 )
@@ -114,6 +115,16 @@ def test_class_data_by_partition_over_Q_sqrt10(d, counts, n_reps):
     # h_K = Q h(F) h(Q(sqrt d)) h(Q(sqrt 10d)) / 2 with unit index Q in {1, 2}
     h_d, h_10d = (class_group_counts(e if e % 4 == 1 else 4 * e)[0] for e in (d, 10 * d))
     assert 2 * cd.h_K in (F.h_F * h_d * h_10d, 2 * F.h_F * h_d * h_10d)
+
+
+def test_class_counts_computed_once_per_field(monkeypatch):
+    """Over Q the reduced-form enumeration runs once per K, however many
+    readers ask for the counts."""
+    calls = []
+    monkeypatch.setattr(cm, "class_group_counts", lambda D: calls.append(D) or class_group_counts(D))
+    K = make_cm(Q, -23)
+    assert class_counts(K) == class_counts(K) == (3, 3, 2)
+    assert calls == [-23]
 
 
 def test_count_readers_build_no_class_data_over_Q():
@@ -260,10 +271,14 @@ def test_line_norms_contains_min():
     K = make_cm(Q, -5)
     cd = K.class_data()
     for Ni in cd.N_reps:
-        lines = line_norms(K, Ni, Fraction(10))
+        lines, exclude = line_norms(K, Ni, Fraction(10))
         assert lines, "some line must exist below the bound"
-        vals = [v for (v, sat, _) in lines if sat]
-        assert vals
+        # the minimal saturated line is one of the lines, and every line
+        # before it is not saturated
+        alphas = [z for _, z in lines]
+        assert exclude in alphas
+        for z in alphas[: alphas.index(exclude) + 1]:
+            assert (line_colon_ideal(K, z, Ni) == K.F.unit_ideal()) == (z == exclude)
 
 
 def test_decompose_random_products():
@@ -302,17 +317,6 @@ def test_integer_to_order_matches_fraction_solve(corpus):
                 for z in (bi * bj, (bi * bj.conj()).scale(Fraction(5, 12)), bi * bj + w):
                     row, den = K._to_order(z)
                     assert [Fraction(c, den) for c in row] == _order_coords_by_solve(K, z)
-
-
-def test_divides_is_lattice_containment():
-    """divides agrees with containment of each basis element."""
-    for K in (make_cm(Q, -5), make_cm(F5, -11)):
-        mo = K.maximal_order()
-        for kp in K.kprimes_up_to(30):
-            P = kp.ideal
-            for M in (P * P, (P * P).scale(Fraction(1, 2)), mo):
-                assert P.divides(M) == all(P.contains(z) for z in M.basis_kelems())
-            assert mo.divides(P) and P.divides(P * P) and not (P * P).divides(P)
 
 
 # The lists the recursion gave before one generator served F and K, keyed by

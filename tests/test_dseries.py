@@ -173,10 +173,9 @@ def test_min_line_values_occur_in_expansion():
         cd = K.class_data()
         v = vseries(K, 64)
         for Ni in cd.N_reps:
-            lines = line_norms(K, Ni, Fraction(60))
-            sat_vals = [val for (val, sat, _) in lines if sat]
-            assert sat_vals
-            nmin = min(sat_vals)
+            lines, exclude = line_norms(K, Ni, Fraction(60))
+            assert exclude is not None
+            nmin = next(val for val, z in lines if z == exclude)
             assert nmin.denominator == 1
             assert v.coeff(int(nmin)) > 0
 

@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import hilbert_symbol_2adic_oracle
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import hilbert_symbol_2adic_oracle, twoadic_symbol_by_enumeration
 
 from relclass.cm import class_counts, make_cm
 from relclass.errors import DegenerateForm, LemmaViolation, NotFundamental
-from relclass.field import make_field
+from relclass.field import make_field, prime_divisors
 from relclass.forms import (
     classify,
     form_to_ideal,
@@ -143,25 +145,10 @@ def test_hilbert_symbol_product_formula():
     # product over all places is 1
     for (a, b) in ((-5, 3), (2, -15), (-21, 10), (6, -35)):
         prod = hilbert_symbol(Q, Q.elem(a), Q.elem(b), 0)
-        for p in {2, 3, 5, 7, 2, 3, 5, 7} | set(_pdiv(a)) | set(_pdiv(b)):
+        for p in {2, 3, 5, 7} | set(prime_divisors(a)) | set(prime_divisors(b)):
             pr = Q.splitting(p).primes[0]
             prod *= hilbert_symbol(Q, Q.elem(a), Q.elem(b), pr)
         assert prod == 1, (a, b)
-
-
-def _pdiv(n):
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def test_hilbert_symbol_real_quadratic_product_formula():
@@ -174,10 +161,104 @@ def test_hilbert_symbol_real_quadratic_product_formula():
             prod = 1
             for i in range(2):
                 prod *= hilbert_symbol(F, s, d, i)
-            ps = set(_pdiv(int((s.norm() * d.norm() * 2).numerator)))
+            ps = set(prime_divisors((s.norm() * d.norm() * 2).numerator))
             for p in sorted(ps | {2}):
                 for pr in F.splitting(p).primes:
                     prod *= hilbert_symbol(F, s, d, pr)
+            assert prod == 1, (s, d)
+
+
+def _two_adic_args(draw, F, fractional):
+    """s or d: a unit of F or a small element, times a power of a uniformizer
+    at a prime above 2 (odd and even valuations there), over an optional
+    denominator."""
+    if draw(st.booleans()):
+        x = draw(st.sampled_from([F.one(), -F.one(), F.eps, -F.eps]))
+    else:
+        a = draw(st.integers(-30, 30))
+        b = draw(st.integers(-30, 30)) if F.n == 2 else 0
+        assume(a or b)
+        x = F.elem(a, b)
+    g = draw(st.sampled_from(F.splitting(2).primes)).second_gen
+    for _ in range(draw(st.integers(0, 3))):
+        x = x * g
+    if fractional:
+        x = x / F.elem(draw(st.sampled_from([1, 2, 3, 4, 6])))
+    return x
+
+
+@st.composite
+def _symbol_pairs(draw, F, fractional):
+    s = _two_adic_args(draw, F, fractional)
+    kind = draw(st.sampled_from(["independent", "equal", "negated"]))
+    if kind == "equal":
+        return s, s
+    if kind == "negated":
+        return s, -s
+    return s, _two_adic_args(draw, F, fractional)
+
+
+# examples per field: the enumeration takes up to a few seconds a pair where
+# 2 is inert (residue field F_4) and must escalate
+@pytest.mark.parametrize("m, examples", [(None, 60), (2, 40), (3, 40), (5, 10), (13, 10), (17, 60)])
+def test_dyadic_symbol_matches_enumeration(m, examples):
+    """The closed forms at primes above 2 against the certified residue
+    enumeration: reciprocity where 2 has one prime (Q, and m = 2, 3, 5, 13),
+    the Q_2 formula where it splits (m = 17).  The enumeration cannot clear a
+    denominator at a split prime, so arguments are integral there."""
+    F = make_field(1) if m is None else make_field(2, m)
+    primes = F.splitting(2).primes
+
+    @settings(max_examples=examples, deadline=None)
+    @given(_symbol_pairs(F, fractional=len(primes) == 1), st.sampled_from(primes))
+    def check(pair, pr):
+        s, d = pair
+        assert hilbert_symbol(F, s, d, pr) == twoadic_symbol_by_enumeration(F, s, d, pr)
+
+    check()
+
+
+def test_split_two_symbol_of_rationals_is_the_q2_symbol():
+    """Over Q(sqrt17) both completions at 2 are Q_2, so rational arguments get
+    the symbol of Q_2 at each prime, with denominators at 2 too: (1/2, 3) is
+    (2, 3), since 1/2 is 2 times a square."""
+    F = make_field(2, 17)
+    args = [Fraction(1, 2), Fraction(3), Fraction(-5, 4), Fraction(6), Fraction(-1), Fraction(7, 8)]
+    for pr in F.splitting(2).primes:
+        for a in args:
+            for b in args:
+                want = hilbert_symbol_2adic_oracle(a.numerator * a.denominator, b.numerator * b.denominator)
+                assert hilbert_symbol(F, F.elem(a), F.elem(b), pr) == want, (a, b)
+
+
+def test_split_two_product_formula():
+    """Over Q(sqrt17), where 2 splits, reciprocity is not how the symbols at 2
+    are computed, so the product over all places tests them.  The arguments
+    include g/conj(g) for a uniformizer g at 2, of norm 1 but valuation +1 and
+    -1 at the two primes above 2."""
+    F = make_field(2, 17)
+    g = F.splitting(2).primes[0].second_gen
+    vals = [
+        F.elem(3, 1),
+        F.elem(-1),
+        F.eps,
+        F.elem(1, 1),
+        F.elem(-5, 1),
+        F.elem(Fraction(1, 2)),
+        F.elem(Fraction(5, 4), Fraction(-3, 2)),
+        g,
+        -g * g,
+        g / g.conj(),
+        F.elem(Fraction(7, 6), 1),
+    ]
+    for s in vals:
+        for d in vals:
+            prod = hilbert_symbol(F, s, d, 0) * hilbert_symbol(F, s, d, 1)
+            primes = list(F.splitting(2).primes)
+            for x in (s, d):
+                primes += [pr for pr, _ in F.ideal(x).factor() if pr not in primes]
+            for pr in primes:
+                prod *= hilbert_symbol(F, s, d, pr)
             assert prod == 1, (s, d)
 
 

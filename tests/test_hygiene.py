@@ -10,6 +10,8 @@ Every parameter other than self/cls is read in its function's body.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -96,6 +98,27 @@ def test_every_class_is_referenced():
 
 def test_every_class_level_alias_is_referenced():
     assert _unreferenced(ast.Assign) == []
+
+
+def test_every_span_target_resolves():
+    """perfbench/spans.py wraps each name of TARGETS on its relclass module,
+    a method in its own class's namespace; a target that no longer resolves
+    breaks every traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, quals in spans.TARGETS.items():
+        module = importlib.import_module(f"relclass.{layer}")
+        for qual in quals:
+            owner, _, name = qual.rpartition(".")
+            if owner:
+                found = name in vars(getattr(module, owner, object))
+            else:
+                found = callable(getattr(module, name, None))
+            if not found:
+                missing.append(f"{layer}.{qual}")
+    assert missing == []
 
 
 def test_every_parameter_is_read():
