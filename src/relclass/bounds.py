@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cm import CMField, class_counts, line_norms, on_line
 from .errors import (
@@ -29,7 +27,6 @@ from .errors import (
     StrategyUnavailable,
 )
 from .field import Field, FIdeal, PrimeIdeal, kronecker, primes_up_to
-from .hecke import EigenvalueTable, symsq_L1, symsq_log_deriv_L1
 from .lattice import lll_reduce_gram, short_vectors
 from .numerics import (
     EULER_GAMMA,
@@ -46,6 +43,9 @@ from .numerics import (
     ipow,
     isqrt_iv,
 )
+
+if TYPE_CHECKING:
+    from .hecke import EigenvalueTable
 
 LOG_37 = Interval(3.6109179126442243, 3.6109179126442248)
 # prime norms up to this enter the F2 products
@@ -137,8 +137,7 @@ def covering_count_bound(F: Field, T0: Interval) -> Interval:
     return out
 
 
-@dataclass
-class LatticeConstants:
+class LatticeConstants(NamedTuple):
     d0: Interval
     T0: Interval
     C_T0: Interval
@@ -320,8 +319,7 @@ def norm_count_check_F(F: Field, idl: FIdeal, t: Fraction, lat: LatticeConstants
 # -- per-extension parameters -----------------------------------------------------------
 
 
-@dataclass
-class BoundParams:
+class BoundParams(NamedTuple):
     t: int
     m: Fraction
     V: float
@@ -467,6 +465,8 @@ def b_constants(F: Field, lat: LatticeConstants, Mp: Interval) -> dict:
 
 def zeta_F_numeric(F: Field, s: complex) -> complex:
     """Numeric zeta_F via zeta * L(s, chi) (quadratic) or zeta (rational)."""
+    import mpmath
+
     z = complex(mpmath.zeta(s))
     if F.n == 1:
         return z
@@ -517,13 +517,12 @@ def zeta_F_a_inv_second_over_first(F: Field, level: FIdeal) -> float:
     return 2 * g_prime / g_mid
 
 
-@dataclass
-class GConstants:
+class GConstants(NamedTuple):
     G1: float
     G2: float
     G3: float
     provenance: str
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def g_constants(
@@ -549,9 +548,11 @@ def g_constants(
             raise StrategyUnavailable(
                 f"injected G constants must be finite positive reals: {', '.join(bad)}"
             )
-        return GConstants(injected["G1"], injected["G2"], injected["G3"], "injected")
+        return GConstants(injected["G1"], injected["G2"], injected["G3"], "injected", {})
     if strategy != "heuristic":
         raise StrategyUnavailable(f"unknown strategy {strategy}")
+    from .hecke import symsq_L1, symsq_log_deriv_L1
+
     F = table.F
     n = F.n
     level_norm = int(table.level.norm())
@@ -605,6 +606,8 @@ def _g3_quadrature(table: EigenvalueTable, prime_cap: int, eta: float, panels: i
         pref *= math.sqrt(q) / (q**0.25 - 1) ** 2
 
     import cmath
+
+    import mpmath
 
     primes_data = []
     for p in primes_up_to(min(prime_cap, 150)):
@@ -671,8 +674,7 @@ def _simpson(f, a: float, b: float, panels: int) -> float:
 # -- the cascade ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConstantBundle:
+class ConstantBundle(NamedTuple):
     F: Field
     table: EigenvalueTable
     lat: LatticeConstants

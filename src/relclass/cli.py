@@ -17,8 +17,9 @@ import json
 import sys
 from fractions import Fraction
 
-# bounds, dseries, hecke and mpmath load in the commands that use them, so
-# that field and classify start without them
+# bounds and dseries load in verify and bound, which use them; hecke and
+# mpmath load only in bound, the one command that evaluates mpmath (at 128
+# bits)
 from . import forms
 from .cm import class_counts, make_cm
 from .errors import (
@@ -194,8 +195,6 @@ ALL_CHECKS = ("regression", "genus", "vsum", "lemma41", "normcounts", "measures"
 
 
 def cmd_verify(args) -> int:
-    import mpmath
-
     from . import bounds as bnd
     from . import dseries
 
@@ -243,8 +242,7 @@ def cmd_verify(args) -> int:
             dseries.measure_compare(K, [2.0, 5.0, 10.0], lat.A1.hi, lat.A2.hi)
             row["measures"] = "ok"
 
-    with mpmath.workprec(128):
-        rows, worst = run_corpus(args.corpus, run_row)
+    rows, worst = run_corpus(args.corpus, run_row)
     if rows is None:
         return worst
     summary = {

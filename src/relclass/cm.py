@@ -22,7 +22,6 @@ classification machinery stamps their reports non-applicable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -134,8 +133,7 @@ class KElem:
         return f"({self.x}) + ({self.y})*sqrt(d)"
 
 
-@dataclass(frozen=True)
-class KPrime:
+class KPrime(NamedTuple):
     """Prime of K above a base prime; rel_f is the residue degree of K/F."""
 
     base: PrimeIdeal
@@ -551,8 +549,7 @@ class KIdeal(LatticeIdeal):
         return z
 
 
-@dataclass
-class ClassData:
+class ClassData(NamedTuple):
     """Class representatives of K, the conjugation action on them, and
     representatives of Cl(K) modulo the image of Cl(F)."""
 

@@ -9,10 +9,7 @@ final inequality of each check, rounded outward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
 
 from .cm import CMField, class_counts, line_norms, norm_class_reps, on_line
 from .errors import InequalityViolated, OutOfRegion, TruncationTooLarge
@@ -21,16 +18,21 @@ from .field import Field, prime_products, primes_up_to
 MAX_TRUNCATION = 10**4
 
 
-@dataclass
 class CoeffSeries:
     """Dirichlet coefficients v_1..v_X with a provenance tag."""
 
-    X: int
-    coeffs: list[Fraction]
-    provenance: str
+    __slots__ = ("X", "coeffs", "provenance")
 
-    def __post_init__(self):
-        assert len(self.coeffs) == self.X
+    def __init__(self, X: int, coeffs: list[Fraction], provenance: str):
+        assert len(coeffs) == X
+        self.X = X
+        self.coeffs = coeffs
+        self.provenance = provenance
+
+    def __eq__(self, other):
+        if type(other) is not CoeffSeries:
+            return NotImplemented
+        return (self.X, self.coeffs, self.provenance) == (other.X, other.coeffs, other.provenance)
 
     def coeff(self, n: int) -> Fraction:
         return self.coeffs[n - 1]
@@ -274,13 +276,20 @@ def vsum_check(K: CMField, X: int | None = None) -> dict:
 # -- measures and Mellin transforms --------------------------------------------------
 
 
-@dataclass
 class StepMeasure:
     """Atoms plus optional power-law density pieces c * t^gamma on [lo, hi]."""
 
-    atoms: list[tuple[float, float]] = field(default_factory=list)
-    density: list[tuple[float, float, float, float]] = field(default_factory=list)
-    # density entries: (c, gamma, lo, hi); hi = inf allowed
+    __slots__ = ("atoms", "density")
+
+    def __init__(self):
+        self.atoms: list[tuple[float, float]] = []
+        # density entries: (c, gamma, lo, hi); hi = inf allowed
+        self.density: list[tuple[float, float, float, float]] = []
+
+    def __eq__(self, other):
+        if type(other) is not StepMeasure:
+            return NotImplemented
+        return (self.atoms, self.density) == (other.atoms, other.density)
 
     def integral_of_mass(self, x: float) -> float:
         """int_0^x mass([0,t]) dt; exact for atom-only measures, panelwise
@@ -315,6 +324,8 @@ def mellin_closed(kind: str, params: dict, s: complex) -> complex:
         u = params.get("u", 0.0)
         if s.real - u <= 0:
             raise OutOfRegion("Gamma transform needs Re(s) > u")
+        import mpmath
+
         return complex(mpmath.gamma(s - u))
     if kind == "K":
         if s.real <= 1:
@@ -335,6 +346,8 @@ def mellin_closed(kind: str, params: dict, s: complex) -> complex:
 
 def mellin_quadrature(u: float, s: complex) -> complex:
     """Numerical check of the Gamma transform."""
+    import mpmath
+
     f = mpmath.quad(lambda t: t ** (-s) * mpmath.e ** (-1 / t) * t ** (u - 1), [0, mpmath.inf])
     return complex(f)
 

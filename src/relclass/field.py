@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import (
     DegreeUnsupported,
@@ -782,16 +782,17 @@ class FIdeal(LatticeIdeal):
 
     def valuation(self, prime: "PrimeIdeal") -> int:
         """Exact valuation at a prime of the base field."""
-        num_ideal = FIdeal(self.F, [list(r) for r in self.num], 1)
         v = 0
-        cur = num_ideal
-        pinv = prime.ideal_inv
-        while True:
-            nxt = cur * pinv
-            if not nxt.is_integral():
-                break
-            cur = nxt
-            v += 1
+        # prime | num forces N(prime) | N(num), so most primes need no product
+        if math.prod(r[i] for i, r in enumerate(self.num)) % prime.norm() == 0:
+            cur = FIdeal(self.F, [list(r) for r in self.num], 1)
+            pinv = prime.ideal_inv
+            while True:
+                nxt = cur * pinv
+                if not nxt.is_integral():
+                    break
+                cur = nxt
+                v += 1
         vp_den = 0
         d = self.den
         while d % prime.p == 0:
@@ -860,27 +861,35 @@ class FIdeal(LatticeIdeal):
         return None
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """A prime of the base field above p; second_gen has valuation exactly 1,
-    and ideal_inv is the inverse of ideal, which valuations divide by."""
+    and ideal_inv is the inverse of ideal, which valuations divide by.
+    Equality and hashing leave out ideal_inv, which ideal determines."""
 
     p: int
     e: int
     f: int
     ideal: FIdeal
     second_gen: FElem
-    ideal_inv: FIdeal = field(compare=False)
+    ideal_inv: FIdeal
 
     def norm(self) -> int:
         return self.p**self.f
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeIdeal) and self[:5] == other[:5]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:5])
 
     def __repr__(self):
         return f"P({self.p};e={self.e},f={self.f})"
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(NamedTuple):
     p: int
     primes: tuple[PrimeIdeal, ...]
 

@@ -15,8 +15,8 @@ over Q_2 (when 2 splits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cm import CMField, KElem, KIdeal, class_counts, make_cm
 from .errors import (
@@ -47,8 +47,7 @@ from .lattice import lll_reduce_gram, short_vectors
 GENUS_SCAN_BUDGET = 200_000
 
 
-@dataclass
-class PseudoForm:
+class PseudoForm(NamedTuple):
     """q(x alpha + y beta) = a x^2 + b xy + c y^2 on o*alpha + steinitz*beta."""
 
     F: Field

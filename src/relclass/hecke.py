@@ -11,8 +11,8 @@ flagged heuristic throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -81,16 +81,36 @@ def _pkey(pr: PrimeIdeal):
     return (pr.p, pr.second_gen.a, pr.second_gen.b)
 
 
-@dataclass
 class EigenvalueTable:
-    """lambda(p) for primes of the base field, with level and sign data."""
+    """lambda(p) for primes of the base field, with level and sign data.
 
-    F: Field
-    level: FIdeal
-    pmax: int
-    lam_map: dict
-    eps_sign: int | None
-    provenance: str
+    eps_sign is set once the root number is known; discrepancy notes a
+    computed eigenvalue at the level that differs from the configured one."""
+
+    __slots__ = ("F", "level", "pmax", "lam_map", "eps_sign", "provenance", "discrepancy")
+
+    def __init__(
+        self,
+        F: Field,
+        level: FIdeal,
+        pmax: int,
+        lam_map: dict,
+        eps_sign: int | None,
+        provenance: str,
+        discrepancy: str | None = None,
+    ):
+        self.F = F
+        self.level = level
+        self.pmax = pmax
+        self.lam_map = lam_map
+        self.eps_sign = eps_sign
+        self.provenance = provenance
+        self.discrepancy = discrepancy
+
+    def __eq__(self, other):
+        if type(other) is not EigenvalueTable:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     def lam(self, pr: PrimeIdeal) -> int:
         key = _pkey(pr)
@@ -119,15 +139,10 @@ def gz_table(pmax: int = 1000) -> EigenvalueTable:
             report_flag = f"computed a_{p} = {ap} != configured {CURVE_AP_AT_LEVEL}"
         pr = Q.splitting(p).primes[0]
         lam[_pkey(pr)] = ap
-    table = EigenvalueTable(
-        Q, Q.ideal(CURVE_LEVEL), pmax, lam, eps_sign=None, provenance="point-count"
-    )
-    table.discrepancy = report_flag
-    return table
+    return EigenvalueTable(Q, Q.ideal(CURVE_LEVEL), pmax, lam, None, "point-count", report_flag)
 
 
-@dataclass
-class QuadChar:
+class QuadChar(NamedTuple):
     """The quadratic character attached to a CM extension K/F."""
 
     K: CMField
@@ -303,8 +318,7 @@ def poly_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EulerFactor:
+class EulerFactor(NamedTuple):
     """num(T)/den(T) with T = q^-s, integer coefficients, degrees <= 2."""
 
     q: int

@@ -79,14 +79,6 @@ def vec_mat(v: list[int], mat) -> list[int]:
     return [sum(a * row[k] for a, row in zip(v, mat) if a) for k in range(len(mat[0]))]
 
 
-def lattice_index(basis: list[list[int]]) -> int:
-    """Determinant (covolume) of a full-rank square HNF basis."""
-    det = 1
-    for i in range(len(basis)):
-        det *= basis[i][i]
-    return abs(det)
-
-
 def solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]):
     """One rational solution of mat * x = rhs (rows = equations), or None."""
     nrows = len(mat)
@@ -120,56 +112,6 @@ def solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]):
     for i, c in enumerate(pivots):
         x[c] = a[i][ncols]
     return x
-
-
-def smith_normal_form(rows: list[list[int]]) -> list[int]:
-    """Elementary divisors of an integer matrix."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    divisors = []
-    top = 0
-    while top < min(nr, nc):
-        best = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        m[top], m[i0] = m[i0], m[top]
-        for r in m:
-            r[top], r[j0] = r[j0], r[top]
-        done = True
-        for i in range(top + 1, nr):
-            q = m[i][top] // m[top][top]
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-            if m[i][top] != 0:
-                done = False
-        if done:
-            for j in range(top + 1, nc):
-                q = m[top][j] // m[top][top]
-                if q:
-                    for r in m:
-                        r[j] -= q * r[top]
-                if m[top][j] != 0:
-                    done = False
-        if not done:
-            continue
-        d = abs(m[top][top])
-        bad = None
-        for i in range(top + 1, nr):
-            if any(m[i][j] % d for j in range(top + 1, nc)):
-                bad = i
-                break
-        if bad is not None:
-            m[top] = [a + b for a, b in zip(m[top], m[bad])]
-            continue
-        divisors.append(d)
-        top += 1
-    return divisors
 
 
 def _augmented_hnf(rows: list[list[int]], width: int) -> list[list[int]]:

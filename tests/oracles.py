@@ -277,10 +277,6 @@ def relation_class_number(K, budget: int = 2500, stable_window: int = 60):
     inversion on classes, so orbits = (h + #2-torsion)/2 with the 2-torsion
     read off the Smith form of the relation matrix.
     """
-    from fractions import Fraction
-
-    from relclass.intmat import hnf_lattice, lattice_index, smith_normal_form
-
     assert K.F.h_F == 1
     bound = K.minkowski_bound()
     kps = K.kprimes_up_to(bound)
@@ -347,7 +343,7 @@ def relation_class_number(K, budget: int = 2500, stable_window: int = 60):
                 if found >= 8:
                     break
             q_bound *= 4
-    h_cur = _lattice_h(rels, k, hnf_lattice, lattice_index)
+    h_cur = _lattice_h(rels, k)
     stable = 0
     count = 0
     for z in _small_k_elements(K):
@@ -362,7 +358,7 @@ def relation_class_number(K, budget: int = 2500, stable_window: int = 60):
         if not _norm_smooth(int(nz), gens):
             continue
         rels.append(elem_vec(z))
-        h = _lattice_h(rels, k, hnf_lattice, lattice_index)
+        h = _lattice_h(rels, k)
         if h is None:
             continue
         if h == h_cur:
@@ -391,11 +387,70 @@ def _elem_val(z, powers) -> int:
     return v
 
 
-def _lattice_h(rels, k, hnf_lattice, lattice_index):
+def _lattice_h(rels, k):
     h = hnf_lattice([list(r) for r in rels])
     if len(h) != k:
         return None
     return lattice_index(h)
+
+
+# The determinant and the elementary divisors of a relation lattice.
+def lattice_index(basis: list[list[int]]) -> int:
+    """Determinant (covolume) of a full-rank square HNF basis."""
+    det = 1
+    for i in range(len(basis)):
+        det *= basis[i][i]
+    return abs(det)
+
+
+def smith_normal_form(rows: list[list[int]]) -> list[int]:
+    """Elementary divisors of an integer matrix."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    divisors = []
+    top = 0
+    while top < min(nr, nc):
+        best = None
+        for i in range(top, nr):
+            for j in range(top, nc):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i0, j0 = best
+        m[top], m[i0] = m[i0], m[top]
+        for r in m:
+            r[top], r[j0] = r[j0], r[top]
+        done = True
+        for i in range(top + 1, nr):
+            q = m[i][top] // m[top][top]
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], m[top])]
+            if m[i][top] != 0:
+                done = False
+        if done:
+            for j in range(top + 1, nc):
+                q = m[top][j] // m[top][top]
+                if q:
+                    for r in m:
+                        r[j] -= q * r[top]
+                if m[top][j] != 0:
+                    done = False
+        if not done:
+            continue
+        d = abs(m[top][top])
+        bad = None
+        for i in range(top + 1, nr):
+            if any(m[i][j] % d for j in range(top + 1, nc)):
+                bad = i
+                break
+        if bad is not None:
+            m[top] = [a + b for a, b in zip(m[top], m[bad])]
+            continue
+        divisors.append(d)
+        top += 1
+    return divisors
 
 
 def _conj_prime(K, kp):

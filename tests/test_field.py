@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -390,6 +391,39 @@ def test_factor_recomposes(case):
     assert prod == a
     order = [(pr.p, F.splitting(pr.p).primes.index(pr)) for pr, _ in fac]
     assert order == sorted(order)
+
+
+VALUATION_FIELDS = [make_field(1)] + [make_field(2, m) for m in (2, 3, 5, 13, 17)]
+
+
+@pytest.mark.parametrize("F", VALUATION_FIELDS, ids=lambda F: f"m={F.m}")
+def test_valuation_shortcut_matches_repeated_inverse(F):
+    """FIdeal.valuation builds no product when N(P) does not divide the norm
+    of the numerator; the oracle always multiplies by P^-1."""
+    kinds = {}
+    for p in primes_up_to(17):
+        primes = F.splitting(p).primes
+        kind = "ramified" if primes[0].e == 2 else "inert" if primes[0].f == 2 else "split"
+        kinds.setdefault(kind, primes)
+    if F.n == 2:
+        assert sorted(kinds) == ["inert", "ramified", "split"]
+    else:  # every prime of Q splits: take 2 and 3
+        kinds["split"] += F.splitting(3).primes
+    S = [pr for primes in kinds.values() for pr in primes]
+    skipped_with_p_in_den = 0
+    for exps in itertools.product((-1, 0, 1), repeat=len(S)):
+        idl = F.unit_ideal()
+        for pr, k in zip(S, exps):
+            idl = idl * pr.ideal**k
+        for scale in (1, Fraction(1, S[0].p)):
+            a = idl.scale(scale)
+            ref = RefIdeal(F, [list(r) for r in a.num], a.den)
+            nm = math.prod(r[i] for i, r in enumerate(a.num))
+            for pr in S:
+                assert a.valuation(pr) == ref.valuation(pr), (a, pr)
+                if nm % pr.norm() and a.den % pr.p == 0:
+                    skipped_with_p_in_den += 1
+    assert skipped_with_p_in_den > 0
 
 
 def test_factor_of_norm_one_quotient():

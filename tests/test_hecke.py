@@ -45,6 +45,12 @@ def test_table_discrepancy_flag_absent():
     assert TBL.discrepancy is None
 
 
+def test_derived_tables_declare_no_discrepancy():
+    # the flag is a declared field: a twist or a base change reads None
+    assert twist_table(TBL, QuadChar(make_cm(Q, -139))).discrepancy is None
+    assert base_change_table(TBL, make_field(2, 5)).discrepancy is None
+
+
 def test_out_of_range():
     with pytest.raises(OutOfTableRange):
         TBL.lam(Q.splitting(1009).primes[0])

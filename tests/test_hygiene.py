@@ -170,12 +170,56 @@ def test_no_module_sets_the_global_mpmath_precision():
     assert sets == []
 
 
-def test_cli_import_loads_no_numeric_layer():
-    """field and classify need neither mpmath nor the bound cascade."""
-    code = "import sys, relclass.cli; print(sorted({'mpmath', 'relclass.bounds'} & set(sys.modules)))"
+def _run_and_list_layers(code: str) -> tuple[str, list[str]]:
+    """Run code in a fresh interpreter: (its stdout, which of mpmath,
+    relclass.hecke and relclass.bounds it left in sys.modules)."""
+    probe = (
+        f"{code}\nimport sys\n"
+        "print(sorted({'mpmath', 'relclass.hecke', 'relclass.bounds'} & set(sys.modules)), file=sys.stderr)"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return out.stdout, ast.literal_eval(out.stderr.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_numeric_layer():
+    """field and classify need neither mpmath nor the bound cascade, and the
+    cascade itself loads neither mpmath nor the eigenvalue tables."""
+    assert _run_and_list_layers("import relclass.cli")[1] == []
+    assert _run_and_list_layers("import relclass.bounds")[1] == ["relclass.bounds"]
+
+
+def test_only_bound_loads_mpmath_and_hecke(tmp_path):
+    """verify with every check runs no mpmath and no eigenvalue table; bound
+    on a parity-applicable row loads both, so the check can fail."""
+    corpus = tmp_path / "two.txt"
+    # a q50 row, and a quartic row with reldisc 1764 > 4^2, so lemma41 runs on both
+    corpus.write_text("1,-,-1947,0,8,3\n2,2,-21,0,8,4\n")
+    run = "from relclass.cli import main\nmain({!r})"
+    report, layers = _run_and_list_layers(run.format(["verify", "--corpus", str(corpus)]))
+    assert report.count('"lemma41"') == 2 and report.count('"status": "ok"') == 2
+    assert layers == ["relclass.bounds"]
+    argv = ["bound", "--corpus", str(corpus), "--pmax", "100", "--lambda-grid", "1e29,1e30,1e31"]
+    report, layers = _run_and_list_layers(run.format(argv))
+    assert '"C": "1e-29"' in report
+    assert layers == ["mpmath", "relclass.bounds", "relclass.hecke"]
+
+
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples or __slots__ classes: importing dataclasses
+    would load inspect, ast and tokenize into every command."""
+    found = []
+    for path, tree in _trees("src/relclass"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_lattice_enumeration_uses_no_floats():
