@@ -613,22 +613,26 @@ def _g3_quadrature(table: EigenvalueTable, prime_cap: int, eta: float, panels: i
     for p in primes_up_to(min(prime_cap, 150)):
         for pr in F.splitting(p).primes:
             v = table.level_val(pr)
-            primes_data.append(
-                (math.log(pr.norm()), v, 0 if v else table.lam(pr))
-            )
+            lq = math.log(pr.norm())
+            primes_data.append((lq, v, 0 if v else table.lam(pr), math.exp(-lq)))
 
+    # The exponents -w and -(w + 1)/2, exp(-lq) and lam * u are each formed
+    # once, by the same float operations as inline, so every node is bit for
+    # bit what it was.
     def L_sym_over_zeta_fa(w: complex) -> complex:
         out = complex(1.0)
-        for lq, v, lam in primes_data:
-            t = cmath.exp(-w * lq)
+        mw = -w
+        mh = -(w + 1) / 2
+        for lq, v, lam, q_inv in primes_data:
+            t = cmath.exp(mw * lq)
             if v >= 2:
                 out *= 1 - t  # only the zeta factor survives
                 continue
             if v == 1:
-                out *= (1 - t) / (1 - t * math.exp(-lq))
+                out *= (1 - t) / (1 - t * q_inv)
                 continue
-            u = cmath.exp(-(w + 1) / 2 * lq)
-            out *= 1.0 / ((1 - lam * u + t) * (1 + lam * u + t))
+            lu = lam * cmath.exp(mh * lq)
+            out *= 1.0 / ((1 - lu + t) * (1 + lu + t))
         return out
 
     # Adjacent Simpson segments share end nodes, and the stop test reads the

@@ -17,11 +17,10 @@ import json
 import sys
 from fractions import Fraction
 
-# bounds and dseries load in verify and bound, which use them; hecke and
-# mpmath load only in bound, the one command that evaluates mpmath (at 128
-# bits)
-from . import forms
-from .cm import class_counts, make_cm
+# Each command imports only what its work reaches: field the base field
+# alone; the others cm with their first CM field, classify forms, verify
+# bounds and dseries.  bound imports bounds, and mpmath, hecke and dseries
+# once a row passes the parity test; that row's cascade runs at 128 bits.
 from .errors import (
     AssumptionViolated,
     BoundViolated,
@@ -78,6 +77,8 @@ class CorpusEntry:
         return make_field(self.n, self.m)
 
     def cm(self):
+        from .cm import make_cm
+
         F = self.field()
         return make_cm(F, F.elem(self.delta_a, self.delta_b))
 
@@ -108,6 +109,9 @@ def cmd_field(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import forms
+    from .cm import class_counts, make_cm
+
     F = make_field(args.n, args.m)
     K = make_cm(F, F.elem(args.delta_a, args.delta_b))
     h_K, h, orbits = class_counts(K)
@@ -197,6 +201,7 @@ ALL_CHECKS = ("regression", "genus", "vsum", "lemma41", "normcounts", "measures"
 def cmd_verify(args) -> int:
     from . import bounds as bnd
     from . import dseries
+    from .cm import class_counts, lower_bound_t
 
     checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
     bad = [c for c in checks if c not in ALL_CHECKS]
@@ -222,7 +227,7 @@ def cmd_verify(args) -> int:
                 raise InequalityViolated(f"expected h_K = {entry.expected_hK}, computed {h_K}")
             row["regression"] = "ok"
         if "genus" in checks and K.unit_equal:
-            t, bound = forms.lower_bound_t(K)
+            t, bound = lower_bound_t(K)
             if entry.expected_t is not None and entry.expected_t != t:
                 raise InequalityViolated(f"expected t = {entry.expected_t}, computed {t}")
             row["genus"] = f"2^{t - 1}<={h_K}"
@@ -255,10 +260,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    import mpmath
-
     from . import bounds as bnd
-    from . import dseries, hecke
+    from .cm import lower_bound_t, make_cm
 
     strategy = args.strategy
     injected = None
@@ -271,6 +274,8 @@ def cmd_bound(args) -> int:
 
     def bundle(F):
         if F not in bundles:
+            from . import hecke
+
             table = hecke.gz_table(args.pmax)
             if F.n == 2:
                 table = hecke.base_change_table(table, F)
@@ -284,11 +289,16 @@ def cmd_bound(args) -> int:
         K = entry.cm()
         if not bnd.parity_applicable(K.F):
             raise ParityFails("the 37-splitting parity condition fails for this base field")
-        b = bundle(K.F)
-        fc = bnd.final_C(b)
-        fb = bnd.final_bound(K, b, C=fc["C"])
-        t, genus_bound = forms.lower_bound_t(K)
-        vs = dseries.vsum_check(K)
+        import mpmath
+
+        from . import dseries
+
+        with mpmath.workprec(128):
+            b = bundle(K.F)
+            fc = bnd.final_C(b)
+            fb = bnd.final_bound(K, b, C=fc["C"])
+            t, genus_bound = lower_bound_t(K)
+            vs = dseries.vsum_check(K)
         row.update(
             {
                 "reldisc": K.rel_disc_norm,
@@ -306,8 +316,7 @@ def cmd_bound(args) -> int:
             }
         )
 
-    with mpmath.workprec(128):
-        rows, worst = run_corpus(args.corpus, run_row)
+    rows, worst = run_corpus(args.corpus, run_row)
     if rows is not None:
         sys.stdout.write(_emit(rows, args))
     return worst

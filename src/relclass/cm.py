@@ -230,8 +230,7 @@ class CMField:
         ram_data = []
         for pr, v4d in F.ideal(delta * F.elem(4)).factor():
             if pr.p != 2:
-                vd = F.ideal(delta).valuation(pr)
-                j = vd // 2
+                j = v4d // 2  # v(4 delta) = v(delta) at an odd prime
                 b = F.zero()
             else:
                 j, b = self._two_adic_j(pr, v4d)
@@ -337,7 +336,7 @@ class CMField:
             return self._local_cache[key]
         F = self.F
         j = -self.c_inv.valuation(pr)
-        tau = elem_with_valuation(F, self.c_inv, pr, -j)
+        tau = elem_with_valuation(self.c_inv, pr, -j)
         w = KElem(self, tau * self.b_shift, tau)
         assert w.is_integral()
         rf = ResidueField(F, pr)
@@ -727,6 +726,16 @@ def class_counts(K: CMField) -> ClassCounts:
             cd = K.class_data()
             K._counts = ClassCounts(cd.h_K, cd.h, cd.orbits)
     return K._counts
+
+
+def lower_bound_t(K: CMField) -> tuple[int, int]:
+    """(t, 2^(t-1)) with t the number of prime divisors of the relative
+    discriminant; the bound 2^(t+n-1)/2^n <= h_K is asserted."""
+    t = len(K.rel_disc_primes)
+    bound = 2 ** (t + K.F.n - 1) // K.F.unit_sq_index
+    h_K = class_counts(K).h_K
+    assert bound <= h_K, f"genus bound {bound} exceeds h_K = {h_K}"
+    return t, bound
 
 
 def norm_class_reps(K: CMField) -> list[KIdeal]:

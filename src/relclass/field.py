@@ -460,6 +460,12 @@ class FElem:
     def is_zero(self) -> bool:
         return self.na == 0 and self.nb == 0
 
+    def valuation(self, prime: "PrimeIdeal") -> int:
+        """Exact valuation at a prime of the base field."""
+        if self.na == 0 and self.nb == 0:
+            raise ZeroDivisionError("valuation of zero")
+        return _valuation(self.F, [(self.na, self.nb)], self.den, prime)
+
     def is_integral(self) -> bool:
         return self.den == 1
 
@@ -586,6 +592,32 @@ def _raw(F: Field, na: int, nb: int, den: int) -> FElem:
     x.nb = nb
     x.den = den
     return x
+
+
+def _valuation(F: Field, rows, den: int, prime: "PrimeIdeal") -> int:
+    """Valuation at a prime of the Z-span of the nonzero integral elements
+    rows[i][0] + rows[i][1]*omega, over den: the least valuation of a row,
+    on integer coordinates (Cohen, GTM 138, Alg. 4.8.17).  While x * tau/p
+    is integral, x lies in the prime, and x * tau/p has valuation one less
+    there."""
+    p, c0, c1 = prime.p, F.c0, F.c1
+    ta, tb = prime.tau.na, prime.tau.nb
+    least = None
+    for row in rows:
+        a, b = row[0], row[1] if len(row) > 1 else 0
+        v = 0
+        while least is None or v < least:
+            x = a * ta + b * tb * c0
+            y = a * tb + b * ta + b * tb * c1
+            if x % p or y % p:
+                break
+            a, b = x // p, y // p
+            v += 1
+        least = v
+    while den % p == 0:
+        den //= p
+        least -= prime.e
+    return least
 
 
 def _felem(F: Field, na: int, nb: int, den: int) -> FElem:
@@ -781,24 +813,9 @@ class FIdeal(LatticeIdeal):
         return f"FIdeal({self.num}/{self.den}, norm={self.norm()})"
 
     def valuation(self, prime: "PrimeIdeal") -> int:
-        """Exact valuation at a prime of the base field."""
-        v = 0
-        # prime | num forces N(prime) | N(num), so most primes need no product
-        if math.prod(r[i] for i, r in enumerate(self.num)) % prime.norm() == 0:
-            cur = FIdeal(self.F, [list(r) for r in self.num], 1)
-            pinv = prime.ideal_inv
-            while True:
-                nxt = cur * pinv
-                if not nxt.is_integral():
-                    break
-                cur = nxt
-                v += 1
-        vp_den = 0
-        d = self.den
-        while d % prime.p == 0:
-            d //= prime.p
-            vp_den += 1
-        return v - prime.e * vp_den
+        """Exact valuation at a prime of the base field: the least valuation
+        of a basis element."""
+        return _valuation(self.F, self.num, self.den, prime)
 
     def factor(self) -> list[tuple["PrimeIdeal", int]]:
         """The primes of nonzero valuation with their valuations, by
@@ -863,15 +880,16 @@ class FIdeal(LatticeIdeal):
 
 class PrimeIdeal(NamedTuple):
     """A prime of the base field above p; second_gen has valuation exactly 1,
-    and ideal_inv is the inverse of ideal, which valuations divide by.
-    Equality and hashing leave out ideal_inv, which ideal determines."""
+    and tau is integral with ideal^-1 = o + (tau/p) o, which valuations
+    multiply by: 1 when p is prime in o, else the conjugate of second_gen.
+    Equality and hashing leave out tau, which ideal determines."""
 
     p: int
     e: int
     f: int
     ideal: FIdeal
     second_gen: FElem
-    ideal_inv: FIdeal
+    tau: FElem
 
     def norm(self) -> int:
         return self.p**self.f
@@ -907,7 +925,7 @@ def factor_prime(F: Field, p: int) -> SplittingType:
         raise ValueError(f"{p} is not prime")
     if F.n == 1:
         idl = F.ideal(p)
-        return SplittingType(p, (PrimeIdeal(p, 1, 1, idl, F.elem(p), idl.inverse()),))
+        return SplittingType(p, (PrimeIdeal(p, 1, 1, idl, F.elem(p), F.one()),))
     c0, c1 = F.c0, F.c1
     if F.d_F % p == 0:
         # ramified: double root of x^2 - c1 x - c0 mod p
@@ -918,7 +936,7 @@ def factor_prime(F: Field, p: int) -> SplittingType:
         g = F.omega() - F.elem(r)
         idl = F.ideal(F.elem(p), g)
         assert idl.norm() == p
-        pi = PrimeIdeal(p, 2, 1, idl, g, idl.inverse())
+        pi = PrimeIdeal(p, 2, 1, idl, g, g.conj())
         return SplittingType(p, (pi,))
     # unramified: split iff disc is a QR mod p
     disc = c1 * c1 + 4 * c0  # equals d_F or d_F; nonzero mod p here
@@ -932,7 +950,7 @@ def factor_prime(F: Field, p: int) -> SplittingType:
         rts = [] if s is None else sorted({(c1 + s) * pow(2, -1, p) % p, (c1 - s) * pow(2, -1, p) % p})
     if not split:
         idl = F.ideal(p)
-        return SplittingType(p, (PrimeIdeal(p, 1, 2, idl, F.elem(p), idl.inverse()),))
+        return SplittingType(p, (PrimeIdeal(p, 1, 2, idl, F.elem(p), F.one()),))
     primes = []
     for r in rts:
         # lift r so that omega - r has valuation exactly 1 at this prime
@@ -941,7 +959,7 @@ def factor_prime(F: Field, p: int) -> SplittingType:
         g = F.omega() - F.elem(rr)
         idl = F.ideal(F.elem(p), F.omega() - F.elem(r))
         assert idl.norm() == p
-        primes.append(PrimeIdeal(p, 1, 1, idl, g, idl.inverse()))
+        primes.append(PrimeIdeal(p, 1, 1, idl, g, g.conj()))
     return SplittingType(p, tuple(primes))
 
 
@@ -957,10 +975,10 @@ def ideal_transversal(F: Field, idl: FIdeal):
             yield F.elem(x, y)
 
 
-def elem_with_valuation(F: Field, idl: FIdeal, pr: PrimeIdeal, v: int) -> FElem:
+def elem_with_valuation(idl: FIdeal, pr: PrimeIdeal, v: int) -> FElem:
     """A basis element of the fractional ideal with exact valuation v at pr."""
     for e in idl.basis_elems():
-        if F.ideal(e).valuation(pr) == v:
+        if e.valuation(pr) == v:
             return e
     raise SearchBudgetExceeded(f"no basis element of valuation {v} at {pr}")
 

@@ -19,6 +19,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cm import CMField, KElem, KIdeal, class_counts, make_cm
+# re-exported: benchmark spans and acceptance tests name forms.lower_bound_t
+from .cm import lower_bound_t  # noqa: F401
 from .errors import (
     CriterionFails,
     DegenerateForm,
@@ -116,10 +118,6 @@ def make_form(F: Field, a, b, c, steinitz: FIdeal | None = None) -> PseudoForm:
 # -- fundamentality ------------------------------------------------------------------
 
 
-def _val_elem(F: Field, x: FElem, pr: PrimeIdeal) -> int:
-    return F.ideal(x).valuation(pr)
-
-
 def is_quadratic_residue_mod4(F: Field, d: FElem, pr: PrimeIdeal) -> bool:
     """Whether u^2 = d mod 4 o_p is solvable, with u allowed anywhere in o_p.
 
@@ -130,7 +128,7 @@ def is_quadratic_residue_mod4(F: Field, d: FElem, pr: PrimeIdeal) -> bool:
     four_p = (two * two).valuation(pr)
     for u in ideal_transversal(F, two * pr.ideal):
         diff = u * u - d
-        if diff.is_zero() or F.ideal(diff).valuation(pr) >= four_p:
+        if diff.is_zero() or diff.valuation(pr) >= four_p:
             return True
     return False
 
@@ -141,7 +139,7 @@ def is_fundamental_local(F: Field, d: FElem, pr: PrimeIdeal) -> bool:
     Odd p: d not in p^2.  p | 2: quadratic residue mod 4, and either pi^2
     does not divide d or d/pi^2 is not a residue mod 4 (any u in o_p is
     allowed in the residue test)."""
-    v = _val_elem(F, d, pr)
+    v = d.valuation(pr)
     assert v >= 0
     if pr.p != 2:
         return v <= 1
@@ -168,8 +166,8 @@ def is_fundamental(Q: PseudoForm, cross_check: bool = True) -> bool:
     assert target.is_integral()
     result = True
     for pr in _relevant_primes(F, Q):
-        t_a = elem_with_valuation(F, Q.steinitz, pr, Q.steinitz.valuation(pr))
-        n_t = elem_with_valuation(F, nq, pr, nq.valuation(pr))
+        t_a = elem_with_valuation(Q.steinitz, pr, Q.steinitz.valuation(pr))
+        n_t = elem_with_valuation(nq, pr, nq.valuation(pr))
         d_star = d * t_a * t_a / (n_t * n_t)
         if not is_fundamental_local(F, d_star, pr):
             result = False
@@ -394,8 +392,8 @@ def hilbert_symbol(F: Field, s: FElem, d: FElem, place) -> int:
 
 def _tame_symbol(F: Field, s: FElem, d: FElem, pr: PrimeIdeal) -> int:
     rf = ResidueField(F, pr)
-    alpha = _val_elem(F, s, pr)
-    beta = _val_elem(F, d, pr)
+    alpha = s.valuation(pr)
+    beta = d.valuation(pr)
     us = rf.unit_residue(s, alpha)
     ud = rf.unit_residue(d, beta)
     q = rf.q
@@ -578,7 +576,7 @@ def prescribe_genus(K: CMField, signs: dict):
         if not is_prime_int(int(nrm)):
             continue
         for pr in primes:
-            if _val_elem(F, e0, pr) != 0:
+            if e0.valuation(pr) != 0:
                 ok = False
                 break
             if hilbert_symbol(F, e0, delta, pr) != signs[("p", pr.p, str(pr.second_gen))]:
@@ -588,7 +586,7 @@ def prescribe_genus(K: CMField, signs: dict):
             continue
         # (e0) is a prime element; the reciprocity bookkeeping makes it split
         pr_e = F.splitting(int(nrm)).primes
-        target = next((q for q in pr_e if _val_elem(F, e0, q) > 0), None)
+        target = next((q for q in pr_e if e0.valuation(q) > 0), None)
         if target is None or K.splitting_kind(target) != "split":
             continue
         if not representable_criterion(K, e0):
@@ -618,17 +616,7 @@ def _small_elements(F: Field):
             box += 1
 
 
-# -- the lower bound and the unique-line lemma ---------------------------------------------
-
-
-def lower_bound_t(K: CMField) -> tuple[int, int]:
-    """(t, 2^(t-1)) with t the number of prime divisors of the relative
-    discriminant; the bound 2^(t+n-1)/2^n <= h_K is asserted."""
-    t = len(K.rel_disc_primes)
-    bound = 2 ** (t + K.F.n - 1) // K.F.unit_sq_index
-    h_K = class_counts(K).h_K
-    assert bound <= h_K, f"genus bound {bound} exceeds h_K = {h_K}"
-    return t, bound
+# -- the unique-line lemma ---------------------------------------------------------
 
 
 def minimal_lines(Q: PseudoForm) -> list[tuple]:

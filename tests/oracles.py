@@ -15,7 +15,6 @@ from math import gcd, isqrt
 from relclass.errors import MixedFields, NoRepresentedValueFound, SearchBudgetExceeded
 from relclass.field import FElem as FieldElem
 from relclass.field import Field, PrimeIdeal, _felem, ideal_transversal
-from relclass.forms import _val_elem
 from relclass.intmat import hnf_lattice, solve_exact
 
 
@@ -135,7 +134,7 @@ def twoadic_symbol_by_enumeration(F: Field, s: FieldElem, d: FieldElem, pr: Prim
 
 
 def _reduce_by_square(F: Field, x: FieldElem, pr: PrimeIdeal, g: FieldElem) -> FieldElem:
-    v = _val_elem(F, x, pr)
+    v = x.valuation(pr)
     k = v // 2
     for _ in range(k):
         x = x / (g * g)

@@ -331,6 +331,17 @@ def test_g3_matches_128_bit_quadrature(m):
     assert abs(vals[0] - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("m, expected", [(None, 111980.76742396616), (3, 327052026859.33484)])
+def test_g3_quadrature_is_bit_for_bit(m, expected):
+    """The nodes are evaluated by the same float operations as before their
+    loop invariants were hoisted: the sum over the tables `relclass bound
+    --pmax 500` builds is the same double."""
+    F = make_field(1) if m is None else make_field(2, m)
+    with mpmath.workprec(128):
+        table = _bound_table(F)
+    assert bnd._g3_quadrature(table, 300, 0.125) == expected
+
+
 def test_zeta_inv_prime_closed_form():
     # F = Q, level 37 * 139^2: 1/((36/37)(138/139))
     tab = gz_table(60)

@@ -103,6 +103,45 @@ def test_bound_rows(tmp_path):
     assert rows[1]["status"].startswith("ParityFails")
 
 
+# bound rows over three base fields: Q(sqrt 5) fails the parity test,
+# Q(sqrt 3) passes it and ends in NoFeasibleLambda on this grid
+MIXED_BOUND_ROWS = {
+    "2,5,-11,0": {
+        "entry": "Q(sqrt5)(sqrt(-11+0w))",
+        "status": "ParityFails: the 37-splitting parity condition fails for this base field",
+    },
+    "1,-,-5,0": {
+        "C": "1e-29",
+        "bound": "1.71328799888e-30",
+        "branch_main": "1.71328799888e-30",
+        "branch_split": "0.445714345042",
+        "entry": "Q(sqrt(-5))",
+        "genus_bound": 2,
+        "h_K": 2,
+        "lambda": "1e+29",
+        "reldisc": 20,
+        "rigor_G1": "heuristic",
+        "slack": "2",
+        "status": "ok",
+        "t": 2,
+        "vsum_ok": True,
+    },
+    "2,3,-5,0": {"entry": "Q(sqrt3)(sqrt(-5+0w))", "status": "NoFeasibleLambda: no grid point with E2 > 0"},
+}
+
+
+@pytest.mark.parametrize("order", [["2,5,-11,0", "1,-,-5,0", "2,3,-5,0"], ["2,3,-5,0", "1,-,-5,0", "2,5,-11,0"]])
+def test_bound_report_does_not_depend_on_row_order(tmp_path, order):
+    """Rows that reach the cascade and rows that stop at the parity test, in
+    either order: every row's values and the report's bytes are fixed."""
+    p = tmp_path / "c.txt"
+    p.write_text("".join(line + "\n" for line in order))
+    code, out, err = run_cli(["bound", "--corpus", str(p), "--lambda-grid", "1e29,1e30", "--pmax", "400"])
+    rows = [dict(MIXED_BOUND_ROWS[line], line=i) for i, line in enumerate(order, start=1)]
+    assert (code, err) == (EXIT_OK, "")
+    assert out == json.dumps(rows, sort_keys=True, indent=1) + "\n"
+
+
 def test_bound_injected(tmp_path):
     inj = tmp_path / "g.json"
     inj.write_text(json.dumps({"G1": 1e-12, "G2": 25.0, "G3": 1e6}))

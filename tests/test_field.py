@@ -396,10 +396,9 @@ def test_factor_recomposes(case):
 VALUATION_FIELDS = [make_field(1)] + [make_field(2, m) for m in (2, 3, 5, 13, 17)]
 
 
-@pytest.mark.parametrize("F", VALUATION_FIELDS, ids=lambda F: f"m={F.m}")
-def test_valuation_shortcut_matches_repeated_inverse(F):
-    """FIdeal.valuation builds no product when N(P) does not divide the norm
-    of the numerator; the oracle always multiplies by P^-1."""
+def _primes_of_each_kind(F):
+    """The primes above the least split, inert and ramified p below 17 (over
+    Q, the primes 2 and 3)."""
     kinds = {}
     for p in primes_up_to(17):
         primes = F.splitting(p).primes
@@ -409,7 +408,15 @@ def test_valuation_shortcut_matches_repeated_inverse(F):
         assert sorted(kinds) == ["inert", "ramified", "split"]
     else:  # every prime of Q splits: take 2 and 3
         kinds["split"] += F.splitting(3).primes
-    S = [pr for primes in kinds.values() for pr in primes]
+    return [pr for primes in kinds.values() for pr in primes]
+
+
+@pytest.mark.parametrize("F", VALUATION_FIELDS, ids=lambda F: f"m={F.m}")
+def test_valuation_shortcut_matches_repeated_inverse(F):
+    """FIdeal.valuation, the least valuation of a basis element, against the
+    oracle, which multiplies by P^-1 until the result is not integral; some
+    cases have p | den with N(P) not dividing the norm of the numerator."""
+    S = _primes_of_each_kind(F)
     skipped_with_p_in_den = 0
     for exps in itertools.product((-1, 0, 1), repeat=len(S)):
         idl = F.unit_ideal()
@@ -424,6 +431,36 @@ def test_valuation_shortcut_matches_repeated_inverse(F):
                 if nm % pr.norm() and a.den % pr.p == 0:
                     skipped_with_p_in_den += 1
     assert skipped_with_p_in_den > 0
+
+
+@pytest.mark.parametrize("F", VALUATION_FIELDS, ids=lambda F: f"m={F.m}")
+def test_element_valuation_matches_ideal_valuation(F):
+    """FElem.valuation, on integer coordinates, against the valuation of the
+    principal ideal, at split, inert and ramified primes; the element is a
+    power of one prime's second generator times a random element over a
+    random denominator, so valuations of both signs occur."""
+    S = _primes_of_each_kind(F)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(-300, 300),
+        st.integers(-300, 300) if F.n == 2 else st.just(0),
+        st.integers(1, 360),
+        st.sampled_from(S),
+        st.integers(0, 4),
+    )
+    def check(a, b, den, pr, k):
+        x = F.elem(Fraction(a, den), Fraction(b, den))
+        for _ in range(k):
+            x = x * pr.second_gen
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.valuation(pr)
+            return
+        for q in S:
+            assert x.valuation(q) == F.ideal(x).valuation(q), (x, q)
+
+    check()
 
 
 def test_factor_of_norm_one_quotient():

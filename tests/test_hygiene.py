@@ -170,39 +170,58 @@ def test_no_module_sets_the_global_mpmath_precision():
     assert sets == []
 
 
+# the modules a command loads only when it runs them
+LAYERS = ("mpmath", "relclass.bounds", "relclass.cm", "relclass.dseries", "relclass.forms", "relclass.hecke")
+
+
 def _run_and_list_layers(code: str) -> tuple[str, list[str]]:
-    """Run code in a fresh interpreter: (its stdout, which of mpmath,
-    relclass.hecke and relclass.bounds it left in sys.modules)."""
-    probe = (
-        f"{code}\nimport sys\n"
-        "print(sorted({'mpmath', 'relclass.hecke', 'relclass.bounds'} & set(sys.modules)), file=sys.stderr)"
-    )
+    """Run code in a fresh interpreter: (its stdout, which of LAYERS it left
+    in sys.modules)."""
+    probe = f"{code}\nimport sys\nprint(sorted({set(LAYERS)!r} & set(sys.modules)), file=sys.stderr)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     return out.stdout, ast.literal_eval(out.stderr.strip().splitlines()[-1])
 
 
+RUN_CLI = "from relclass.cli import main\nmain({!r})"
+
+
 def test_cli_import_loads_no_numeric_layer():
-    """field and classify need neither mpmath nor the bound cascade, and the
+    """field needs neither CM fields nor forms nor the numeric layer, and the
     cascade itself loads neither mpmath nor the eigenvalue tables."""
     assert _run_and_list_layers("import relclass.cli")[1] == []
-    assert _run_and_list_layers("import relclass.bounds")[1] == ["relclass.bounds"]
+    report, layers = _run_and_list_layers(RUN_CLI.format(["field", "--n", "2", "--m", "5"]))
+    assert '"dF": 5' in report and layers == []
+    assert _run_and_list_layers("import relclass.bounds")[1] == ["relclass.bounds", "relclass.cm"]
 
 
 def test_only_bound_loads_mpmath_and_hecke(tmp_path):
-    """verify with every check runs no mpmath and no eigenvalue table; bound
-    on a parity-applicable row loads both, so the check can fail."""
+    """verify with every check runs no mpmath, no eigenvalue table and no
+    form code; bound on a parity-applicable row loads mpmath and hecke, so
+    the check can fail."""
     corpus = tmp_path / "two.txt"
     # a q50 row, and a quartic row with reldisc 1764 > 4^2, so lemma41 runs on both
     corpus.write_text("1,-,-1947,0,8,3\n2,2,-21,0,8,4\n")
-    run = "from relclass.cli import main\nmain({!r})"
-    report, layers = _run_and_list_layers(run.format(["verify", "--corpus", str(corpus)]))
+    report, layers = _run_and_list_layers(RUN_CLI.format(["verify", "--corpus", str(corpus)]))
     assert report.count('"lemma41"') == 2 and report.count('"status": "ok"') == 2
-    assert layers == ["relclass.bounds"]
+    assert report.count('"genus"') == 2
+    assert layers == ["relclass.bounds", "relclass.cm", "relclass.dseries"]
     argv = ["bound", "--corpus", str(corpus), "--pmax", "100", "--lambda-grid", "1e29,1e30,1e31"]
-    report, layers = _run_and_list_layers(run.format(argv))
+    report, layers = _run_and_list_layers(RUN_CLI.format(argv))
     assert '"C": "1e-29"' in report
-    assert layers == ["mpmath", "relclass.bounds", "relclass.hecke"]
+    assert layers == ["mpmath", "relclass.bounds", "relclass.cm", "relclass.dseries", "relclass.hecke"]
+
+
+def test_bound_loads_no_numeric_layer_before_a_row_passes_parity(tmp_path):
+    """Rows whose base field fails the 37-splitting parity test never reach
+    the cascade, so a corpus of them loads no mpmath, hecke or dseries."""
+    corpus = tmp_path / "parity.txt"
+    # Q(sqrt 2) and Q(sqrt 5): s is odd in the 37-splitting of both
+    corpus.write_text("2,2,-21,0\n2,5,-11,0\n")
+    argv = ["bound", "--corpus", str(corpus), "--pmax", "100", "--lambda-grid", "1e29,1e30,1e31"]
+    report, layers = _run_and_list_layers(RUN_CLI.format(argv))
+    assert report.count('"status": "ParityFails: ') == 2
+    assert layers == ["relclass.bounds", "relclass.cm"]
 
 
 def test_no_module_imports_dataclasses():
