@@ -15,7 +15,6 @@ import numbers
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cm import CMField, class_counts, line_norms, on_line
 from .errors import (
     AssumptionViolated,
     BoundViolated,
@@ -27,7 +26,6 @@ from .errors import (
     StrategyUnavailable,
 )
 from .field import Field, FIdeal, PrimeIdeal, kronecker, primes_up_to
-from .lattice import lll_reduce_gram, short_vectors
 from .numerics import (
     EULER_GAMMA,
     GAMMA_3_2,
@@ -45,6 +43,7 @@ from .numerics import (
 )
 
 if TYPE_CHECKING:
+    from .cm import CMField
     from .hecke import EigenvalueTable
 
 LOG_37 = Interval(3.6109179126442243, 3.6109179126442248)
@@ -270,6 +269,8 @@ def canonical_unit_rep_F(F: Field, x):
 
 def count_norm_orbits_F(F: Field, idl: FIdeal, t: Fraction) -> int:
     """#{[a] in (ideal - 0)/units : |N(a)| <= t * N(ideal)}, exact."""
+    from .lattice import lll_reduce_gram, short_vectors
+
     tprime = Fraction(t) * idl.norm()
     if F.n == 1:
         g = Fraction(idl.num[0][0], idl.den)
@@ -279,9 +280,8 @@ def count_norm_orbits_F(F: Field, idl: FIdeal, t: Fraction) -> int:
     window = (F.eps + F.one() / F.eps) * (tprime * 2**16)
     q_bound = Fraction(-(-window).embedding_floor(0), 2**16)
     b = idl.basis_elems()
-    gram = [[Fraction((b[i] * b[j]).trace()) for j in range(2)] for i in range(2)]
     seen = set()
-    for v in short_vectors(lll_reduce_gram(gram), q_bound):
+    for v in short_vectors(lll_reduce_gram(idl.gram()), q_bound):
         x = b[0] * F.elem(v[0]) + b[1] * F.elem(v[1])
         if x.is_zero():
             continue
@@ -297,6 +297,8 @@ def norm_count_check_K(K: CMField, Ni, t: Fraction, lat: LatticeConstants) -> di
     # the excluded line has minimal |N(L o_K)| among saturated lines; scan far
     # enough that it is certainly found.  Each entry of line_norms is one unit
     # orbit, so the count reads off the same scan.
+    from .cm import line_norms, on_line
+
     mink = (2 / math.pi) ** K.F.n * math.sqrt(K.abs_disc) + 2
     lines, exclude = line_norms(K, Ni, max(Fraction(t), Fraction(mink)))
     count = sum(1 for v, z in lines if v <= t and (exclude is None or not on_line(z, exclude)))
@@ -339,6 +341,8 @@ def bound_params(K: CMField) -> BoundParams:
         raise AssumptionViolated(f"|disc| = {d} <= 4^{n}")
     if not K.unit_equal:
         raise AssumptionViolated("extension has extra units")
+    from .cm import class_counts
+
     h_K, h, _ = class_counts(K)
     u = K.F.unit_sq_index
     r = 1

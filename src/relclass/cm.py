@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -38,6 +39,8 @@ from .field import (
     FIdeal,
     LatticeIdeal,
     PrimeIdeal,
+    _felem,
+    _row_mul,
     elem_with_valuation,
     ideal_transversal,
     order_rows,
@@ -45,7 +48,6 @@ from .field import (
     primes_up_to,
 )
 from .finitefield import ResidueField
-from .imagquad import class_group_counts, reduced_forms
 from .intmat import hnf_lattice, solve_exact, vec_mat, zspan_kernel, zspan_solve
 from .lattice import lll_reduce_gram, short_vectors
 
@@ -94,9 +96,6 @@ class KElem:
 
     def abs_norm(self) -> Fraction:
         return self.rel_norm().norm()
-
-    def abs_trace(self) -> Fraction:
-        return self.rel_trace().trace()
 
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
@@ -170,11 +169,15 @@ class CMField:
     # -- multiplication structure over the Z-basis of o_K ------------------------
 
     def _build_mult_tables(self):
-        """Structure constants, conjugation matrix, and trace form of o_K.
+        """Structure constants, conjugation matrix, and trace forms of o_K.
 
         KIdeal rows live in coordinates over the order basis, so a module is
         integral exactly when its canonical denominator is 1, and covolumes
-        are plain determinants.
+        are plain determinants.  Besides the absolute trace form
+        Tr(b_i conj b_j) of the Gram matrices, the tables keep the relative
+        one, Tr_{K/F}(b_i conj b_j) in o_F, as the integer coefficients of
+        the relative norm form: relative norms of ideals and absolute norms
+        of elements are read off it from integer rows.
         """
         deg = self.deg
         basis = self.order_basis
@@ -184,6 +187,9 @@ class CMField:
         cols = [solve_exact(amb, [int(a == b) for a in range(deg)]) for b in range(deg)]
         assert all(c.denominator == 1 for col in cols for c in col)
         self._order_mat = [[int(col[a]) for col in cols] for a in range(deg)]
+        # amb itself over one denominator, for _from_order
+        self._amb_den = math.lcm(*(c.denominator for row in amb for c in row))
+        self._amb = [[int(c * self._amb_den) for c in row] for row in amb]
 
         def integral_row(z: KElem) -> tuple[int, ...]:
             row, den = self._to_order(z)
@@ -199,14 +205,58 @@ class CMField:
         self._mt = table
         conj_rows = []
         g = [[0] * deg for _ in range(deg)]
+        terms = []
         for i in range(deg):
             conj_rows.append(integral_row(basis[i].conj()))
             for j in range(deg):
-                tr = (basis[i] * basis[j].conj()).abs_trace()
-                assert tr.denominator == 1
-                g[i][j] = int(tr)
+                tr = (basis[i] * basis[j].conj()).rel_trace()
+                assert tr.is_integral()
+                g[i][j] = int(tr.trace())
+                if j == i:  # Tr(b conj b) = 2 N(b)
+                    assert tr.na % 2 == 0 and tr.nb % 2 == 0
+                    terms.append((i, i, tr.na // 2, tr.nb // 2))
+                elif j > i and not tr.is_zero():
+                    terms.append((i, j, tr.na, tr.nb))
         self._conj_mat = conj_rows
         self._trace_mat = g
+        # N_{K/F}(sum x_i b_i) = sum over i <= j of x_i x_j (a + b omega)
+        # for (i, j, a, b) in _norm_form: the relative trace form
+        # Tr_{K/F}(b_i conj b_j) off the diagonal, half of it on it
+        self._norm_form = terms
+        self._unit_rows = [[int(i == j) for j in range(deg)] for i in range(deg)]
+        if self.F.n == 2:
+            # rows of b_i * eps^(+-1), for canonical_unit_rep
+            steps = []
+            for u in (self.F.eps, self.F.one() / self.F.eps):
+                ur = integral_row(KElem(self, u, self.F.zero()))
+                steps.append([_row_mul(table, e, ur) for e in self._unit_rows])
+            self._unit_steps = steps
+
+    def _rel_norm_row(self, row) -> list[int]:
+        """N_{K/F}(z) = x + y*omega as [x, y] (y = 0 over Q), for the integral
+        z of order row `row`."""
+        x = y = 0
+        for i, j, a, b in self._norm_form:
+            t = row[i] * row[j]
+            if t:
+                x += a * t
+                y += b * t
+        return [x, y]
+
+    def _abs_norm(self, row) -> int:
+        """|N_{K/Q}(z)| for the integral z of order row `row`."""
+        x, y = self._rel_norm_row(row)
+        F = self.F
+        return abs(x * x + F.c1 * x * y - F.c0 * y * y) if F.n == 2 else abs(x)
+
+    def _from_order(self, row, den: int) -> "KElem":
+        """The element with coordinates row/den over the order basis."""
+        F = self.F
+        c = vec_mat(row, self._amb)
+        D = den * self._amb_den
+        if F.n == 1:
+            return KElem(self, _felem(F, c[0], 0, D), _felem(F, c[1], 0, D))
+        return KElem(self, _felem(F, c[0], c[1], D), _felem(F, c[2], c[3], D))
 
     def _to_order(self, z: KElem) -> tuple[list[int], int]:
         """(row, den): the coordinates of z over the order basis are row/den,
@@ -319,8 +369,10 @@ class CMField:
         return KIdeal.from_generators(self, elems)
 
     def extend_ideal(self, a: FIdeal) -> "KIdeal":
-        gens = [KElem(self, e, self.F.zero()) for e in a.basis_elems()]
-        return KIdeal.from_generators(self, gens)
+        """a o_K: o_F's basis opens the order basis, so the rows of a, padded
+        with zeros, are its generators' order rows."""
+        pad = [0] * self.F.n
+        return KIdeal.from_generator_rows(self, [r + pad for r in a.num], a.den)
 
     # -- primes ---------------------------------------------------------------------
 
@@ -360,8 +412,13 @@ class CMField:
             out.append(KPrime(pr, 2, False, pK))
         else:
             for r in roots:
+                # pr o_K + g o_K: pK is an o_K-module, so its Z-basis serves,
+                # beside g times the order basis
                 g = w - KElem(self, _lift_residue(F, rf, r), F.zero())
-                ideal = KIdeal.from_generators(self, pK.basis_kelems() + [g])
+                grow, den = self._to_order(g)
+                rows = [[x * den for x in row] for row in pK.num]
+                rows += [_row_mul(self._mt, grow, e) for e in self._unit_rows]
+                ideal = KIdeal.from_rows(self, rows, den).two_element()
                 out.append(KPrime(pr, 1, kind == "ramified", ideal))
         for kp in out:
             expected = pr.norm() ** kp.rel_f
@@ -417,14 +474,15 @@ class KIdeal(LatticeIdeal):
     """Fractional ideal of K as an integer HNF lattice over the order basis,
     divided by one denominator."""
 
-    __slots__ = ("_basis", "_relnorm", "_gram", "_red")
+    __slots__ = ("_basis", "_relnorm", "_red", "_conj", "_gens")
 
     def __init__(self, K: CMField, num: list[list[int]], den: int):
         super().__init__(K, num, den)
         self._basis = None
         self._relnorm = None
-        self._gram = None
         self._red = None
+        self._conj = None
+        self._gens = None  # (l, alpha): the ideal is l o_K + alpha o_K, alpha a row
 
     @property
     def K(self) -> CMField:
@@ -432,28 +490,85 @@ class KIdeal(LatticeIdeal):
 
     def basis_kelems(self) -> list[KElem]:
         if self._basis is None:
-            ob = self.K.order_basis
-            out = []
-            for r in self.num:
-                z = None
-                for c, b in zip(r, ob):
-                    if c:
-                        t = b.scale(Fraction(c, self.den))
-                        z = t if z is None else z + t
-                out.append(z if z is not None else self.K.zero())
-            self._basis = out
+            self._basis = [self.K._from_order(r, self.den) for r in self.num]
         return self._basis
 
     def rel_norm(self) -> FIdeal:
-        """Norm ideal of F, generated by element norms."""
+        """Norm ideal of F, generated by the N(z_i) and Tr_{K/F}(z_i conj z_j)
+        of the basis rows z_i over den, read off the integer relative norm
+        form as rows over den^2."""
         if self._relnorm is None:
-            bs = self.basis_kelems()
-            gens = [z.rel_norm() for z in bs]
-            for i in range(len(bs)):
-                for jj in range(i + 1, len(bs)):
-                    gens.append((bs[i] * bs[jj].conj()).rel_trace())
-            self._relnorm = FIdeal.from_generators(self.K.F, gens)
+            K = self.K
+            rows = self.num
+            norms = [K._rel_norm_row(r) for r in rows]
+            gens = list(norms)
+            for i, r in enumerate(rows):
+                for j in range(i + 1, len(rows)):
+                    # Tr(z conj w) = N(z + w) - N(z) - N(w)
+                    s = K._rel_norm_row([a + b for a, b in zip(r, rows[j])])
+                    gens.append([u - v - w for u, v, w in zip(s, norms[i], norms[j])])
+            gens = [g[: K.F.n] for g in gens]
+            self._relnorm = FIdeal.from_generator_rows(K.F, gens, self.den * self.den)
         return self._relnorm
+
+    def conj(self) -> "KIdeal":
+        """The conjugate ideal, cached both ways; it inherits a two-element
+        form."""
+        if self._conj is None:
+            c = self._conj = super().conj()
+            c._conj = self
+            if self._gens is not None:
+                c._gens = self._conj_gens()
+        return self._conj
+
+    def two_element(self) -> "KIdeal":
+        """Find and keep a two-element form l o_K + alpha o_K of this integral
+        ideal (Cohen, GTM 138, 4.7.2), so that its products take 2 * deg rows
+        where they take deg^2; returns self.
+
+        l is the least positive integer in the ideal, and alpha the first
+        combination of basis rows with coefficients in {-1, 0, 1} (fewest
+        rows first) with gcd(N(alpha)/N(a), l^deg/N(a)) = 1:
+        then the quotient of a by l o_K + alpha o_K divides two ideals of
+        coprime norms, so it is trivial.  Without such an alpha the ideal
+        keeps its n^2-row products.  The conjugate ideal shares the form."""
+        if self._gens is not None or self.den != 1:
+            return self
+        K = self.K
+        num = self.num
+        deg = K.deg
+        # l e_0 = y H with H = num upper triangular, so l is the least common
+        # denominator of the solution y of y H = e_0; y = Y/q on integers
+        Y, q = [], 1
+        for j in range(deg):
+            h = num[j][j]
+            s = sum(Yi * num[i][j] for i, Yi in enumerate(Y))
+            Y = [Yi * h for Yi in Y] + [q * int(j == 0) - s]
+            q *= h
+        l = q // gcd(q, *Y)
+        na = q  # the product of the pivots
+        rest = l**deg // na
+        for alpha in _combinations(num):
+            if gcd(K._abs_norm(alpha) // na, rest) == 1:
+                self._gens = (l, alpha)
+                if self._conj is not None:
+                    self._conj._gens = self._conj_gens()
+                break
+        return self
+
+    def _conj_gens(self) -> tuple[int, list[int]]:
+        l, alpha = self._gens
+        return l, vec_mat(alpha, self.K._conj_mat)
+
+    def __mul__(self, other):
+        if isinstance(other, KIdeal):
+            a, b = (self, other) if self._gens is not None else (other, self)
+            if a._gens is not None:
+                l, alpha = a._gens
+                mt = self.K._mt
+                rows = [[l * x for x in r] for r in b.num] + [_row_mul(mt, alpha, r) for r in b.num]
+                return KIdeal.from_rows(self.K, rows, self.den * other.den)
+        return super().__mul__(other)
 
     def inverse(self) -> "KIdeal":
         nm = self.rel_norm()
@@ -466,56 +581,43 @@ class KIdeal(LatticeIdeal):
 
     # -- metric structure ---------------------------------------------------------
 
-    def gram(self) -> list[list[Fraction]]:
-        """Exact Gram matrix of Tr(z conj z) on the basis rows."""
-        if self._gram is None:
-            G = self.K._trace_mat
-            n = len(self.num)
-            d2 = self.den * self.den
-            out = []
-            for i in range(n):
-                ri = self.num[i]
-                row = []
-                Gri = [sum(ri[a] * G[a][b] for a in range(n)) for b in range(n)]
-                for j in range(n):
-                    rj = self.num[j]
-                    row.append(Fraction(sum(Gri[b] * rj[b] for b in range(n)), d2))
-                out.append(row)
-            self._gram = out
-        return self._gram
-
-    def shortest_vectors(self, q_bound) -> list[KElem]:
-        """Nonzero z with Tr(z conj z) <= q_bound, one of each +-pair, on the
-        module's one cached LLL reduction."""
+    def _short_rows(self, q_bound) -> list[list[int]]:
+        """Integer rows, over den, of the nonzero z with Tr(z conj z) <= q_bound,
+        one of each +-pair, on the module's one cached LLL reduction."""
         if self._red is None:
             self._red = lll_reduce_gram(self.gram())
-        return [self._vec_to_elem(v) for v in short_vectors(self._red, q_bound)]
+        return [vec_mat(v, self.num) for v in short_vectors(self._red, q_bound)]
 
-    def small_nonzero(self, bound: Fraction | None = None) -> KElem:
-        """A nonzero element of least absolute norm among short vectors.
-
-        The bound doubles until vectors appear; the first of equal norms wins.
-        """
-        if bound is None:
-            base = float(2 * self.K.deg) * float(self.norm()) ** (1.0 / self.K.F.n) + 1.0
-            bound = Fraction(math.ceil(base * 2**10), 2**10)
-        vecs = []
-        while not vecs:
-            vecs = self.shortest_vectors(bound)
+    def _small_row(self, bound: Fraction) -> list[int]:
+        """The row of a nonzero element of least absolute norm among short
+        vectors.  The bound doubles until vectors appear; the first of equal
+        norms wins."""
+        rows = []
+        while not rows:
+            rows = self._short_rows(bound)
             bound = bound * 2
-        return min(vecs, key=lambda z: z.abs_norm())
+        return min(rows, key=self.K._abs_norm)
+
+    def small_nonzero(self) -> KElem:
+        """A nonzero element of least absolute norm among short vectors."""
+        base = float(2 * self.K.deg) * float(self.norm()) ** (1.0 / self.K.F.n) + 1.0
+        bound = Fraction(math.ceil(base * 2**10), 2**10)
+        return self.K._from_order(self._small_row(bound), self.den)
 
     def principal_gen(self) -> KElem | None:
         """Search z in the module with |N(z)| = N(module), unit-window bounded.
 
         Any generator moves into the window {Tr(z conj z) <= 2 sqrt(N) (eps+1/eps)}
         under multiplication by units, so an empty window certifies
-        non-principality.
+        non-principality.  Norms are read off the integer rows; only the
+        generator becomes an element.
         """
         t = self.norm()
-        for z in self.shortest_vectors(unit_window(self.K, t)):
-            if z.abs_norm() == t:
-                return z
+        K = self.K
+        target = t * self.den**K.deg
+        for row in self._short_rows(unit_window(K, t)):
+            if K._abs_norm(row) == target:
+                return K._from_order(row, self.den)
         return None
 
     def is_principal(self) -> bool:
@@ -531,21 +633,24 @@ class KIdeal(LatticeIdeal):
         return q.is_principal()
 
     def small_class_rep(self) -> "KIdeal":
-        """Integral ideal of Minkowski-bounded norm in the same class."""
-        q = self.scale(self.den) if self.den != 1 else self
-        base = float(2 * q.norm() ** Fraction(1, self.K.F.n))
-        z = q.small_nonzero(Fraction(math.ceil(base * self.K.F.n * 1.2 * 2**10), 2**10))
-        red = (q.inverse() * z).conj()
-        return red.scale(red.den)
+        """Integral ideal of Minkowski-bounded norm in the same class.
 
-    def _vec_to_elem(self, v) -> KElem:
-        bs = self.basis_kelems()
-        z = None
-        for c, b in zip(v, bs):
-            if c:
-                t = b.scale(c)
-                z = t if z is None else z + t
-        return z
+        For a short z in q = den * self, q^-1 z is integral, and its conjugate
+        is q conj(z) N(q)^-1 o_K because q conj(q) = N(q) o_K.  Its rows are
+        the products of q's rows, conj(z) and the basis of N(q)^-1: one HNF,
+        and no inverse of an ideal of K.
+        """
+        q = self.scale(self.den) if self.den != 1 else self
+        K = self.K
+        n = K.F.n
+        base = float(2 * q.norm() ** Fraction(1, n))
+        z = q._small_row(Fraction(math.ceil(base * n * 1.2 * 2**10), 2**10))
+        mt = K._mt
+        zc = vec_mat(z, K._conj_mat)
+        inv = q.rel_norm().inverse()
+        pad = [0] * n
+        w = [_row_mul(mt, zc, r + pad) for r in inv.num]
+        return KIdeal.from_rows(K, [_row_mul(mt, r, x) for r in q.num for x in w], inv.den)
 
 
 class ClassData(NamedTuple):
@@ -625,7 +730,7 @@ def _class_data_by_closure(K: CMField) -> ClassData:
                     rel = rvec
                     break
             if rel is None:
-                powers.append(cur)
+                powers.append(cur.two_element())
             if d > 10_000:
                 raise SearchBudgetExceeded("generator order runaway")
         relations.append(rel)
@@ -636,7 +741,7 @@ def _class_data_by_closure(K: CMField) -> ClassData:
                 for vec, rep in elements:
                     nv = list(vec)
                     nv[i] += e
-                    prod = (pw * rep).small_class_rep()
+                    prod = (pw * rep).small_class_rep().two_element()
                     new_elements.append((tuple(nv), prod))
             elements = new_elements
     # canonical residue reduction for dlog vectors modulo the relation lattice
@@ -720,6 +825,8 @@ def class_counts(K: CMField) -> ClassCounts:
     """
     if K._counts is None:
         if K.F.n == 1:
+            from .imagquad import class_group_counts
+
             h_K, orbits = class_group_counts(-K.rel_disc_norm)
             K._counts = ClassCounts(h_K, h_K, orbits)
         else:
@@ -749,6 +856,8 @@ def norm_class_reps(K: CMField) -> list[KIdeal]:
     representatives and read the class data themselves.
     """
     if K.F.n == 1:
+        from .imagquad import reduced_forms
+
         D = -K.rel_disc_norm
         r = D / K.delta.a  # sqrt D = s sqrt(delta) with s^2 = r
         s = Fraction(isqrt(r.numerator), isqrt(r.denominator))
@@ -825,41 +934,49 @@ def canonical_unit_rep(K: CMField, alpha: KElem) -> KElem:
     orbit, so its exact minimizer (ties broken by coordinate key) is an
     orbit invariant; the sign is then fixed by the larger coordinate tuple.
     """
-    F = K.F
-    if F.n == 2:
+    row, den = K._to_order(alpha)
+    return K._from_order(_canonical_row(K, row), den)
 
-        def q(z: KElem) -> Fraction:
-            return (z * z.conj()).abs_trace()
 
-        eps = F.eps
-        eps_inv = F.one() / eps
-        cur, qc = alpha, q(alpha)
-        up, dn = cur * eps, cur * eps_inv
+def _canonical_row(K: CMField, row: list[int]) -> list[int]:
+    """canonical_unit_rep on the order row of an element: multiplication by
+    eps and 1/eps is an integer matrix on rows, q is the integer trace form,
+    and the coordinate keys compare as the ambient numerators row * _amb,
+    which share one positive denominator."""
+    if K.F.n == 2:
+        T = K._trace_mat
+        up_mat, dn_mat = K._unit_steps
+
+        def q(r: list[int]) -> int:
+            return sum(a * b for a, b in zip(vec_mat(r, T), r))
+
+        def key(r: list[int]) -> tuple[int, ...]:
+            c = tuple(vec_mat(r, K._amb))
+            return max(c, tuple(-x for x in c))
+
+        cur, qc = row, q(row)
+        up, dn = vec_mat(cur, up_mat), vec_mat(cur, dn_mat)
         qu, qd = q(up), q(dn)
         # a step reuses two of the three values: after a step up, the new
         # down-neighbour is the old point and the new point the old up
         while True:
             if qu < qc:
                 dn, qd, cur, qc = cur, qc, up, qu
-                up = cur * eps
+                up = vec_mat(cur, up_mat)
                 qu = q(up)
             elif qd < qc:
                 up, qu, cur, qc = cur, qc, dn, qd
-                dn = cur * eps_inv
+                dn = vec_mat(cur, dn_mat)
                 qd = q(dn)
             else:
                 break
         best = cur
         for cand, qv in ((up, qu), (dn, qd)):
-            if qv == qc:
-                ck = max(tuple(cand.coords()), tuple((-cand).coords()))
-                bk = max(tuple(best.coords()), tuple((-best).coords()))
-                if ck > bk:
-                    best = cand
-        alpha = best
-    key = tuple(alpha.coords())
-    neg = tuple((-alpha).coords())
-    return alpha if key >= neg else -alpha
+            if qv == qc and key(cand) > key(best):
+                best = cand
+        row = best
+    c = vec_mat(row, K._amb)
+    return row if tuple(c) >= tuple(-x for x in c) else [-x for x in row]
 
 
 def decompose_ideal(K: CMField, M: KIdeal):
@@ -899,13 +1016,18 @@ def unit_window(K: CMField, t: Fraction) -> Fraction:
     """Bound on Tr(z conj z) that every unit orbit with |N(z)| <= t meets.
 
     For n = 1 the trace form is 2|N(z)|; for n = 2 a unit multiple has
-    Tr(z conj z) <= 2 sqrt(t) (eps + 1/eps), rounded up to 2^-20.
+    Tr(z conj z) <= 2 sqrt(t) (eps + 1/eps), rounded up to 2^-20 exactly:
+    (eps + 1/eps)^2 = Tr(eps)^2 - 2 N(eps) + 2 is an integer S, so the
+    window is k/2^20 with k the least integer whose square is at least
+    2^40 4 t S.
     """
     if K.F.n == 1:
         return 2 * t
-    e1 = K.F.eps.embed(0)
-    bf = 2.0 * math.sqrt(float(t)) * (e1 + 1.0 / e1) * (1 + 1e-9)
-    return Fraction(math.ceil(bf * 2**20), 2**20)
+    eps = K.F.eps
+    x = Fraction(t) * (2**42 * (int(eps.trace()) ** 2 - 2 * int(eps.norm()) + 2))
+    m = -(-x.numerator // x.denominator)
+    k = isqrt(m)
+    return Fraction(k + (k * k < m), 2**20)
 
 
 def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
@@ -917,12 +1039,15 @@ def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
     """
     nN = Ni.norm()
     t_abs = Fraction(x_max) * nN
+    cap = t_abs * Ni.den**K.deg  # |N(row/den)| <= t_abs on the integer row
     seen: dict = {}
-    for z in Ni.shortest_vectors(unit_window(K, t_abs)):
-        if z.abs_norm() > t_abs:
+    for row in Ni._short_rows(unit_window(K, t_abs)):
+        if K._abs_norm(row) > cap:
             continue
-        zc = canonical_unit_rep(K, z)
-        seen.setdefault(tuple(zc.coords()), zc)
+        zr = _canonical_row(K, row)
+        key = tuple(vec_mat(zr, K._amb))
+        if key not in seen:
+            seen[key] = K._from_order(zr, Ni.den)
     lines = [(zc.abs_norm() / nN, zc) for zc in seen.values()]
     lines.sort(key=lambda t: (t[0], tuple(t[1].coords())))
     for _, zc in lines:
@@ -956,6 +1081,19 @@ def _split_one(F: Field, a: FIdeal, b: FIdeal) -> FElem:
         else:
             e = e + F.elem(c * r[0], c * r[1])
     return e
+
+
+def _combinations(rows):
+    """The nonzero combinations of rows with coefficients in {-1, 0, 1}, up
+    to sign: by number of rows, then in the order of itertools.combinations,
+    and at each size with every sign pattern whose first sign is +."""
+    for k in range(1, len(rows) + 1):
+        for pick in combinations(rows, k):
+            for signs in product((1, -1), repeat=k - 1):
+                out = list(pick[0])
+                for s, r in zip(signs, pick[1:]):
+                    out = [a + s * b for a, b in zip(out, r)]
+                yield out
 
 
 def _lift_residue(F: Field, rf: ResidueField, r) -> FElem:

@@ -238,15 +238,6 @@ def vseries(K: CMField, X: int) -> CoeffSeries:
     return out
 
 
-def vseries_csv(K: CMField, X: int) -> str:
-    """CSV rows n,v_n for the positive quotient series."""
-    vs = vseries(K, X)
-    lines = ["n,v_n"]
-    for n in range(1, X + 1):
-        lines.append(f"{n},{int(vs.coeff(n))}")
-    return "\n".join(lines) + "\n"
-
-
 def vsum_check(K: CMField, X: int | None = None) -> dict:
     """sum of v_n over n < sqrt|disc|/2^n_F compared with h = h_K/|im phi|."""
     threshold = math.sqrt(K.rel_disc_norm) / 2**K.F.n

@@ -152,14 +152,17 @@ class Field:
                 self.d_F = 4 * m
         else:
             raise DegreeUnsupported(f"exact arithmetic supports n in {{1,2}}, got {n}")
-        # the ring data of LatticeIdeal: basis {1, omega}, conj(omega) = c1 - omega
+        # the ring data of LatticeIdeal: basis {1, omega}, conj(omega) = c1 - omega,
+        # trace form Tr(b_i b_j)
         self.deg = self.n
         if self.n == 1:
             self._mt = [[(1,)]]
             self._conj_mat = [(1,)]
+            self._trace_mat = [[1]]
         else:
             self._mt = [[(1, 0), (0, 1)], [(0, 1), (self.c0, self.c1)]]
             self._conj_mat = [(1, 0), (self.c1, -1)]
+            self._trace_mat = [[2, self.c1], [self.c1, self.c1 * self.c1 + 2 * self.c0]]
         self._init_units()
         self._prime_cache: dict[int, SplittingType] = {}
         self._init_class_group()
@@ -679,7 +682,9 @@ class LatticeIdeal:
     The ideal equals (rows of num)/den, canonical after gcd reduction, so
     equality and hashing are structural; it is integral iff den == 1.  The
     ring supplies `deg`, the integer structure constants `_mt` (_mt[i][j] is
-    the row of b_i * b_j), the rows of the conjugates `_conj_mat`, and
+    the row of b_i * b_j), the rows of the conjugates `_conj_mat`, the
+    positive definite integer trace form `_trace_mat` (Tr(b_i conj b_j);
+    conj is the identity on a totally real F), and
     `_to_order(x) -> (row, den)` for its elements.
     """
 
@@ -712,8 +717,13 @@ class LatticeIdeal:
 
     @classmethod
     def from_generators(cls, ring, gens):
-        # g * b for each basis element b is one product with _mt
-        rows, den = order_rows(ring, gens)
+        return cls.from_generator_rows(ring, *order_rows(ring, gens))
+
+    @classmethod
+    def from_generator_rows(cls, ring, rows: list[list[int]], den: int):
+        """The ideal generated by the elements rows[i]/den, given by their
+        rows over the ring's Z-basis: g * b for each basis element b is one
+        product with _mt."""
         mt = ring._mt
         units = _identity(ring.deg)
         return cls.from_rows(ring, [_row_mul(mt, r, e) for r in rows for e in units], den)
@@ -729,6 +739,15 @@ class LatticeIdeal:
                 det *= r[i]
             self._norm = Fraction(abs(det), self.den**self.ring.deg)
         return self._norm
+
+    def gram(self) -> tuple[int, list[list[int]]]:
+        """The Gram matrix of the trace form on the basis rows, as the pair
+        (den^2, num T num^T) that lattice.lll_reduce_gram takes."""
+        rows = self.num
+        T = self.ring._trace_mat
+        return self.den * self.den, [
+            [sum(a * b for a, b in zip(rt, s)) for s in rows] for rt in (vec_mat(r, T) for r in rows)
+        ]
 
     def conj(self):
         rows = [vec_mat(r, self.ring._conj_mat) for r in self.num]

@@ -661,7 +661,8 @@ def minimal_lines(Q: PseudoForm) -> list[tuple]:
         q_bound = Fraction(
             math.ceil(tf * (e1 * e1 + 1 / (e1 * e1)) / sqrt_scale * (1 + 1e-9) * 2**20), 2**20
         )
-    vecs = short_vectors(lll_reduce_gram(gram), q_bound)
+    D = math.lcm(*(x.denominator for row in gram for x in row))
+    vecs = short_vectors(lll_reduce_gram((D, [[int(x * D) for x in row] for row in gram])), q_bound)
     lines = {}
     for v in vecs:
         x = F.zero()

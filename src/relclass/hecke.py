@@ -573,30 +573,3 @@ def symsq_log_deriv_L1(table: EigenvalueTable, P: int) -> dict:
 
     val = (logL(1 + h) - logL(1 - h)) / (2 * h)
     return {"value": val, "heuristic": True}
-
-
-def table_to_lines(table: EigenvalueTable) -> str:
-    """Eigenvalue table file: one 'norm,f,e,lambda' line per prime ideal."""
-    rows = []
-    for p in primes_up_to(table.pmax):
-        for pr in table.F.splitting(p).primes:
-            rows.append((pr.norm(), pr.f, pr.e, table.lam(pr)))
-    rows.sort()
-    return "\n".join(f"{q},{f},{e},{lam}" for (q, f, e, lam) in rows) + "\n"
-
-
-def eps_report(table: EigenvalueTable) -> dict:
-    """JSON-ready report of the sign and central values, provenance-tagged."""
-    out = {"level": int(table.level.norm()), "provenance": table.provenance}
-    if table.F.n == 1:
-        eps, ratio = epsilon_numeric(table)
-        out["eps"] = eps
-        out["eps_source"] = "functional-equation residual"
-        out["residual_ratio"] = ratio
-        table.eps_sign = eps
-        lv = lvalue_numeric(table, 0)
-        out["L_at_1"] = {"value": lv["value"], "error": lv["error"], "heuristic": True}
-    else:
-        out["eps"] = table.eps_sign
-        out["eps_source"] = "carried symbolically"
-    return out

@@ -21,25 +21,31 @@ def hnf_lattice(rows: list[list[int]]) -> list[list[int]]:
     ncols = len(work[0])
     basis: list[list[int]] = []
     for col in range(ncols):
-        with_pivot = [r for r in work if r[col] != 0]
-        without = [r for r in work if r[col] == 0]
-        if not with_pivot:
-            work = without
+        live = [r for r in work if r[col]]
+        work = [r for r in work if not r[col]]
+        # reduce the other rows by the one of least |entry| in this column,
+        # until one row is left; the rows it clears move on to later columns
+        while len(live) > 1:
+            piv = min(live, key=lambda r: abs(r[col]))
+            p = piv[col]
+            rest = [piv]
+            for r in live:
+                if r is piv:
+                    continue
+                q = r[col] // p
+                if q:
+                    r = [x - q * y for x, y in zip(r, piv)]
+                if r[col]:
+                    rest.append(r)
+                elif any(r):
+                    work.append(r)
+            live = rest
+        if not live:
             continue
-        piv = with_pivot[0]
-        for r in with_pivot[1:]:
-            a, b = piv, r
-            while b[col] != 0:
-                q = a[col] // b[col]
-                a = [x - q * y for x, y in zip(a, b)]
-                a, b = b, a
-            piv = a
-            if any(b):
-                without.append(b)
+        piv = live[0]
         if piv[col] < 0:
             piv = [-x for x in piv]
         basis.append(piv)
-        work = without
     # normalize above-pivot entries; ascending pivot order keeps earlier
     # columns clean since row i has zeros before its pivot
     for i in range(len(basis)):
@@ -75,8 +81,13 @@ def echelon_solve(rows: list[list[int]], target: list[int]) -> list[int] | None:
 
 
 def vec_mat(v: list[int], mat) -> list[int]:
-    """The row vector v times the matrix whose rows are mat."""
-    return [sum(a * row[k] for a, row in zip(v, mat) if a) for k in range(len(mat[0]))]
+    """The row vector v times the matrix whose rows are mat: one pass over
+    the rows with a nonzero coefficient."""
+    out = [0] * len(mat[0])
+    for a, row in zip(v, mat):
+        if a:
+            out = [o + a * x for o, x in zip(out, row)]
+    return out
 
 
 def solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]):

@@ -1,15 +1,37 @@
-"""Exact short-vector enumeration for positive definite rational Gram matrices."""
+"""Exact LLL reduction and short-vector enumeration on integer Gram matrices.
+
+A Gram matrix G with rational entries travels as the pair (D, D*G): a
+positive integer D and the integer matrix D*G.  Ideals build that pair from
+their integer rows through the ring's integer trace form, over the square of
+their denominator (field.LatticeIdeal.gram), so the reduction and the
+enumeration run on integers from end to end.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import NamedTuple
 
 
-def _scaled_to_integers(G: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
-    """(D, D * G) with D the lcm of the denominators of G."""
-    D = lcm(*(x.denominator for row in G for x in row))
-    return D, [[x.numerator * (D // x.denominator) for x in row] for row in G]
+class LLLData(NamedTuple):
+    """An LLL-reduced basis of the lattice with Gram matrix G = DG / D.
+
+    Row i of U expresses the i-th reduced vector in the original basis; d
+    and lam are the fraction-free LDL^T data of the reduced Gram matrix
+    D * (U G U^T): d[0] = 1, d[k] its k-th leading minor,
+    lam[k][j] = d[j+1] * mu[k][j] (Cohen, GTM 138, 2.6.7)."""
+
+    D: int
+    DG: list[list[int]]
+    U: list[list[int]]
+    d: list[int]
+    lam: list[list[int]]
+
+    def reduced_gram(self) -> list[list[int]]:
+        """D * (U G U^T), which the enumeration does not need."""
+        UG = [[sum(c * g for c, g in zip(row, col)) for col in zip(*self.DG)] for row in self.U]
+        return [[sum(t * c for t, c in zip(ug, other)) for other in self.U] for ug in UG]
 
 
 def _gram_schmidt_row(d: list[int], lam: list[list[int]], k: int, dots: list[int]):
@@ -27,19 +49,16 @@ def _gram_schmidt_row(d: list[int], lam: list[list[int]], k: int, dots: list[int
             d[k + 1] = u
 
 
-def lll_reduce_gram(gram: list[list[Fraction]]):
-    """LLL-reduce a positive definite Gram matrix.
-
-    Returns (reduced gram, U) with U integer unimodular and
-    reduced = U * gram * U^T; row i of U expresses the i-th reduced basis
-    vector in the original basis.
+def lll_reduce_gram(gram: tuple[int, list[list[int]]]) -> LLLData:
+    """LLL-reduce the positive definite Gram matrix given as (D, D*G).
 
     Integral LLL with incremental Gram-Schmidt data (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.6.7), run on the Gram matrix
-    scaled by the lcm of its denominators.  The state is U, the leading minors
-    d[0] = 1, d[1..n] of the current basis and lam[k][j] = d[j+1] * mu[k][j];
-    each size reduction and swap updates them in place by exact division.
-    The Lovasz test with delta = p/q = 99/100 reads
+    Computational Algebraic Number Theory, Alg. 2.6.7) on the integer matrix
+    D*G; every decision is homogeneous in D, so U does not depend on it.  The
+    state is U, the leading minors d[0] = 1, d[1..n] of the current basis and
+    lam[k][j] = d[j+1] * mu[k][j]; each size reduction and swap updates them
+    in place by exact division, and the final state is returned with U for
+    the enumeration.  The Lovasz test with delta = p/q = 99/100 reads
     q d[k+1] d[k-1] >= p d[k]^2 - q lam^2.
     One deliberate departure from Cohen: row k is size-reduced against every
     j = k-1 .. 0 before the Lovasz test, rounding mu to the nearest integer
@@ -47,8 +66,8 @@ def lll_reduce_gram(gram: list[list[Fraction]]):
     decision, and so U, identical to the Fraction implementation this one
     replaced (kept as the reference in tests/oracles.py).
     """
-    n = len(gram)
-    D, Gi = _scaled_to_integers([[Fraction(x) for x in row] for row in gram])
+    D, Gi = gram
+    n = len(Gi)
     U = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     p, q = 99, 100
     d = [1] * (n + 1)
@@ -95,24 +114,18 @@ def lll_reduce_gram(gram: list[list[Fraction]]):
             li[k - 1] = (B * t + lkk * li[k]) // d[k + 1]
         d[k] = B
         k = max(k - 1, 1)
-    G = []
-    for row in U:
-        tmp = [sum(c * g for c, g in zip(row, col)) for col in zip(*Gi)]
-        G.append([Fraction(sum(t * c for t, c in zip(tmp, other)), D) for other in U])
-    return G, U
+    return LLLData(D, Gi, U, d, lam)
 
 
-def short_vectors(reduced, bound) -> list[tuple[int, ...]]:
+def short_vectors(reduced: LLLData, bound) -> list[tuple[int, ...]]:
     """All nonzero integer vectors with x^T G x <= bound, up to sign.
 
-    `reduced` is the pair (reduced gram, U) that lll_reduce_gram(G) returns,
-    so the enumeration tree stays tight; results are in the basis of G.
-    The canonical representative of each +-pair has key max(v, -v), and the
-    list is sorted.
+    `reduced` is what lll_reduce_gram returns, so the enumeration tree stays
+    tight; results are in the original basis.  The canonical representative
+    of each +-pair has key max(v, -v), and the list is sorted.
 
-    Fincke-Pohst enumeration (Cohen, GTM 138, Alg. 2.7.5) in integers only.
-    With the reduced Gram matrix scaled by the lcm D of its denominators and
-    its fraction-free LDL^T data d, lam (as in lll_reduce_gram),
+    Fincke-Pohst enumeration (Cohen, GTM 138, Alg. 2.7.5) in integers only,
+    on the LLL's own LDL^T data d, lam of the reduced D*G:
     D x^T G x = sum_i t_i^2 / (d[i] d[i+1]) with the integers
     t_i = d[i+1] x_i + sum_{j>i} lam[j][i] x_j.  Over M = lcm(d[i] d[i+1])
     the budget M floor(D bound) is one integer, so level i takes exactly the
@@ -120,17 +133,12 @@ def short_vectors(reduced, bound) -> list[tuple[int, ...]]:
     +-pair only the vector whose last nonzero coordinate is positive is
     visited.
     """
-    G, U = reduced
-    n = len(G)
-    D, Gi = _scaled_to_integers(G)
+    D, _, U, d, lam = reduced
+    n = len(U)
     B = Fraction(bound)
     top = B.numerator * D // B.denominator
     if top <= 0:
         return []
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for k in range(n):
-        _gram_schmidt_row(d, lam, k, Gi[k][: k + 1])
     M = lcm(*(d[i] * d[i + 1] for i in range(n)))
     m = [M // (d[i] * d[i + 1]) for i in range(n)]
     # column i of lam above the diagonal, as (j, lam[j][i]) pairs

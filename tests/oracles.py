@@ -333,7 +333,7 @@ def relation_class_number(K, budget: int = 2500, stable_window: int = 60):
         found = 0
         q_bound = Fraction(4 * int(idl.norm()) + 8)
         while found < 4 and q_bound < 10**9:
-            for z in idl.shortest_vectors(q_bound):
+            for z in kideal_short_vectors(idl, q_bound):
                 nz = z.abs_norm()
                 if nz <= 1 or not _norm_smooth(int(nz), gens):
                     continue
@@ -1097,3 +1097,153 @@ def g3_quadrature(table, prime_cap: int, eta: float, panels: int = 64) -> float:
         if y > 60 or integrand(complex(0.5, y)) < 1e-14:
             break
     return pref * total / (2 * math.pi)
+
+
+# -- the class-group layer over Fractions and elements --------------------------------
+#
+# The KIdeal primitives as relclass.cm computed them before they moved onto
+# integer order rows: Fraction Gram matrices through the Fraction LLL and
+# enumeration above, relative norms from products of elements, products of
+# ideals from all n^2 pairs of basis rows, and class representatives through
+# the inverse of an ideal of K.
+
+
+def kideal_basis_elems(idl):
+    """The basis rows of a KIdeal as elements: sums of order-basis elements
+    scaled by Fractions."""
+    K = idl.K
+    out = []
+    for r in idl.num:
+        z = K.zero()
+        for c, b in zip(r, K.order_basis):
+            if c:
+                z = z + b.scale(Fraction(c, idl.den))
+        out.append(z)
+    return out
+
+
+def kideal_gram(idl) -> list[list[Fraction]]:
+    """The Fraction Gram matrix of Tr(z conj w) on the basis of a KIdeal."""
+    bs = kideal_basis_elems(idl)
+    return [[(z * w.conj()).rel_trace().trace() for w in bs] for z in bs]
+
+
+def kideal_product(a, b):
+    """a * b from the n^2 products of basis rows."""
+    from relclass.field import _row_mul
+
+    mt = a.K._mt
+    return type(a).from_rows(a.K, [_row_mul(mt, r, s) for r in a.num for s in b.num], a.den * b.den)
+
+
+def kideal_rel_norm(idl):
+    """N_{K/F}(idl), generated by the N(z_i) and Tr(z_i conj z_j) computed
+    as products of elements."""
+    from relclass.field import FIdeal
+
+    bs = kideal_basis_elems(idl)
+    gens = [z.rel_norm() for z in bs]
+    for i in range(len(bs)):
+        for j in range(i + 1, len(bs)):
+            gens.append((bs[i] * bs[j].conj()).rel_trace())
+    return FIdeal.from_generators(idl.K.F, gens)
+
+
+def kideal_inverse(idl):
+    """conj(idl) * N(idl)^-1 o_K, with the extension built from elements."""
+    from relclass.field import LatticeIdeal
+
+    K = idl.K
+    ext = type(idl).from_generators(
+        K, [K.elem(e) for e in kideal_rel_norm(idl).inverse().basis_elems()]
+    )
+    return kideal_product(LatticeIdeal.conj(idl), ext)
+
+
+def scaled_gram(gram: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(D, D * gram) with D the lcm of the denominators of a rational Gram
+    matrix: the integer pair that relclass.lattice takes."""
+    D = math.lcm(*(Fraction(x).denominator for row in gram for x in row))
+    return D, [[int(x * D) for x in row] for row in gram]
+
+
+def kideal_short_vectors(idl, q_bound) -> list:
+    """The nonzero z with Tr(z conj z) <= q_bound, one of each +-pair, from
+    the Gram matrix of elements.  The reduction and the enumeration are
+    relclass.lattice's on the scaled matrix: test_lattice checks them
+    against the Fraction references above, which would make the closure
+    below too slow to run on every corpus field."""
+    from relclass.lattice import lll_reduce_gram as integer_lll
+    from relclass.lattice import short_vectors as integer_short_vectors
+
+    bs = kideal_basis_elems(idl)
+    out = []
+    for v in integer_short_vectors(integer_lll(scaled_gram(kideal_gram(idl))), q_bound):
+        z = idl.K.zero()
+        for c, b in zip(v, bs):
+            if c:
+                z = z + b.scale(c)
+        out.append(z)
+    return out
+
+
+def kideal_principal_gen(idl):
+    """A generator among the short vectors of the unit window, as a float
+    padded by 1 + 1e-9 bounds it, or None."""
+    K = idl.K
+    t = idl.norm()
+    if K.F.n == 1:
+        window = 2 * t
+    else:
+        e1 = K.F.eps.embed(0)
+        bf = 2.0 * math.sqrt(float(t)) * (e1 + 1.0 / e1) * (1 + 1e-9)
+        window = Fraction(math.ceil(bf * 2**20), 2**20)
+    return next((z for z in kideal_short_vectors(idl, window) if z.abs_norm() == t), None)
+
+
+def kideal_small_class_rep(idl):
+    """(q^-1 z)^conj for the short z of least norm in q = den * idl, through
+    the inverse of q."""
+    from relclass.field import LatticeIdeal
+
+    q = idl.scale(idl.den)
+    n = idl.K.F.n
+    base = float(2 * q.norm() ** Fraction(1, n))
+    bound = Fraction(math.ceil(base * n * 1.2 * 2**10), 2**10)
+    vecs = []
+    while not vecs:
+        vecs = kideal_short_vectors(q, bound)
+        bound *= 2
+    z = min(vecs, key=lambda w: w.abs_norm())
+    red = LatticeIdeal.conj(kideal_product(kideal_inverse(q), type(q).from_generators(q.K, [z])))
+    return red.scale(red.den)
+
+
+def class_reps_by_closure(K) -> list:
+    """The class representatives of the subgroup closure over the prime
+    generators (h_F = 1), every step on the primitives above."""
+    from relclass.field import LatticeIdeal
+
+    def same_class(a, b):
+        q = kideal_product(a, LatticeIdeal.conj(b))
+        return kideal_principal_gen(q.scale(q.den)) is not None
+
+    gens, seen_base = [], set()
+    for kp in K.kprimes_up_to(K.minkowski_bound()):
+        bkey = (kp.base.p, kp.base.second_gen)
+        if kp.rel_f == 1 and bkey not in seen_base:
+            seen_base.add(bkey)
+            gens.append(kp)
+    mo = K.maximal_order()
+    elements = [mo]
+    for g in gens:
+        cur, powers = mo, []
+        while True:
+            cur = kideal_small_class_rep(kideal_product(cur, g.ideal))
+            if any(same_class(cur, rep) for rep in elements):
+                break
+            powers.append(cur)
+        elements = elements + [
+            kideal_small_class_rep(kideal_product(pw, rep)) for pw in powers for rep in elements
+        ]
+    return elements

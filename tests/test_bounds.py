@@ -409,7 +409,7 @@ def test_norm_count_F_matches_direct_enumeration(m):
     eps = F.eps.embed(0)
     for idl in [F.unit_ideal()] + [pr.ideal for p in (2, 3, 7) for pr in F.splitting(p).primes]:
         b0, b1 = idl.basis_elems()
-        gram = [[(x * y).trace() for y in (b0, b1)] for x in (b0, b1)]
+        gram = idl.gram()
         for t in (Fraction(1), Fraction(7, 3), Fraction(12), Fraction(29, 2)):
             tprime = t * idl.norm()
             window = 2 * tprime * Fraction(math.ceil((eps + 1 / eps) * 1000), 1000)

@@ -2,20 +2,26 @@ import pytest
 from fractions import Fraction
 from pathlib import Path
 
+import oracles
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import class_number_oracle, conj_orbits_oracle, relation_class_number
 
 from relclass.cli import load_corpus
-from relclass import bounds, cm, dseries, forms
+from relclass import bounds, dseries, forms, imagquad
 from relclass.cm import (
+    KIdeal,
     class_counts,
     decompose_ideal,
     exceptional_extensions,
     line_colon_ideal,
     line_norms,
     make_cm,
+    unit_window,
 )
 from relclass.errors import NotIntegral, NotTotallyNegative, RelclassError
-from relclass.field import kronecker, make_field, primes_up_to
+from relclass.field import LatticeIdeal, kronecker, make_field, primes_up_to
+from relclass.lattice import lll_reduce_gram, short_vectors
 from relclass.intmat import solve_exact
 from relclass.imagquad import class_group_counts
 
@@ -121,7 +127,7 @@ def test_class_counts_computed_once_per_field(monkeypatch):
     """Over Q the reduced-form enumeration runs once per K, however many
     readers ask for the counts."""
     calls = []
-    monkeypatch.setattr(cm, "class_group_counts", lambda D: calls.append(D) or class_group_counts(D))
+    monkeypatch.setattr(imagquad, "class_group_counts", lambda D: calls.append(D) or class_group_counts(D))
     K = make_cm(Q, -23)
     assert class_counts(K) == class_counts(K) == (3, 3, 2)
     assert calls == [-23]
@@ -375,3 +381,109 @@ def test_integral_ideals_up_to_pinned(n, m, delta):
     want = INTEGRAL_IDEALS_UP_TO_16[n, m, delta]
     assert [tuple(x for r in idl.num for x in r) for idl in got] == want
 
+
+
+# -- the class-group layer on integer rows, against tests/oracles.py ---------------------
+
+# Q(sqrt -d), and Q(sqrt m)(sqrt delta) with delta = a + b*omega
+ROW_FIELDS = [
+    make_cm(make_field(n, m), make_field(n, m).elem(a, b))
+    for n, m, a, b in [(1, None, -5, 0), (1, None, -23, 0), (1, None, -84, 0), (2, 2, -21, 0),
+                       (2, 3, -7, -1), (2, 5, -11, 0), (2, 13, -14, 0)]
+]
+
+
+@st.composite
+def integral_ideals(draw, K):
+    """The ideal of K generated by one or two random integral elements with
+    coordinates in [-6, 6] over the order basis."""
+    row = st.lists(st.integers(-6, 6), min_size=K.deg, max_size=K.deg).filter(any)
+    return KIdeal.from_generator_rows(K, draw(st.lists(row, min_size=1, max_size=2)), 1)
+
+
+@st.composite
+def field_and_ideals(draw, count=1):
+    K = draw(st.sampled_from(ROW_FIELDS))
+    return (K, *(draw(integral_ideals(K)) for _ in range(count)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_and_ideals(), st.integers(1, 6))
+def test_rel_norm_matches_element_products(ka, den):
+    """The relative norm read off the integer norm form, for the ideal and
+    for it over den, against the one from products of elements."""
+    _, a = ka
+    for b in (a, a.scale(Fraction(1, den))):
+        assert b.rel_norm() == oracles.kideal_rel_norm(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_and_ideals(), st.integers(1, 4))
+def test_small_class_rep_matches_inverse_construction(ka, den):
+    """(q^-1 z)^conj built as q conj(z) N(q)^-1 o_K is the same HNF as the
+    one through the inverse of q."""
+    _, a = ka
+    for b in (a, a.scale(Fraction(1, den))):
+        assert b.small_class_rep() == oracles.kideal_small_class_rep(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_and_ideals(), st.integers(1, 4))
+def test_short_vectors_of_an_ideal_match_the_fraction_pipeline(ka, k):
+    """The integer Gram matrix of the rows, its LLL and the enumeration on
+    the LLL's own LDL^T data, against the Fraction Gram matrix of elements,
+    the Fraction LLL and the Fraction enumeration."""
+    _, a = ka
+    red = lll_reduce_gram(a.gram())
+    G, U = oracles.lll_reduce_gram(oracles.kideal_gram(a))
+    assert red.U == U
+    assert [[Fraction(x, red.D) for x in row] for row in red.reduced_gram()] == G
+    bound = G[0][0] * k
+    assert short_vectors(red, bound) == oracles.short_vectors((G, U), bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_and_ideals(2), st.integers(1, 3))
+def test_two_element_products_match_n2_rows(kab, den):
+    """Products through a two-element form, with the ideal on either side,
+    with its conjugate and with a fractional ideal, against the n^2-row
+    product; the form found generates the ideal."""
+    K, a, b = kab
+    a.two_element()
+    if a._gens is not None:
+        l, alpha = a._gens
+        assert KIdeal.from_generator_rows(K, [[l] + [0] * (K.deg - 1), alpha], 1) == a
+    for c in (b, b.scale(Fraction(1, den))):
+        want = oracles.kideal_product(a, c)
+        assert a * c == want and c * a == want
+        assert a.conj() * c == oracles.kideal_product(LatticeIdeal.conj(a), c)
+
+
+@pytest.mark.parametrize("corpus", ["q50", "quartic80"])
+def test_class_reps_match_oracle_closure(corpus):
+    """The class representatives decide classify's output: on every field of
+    the corpus they are the ideals that the closure on the Fraction and
+    element primitives finds, in the same order."""
+    for entry in load_corpus(str(CORPORA / f"{corpus}.txt")):
+        K = entry.cm()
+        assert K.F.h_F == 1
+        want = [r.key() for r in oracles.class_reps_by_closure(K)]
+        assert [r.key() for r in K.class_data().reps] == want, entry
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 13])
+def test_unit_window_is_exact_from_above(m):
+    """w = unit_window(K, t) is the least point of the 2^-20 grid at or above
+    2 sqrt(t) (eps + 1/eps), compared exactly by squaring; (eps + 1/eps)^2
+    comes from field arithmetic."""
+    F = make_field(2, m)
+    K = make_cm(F, F.elem(-7))
+    x = F.eps + F.one() / F.eps
+    S = (x * x).a
+    assert (x * x).b == 0
+    step = Fraction(1, 2**20)
+    for t in [Fraction(k, 12) for k in range(1, 241)] + [Fraction(10**9 + 7, 3), Fraction(2**61 - 1)]:
+        w = unit_window(K, t)
+        assert w % step == 0
+        assert w * w >= 4 * t * S
+        assert (w - step) ** 2 < 4 * t * S

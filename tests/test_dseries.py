@@ -17,7 +17,6 @@ from relclass.dseries import (
     mellin_closed,
     mellin_quadrature,
     vseries,
-    vseries_csv,
     vsum_check,
     zeta_coeffs_cm,
     zeta_coeffs_field,
@@ -95,13 +94,6 @@ def test_vsum_examples():
     assert vsum_check(make_cm(Q, -1))["partial_sum"] == 0
     rep = vsum_check(make_cm(Q, -23))
     assert rep["partial_sum"] == 3 and rep["h"] == 3 and rep["margin"] == 0
-
-
-def test_vseries_csv():
-    out = vseries_csv(make_cm(Q, -1), 6)
-    assert out.splitlines()[0] == "n,v_n"
-    assert out.splitlines()[2] == "2,1"
-    assert out.splitlines()[3] == "3,0"
 
 
 def test_mellin_closed_examples():

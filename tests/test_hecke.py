@@ -12,7 +12,6 @@ from relclass.hecke import (
     base_change_table,
     d_factor,
     dirichlet_coeffs,
-    eps_report,
     epsilon_factor,
     epsilon_numeric,
     euler_factors,
@@ -21,7 +20,6 @@ from relclass.hecke import (
     lvalue_numeric,
     poly_mul,
     symsq_L1,
-    table_to_lines,
     twist_table,
 )
 
@@ -167,16 +165,6 @@ def test_root_bounds_all_factors():
     for p in (2, 3, 5, 7, 11, 37):
         pr = Q.splitting(p).primes[0]
         euler_factors(TBL, chi, pr)  # asserts the root bounds internally
-
-
-def test_table_export_and_eps_report():
-    small = gz_table(30)
-    txt = table_to_lines(small)
-    lines = txt.strip().splitlines()
-    assert lines[0].startswith("2,1,1,")
-    assert all(len(l.split(",")) == 4 for l in lines)
-    rep = eps_report(gz_table(400))
-    assert rep["eps"] == 1 and rep["L_at_1"]["heuristic"]
 
 
 def test_epsilon_multiplicative_consistency():

@@ -174,10 +174,10 @@ def test_no_module_sets_the_global_mpmath_precision():
 LAYERS = ("mpmath", "relclass.bounds", "relclass.cm", "relclass.dseries", "relclass.forms", "relclass.hecke")
 
 
-def _run_and_list_layers(code: str) -> tuple[str, list[str]]:
-    """Run code in a fresh interpreter: (its stdout, which of LAYERS it left
-    in sys.modules)."""
-    probe = f"{code}\nimport sys\nprint(sorted({set(LAYERS)!r} & set(sys.modules)), file=sys.stderr)"
+def _run_and_list_layers(code: str, layers=LAYERS) -> tuple[str, list[str]]:
+    """Run code in a fresh interpreter: (its stdout, which of the layers it
+    left in sys.modules)."""
+    probe = f"{code}\nimport sys\nprint(sorted({set(layers)!r} & set(sys.modules)), file=sys.stderr)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     return out.stdout, ast.literal_eval(out.stderr.strip().splitlines()[-1])
@@ -192,7 +192,7 @@ def test_cli_import_loads_no_numeric_layer():
     assert _run_and_list_layers("import relclass.cli")[1] == []
     report, layers = _run_and_list_layers(RUN_CLI.format(["field", "--n", "2", "--m", "5"]))
     assert '"dF": 5' in report and layers == []
-    assert _run_and_list_layers("import relclass.bounds")[1] == ["relclass.bounds", "relclass.cm"]
+    assert _run_and_list_layers("import relclass.bounds")[1] == ["relclass.bounds"]
 
 
 def test_only_bound_loads_mpmath_and_hecke(tmp_path):
@@ -210,6 +210,19 @@ def test_only_bound_loads_mpmath_and_hecke(tmp_path):
     report, layers = _run_and_list_layers(RUN_CLI.format(argv))
     assert '"C": "1e-29"' in report
     assert layers == ["mpmath", "relclass.bounds", "relclass.cm", "relclass.dseries", "relclass.hecke"]
+
+
+def test_verify_over_a_quartic_field_loads_no_imagquad(tmp_path):
+    """The reduced-form class groups of imagquad serve base field Q only, so
+    verify over Q(sqrt 2) never compiles them; over Q it does."""
+    corpus = tmp_path / "quartic.txt"
+    corpus.write_text("2,2,-21,0,8,4\n")
+    argv = ["verify", "--corpus", str(corpus)]
+    report, layers = _run_and_list_layers(RUN_CLI.format(argv), ("relclass.imagquad", "relclass.cm"))
+    assert report.count('"status": "ok"') == 1 and layers == ["relclass.cm"]
+    corpus.write_text("1,-,-1947,0,8,3\n")
+    layers = _run_and_list_layers(RUN_CLI.format(argv), ("relclass.imagquad",))[1]
+    assert layers == ["relclass.imagquad"]
 
 
 def test_bound_loads_no_numeric_layer_before_a_row_passes_parity(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import cholesky_rational
+from oracles import cholesky_rational, scaled_gram
 from oracles import lll_reduce_gram as lll_reference
 from oracles import short_vectors as short_vectors_reference
 
@@ -37,12 +37,22 @@ def _brute_force(G, B):
     return sorted(found)
 
 
+def _integer_lll(gram):
+    """The integer LLL on a rational Gram matrix, in the terms of the
+    Fraction references: lll_reduce_gram runs on (D, D * gram), D the lcm
+    of the denominators (oracles.scaled_gram), and its result comes back as
+    (reduced Gram over D as Fractions, U), the pair that the references
+    return and that oracles.short_vectors takes, followed by the LLLData
+    itself for short_vectors."""
+    red = lll_reduce_gram(scaled_gram(gram))
+    return [[Fraction(x, red.D) for x in row] for row in red.reduced_gram()], red.U, red
+
+
 @settings(max_examples=60, deadline=None)
 @given(gram_and_bound())
 def test_short_vectors_match_brute_force(gb):
     G, B = gb
-    gram = [[Fraction(a) for a in row] for row in G]
-    assert short_vectors(lll_reduce_gram(gram), B) == _brute_force(G, B)
+    assert short_vectors(lll_reduce_gram((1, G)), B) == _brute_force(G, B)
 
 
 @st.composite
@@ -81,7 +91,7 @@ TIES = [
 @example(_as_fractions(TIES[3]))
 @example(TIES[4])
 def test_lll_matches_fraction_reference(gram):
-    assert lll_reduce_gram(gram) == lll_reference(gram)
+    assert _integer_lll(gram)[:2] == lll_reference(gram)
 
 
 @st.composite
@@ -91,24 +101,26 @@ def gram_and_rational_bounds(draw):
     form windows round), and one equal to the norm of a short vector, so
     that the boundary of x^T G x <= bound is hit."""
     gram = draw(rational_gram())
-    red = lll_reduce_gram(gram)
-    cap = red[0][0][0] * draw(st.integers(1, 6))
+    G, U, red = _integer_lll(gram)
+    cap = G[0][0] * draw(st.integers(1, 6))
     den = draw(st.sampled_from((1, 3, 2**20)))
     grid = Fraction(math.floor(cap * den * draw(st.fractions(0, 1))), den)
-    vecs = short_vectors_reference(red, cap)
+    vecs = short_vectors_reference((G, U), cap)
     v = vecs[draw(st.integers(0, len(vecs) - 1))]
     n = len(gram)
     norm = sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
-    return red, grid, v, norm
+    return (G, U, red), grid, v, norm
 
 
 @settings(max_examples=100, deadline=None)
 @given(gram_and_rational_bounds())
 def test_short_vectors_match_fraction_reference(data):
-    red, grid, v, norm = data
+    """The enumeration on the LLL's own LDL^T data against the Fraction
+    enumeration on the reduced Gram matrix."""
+    (G, U, red), grid, v, norm = data
     below = norm - Fraction(1, 2**40)
     for bound in (grid, norm, below):
-        assert short_vectors(red, bound) == short_vectors_reference(red, bound)
+        assert short_vectors(red, bound) == short_vectors_reference((G, U), bound)
     assert v in short_vectors(red, norm) and v not in short_vectors(red, below)
 
 
@@ -122,7 +134,7 @@ def _det(M):
 @settings(max_examples=100, deadline=None)
 @given(rational_gram())
 def test_lll_result_is_reduced(gram):
-    G, U = lll_reduce_gram(gram)
+    G, U, red = _integer_lll(gram)
     n = len(gram)
     assert G == [[sum(U[i][a] * gram[a][b] * U[j][b] for a in range(n) for b in range(n))
                   for j in range(n)] for i in range(n)]
@@ -130,6 +142,13 @@ def test_lll_result_is_reduced(gram):
     d, mu = cholesky_rational(G)
     assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
     assert all(d[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * d[k - 1] for k in range(1, n))
+    # the returned LDL^T data is the reduced Gram matrix's: d[k] the leading
+    # minors of D * G, lam[k][j] = d[j+1] mu[k][j]
+    scale = 1
+    for k in range(n):
+        scale *= red.D * d[k]
+        assert red.d[k + 1] == scale
+        assert all(red.lam[k][j] == red.d[j + 1] * mu[k][j] for j in range(k))
 
 
 @pytest.mark.parametrize(
@@ -137,4 +156,4 @@ def test_lll_result_is_reduced(gram):
 )
 def test_lll_rejects_gram_not_positive_definite(gram):
     with pytest.raises(ValueError):
-        lll_reduce_gram(gram)
+        lll_reduce_gram((1, gram))
