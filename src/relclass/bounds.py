@@ -25,7 +25,8 @@ from .errors import (
     ParityFails,
     StrategyUnavailable,
 )
-from .field import Field, FIdeal, PrimeIdeal, kronecker, primes_up_to
+from .field import Field, FIdeal, PrimeIdeal, canonical_unit_row, kronecker, primes_up_to
+from .intmat import vec_mat
 from .numerics import (
     EULER_GAMMA,
     GAMMA_3_2,
@@ -236,37 +237,6 @@ def box_bound_check(F: Field, consts: LatticeConstants, idl: FIdeal, x0: tuple, 
 # -- norm counting --------------------------------------------------------------------
 
 
-def canonical_unit_rep_F(F: Field, x):
-    """Representative of x modulo units, via the convex trace form."""
-    if F.n == 1:
-        return x if x.na >= 0 else -x
-
-    def q(z):
-        return (z * z).trace()
-
-    eps = F.eps
-    eps_inv = F.one() / eps
-    cur = x
-    while True:
-        up, dn = cur * eps, cur * eps_inv
-        qc = q(cur)
-        if q(up) < qc:
-            cur = up
-        elif q(dn) < qc:
-            cur = dn
-        else:
-            best = cur
-            for cand in (up, dn):
-                if q(cand) == qc:
-                    ck = max(cand.coords(), (-cand).coords())
-                    bk = max(best.coords(), (-best).coords())
-                    if ck > bk:
-                        best = cand
-            cur = best
-            break
-    return cur if cur.coords() >= (-cur).coords() else -cur
-
-
 def count_norm_orbits_F(F: Field, idl: FIdeal, t: Fraction) -> int:
     """#{[a] in (ideal - 0)/units : |N(a)| <= t * N(ideal)}, exact."""
     from .lattice import lll_reduce_gram, short_vectors
@@ -279,16 +249,14 @@ def count_norm_orbits_F(F: Field, idl: FIdeal, t: Fraction) -> int:
     # Tr(x^2) <= t' (eps + 1/eps); the window is that, rounded up to 2^-16
     window = (F.eps + F.one() / F.eps) * (tprime * 2**16)
     q_bound = Fraction(-(-window).embedding_floor(0), 2**16)
-    b = idl.basis_elems()
+    # an element is row/den on the integer row v * num; |N(row/den)| <= t'
+    # reads |a^2 + c1 a b - c0 b^2| <= t' den^2 on the row (a, b)
+    cap = tprime * idl.den**2
     seen = set()
     for v in short_vectors(lll_reduce_gram(idl.gram()), q_bound):
-        x = b[0] * F.elem(v[0]) + b[1] * F.elem(v[1])
-        if x.is_zero():
-            continue
-        if abs(x.norm()) > tprime:
-            continue
-        key = canonical_unit_rep_F(F, x).coords()
-        seen.add(key)
+        a, b = vec_mat(v, idl.num)
+        if abs(a * a + F.c1 * a * b - F.c0 * b * b) <= cap:
+            seen.add(tuple(canonical_unit_row(F, [a, b])))
     return len(seen)
 
 
@@ -381,19 +349,6 @@ def bound_params(K: CMField) -> BoundParams:
 
 
 # -- D constants ---------------------------------------------------------------------
-
-
-def d_constants_K(params: BoundParams) -> dict:
-    V = Interval(params.V * (1 - 1e-12), params.V * (1 + 1e-12))
-    U = Interval(params.U * (1 - 1e-12), params.U * (1 + 1e-12))
-    vi = Interval(1.0) / V
-    vs = Interval(1.0) / isqrt_iv(V)
-    vq = Interval(1.0) / ipow(V, 0.25)
-    D1 = (Interval(1.0) + Interval(float(params.h)) / U) * (Interval(1.0) + vi) / (Interval(1.0) - vi)
-    D2 = ((Interval(1.0) - vs) / (Interval(1.0) + vs)) ** 2
-    D3 = Interval(4.0) * vs / (Interval(1.0) - vs) * ilog(U)
-    D4 = (Interval(1.0) + vs) ** 2 / (Interval(1.0) - vq) ** 4
-    return {"D1": D1, "D2": D2, "D3": D3, "D4": D4}
 
 
 def d_constants_lambda(n: int, lam: float) -> dict:
@@ -707,15 +662,6 @@ def f2_uniform(F: Field) -> Interval:
             seen.add(q)
             qi = Interval(float(q))
             out = out * isqrt_iv(qi) / (ipow(qi, 0.25) - Interval(1.0)) ** 2
-    return out
-
-
-def f2_per_K(params: BoundParams) -> float:
-    out = 1.0
-    for pr in params.P_UK:
-        q = pr.norm()
-        if q <= F2_CAP:
-            out *= math.sqrt(q) / (q**0.25 - 1) ** 2
     return out
 
 

@@ -41,6 +41,7 @@ from .field import (
     PrimeIdeal,
     _felem,
     _row_mul,
+    canonical_unit_row,
     elem_with_valuation,
     ideal_transversal,
     order_rows,
@@ -224,13 +225,12 @@ class CMField:
         # Tr_{K/F}(b_i conj b_j) off the diagonal, half of it on it
         self._norm_form = terms
         self._unit_rows = [[int(i == j) for j in range(deg)] for i in range(deg)]
+        # rows of b_i * eps^(+-1), for canonical_unit_row; None over Q
+        self._unit_steps = None
         if self.F.n == 2:
-            # rows of b_i * eps^(+-1), for canonical_unit_rep
-            steps = []
-            for u in (self.F.eps, self.F.one() / self.F.eps):
-                ur = integral_row(KElem(self, u, self.F.zero()))
-                steps.append([_row_mul(table, e, ur) for e in self._unit_rows])
-            self._unit_steps = steps
+            F = self.F
+            units = [integral_row(KElem(self, u, F.zero())) for u in (F.eps, F.one() / F.eps)]
+            self._unit_steps = [[_row_mul(table, e, u) for e in self._unit_rows] for u in units]
 
     def _rel_norm_row(self, row) -> list[int]:
         """N_{K/F}(z) = x + y*omega as [x, y] (y = 0 over Q), for the integral
@@ -249,10 +249,15 @@ class CMField:
         F = self.F
         return abs(x * x + F.c1 * x * y - F.c0 * y * y) if F.n == 2 else abs(x)
 
+    def _ambient(self, row) -> list[int]:
+        """The ambient numerators of the element of order row `row`: its
+        coordinates (x, y) over F, times _amb_den, flattened."""
+        return vec_mat(row, self._amb)
+
     def _from_order(self, row, den: int) -> "KElem":
         """The element with coordinates row/den over the order basis."""
         F = self.F
-        c = vec_mat(row, self._amb)
+        c = self._ambient(row)
         D = den * self._amb_den
         if F.n == 1:
             return KElem(self, _felem(F, c[0], 0, D), _felem(F, c[1], 0, D))
@@ -363,10 +368,6 @@ class CMField:
         if self._max_order is None:
             self._max_order = KIdeal.unit(self)
         return self._max_order
-
-    def ideal(self, *gens) -> "KIdeal":
-        elems = [g if isinstance(g, KElem) else self.elem(g) for g in gens]
-        return KIdeal.from_generators(self, elems)
 
     def extend_ideal(self, a: FIdeal) -> "KIdeal":
         """a o_K: o_F's basis opens the order basis, so the rows of a, padded
@@ -888,15 +889,6 @@ def _exceptional_radicands(F: Field) -> list[FElem]:
     return out
 
 
-def exceptional_extensions(F: Field) -> list[CMField]:
-    """All totally imaginary quadratic K/F with o_K^x != o_F^x, up to isomorphism.
-
-    These are F(zeta_6) = F(sqrt -3) together with F(sqrt v) for totally
-    negative unit products v.
-    """
-    return [make_cm(F, v) for v in _exceptional_radicands(F)]
-
-
 # -- decomposition of ideals against the class representatives ------------------------
 
 
@@ -928,55 +920,10 @@ def line_colon_ideal(K: CMField, alpha: KElem, module: KIdeal) -> FIdeal:
 
 
 def canonical_unit_rep(K: CMField, alpha: KElem) -> KElem:
-    """Deterministic representative of alpha modulo o_F^x = {+-eps^k}.
-
-    The trace form q(z) = Tr(z conj z) is strictly convex along the unit
-    orbit, so its exact minimizer (ties broken by coordinate key) is an
-    orbit invariant; the sign is then fixed by the larger coordinate tuple.
-    """
+    """Deterministic representative of alpha modulo o_F^x = {+-eps^k}: the
+    unit-orbit walk of field.canonical_unit_row on its order row."""
     row, den = K._to_order(alpha)
-    return K._from_order(_canonical_row(K, row), den)
-
-
-def _canonical_row(K: CMField, row: list[int]) -> list[int]:
-    """canonical_unit_rep on the order row of an element: multiplication by
-    eps and 1/eps is an integer matrix on rows, q is the integer trace form,
-    and the coordinate keys compare as the ambient numerators row * _amb,
-    which share one positive denominator."""
-    if K.F.n == 2:
-        T = K._trace_mat
-        up_mat, dn_mat = K._unit_steps
-
-        def q(r: list[int]) -> int:
-            return sum(a * b for a, b in zip(vec_mat(r, T), r))
-
-        def key(r: list[int]) -> tuple[int, ...]:
-            c = tuple(vec_mat(r, K._amb))
-            return max(c, tuple(-x for x in c))
-
-        cur, qc = row, q(row)
-        up, dn = vec_mat(cur, up_mat), vec_mat(cur, dn_mat)
-        qu, qd = q(up), q(dn)
-        # a step reuses two of the three values: after a step up, the new
-        # down-neighbour is the old point and the new point the old up
-        while True:
-            if qu < qc:
-                dn, qd, cur, qc = cur, qc, up, qu
-                up = vec_mat(cur, up_mat)
-                qu = q(up)
-            elif qd < qc:
-                up, qu, cur, qc = cur, qc, dn, qd
-                dn = vec_mat(cur, dn_mat)
-                qd = q(dn)
-            else:
-                break
-        best = cur
-        for cand, qv in ((up, qu), (dn, qd)):
-            if qv == qc and key(cand) > key(best):
-                best = cand
-        row = best
-    c = vec_mat(row, K._amb)
-    return row if tuple(c) >= tuple(-x for x in c) else [-x for x in row]
+    return K._from_order(canonical_unit_row(K, row), den)
 
 
 def decompose_ideal(K: CMField, M: KIdeal):
@@ -1044,8 +991,8 @@ def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
     for row in Ni._short_rows(unit_window(K, t_abs)):
         if K._abs_norm(row) > cap:
             continue
-        zr = _canonical_row(K, row)
-        key = tuple(vec_mat(zr, K._amb))
+        zr = canonical_unit_row(K, row)
+        key = tuple(K._ambient(zr))
         if key not in seen:
             seen[key] = K._from_order(zr, Ni.den)
     lines = [(zc.abs_norm() / nN, zc) for zc in seen.values()]

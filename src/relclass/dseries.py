@@ -37,19 +37,6 @@ class CoeffSeries:
     def coeff(self, n: int) -> Fraction:
         return self.coeffs[n - 1]
 
-    def mul(self, other: "CoeffSeries") -> "CoeffSeries":
-        X = min(self.X, other.X)
-        out = [Fraction(0)] * X
-        for i in range(1, X + 1):
-            a = self.coeffs[i - 1]
-            if a == 0:
-                continue
-            for j in range(1, X // i + 1):
-                b = other.coeffs[j - 1]
-                if b:
-                    out[i * j - 1] += a * b
-        return CoeffSeries(X, out, "product")
-
     def div(self, other: "CoeffSeries") -> "CoeffSeries":
         """Series quotient; other must have leading coefficient 1."""
         X = min(self.X, other.X)
@@ -62,13 +49,6 @@ class CoeffSeries:
                     acc -= other.coeffs[d - 1] * out[n // d - 1]
             out[n - 1] = acc
         return CoeffSeries(X, out, "quotient")
-
-    def partial_sum(self, upto_exclusive: Fraction) -> Fraction:
-        s = Fraction(0)
-        for n in range(1, self.X + 1):
-            if Fraction(n) < upto_exclusive:
-                s += self.coeffs[n - 1]
-        return s
 
 
 def _euler_coeffs(local_factors: list[tuple[int, list[Fraction]]], X: int) -> list[Fraction]:
@@ -115,36 +95,25 @@ def zeta_coeffs_field(F: Field, X: int) -> CoeffSeries:
             if pr.norm() <= X:
                 factors.append((pr.norm(), _geom(X, pr.norm())))
     coeffs = _euler_coeffs(factors, X)
-    for n in range(1, min(X, 400) + 1):
-        direct = _ideal_count_direct(F, n)
-        assert coeffs[n - 1] == direct, (n, coeffs[n - 1], direct)
+    cap = min(X, 400)
+    direct = [1] * cap if F.n == 1 else _quadratic_ideal_counts(F.c0, F.c1, cap)
+    for n in range(1, cap + 1):
+        assert coeffs[n - 1] == direct[n - 1], (n, coeffs[n - 1], direct[n - 1])
     return CoeffSeries(X, coeffs, "ideal-count")
 
 
-def _ideal_count_direct(F: Field, n: int) -> int:
-    """Number of integral ideals of norm n by HNF sublattice enumeration."""
-    if F.n == 1:
-        return 1
-    count = 0
-    c0, c1 = F.c0, F.c1
-    for a in range(1, n + 1):
-        if n % a:
-            continue
-        c = n // a
-        if a % c != 0:
-            continue
-        for b in range(a):
-            # closure of rows (a, 0), (b, c) under multiplication by omega:
-            # omega*(a, 0) = (0, a) and omega*(b + c w) = (c c0, b + c c1)
-            if ((a // c) * b) % a != 0:
-                continue
-            w0, w1 = c * c0, b + c * c1
-            if w1 % c != 0:
-                continue
-            if (w0 - (w1 // c) * b) % a != 0:
-                continue
-            count += 1
-    return count
+def _quadratic_ideal_counts(c0: int, c1: int, cap: int) -> list[int]:
+    """Numbers of integral ideals of each index n <= cap in Z[w], w^2 = c0 + c1 w.
+
+    An ideal of index n = a c has the unique HNF basis a, b + c w with
+    0 <= b < a.  Since w a = (a/c)(b + c w) - ab/c and
+    w (b + c w) = c c0 + (b + c c1) w, it is closed under w exactly when
+    c | a, c | b and a | c c0 - (b/c + c1) b."""
+    counts = [0] * cap
+    for c in range(1, math.isqrt(cap) + 1):
+        for a in range(c, cap // c + 1, c):
+            counts[a * c - 1] += sum(1 for b in range(0, a, c) if (c * c0 - (b // c + c1) * b) % a == 0)
+    return counts
 
 
 def zeta_coeffs_cm(K: CMField, X: int) -> CoeffSeries:
@@ -170,35 +139,16 @@ def zeta_coeffs_cm(K: CMField, X: int) -> CoeffSeries:
 
 def _ideal_count_direct_cm(K: CMField, cap: int) -> list[int]:
     """Counts of integral o_K-sublattices of index <= cap, by enumeration."""
-    counts = [0] * cap
-    deg = K.deg
-    if deg == 2:
+    if K.deg == 2:
+        # o_K = Z[theta], theta = (d + sqrt d)/2, theta^2 = -(d^2 - d)/4 + d theta
         d = -K.rel_disc_norm
-        from .imagquad import theta_mul_table
-
-        s, t = theta_mul_table(d)
-        for a in range(1, cap + 1):
-            for c in range(1, cap // a + 1):
-                n = a * c
-                for u in range(a):
-                    # closure of (a, 0), (u, c) under theta
-                    # theta*(a,0) = (0,a): needs c | a, a | (a//c)*u
-                    if a % c != 0:
-                        continue
-                    if ((a // c) * u) % a != 0:
-                        continue
-                    w0, w1 = c * t, u + c * s
-                    if w1 % c != 0:
-                        continue
-                    if (w0 - (w1 // c) * u) % a != 0:
-                        continue
-                    counts[n - 1] += 1
-        return counts
+        return _quadratic_ideal_counts(-((d * d - d) // 4), d, cap)
     # degree 4: enumerate prime products (products of distinct structures are
     # distinct ideals), which is the unique-factorization route
     seen = {}
     for idl, nm in prime_products(K.maximal_order(), K.kprimes_up_to(cap), cap):
         seen.setdefault(idl.key(), nm)
+    counts = [0] * cap
     for nm in seen.values():
         counts[nm - 1] += 1
     return counts
@@ -238,13 +188,10 @@ def vseries(K: CMField, X: int) -> CoeffSeries:
     return out
 
 
-def vsum_check(K: CMField, X: int | None = None) -> dict:
+def vsum_check(K: CMField) -> dict:
     """sum of v_n over n < sqrt|disc|/2^n_F compared with h = h_K/|im phi|."""
     threshold = math.sqrt(K.rel_disc_norm) / 2**K.F.n
-    if X is None:
-        X = max(16, int(threshold) + 2)
-    if threshold >= X:
-        raise TruncationTooLarge("threshold exceeds the truncation range")
+    X = max(16, int(threshold) + 2)
     vs = vseries(K, X)
     # exact comparison: n < sqrt(d)/2^nf iff n^2 4^nf < d
     total = Fraction(0)

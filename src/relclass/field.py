@@ -164,6 +164,12 @@ class Field:
             self._conj_mat = [(1, 0), (self.c1, -1)]
             self._trace_mat = [[2, self.c1], [self.c1, self.c1 * self.c1 + 2 * self.c0]]
         self._init_units()
+        # rows of b_i * eps^(+-1), for canonical_unit_row; over Q the only
+        # units are +-1
+        self._unit_steps = None
+        if self.n == 2:
+            units = [self._to_order(u)[0] for u in (self.eps, self.one() / self.eps)]
+            self._unit_steps = [[_row_mul(self._mt, e, u) for e in ([1, 0], [0, 1])] for u in units]
         self._prime_cache: dict[int, SplittingType] = {}
         self._init_class_group()
         self.unit_sq_index = 2**self.n
@@ -215,6 +221,11 @@ class Field:
     def _to_order(self, x: "FElem") -> tuple[list[int], int]:
         """(row, den): the coordinates of x over {1, omega} are row/den."""
         return ([x.na] if self.n == 1 else [x.na, x.nb]), x.den
+
+    def _ambient(self, row: list[int]) -> list[int]:
+        """The coordinates over {1, omega} of the element of order row `row`:
+        the row itself."""
+        return row
 
     def ideal(self, *gens) -> "FIdeal":
         elems = [g if isinstance(g, FElem) else self.elem(Fraction(g)) for g in gens]
@@ -654,6 +665,54 @@ def order_rows(ring, xs) -> tuple[list[list[int]], int]:
     return [[c * (den // d) for c in row] for row, d in pairs], den
 
 
+def canonical_unit_row(ring, row: list[int]) -> list[int]:
+    """The representative of row modulo the units +-eps^k of the base field,
+    for the element of order row `row` of F or of a CM field K over F.
+
+    The trace form q(z) = Tr(z conj z) (Tr(z^2) on F) is strictly convex
+    along the unit orbit, so its exact minimiser, ties broken by the larger
+    coordinate key, is an orbit invariant; the sign is then fixed by the
+    larger coordinate tuple.  Multiplication by eps and 1/eps is the
+    integer matrix pair ring._unit_steps on rows (None when the units are
+    +-1), q is the ring's integer trace form, and the coordinate keys
+    compare as the ambient numerators ring._ambient(row), which share one
+    positive denominator."""
+    if ring._unit_steps is not None:
+        T = ring._trace_mat
+        up_mat, dn_mat = ring._unit_steps
+
+        def q(r: list[int]) -> int:
+            return sum(a * b for a, b in zip(vec_mat(r, T), r))
+
+        def key(r: list[int]) -> tuple[int, ...]:
+            c = tuple(ring._ambient(r))
+            return max(c, tuple(-x for x in c))
+
+        cur, qc = row, q(row)
+        up, dn = vec_mat(cur, up_mat), vec_mat(cur, dn_mat)
+        qu, qd = q(up), q(dn)
+        # a step reuses two of the three values: after a step up, the new
+        # down-neighbour is the old point and the new point the old up
+        while True:
+            if qu < qc:
+                dn, qd, cur, qc = cur, qc, up, qu
+                up = vec_mat(cur, up_mat)
+                qu = q(up)
+            elif qd < qc:
+                up, qu, cur, qc = cur, qc, dn, qd
+                dn = vec_mat(cur, dn_mat)
+                qd = q(dn)
+            else:
+                break
+        best = cur
+        for cand, qv in ((up, qu), (dn, qd)):
+            if qv == qc and key(cand) > key(best):
+                best = cand
+        row = best
+    c = ring._ambient(row)
+    return row if tuple(c) >= tuple(-x for x in c) else [-x for x in row]
+
+
 def _row_mul(mt, r1: list[int], r2: list[int]) -> list[int]:
     """The product of two elements given by their rows, through the
     structure constants mt[i][j] = row of b_i * b_j."""
@@ -929,9 +988,6 @@ class PrimeIdeal(NamedTuple):
 class SplittingType(NamedTuple):
     p: int
     primes: tuple[PrimeIdeal, ...]
-
-    def sum_ef(self) -> int:
-        return sum(pi.e * pi.f for pi in self.primes)
 
 
 def factor_prime(F: Field, p: int) -> SplittingType:

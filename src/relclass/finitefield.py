@@ -50,9 +50,6 @@ class ResidueField:
     def sub(self, x, y):
         return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
 
-    def neg(self, x):
-        return ((-x[0]) % self.p, (-x[1]) % self.p)
-
     def mul(self, x, y):
         if self.f == 1:
             return ((x[0] * y[0]) % self.p, 0)

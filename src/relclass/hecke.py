@@ -4,8 +4,8 @@ character, and quadratic base change to real quadratic fields.
 
 Point counting is a per-prime table loop; eigenvalues transport along base
 change via the symmetric-function identity at inert primes.  Euler factors
-are exact integer polynomials in q^-s; numerical L-values are smoothed sums
-flagged heuristic throughout.
+are exact integer polynomials in q^-s; the numeric epsilon residual and the
+partial Euler products of L(1, sym^2) are flagged heuristic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
 
 from .cm import CMField
 from .errors import (
@@ -248,17 +247,6 @@ def base_change_table(table: EigenvalueTable, F: Field) -> EigenvalueTable:
     return EigenvalueTable(F, level, table.pmax, lam, table.eps_sign, "base-change")
 
 
-def hecke_extend(table: EigenvalueTable, idl: FIdeal) -> int:
-    """lambda at an integral ideal: multiplicative, degree-2 recursion at
-    good primes, geometric at bad primes."""
-    out = 1
-    for pr, v in idl.factor():
-        if pr.p > table.pmax:
-            raise OutOfTableRange(f"prime {pr.p} beyond table range")
-        out *= _lam_power(table, pr, v)
-    return out
-
-
 def _lam_power(table: EigenvalueTable, pr: PrimeIdeal, k: int) -> int:
     if k == 0:
         return 1
@@ -325,10 +313,6 @@ class EulerFactor(NamedTuple):
     num: tuple
     den: tuple
 
-    def value(self, T: complex) -> complex:
-        nv = sum(c * T**i for i, c in enumerate(self.num))
-        dv = sum(c * T**i for i, c in enumerate(self.den))
-        return nv / dv
 
 
 def d_factor(table: EigenvalueTable, pr: PrimeIdeal) -> EulerFactor:
@@ -485,40 +469,6 @@ def epsilon_numeric(table: EigenvalueTable) -> tuple[int, float]:
     eps = 1 if resid[1] < resid[-1] else -1
     ratio = resid[eps] / max(resid[-eps], 1e-300)
     return eps, ratio
-
-
-def lvalue_numeric(table: EigenvalueTable, order: int = 0, n_terms: int | None = None) -> dict:
-    """Heuristic smoothed value of L (order 0) or L' (order 1) at the center.
-
-    For eps = -1 the center value is exactly zero by sign symmetry; values
-    carry a truncation-tail estimate and are labeled HEURISTIC."""
-    if table.F.n != 1:
-        raise DegreeUnsupported("numeric L-values require a rational table")
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    eps = table.eps_sign
-    if eps is None:
-        eps, _ = epsilon_numeric(table)
-    N = int(table.level.norm())
-    sq = math.sqrt(N)
-    if order == 0 and eps == -1:
-        return {"value": 0.0, "error": 0.0, "eps": eps, "heuristic": True, "exact_zero": True}
-    if n_terms is None:
-        n_terms = min(max(100, int(4 * sq * math.log(10) * 2)), table.pmax)
-    coeffs = dirichlet_coeffs(table, n_terms)
-    x = 2 * math.pi / sq
-    if order == 0:
-        val = 2 * sum(a / n * math.exp(-x * n) for n, a in enumerate(coeffs, start=1))
-        tail = 2 * sum(abs(a) / n for n, a in enumerate(coeffs[-10:], start=n_terms - 9)) * math.exp(
-            -x * n_terms
-        )
-        return {"value": val, "error": abs(tail) + 1e-12, "eps": eps, "heuristic": True}
-    # first derivative; for eps = +1 the symmetric formula gives 0 contribution
-    val = 2 * sum(
-        a / n * float(mpmath.e1(x * n)) for n, a in enumerate(coeffs, start=1)
-    )
-    tail = abs(coeffs[-1]) * float(mpmath.e1(x * n_terms)) * 10
-    return {"value": val, "error": abs(tail) + 1e-12, "eps": eps, "heuristic": True}
 
 
 def symsq_L1(table: EigenvalueTable, P: int) -> dict:

@@ -28,10 +28,6 @@ class LLLData(NamedTuple):
     d: list[int]
     lam: list[list[int]]
 
-    def reduced_gram(self) -> list[list[int]]:
-        """D * (U G U^T), which the enumeration does not need."""
-        UG = [[sum(c * g for c, g in zip(row, col)) for col in zip(*self.DG)] for row in self.U]
-        return [[sum(t * c for t, c in zip(ug, other)) for other in self.U] for ug in UG]
 
 
 def _gram_schmidt_row(d: list[int], lam: list[list[int]], k: int, dots: list[int]):

@@ -49,15 +49,6 @@ class Interval:
     def __repr__(self):
         return f"[{self.lo!r}, {self.hi!r}]"
 
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
     def __add__(self, other):
         o = _coerce(other)
         return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))

@@ -1247,3 +1247,74 @@ def class_reps_by_closure(K) -> list:
             kideal_small_class_rep(kideal_product(pw, rep)) for pw in powers for rep in elements
         ]
     return elements
+
+
+def reduced_gram(red) -> list[list[int]]:
+    """D * (U G U^T) for the LLLData of lattice.lll_reduce_gram: the reduced
+    Gram matrix, which the enumeration does not need."""
+    UG = [[sum(c * g for c, g in zip(row, col)) for col in zip(*red.DG)] for row in red.U]
+    return [[sum(t * c for t, c in zip(ug, other)) for other in red.U] for ug in UG]
+
+
+def hecke_extend(table, idl) -> int:
+    """lambda at an integral ideal from its factorisation: multiplicative,
+    the degree-2 recursion at good primes, geometric at bad primes; the
+    reference for hecke.dirichlet_coeffs."""
+    from relclass.errors import OutOfTableRange
+    from relclass.hecke import _lam_power
+
+    out = 1
+    for pr, v in idl.factor():
+        if pr.p > table.pmax:
+            raise OutOfTableRange(f"prime {pr.p} beyond table range")
+        out *= _lam_power(table, pr, v)
+    return out
+
+
+def coeff_series_mul(x, y) -> list[Fraction]:
+    """Dirichlet convolution of the coefficients of two dseries.CoeffSeries,
+    to min(X) terms: the inverse of CoeffSeries.div."""
+    X = min(x.X, y.X)
+    out = [Fraction(0)] * X
+    for i in range(1, X + 1):
+        a = x.coeffs[i - 1]
+        if a == 0:
+            continue
+        for j in range(1, X // i + 1):
+            b = y.coeffs[j - 1]
+            if b:
+                out[i * j - 1] += a * b
+    return out
+
+
+def canonical_unit_rep_F(F: Field, x):
+    """Representative of x modulo the units of F, by FElem arithmetic: the
+    minimiser of Tr(x^2) along the unit orbit, ties broken by the larger
+    coordinate key, then the sign of the larger coordinate tuple."""
+    if F.n == 1:
+        return x if x.na >= 0 else -x
+
+    def q(z):
+        return (z * z).trace()
+
+    eps = F.eps
+    eps_inv = F.one() / eps
+    cur = x
+    while True:
+        up, dn = cur * eps, cur * eps_inv
+        qc = q(cur)
+        if q(up) < qc:
+            cur = up
+        elif q(dn) < qc:
+            cur = dn
+        else:
+            best = cur
+            for cand in (up, dn):
+                if q(cand) == qc:
+                    ck = max(cand.coords(), (-cand).coords())
+                    bk = max(best.coords(), (-best).coords())
+                    if ck > bk:
+                        best = cand
+            cur = best
+            break
+    return cur if cur.coords() >= (-cur).coords() else -cur

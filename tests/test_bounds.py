@@ -26,11 +26,15 @@ F5 = make_field(2, 5)
 LAT_Q = bnd.lattice_constants(Q)
 
 
+def _midpoint(x: Interval) -> float:
+    return 0.5 * (x.lo + x.hi)
+
+
 def test_rational_lattice_constants():
     assert LAT_Q.d0.hi == 0.0
-    assert abs(LAT_Q.T0.midpoint() - math.sqrt(math.pi) / 2) < 1e-12
+    assert abs(_midpoint(LAT_Q.T0) - math.sqrt(math.pi) / 2) < 1e-12
     assert LAT_Q.C_T0.hi == 1.0
-    assert abs(LAT_Q.A2.midpoint() - 4.0) < 1e-9  # (2 + 2*C_1)
+    assert abs(_midpoint(LAT_Q.A2) - 4.0) < 1e-9  # (2 + 2*C_1)
 
 
 def test_quadratic_lattice_constants_cover_reevaluation():
@@ -40,7 +44,7 @@ def test_quadratic_lattice_constants_cover_reevaluation():
 
     with mpmath.workprec(200):
         d0_hp = float(mpmath.sqrt(2) * mpmath.log((1 + mpmath.sqrt(5)) / 2))
-    assert lat.d0.contains(d0_hp)
+    assert lat.d0.lo <= d0_hp <= lat.d0.hi
     t0_hp = math.pi / (4 * math.sqrt(5)) * math.exp(math.sqrt(2) * d0_hp / 2)
     assert lat.T0.lo <= t0_hp <= lat.T0.hi
 
@@ -185,7 +189,7 @@ def test_bound_params_examples():
     assert bp23.P_K == []
 
 
-def test_d_lambda_limits_and_domination():
+def test_d_lambda_limits():
     d10 = bnd.d_constants_lambda(1, 12.0)
     d50 = bnd.d_constants_lambda(1, 60.0)
     assert d50["D2"].lo > d10["D2"].lo
@@ -193,16 +197,6 @@ def test_d_lambda_limits_and_domination():
     assert d50["D4"].hi < d10["D4"].hi
     with pytest.raises(LambdaTooSmall):
         bnd.d_constants_lambda(2, 1.0)
-    # domination on a corpus field with |disc| >= e^(lambda h_K)
-    K5 = make_cm(Q, -5)
-    bp = bnd.bound_params(K5)
-    lam = math.log(K5.rel_disc_norm) / bp.h_K * 0.99
-    dk = bnd.d_constants_K(bp)
-    dl = bnd.d_constants_lambda(1, lam)
-    assert dk["D1"].hi <= dl["D1"].hi * (1 + 1e-9)
-    assert dk["D2"].lo >= dl["D2"].lo * (1 - 1e-9)
-    assert dk["D4"].hi <= dl["D4"].hi * (1 + 1e-9)
-    assert dk["D3"].hi <= (dl["D3"] * Interval(math.log(bp.U))).hi * (1 + 1e-9)
 
 
 def test_b_constants_scaling():
@@ -211,16 +205,16 @@ def test_b_constants_scaling():
     b1 = bnd.b_constants(Q, lat, Mp)
     lat2 = bnd.LatticeConstants(lat.d0, lat.T0, lat.C_T0, lat.C_1, lat.A1, lat.A2 * Interval(2.0))
     b2 = bnd.b_constants(Q, lat2, Mp)
-    assert abs(b2["B1"].midpoint() - 2 * b1["B1"].midpoint()) < 1e-9
+    assert abs(_midpoint(b2["B1"]) - 2 * _midpoint(b1["B1"])) < 1e-9
     # B3 max-branch switch on synthetic M'
     small = bnd.b_constants(Q, lat, Interval(0.5))
     big = bnd.b_constants(Q, lat, Interval(100.0))
-    assert small["B3"].midpoint() < big["B3"].midpoint()
+    assert _midpoint(small["B3"]) < _midpoint(big["B3"])
 
 
 def test_zeta_F_2_certified():
     z = bnd.zeta_F_2_interval(Q)
-    assert z.contains(math.pi**2 / 6)
+    assert z.lo <= math.pi**2 / 6 <= z.hi
     z5 = bnd.zeta_F_2_interval(F5)
     part = sum(kronecker(5, n) / n**2 for n in range(1, 200001))
     ref = math.pi**2 / 6 * part
@@ -265,13 +259,8 @@ def test_E2_monotone_to_one():
     assert vals[-1] > 0.99999
 
 
-def test_f2_uniform_vs_per_K():
-    f2 = bnd.f2_uniform(Q)
-    assert f2.lo > 1.0
-    K5 = make_cm(Q, -5)
-    bp = bnd.bound_params(K5)
-    per = bnd.f2_per_K(bp)
-    assert per <= f2.hi
+def test_f2_uniform_exceeds_one():
+    assert bnd.f2_uniform(Q).lo > 1.0
 
 
 def test_parity_and_splitting_37():
@@ -402,12 +391,14 @@ def test_norm_count_K_matches_direct_enumeration(t):
 @pytest.mark.parametrize("m", [2, 3, 5, 13])
 def test_norm_count_F_matches_direct_enumeration(m):
     """The orbit count of inequality (b) against a direct short-vector scan in
-    twice the window t' (eps + 1/eps)."""
+    twice the window t' (eps + 1/eps), with orbits told apart by the FElem
+    unit-orbit walk of the oracles, on integral ideals and their halves."""
     from relclass.lattice import lll_reduce_gram, short_vectors
 
     F = make_field(2, m)
     eps = F.eps.embed(0)
-    for idl in [F.unit_ideal()] + [pr.ideal for p in (2, 3, 7) for pr in F.splitting(p).primes]:
+    ideals = [F.unit_ideal()] + [pr.ideal for p in (2, 3, 7) for pr in F.splitting(p).primes]
+    for idl in ideals + [idl.scale(Fraction(1, 2)) for idl in ideals]:
         b0, b1 = idl.basis_elems()
         gram = idl.gram()
         for t in (Fraction(1), Fraction(7, 3), Fraction(12), Fraction(29, 2)):
@@ -417,5 +408,5 @@ def test_norm_count_F_matches_direct_enumeration(m):
             for r, s in short_vectors(lll_reduce_gram(gram), window):
                 x = b0 * r + b1 * s
                 if not x.is_zero() and abs(x.norm()) <= tprime:
-                    seen.add(bnd.canonical_unit_rep_F(F, x).coords())
+                    seen.add(oracles.canonical_unit_rep_F(F, x).coords())
             assert bnd.count_norm_orbits_F(F, idl, t) == len(seen), (F, idl, t)

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from oracles import class_number_oracle, conj_orbits_oracle, relation_class_number
 
 from relclass.cli import load_corpus
-from relclass import bounds, dseries, forms, imagquad
+from relclass import bounds, cm, dseries, forms, imagquad
 from relclass.cm import (
     KIdeal,
     class_counts,
     decompose_ideal,
-    exceptional_extensions,
     line_colon_ideal,
     line_norms,
     make_cm,
@@ -71,11 +70,17 @@ def test_abs_disc_identity():
         assert K.abs_disc == F.d_F**2 * K.rel_disc_norm
 
 
+def _exceptional_extensions(F):
+    """The K/F with o_K^x != o_F^x, one per isomorphism class: F(sqrt v)
+    for the radicands that CMField.unit_equal tests against."""
+    return [make_cm(F, v) for v in cm._exceptional_radicands(F)]
+
+
 def test_exceptional_extensions_over_Q():
-    exc = exceptional_extensions(Q)
+    exc = _exceptional_extensions(Q)
     discs = sorted(k.rel_disc_norm for k in exc)
     assert discs == [3, 4]
-    assert not make_cm(Q, -5).unit_equal is False or True
+    assert not any(k.unit_equal for k in exc)
     assert make_cm(Q, -5).unit_equal
     assert not make_cm(Q, -1).unit_equal
     assert not make_cm(Q, -3).unit_equal
@@ -84,7 +89,7 @@ def test_exceptional_extensions_over_Q():
 
 def test_exceptional_extensions_dedup_sqrt3():
     F3 = make_field(2, 3)
-    exc = exceptional_extensions(F3)
+    exc = _exceptional_extensions(F3)
     # F(i) = F(sqrt -3) over Q(sqrt 3); -eps is a third one
     assert len(exc) == 2
 
@@ -437,7 +442,7 @@ def test_short_vectors_of_an_ideal_match_the_fraction_pipeline(ka, k):
     red = lll_reduce_gram(a.gram())
     G, U = oracles.lll_reduce_gram(oracles.kideal_gram(a))
     assert red.U == U
-    assert [[Fraction(x, red.D) for x in row] for row in red.reduced_gram()] == G
+    assert [[Fraction(x, red.D) for x in row] for row in oracles.reduced_gram(red)] == G
     bound = G[0][0] * k
     assert short_vectors(red, bound) == oracles.short_vectors((G, U), bound)
 

@@ -31,8 +31,8 @@ def test_gf_p2_square_roots_and_quadratic_roots(rf):
     # nonsquare z (in characteristic 2 every element is a square)
     r1, r2, r3 = rng.sample(elems, 3)
     pairs = [
-        (rf.add(r1, r2), rf.neg(rf.mul(r1, r2))),
-        (rf.add(r3, r3), rf.neg(rf.mul(r3, r3))),
+        (rf.add(r1, r2), rf.sub(rf.zero(), rf.mul(r1, r2))),
+        (rf.add(r3, r3), rf.sub(rf.zero(), rf.mul(r3, r3))),
         (rng.choice(elems), rng.choice(elems)),
     ]
     pairs += [(rf.zero(), z) for z in sorted(set(elems) - squares)[:1]]

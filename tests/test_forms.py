@@ -11,6 +11,7 @@ from relclass.errors import DegenerateForm, LemmaViolation, NotFundamental
 from relclass.field import make_field, prime_divisors
 from relclass.forms import (
     classify,
+    form_field,
     form_to_ideal,
     genus_char,
     genus_places,
@@ -54,12 +55,24 @@ def test_definiteness():
     assert not g.is_definite()
 
 
+def _is_fundamental_checked(f) -> bool:
+    """is_fundamental, asserted against the discriminant identity: a definite
+    form is fundamental exactly when disc(F(Q)/F) = disc(Q) norm(Q)^-2."""
+    result = is_fundamental(f)
+    nq = f.norm_ideal()
+    target = f.disc_ideal() * (nq * nq).inverse()
+    assert target.is_integral()
+    if f.is_definite():
+        assert (target == form_field(f).rel_disc) == result
+    return result
+
+
 def test_fundamentality():
-    assert is_fundamental(make_form(Q, 1, 0, 1))
-    assert not is_fundamental(make_form(Q, 1, 0, 4))
-    assert is_fundamental(make_form(Q, 3, 0, 3))  # disc/norm^2 = (4)
-    assert is_fundamental(make_form(Q, 2, 2, 3))
-    assert not is_fundamental(make_form(Q, 1, 0, 9))  # disc -36 = 9 * (-4)
+    assert _is_fundamental_checked(make_form(Q, 1, 0, 1))
+    assert not _is_fundamental_checked(make_form(Q, 1, 0, 4))
+    assert _is_fundamental_checked(make_form(Q, 3, 0, 3))  # disc/norm^2 = (4)
+    assert _is_fundamental_checked(make_form(Q, 2, 2, 3))
+    assert not _is_fundamental_checked(make_form(Q, 1, 0, 9))  # disc -36 = 9 * (-4)
 
 
 def test_basis_change_invariance():
@@ -86,7 +99,7 @@ def test_basis_change_invariance():
         assert g.disc_ideal() == f.disc_ideal()
         assert g.norm_ideal() == f.norm_ideal()
         assert g.is_definite() == f.is_definite()
-        assert is_fundamental(g) == is_fundamental(f)
+        assert _is_fundamental_checked(g) == _is_fundamental_checked(f)
         det = p * s - q * r
         assert g.field_disc() == f.field_disc() * Q.elem(det * det)
 
@@ -372,7 +385,7 @@ def test_real_quadratic_correspondence_small():
     assert len(weak) == cd.orbits
     for Qf in weak:
         assert Qf.is_positive_definite()
-        assert is_fundamental(Qf, cross_check=False)
+        assert is_fundamental(Qf)
 
 
 def test_value_ideal_scaling():

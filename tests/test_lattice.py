@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import cholesky_rational, scaled_gram
+from oracles import cholesky_rational, reduced_gram, scaled_gram
 from oracles import lll_reduce_gram as lll_reference
 from oracles import short_vectors as short_vectors_reference
 
@@ -45,7 +45,7 @@ def _integer_lll(gram):
     return and that oracles.short_vectors takes, followed by the LLLData
     itself for short_vectors."""
     red = lll_reduce_gram(scaled_gram(gram))
-    return [[Fraction(x, red.D) for x in row] for row in red.reduced_gram()], red.U, red
+    return [[Fraction(x, red.D) for x in row] for row in reduced_gram(red)], red.U, red
 
 
 @settings(max_examples=60, deadline=None)
