@@ -17,6 +17,11 @@ groups.
 Fields with o_K^x != o_F^x (the finitely many unit-exceptional extensions,
 F(zeta_6) = F(sqrt(-3)) among them) are constructed and flagged; the
 classification machinery stamps their reports non-applicable.
+
+This module holds what classify and every corpus row run.  The line scan of
+the norm counts and the measure mu_K (line_norms, norm_class_reps) lives in
+relclass.dseries, and the decomposition of ideals against the class
+representatives, which no command runs, in relclass.constructions.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import NamedTuple
 
 from .errors import (
     DecompositionFailed,
+    InvalidArgument,
     NotIntegral,
     NotTotallyNegative,
     SearchBudgetExceeded,
@@ -41,7 +47,6 @@ from .field import (
     PrimeIdeal,
     _felem,
     _row_mul,
-    canonical_unit_row,
     elem_with_valuation,
     ideal_transversal,
     order_rows,
@@ -153,6 +158,8 @@ class CMField:
     def __init__(self, F: Field, delta: FElem):
         if not isinstance(delta, FElem):
             delta = F.elem(Fraction(delta))
+        if F.n == 1 and delta.nb:
+            raise InvalidArgument(f"delta has omega-coordinate {delta.b} over Q, where omega = 0")
         if not delta.is_integral():
             raise NotIntegral(f"delta = {delta} is not integral")
         if not delta.is_totally_negative():
@@ -846,30 +853,6 @@ def lower_bound_t(K: CMField) -> tuple[int, int]:
     return t, bound
 
 
-def norm_class_reps(K: CMField) -> list[KIdeal]:
-    """One ideal in each class of Cl(K) modulo the image of Cl(F).
-
-    Over Q they come from imagquad's reduced forms (a, b, c) of discriminant
-    D = -N(d_K/F), as the ideals a Z + ((-b + sqrt D)/2) Z, and no class data
-    is built; otherwise they are the class data's N_reps.  The two paths
-    choose different ideals, so only readers of class invariants may call
-    this: classify and decompose_ideal print or return their
-    representatives and read the class data themselves.
-    """
-    if K.F.n == 1:
-        from .imagquad import reduced_forms
-
-        D = -K.rel_disc_norm
-        r = D / K.delta.a  # sqrt D = s sqrt(delta) with s^2 = r
-        s = Fraction(isqrt(r.numerator), isqrt(r.denominator))
-        assert s * s == r
-        return [
-            KIdeal.from_generators(K, [K.elem(a), K.elem(Fraction(-b, 2), s / 2)])
-            for a, b, _ in reduced_forms(D)
-        ]
-    return K.class_data().N_reps
-
-
 # -- unit-exceptional extensions ----------------------------------------------------
 
 
@@ -889,7 +872,7 @@ def _exceptional_radicands(F: Field) -> list[FElem]:
     return out
 
 
-# -- decomposition of ideals against the class representatives ------------------------
+# -- lines of K over F --------------------------------------------------------------
 
 
 def line_colon_ideal(K: CMField, alpha: KElem, module: KIdeal) -> FIdeal:
@@ -919,46 +902,6 @@ def line_colon_ideal(K: CMField, alpha: KElem, module: KIdeal) -> FIdeal:
     return FIdeal.from_generators(F, gens)
 
 
-def canonical_unit_rep(K: CMField, alpha: KElem) -> KElem:
-    """Deterministic representative of alpha modulo o_F^x = {+-eps^k}: the
-    unit-orbit walk of field.canonical_unit_row on its order row."""
-    row, den = K._to_order(alpha)
-    return K._from_order(canonical_unit_row(K, row), den)
-
-
-def decompose_ideal(K: CMField, M: KIdeal):
-    """Write an integral module as a * (o alpha) * N_i^{-1}, alpha canonical.
-
-    Returns (i, a: FIdeal, alpha: KElem) with o*alpha saturated in N_i;
-    recomposition is verified exactly.
-    """
-    if K.F.h_F != 1:
-        raise DecompositionFailed("decomposition implemented for trivial base class group")
-    cd = K.class_data()
-    for i, Ni in enumerate(cd.N_reps):
-        prod = M * Ni
-        prod_int = prod.scale(prod.den)
-        gen = prod_int.principal_gen()
-        if gen is None:
-            continue
-        alpha = gen.scale(Fraction(1, prod.den))
-        b = line_colon_ideal(K, alpha, Ni)
-        g = b.principal_gen()
-        if g is None:
-            raise DecompositionFailed("coefficient ideal not principal over h_F = 1 base")
-        alpha_sat = canonical_unit_rep(K, alpha * g)
-        a_ideal = b.inverse()
-        recomposed = (
-            K.extend_ideal(a_ideal) * KIdeal.from_generators(K, [alpha_sat]) * Ni.inverse()
-        )
-        if recomposed.num == M.num and recomposed.den == M.den:
-            return (i, a_ideal, alpha_sat)
-    raise DecompositionFailed("no representative matched")
-
-
-# -- enumeration of rank-1 lines (for the series and measure layers) -------------------
-
-
 def unit_window(K: CMField, t: Fraction) -> Fraction:
     """Bound on Tr(z conj z) that every unit orbit with |N(z)| <= t meets.
 
@@ -975,38 +918,6 @@ def unit_window(K: CMField, t: Fraction) -> Fraction:
     m = -(-x.numerator // x.denominator)
     k = isqrt(m)
     return Fraction(k + (k * k < m), 2**20)
-
-
-def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
-    """Values |N(alpha)|/N(N_i) <= x_max over lines o*alpha in N_i, alpha up to units.
-
-    Returns (lines, exclude): lines is the sorted list of (value, alpha), alpha
-    canonical, and exclude the alpha of the first saturated line (the one of
-    least value), or None when no line is saturated.
-    """
-    nN = Ni.norm()
-    t_abs = Fraction(x_max) * nN
-    cap = t_abs * Ni.den**K.deg  # |N(row/den)| <= t_abs on the integer row
-    seen: dict = {}
-    for row in Ni._short_rows(unit_window(K, t_abs)):
-        if K._abs_norm(row) > cap:
-            continue
-        zr = canonical_unit_row(K, row)
-        key = tuple(K._ambient(zr))
-        if key not in seen:
-            seen[key] = K._from_order(zr, Ni.den)
-    lines = [(zc.abs_norm() / nN, zc) for zc in seen.values()]
-    lines.sort(key=lambda t: (t[0], tuple(t[1].coords())))
-    for _, zc in lines:
-        b = line_colon_ideal(K, zc, Ni)
-        if b.norm() == 1 and b.is_integral():
-            return lines, zc
-    return lines, None
-
-
-def on_line(z: KElem, w: KElem) -> bool:
-    """z lies on the F-line through w (cross product of (x, y) pairs vanishes)."""
-    return (z.x * w.y - z.y * w.x).is_zero()
 
 
 # -- small helpers -------------------------------------------------------------------

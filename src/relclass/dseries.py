@@ -1,6 +1,8 @@
 """Coefficientwise Dirichlet series: zeta functions of the corpus fields,
 the positive quotient zeta_K/zeta_F(2s), and the measure comparisons feeding
-the contour estimates.
+the contour estimates.  The lines of K that the measure mu_K and the norm
+counts of bounds.norm_count_check_K read (line_norms over norm_class_reps)
+live here, so classify, which runs neither, does not compile them.
 
 Coefficients are exact integers; the only real arithmetic happens at the
 final inequality of each check, rounded outward.
@@ -11,9 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cm import CMField, class_counts, line_norms, norm_class_reps, on_line
+from .cm import CMField, KElem, KIdeal, class_counts, line_colon_ideal, unit_window
 from .errors import InequalityViolated, OutOfRegion, TruncationTooLarge
-from .field import Field, prime_products, primes_up_to
+from .field import Field, canonical_unit_row, prime_products, primes_up_to
 
 MAX_TRUNCATION = 10**4
 
@@ -288,6 +290,62 @@ def mellin_quadrature(u: float, s: complex) -> complex:
 
     f = mpmath.quad(lambda t: t ** (-s) * mpmath.e ** (-1 / t) * t ** (u - 1), [0, mpmath.inf])
     return complex(f)
+
+
+def norm_class_reps(K: CMField) -> list[KIdeal]:
+    """One ideal in each class of Cl(K) modulo the image of Cl(F).
+
+    Over Q they come from imagquad's reduced forms (a, b, c) of discriminant
+    D = -N(d_K/F), as the ideals a Z + ((-b + sqrt D)/2) Z, and no class data
+    is built; otherwise they are the class data's N_reps.  The two paths
+    choose different ideals, so only readers of class invariants may call
+    this: classify and decompose_ideal print or return their
+    representatives and read the class data themselves.
+    """
+    if K.F.n == 1:
+        from .imagquad import reduced_forms
+
+        D = -K.rel_disc_norm
+        r = D / K.delta.a  # sqrt D = s sqrt(delta) with s^2 = r
+        s = Fraction(math.isqrt(r.numerator), math.isqrt(r.denominator))
+        assert s * s == r
+        return [
+            KIdeal.from_generators(K, [K.elem(a), K.elem(Fraction(-b, 2), s / 2)])
+            for a, b, _ in reduced_forms(D)
+        ]
+    return K.class_data().N_reps
+
+
+def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
+    """Values |N(alpha)|/N(N_i) <= x_max over lines o*alpha in N_i, alpha up to units.
+
+    Returns (lines, exclude): lines is the sorted list of (value, alpha), alpha
+    canonical, and exclude the alpha of the first saturated line (the one of
+    least value), or None when no line is saturated.
+    """
+    nN = Ni.norm()
+    t_abs = Fraction(x_max) * nN
+    cap = t_abs * Ni.den**K.deg  # |N(row/den)| <= t_abs on the integer row
+    seen: dict = {}
+    for row in Ni._short_rows(unit_window(K, t_abs)):
+        if K._abs_norm(row) > cap:
+            continue
+        zr = canonical_unit_row(K, row)
+        key = tuple(K._ambient(zr))
+        if key not in seen:
+            seen[key] = K._from_order(zr, Ni.den)
+    lines = [(zc.abs_norm() / nN, zc) for zc in seen.values()]
+    lines.sort(key=lambda t: (t[0], tuple(t[1].coords())))
+    for _, zc in lines:
+        b = line_colon_ideal(K, zc, Ni)
+        if b.norm() == 1 and b.is_integral():
+            return lines, zc
+    return lines, None
+
+
+def on_line(z: KElem, w: KElem) -> bool:
+    """z lies on the F-line through w (cross product of (x, y) pairs vanishes)."""
+    return (z.x * w.y - z.y * w.x).is_zero()
 
 
 def measure_mu_K(K: CMField, x_max: float) -> StepMeasure:

@@ -17,6 +17,11 @@ class MixedFields(RelclassError):
     pass
 
 
+class InvalidArgument(RelclassError):
+    """An argument outside what the command or the field takes, such as a
+    radicand or an omega-coordinate over Q, or an unreadable flag value."""
+
+
 class SearchBudgetExceeded(RelclassError):
     """A bounded search ran out of budget; the answer is undecided, never guessed."""
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .errors import (
     DegreeUnsupported,
+    InvalidArgument,
     MixedFields,
     NonSquarefree,
     SearchBudgetExceeded,
@@ -133,6 +134,8 @@ class Field:
 
     def __init__(self, n: int, m: int | None = None):
         if n == 1:
+            if m is not None:
+                raise InvalidArgument(f"Q takes no radicand, got m = {m}")
             self.n = 1
             self.m = None
             self.c0, self.c1 = 0, 0

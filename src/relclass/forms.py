@@ -10,11 +10,14 @@ Genus characters are local norm-residue symbols of represented values, all in
 closed form: tame symbols at odd primes, signs at real places, and at a prime
 over 2 either Hilbert reciprocity (when it is the only one) or Serre's formula
 over Q_2 (when 2 splits).
+
+This is the code classify runs.  Representability, genus prescription and
+the unique-line search, which only the acceptance gate and the unit tests
+reach, live in relclass.constructions.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,7 +25,6 @@ from .cm import CMField, KElem, KIdeal, class_counts, line_colon_ideal, make_cm
 # re-exported: benchmark spans and acceptance tests name forms.lower_bound_t
 from .cm import lower_bound_t  # noqa: F401
 from .errors import (
-    CriterionFails,
     DegenerateForm,
     LemmaViolation,
     NontrivialBaseClassGroup,
@@ -37,16 +39,11 @@ from .field import (
     PrimeIdeal,
     elem_with_valuation,
     ideal_transversal,
-    is_prime_int,
     order_rows,
     prime_divisors,
 )
 from .finitefield import ResidueField
-from .intmat import hnf_lattice, zspan_kernel, zspan_solve
-from .lattice import lll_reduce_gram, short_vectors
-
-# cap on the elements prescribe_genus scans
-GENUS_SCAN_BUDGET = 200_000
+from .intmat import zspan_solve
 
 
 class PseudoForm(NamedTuple):
@@ -463,251 +460,3 @@ def genus_vector(Q: PseudoForm, K: CMField) -> dict:
     for pr in primes:
         out[("p", pr.p, str(pr.second_gen))] = genus_char(Q, K, pr)
     return out
-
-
-# -- representability and genus prescription ---------------------------------------------
-
-
-def representable_criterion(K: CMField, s: FElem) -> bool:
-    """v_p(s) even at every prime inert in K."""
-    F = K.F
-    if s.is_zero():
-        raise ValueError("s must be nonzero")
-    for pr, v in F.ideal(s).factor():
-        if K.splitting_kind(pr) == "inert" and v % 2 == 1:
-            return False
-    return True
-
-
-def represent_search(K: CMField, s: FElem):
-    """A fundamental definite form Q_A / gamma representing s, with witness.
-
-    Returns (Q: PseudoForm, A, gamma, witness (x, y)) with Q.value(x, y) = s.
-    """
-    F = K.F
-    if not representable_criterion(K, s):
-        raise CriterionFails(f"{s} has odd valuation at an inert prime")
-    # B with N_{K/F}(B) = (s)
-    B = K.maximal_order()
-    for pr, v in F.ideal(s).factor():
-        kind = K.splitting_kind(pr)
-        kps = K.primes_above(pr)
-        B = B * (kps[0].ideal ** (v // 2 if kind == "inert" else v))
-    assert s.is_integral()
-    assert B.rel_norm() == F.ideal(s)
-    # z in B small, A = (z) B^{-1}
-    z = B.small_nonzero()
-    A = B.inverse() * z
-    assert A.is_integral()
-    gamma = z.rel_norm() / s
-    Q = ideal_to_form(K, A)
-    Qs = PseudoForm(F, F.unit_ideal(), Q.a / gamma, Q.b / gamma, Q.c / gamma)
-    # witness: coordinates of z in the free basis of A
-    alpha, beta = free_module_basis(K, A)
-    xy = _coords_in_basis(z, alpha, beta)
-    assert Qs.value(xy[0], xy[1]) == s
-    return Qs, A, gamma, xy
-
-
-def _coords_in_basis(z: KElem, alpha: KElem, beta: KElem):
-    # z = x alpha + y beta with x, y in F: solve 2x2 linear system over F
-    det = alpha.x * beta.y - alpha.y * beta.x
-    x = (z.x * beta.y - z.y * beta.x) / det
-    y = (alpha.x * z.y - alpha.y * z.x) / det
-    return (x, y)
-
-
-def prescribe_genus(K: CMField, signs: dict):
-    """A form whose genus vector matches the requested signs (product must be 1).
-
-    Scans totally-controlled principal primes satisfying the sign and
-    congruence conditions, then represents the found element."""
-    F = K.F
-    reals, primes = genus_places(K)
-    keys = [("inf", i) for i in reals] + [("p", pr.p, str(pr.second_gen)) for pr in primes]
-    assert set(signs) == set(keys), f"signs must cover {keys}"
-    prod = 1
-    for v in signs.values():
-        prod *= v
-    if prod != 1:
-        raise ValueError("sign system must have product 1")
-    delta = K.delta
-    count = 0
-    for e0 in _small_elements(F):
-        count += 1
-        if count > GENUS_SCAN_BUDGET:
-            raise SearchBudgetExceeded("genus prescription scan budget")
-        if e0.is_zero():
-            continue
-        ok = True
-        for i in reals:
-            if (1 if e0.embedding_sign(i) > 0 else -1) != signs[("inf", i)]:
-                ok = False
-                break
-        if not ok:
-            continue
-        nrm = abs(e0.norm())
-        if nrm.denominator != 1 or nrm == 0:
-            continue
-        if not is_prime_int(int(nrm)):
-            continue
-        for pr in primes:
-            if e0.valuation(pr) != 0:
-                ok = False
-                break
-            if hilbert_symbol(F, e0, delta, pr) != signs[("p", pr.p, str(pr.second_gen))]:
-                ok = False
-                break
-        if not ok:
-            continue
-        # (e0) is a prime element; the reciprocity bookkeeping makes it split
-        pr_e = F.splitting(int(nrm)).primes
-        target = next((q for q in pr_e if e0.valuation(q) > 0), None)
-        if target is None or K.splitting_kind(target) != "split":
-            continue
-        if not representable_criterion(K, e0):
-            continue
-        Q, A, gamma, xy = represent_search(K, e0)
-        gv = genus_vector(Q, K)
-        if all(gv[k] == signs[k] for k in keys):
-            return Q, e0
-    raise SearchBudgetExceeded("no qualifying element found within the scan")
-
-
-def _small_elements(F: Field):
-    """Deterministic scan of integral elements by box size."""
-    if F.n == 1:
-        k = 1
-        while True:
-            yield F.elem(k)
-            yield F.elem(-k)
-            k += 1
-    else:
-        box = 1
-        while True:
-            for x in range(-box, box + 1):
-                for y in range(-box, box + 1):
-                    if max(abs(x), abs(y)) == box:
-                        yield F.elem(x, y)
-            box += 1
-
-
-# -- the unique-line lemma ---------------------------------------------------------
-
-
-def minimal_lines(Q: PseudoForm) -> list[tuple]:
-    """Saturated rank-1 submodules N with |I(Q,N)| below sqrt|disc|/2^n.
-
-    Exhaustive under the threshold; two or more would contradict the
-    uniqueness lemma and raise."""
-    F = Q.F
-    if not Q.is_definite():
-        raise DegenerateForm("line search needs a definite form")
-    # per-embedding signs (a definite form may flip sign between embeddings)
-    eps_signs = tuple(Q.a.embedding_sign(i) for i in range(F.n))
-    disc_norm = Q.disc_ideal().norm()
-    mod_basis = Q.module_lattice()
-    nb = len(mod_basis)
-    gram = [[Fraction(0)] * nb for _ in range(nb)]
-    mixed = F.n == 2 and eps_signs[0] != eps_signs[1]
-    sqrt_scale = 1.0
-    for i, (x1, y1) in enumerate(mod_basis):
-        for j, (x2, y2) in enumerate(mod_basis):
-            val = (
-                Q.a * x1 * x2
-                + Q.b * (x1 * y2 + x2 * y1) * F.elem(Fraction(1, 2))
-                + Q.c * y1 * y2
-            )
-            if not mixed:
-                gram[i][j] = Fraction(val.trace()) * eps_signs[0]
-            else:
-                # (sigma_1 - sigma_2)(val)/sqrt(m) is rational and the twisted
-                # form stays positive definite
-                k = 2 if F.c1 == 0 else 1
-                gram[i][j] = Fraction(val.b) * k * eps_signs[0]
-    if mixed:
-        sqrt_scale = math.sqrt(F.m)
-    # enumerate z with the twisted trace of q(z) within the unit window
-    thr2 = disc_norm / Fraction(4**F.n)  # |I|^2 < thr2 required
-    if F.n == 1:
-        q_bound = Fraction(math.isqrt(int(thr2 * 2**40)) + 1, 2**20)
-    else:
-        e1 = F.eps.embed(0)
-        tf = math.sqrt(float(thr2)) ** 0.5  # fourth root of thr2 = sqrt of threshold
-        q_bound = Fraction(
-            math.ceil(tf * (e1 * e1 + 1 / (e1 * e1)) / sqrt_scale * (1 + 1e-9) * 2**20), 2**20
-        )
-    D = math.lcm(*(x.denominator for row in gram for x in row))
-    vecs = short_vectors(lll_reduce_gram((D, [[int(x * D) for x in row] for row in gram])), q_bound)
-    lines = {}
-    for v in vecs:
-        x = F.zero()
-        y = F.zero()
-        for c, (bx, by) in zip(v, mod_basis):
-            if c:
-                x = x + bx * F.elem(c)
-                y = y + by * F.elem(c)
-        qv = Q.value(x, y)
-        if qv.is_zero():
-            continue
-        # the saturated line through (x, y): coefficient ideal b = {t : t*(x,y) in M}
-        b_id = _line_colon(F, Q, x, y)
-        I = F.ideal(qv) * (b_id * b_id)
-        lhs = I.norm() * I.norm()
-        if lhs * Fraction(4**F.n) < disc_norm:
-            key = _line_key(x, y, b_id)
-            lines.setdefault(key, (I, (x, y)))
-    out = sorted(lines.items(), key=lambda t: str(t[0]))
-    if len(out) > 1:
-        raise LemmaViolation(f"{len(out)} sub-threshold saturated lines found")
-    return [(key, I, wit) for key, (I, wit) in out]
-
-
-def _line_colon(F: Field, Q: PseudoForm, x: FElem, y: FElem) -> FIdeal:
-    """{t in F : t*(x, y) in o + steinitz} as a fractional ideal."""
-    # t*x in o and t*y in steinitz
-    c1 = F.ideal(x).inverse() if not x.is_zero() else None
-    c2 = (Q.steinitz * F.ideal(y).inverse()) if not y.is_zero() else None
-    if c1 is None:
-        return c2
-    if c2 is None:
-        return c1
-    return _ideal_intersect(F, c1, c2)
-
-
-def _ideal_intersect(F: Field, A: FIdeal, B: FIdeal) -> FIdeal:
-    den = A.den * B.den
-    ra = [[x * B.den for x in r] for r in A.num]
-    rb = [[x * A.den for x in r] for r in B.num]
-    ker = zspan_kernel(ra + rb)
-    rows = []
-    for comb in ker:
-        v = [0] * F.n
-        for c, r in zip(comb[: len(ra)], ra):
-            for i in range(F.n):
-                v[i] += c * r[i]
-        if any(v):
-            rows.append(v)
-    h = hnf_lattice(rows)
-    gens = []
-    for r in h:
-        if F.n == 1:
-            gens.append(F.elem(Fraction(r[0], den)))
-        else:
-            gens.append(F.elem(Fraction(r[0], den), Fraction(r[1], den)))
-    return FIdeal.from_generators(F, gens)
-
-
-def _line_key(x: FElem, y: FElem, b_id: FIdeal):
-    """Canonical key of the saturated line through (x, y)."""
-    # saturate: the line is {(t x, t y) : t in b_id}
-    gens = []
-    for t in b_id.basis_elems():
-        gens.append(((t * x).coords(), (t * y).coords()))
-    den = 1
-    for gx, gy in gens:
-        for c in list(gx) + list(gy):
-            den = math.lcm(den, c.denominator)
-    rows = [[int(c * den) for c in list(gx) + list(gy)] for gx, gy in gens]
-    h = hnf_lattice(rows)
-    return (den, tuple(tuple(r) for r in h))

@@ -1037,7 +1037,7 @@ def g3_quadrature(table, prime_cap: int, eta: float, panels: int = 64) -> float:
 
     import mpmath
 
-    from relclass.bounds import _simpson, _square_level_primes
+    from relclass.cascade import _simpson, _square_level_primes
     from relclass.field import primes_up_to
 
     F = table.F

@@ -23,7 +23,7 @@ from oracles import (
 )
 
 from relclass import bounds as bnd
-from relclass import dseries, forms, hecke
+from relclass import constructions, dseries, forms, hecke
 from relclass.cli import load_corpus
 from relclass.cm import class_counts, make_cm
 from relclass.errors import LemmaViolation
@@ -153,7 +153,7 @@ def test_06_unique_line():
             d = Qf.field_disc()
             if d.is_zero() or not d.is_totally_negative():
                 continue
-            forms.minimal_lines(Qf)  # LemmaViolation on 2+ lines
+            constructions.minimal_lines(Qf)  # LemmaViolation on 2+ lines
             done += 1
             total += 1
     _report(6, True, f"at most one sub-threshold saturated line on {total} random definite forms")

@@ -8,6 +8,7 @@ import oracles
 import pytest
 
 from relclass import bounds as bnd
+from relclass import cascade
 from relclass.cm import make_cm
 from relclass.errors import (
     AssumptionViolated,
@@ -190,32 +191,32 @@ def test_bound_params_examples():
 
 
 def test_d_lambda_limits():
-    d10 = bnd.d_constants_lambda(1, 12.0)
-    d50 = bnd.d_constants_lambda(1, 60.0)
+    d10 = cascade.d_constants_lambda(1, 12.0)
+    d50 = cascade.d_constants_lambda(1, 60.0)
     assert d50["D2"].lo > d10["D2"].lo
     assert d50["D3"].hi < d10["D3"].hi
     assert d50["D4"].hi < d10["D4"].hi
     with pytest.raises(LambdaTooSmall):
-        bnd.d_constants_lambda(2, 1.0)
+        cascade.d_constants_lambda(2, 1.0)
 
 
 def test_b_constants_scaling():
     lat = LAT_Q
     Mp = Interval(2.0)
-    b1 = bnd.b_constants(Q, lat, Mp)
+    b1 = cascade.b_constants(Q, lat, Mp)
     lat2 = bnd.LatticeConstants(lat.d0, lat.T0, lat.C_T0, lat.C_1, lat.A1, lat.A2 * Interval(2.0))
-    b2 = bnd.b_constants(Q, lat2, Mp)
+    b2 = cascade.b_constants(Q, lat2, Mp)
     assert abs(_midpoint(b2["B1"]) - 2 * _midpoint(b1["B1"])) < 1e-9
     # B3 max-branch switch on synthetic M'
-    small = bnd.b_constants(Q, lat, Interval(0.5))
-    big = bnd.b_constants(Q, lat, Interval(100.0))
+    small = cascade.b_constants(Q, lat, Interval(0.5))
+    big = cascade.b_constants(Q, lat, Interval(100.0))
     assert _midpoint(small["B3"]) < _midpoint(big["B3"])
 
 
 def test_zeta_F_2_certified():
-    z = bnd.zeta_F_2_interval(Q)
+    z = cascade.zeta_F_2_interval(Q)
     assert z.lo <= math.pi**2 / 6 <= z.hi
-    z5 = bnd.zeta_F_2_interval(F5)
+    z5 = cascade.zeta_F_2_interval(F5)
     part = sum(kronecker(5, n) / n**2 for n in range(1, 200001))
     ref = math.pi**2 / 6 * part
     assert z5.lo - 1e-4 <= ref <= z5.hi + 1e-4
@@ -223,12 +224,12 @@ def test_zeta_F_2_certified():
 
 def test_g_injected_passthrough_and_validation():
     tab = gz_table(120)
-    g = bnd.g_constants(tab, "injected", {"G1": 3.5, "G2": 2.0, "G3": 1.0})
+    g = cascade.g_constants(tab, "injected", {"G1": 3.5, "G2": 2.0, "G3": 1.0})
     assert (g.G1, g.G2, g.G3) == (3.5, 2.0, 1.0) and g.provenance == "injected"
     with pytest.raises(StrategyUnavailable):
-        bnd.g_constants(tab, "injected", {"G1": -1, "G2": 2, "G3": 1})
+        cascade.g_constants(tab, "injected", {"G1": -1, "G2": 2, "G3": 1})
     with pytest.raises(StrategyUnavailable):
-        bnd.g_constants(tab, "nonsense")
+        cascade.g_constants(tab, "nonsense")
 
 
 def test_final_C_grid_behavior():
@@ -254,13 +255,13 @@ def test_final_C_grid_behavior():
 def test_E2_monotone_to_one():
     tab = gz_table(120)
     bundle = bnd.make_bundle(Q, tab, "injected", {"G1": 1e-6, "G2": 10.0, "G3": 100.0}, lambda_grid=[1e26])
-    vals = [bnd.e_constants(bundle, lam)["E2"].lo for lam in (1e24, 1e26, 1e28, 1e30)]
+    vals = [cascade.e_constants(bundle, lam)["E2"].lo for lam in (1e24, 1e26, 1e28, 1e30)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.99999
 
 
 def test_f2_uniform_exceeds_one():
-    assert bnd.f2_uniform(Q).lo > 1.0
+    assert cascade.f2_uniform(Q).lo > 1.0
 
 
 def test_parity_and_splitting_37():
@@ -293,8 +294,8 @@ def test_final_bound_branches_and_factor():
 
 def test_g3_quadrature_refinement_drift():
     tab = gz_table(160)
-    a = bnd._g3_quadrature(tab, 100, 0.125, panels=32)
-    b = bnd._g3_quadrature(tab, 100, 0.125, panels=64)
+    a = cascade._g3_quadrature(tab, 100, 0.125, panels=32)
+    b = cascade._g3_quadrature(tab, 100, 0.125, panels=64)
     assert abs(a - b) / abs(b) < 1e-3
 
 
@@ -314,7 +315,7 @@ def test_g3_matches_128_bit_quadrature(m):
     vals = []
     for prec in (53, 128):
         with mpmath.workprec(prec):
-            vals.append(bnd._g3_quadrature(table, 300, 0.125))
+            vals.append(cascade._g3_quadrature(table, 300, 0.125))
     # double-precision Gamma: the ambient mpmath precision does not enter
     assert vals[0] == vals[1]
     assert abs(vals[0] - ref) <= 1e-12 * abs(ref)
@@ -328,7 +329,7 @@ def test_g3_quadrature_is_bit_for_bit(m, expected):
     F = make_field(1) if m is None else make_field(2, m)
     with mpmath.workprec(128):
         table = _bound_table(F)
-    assert bnd._g3_quadrature(table, 300, 0.125) == expected
+    assert cascade._g3_quadrature(table, 300, 0.125) == expected
 
 
 def test_zeta_inv_prime_closed_form():
@@ -338,7 +339,7 @@ def test_zeta_inv_prime_closed_form():
     from relclass.hecke import QuadChar, twist_table
 
     tw = twist_table(tab, QuadChar(make_cm(Q, -139)))
-    got = bnd.zeta_F_a_inv_prime_at_1(Q, tw.level)
+    got = cascade.zeta_F_a_inv_prime_at_1(Q, tw.level)
     expect = 1.0 / ((36 / 37) * (138 / 139))
     assert abs(got - expect) < 1e-12
 
@@ -365,7 +366,9 @@ def _norm_count_fields():
 def test_norm_count_K_matches_direct_enumeration(t):
     """The orbit count of inequality (a) against a direct short-vector scan in
     twice the unit window, off the same minimal saturated line."""
-    from relclass.cm import canonical_unit_rep, line_norms, on_line, unit_window
+    from relclass.cm import unit_window
+    from relclass.constructions import canonical_unit_rep
+    from relclass.dseries import line_norms, on_line
     from relclass.lattice import lll_reduce_gram, short_vectors
 
     Ks = _norm_count_fields()

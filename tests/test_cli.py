@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from relclass.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, load_corpus, main
+from relclass.cli import load_corpus, main
+from relclass.formats import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,6 +50,21 @@ def test_classify_error_after_field_construction_is_one_line():
     code, out, err = run_cli(["classify", "--n", "2", "--m", "10", "--delta-a", "-7"])
     assert code == EXIT_INPUT and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("NontrivialBaseClassGroup: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--n", "1", "--delta-a", "-4", "--delta-b", "7"],
+        ["classify", "--n", "1", "--m", "5", "--delta-a", "-4"],
+        ["field", "--n", "1", "--m", "5"],
+    ],
+)
+def test_omega_coordinate_or_radicand_over_Q_is_an_input_error(args):
+    # omega = 0 over Q, so delta_b would make a dual number, and m a second Q
+    code, out, err = run_cli(args)
+    assert code == EXIT_INPUT and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("InvalidArgument: ")
 
 
 def test_corpus_parsing(tmp_path):
@@ -166,6 +182,29 @@ def test_bound_injected(tmp_path):
     assert rows[0]["status"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--lambda-grid", "abc"],
+        ["--lambda-grid", ","],
+        ["--lambda-grid", "nan"],
+        ["--lambda-grid", "inf"],
+        ["--strategy", "injected:missing.json"],
+        ["--strategy", "injected:c.txt"],
+    ],
+)
+def test_bound_rejects_bad_arguments_before_any_row(tmp_path, flags):
+    """A grid must be a comma list of finite positive numbers, and an
+    injected strategy a readable JSON object; anything else ends the command
+    with one line, before a row runs."""
+    p = tmp_path / "c.txt"
+    p.write_text("1,-,-5,0\n")
+    flags = [f.replace(":", f":{tmp_path}/") for f in flags]
+    code, out, err = run_cli(["bound", "--corpus", str(p), "--pmax", "100", *flags])
+    assert code == EXIT_INPUT and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("InvalidArgument: ")
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", '"1.0"'])
 def test_bound_injected_must_be_finite_positive(tmp_path, value):
     inj = tmp_path / "g.json"
@@ -189,7 +228,15 @@ def test_csv_output(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["verify", "bound"])
-@pytest.mark.parametrize("line,error", [("2,12,-1,0", "NonSquarefree"), ("1,,5,0", "NotTotallyNegative")])
+@pytest.mark.parametrize(
+    "line,error",
+    [
+        ("2,12,-1,0", "NonSquarefree"),
+        ("1,,5,0", "NotTotallyNegative"),
+        ("1,-,-4,3", "InvalidArgument"),
+        ("1,5,-4,0", "InvalidArgument"),
+    ],
+)
 def test_bad_row_becomes_input_status(tmp_path, command, line, error):
     p = tmp_path / "c.txt"
     p.write_text(line + "\n1,-,-5,0\n")

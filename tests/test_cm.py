@@ -12,12 +12,12 @@ from relclass import bounds, cm, dseries, forms, imagquad
 from relclass.cm import (
     KIdeal,
     class_counts,
-    decompose_ideal,
     line_colon_ideal,
-    line_norms,
     make_cm,
     unit_window,
 )
+from relclass.constructions import decompose_ideal
+from relclass.dseries import line_norms
 from relclass.errors import NotIntegral, NotTotallyNegative, RelclassError
 from relclass.field import LatticeIdeal, kronecker, make_field, primes_up_to
 from relclass.lattice import lll_reduce_gram, short_vectors

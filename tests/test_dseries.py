@@ -8,7 +8,7 @@ import pytest
 
 from relclass import dseries
 from relclass.cli import load_corpus
-from relclass.cm import class_counts, make_cm, norm_class_reps
+from relclass.cm import class_counts, make_cm
 from relclass.dseries import (
     CoeffSeries,
     MAX_TRUNCATION,
@@ -17,6 +17,7 @@ from relclass.dseries import (
     measure_mu_K,
     mellin_closed,
     mellin_quadrature,
+    norm_class_reps,
     vseries,
     vsum_check,
     zeta_coeffs_cm,
@@ -168,7 +169,7 @@ def test_measure_mu_F_counts():
 def test_min_line_values_occur_in_expansion():
     # for each class representative the minimal saturated line's norm value
     # indexes a positive coefficient of the quotient series
-    from relclass.cm import line_norms
+    from relclass.dseries import line_norms
 
     for delta in (-5, -23, -47):
         K = make_cm(Q, delta)

@@ -21,11 +21,13 @@ from relclass.forms import (
     is_fundamental,
     lower_bound_t,
     make_form,
+    weakly_equivalent,
+)
+from relclass.constructions import (
     minimal_lines,
     prescribe_genus,
     represent_search,
     representable_criterion,
-    weakly_equivalent,
 )
 
 Q = make_field(1)
@@ -390,7 +392,7 @@ def test_real_quadratic_correspondence_small():
 
 def test_value_ideal_scaling():
     # I(Q, a N) = a^2 I(Q, N) on the line through (x, y)
-    from relclass.forms import _line_colon
+    from relclass.constructions import _line_colon
     from fractions import Fraction
 
     f = make_form(Q, 2, 1, 3)

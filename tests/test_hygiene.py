@@ -188,7 +188,18 @@ def test_no_module_sets_the_global_mpmath_precision():
 
 
 # the modules a command loads only when it runs them
-LAYERS = ("mpmath", "relclass.bounds", "relclass.cm", "relclass.dseries", "relclass.forms", "relclass.hecke")
+LAYERS = (
+    "csv",
+    "mpmath",
+    "relclass.bounds",
+    "relclass.cascade",
+    "relclass.cm",
+    "relclass.constructions",
+    "relclass.corpus",
+    "relclass.dseries",
+    "relclass.forms",
+    "relclass.hecke",
+)
 
 
 def _run_and_list_layers(code: str, layers=LAYERS) -> tuple[str, list[str]]:
@@ -222,11 +233,62 @@ def test_only_bound_loads_mpmath_and_hecke(tmp_path):
     report, layers = _run_and_list_layers(RUN_CLI.format(["verify", "--corpus", str(corpus)]))
     assert report.count('"lemma41"') == 2 and report.count('"status": "ok"') == 2
     assert report.count('"genus"') == 2
-    assert layers == ["relclass.bounds", "relclass.cm", "relclass.dseries"]
+    assert layers == ["relclass.bounds", "relclass.cm", "relclass.corpus", "relclass.dseries"]
     argv = ["bound", "--corpus", str(corpus), "--pmax", "100", "--lambda-grid", "1e29,1e30,1e31"]
     report, layers = _run_and_list_layers(RUN_CLI.format(argv))
     assert '"C": "1e-29"' in report
-    assert layers == ["mpmath", "relclass.bounds", "relclass.cm", "relclass.dseries", "relclass.hecke"]
+    assert layers == [
+        "mpmath",
+        "relclass.bounds",
+        "relclass.cascade",
+        "relclass.cm",
+        "relclass.corpus",
+        "relclass.dseries",
+        "relclass.hecke",
+    ]
+
+
+def test_classify_loads_only_cm_and_forms():
+    """classify compiles neither the constructions that only the gate and the
+    unit tests run, nor the corpus commands, nor the bound cascade, and csv
+    only under --csv."""
+    argv = ["classify", "--n", "1", "--delta-a", "-23"]
+    report, layers = _run_and_list_layers(RUN_CLI.format(argv))
+    assert '"h_K": 3' in report and layers == ["relclass.cm", "relclass.forms"]
+    report, layers = _run_and_list_layers(RUN_CLI.format(argv + ["--csv"]))
+    assert report.startswith("bijection_ok,") and layers == ["csv", "relclass.cm", "relclass.forms"]
+
+
+def test_code_no_command_runs_lives_in_its_own_module():
+    """The gate-only constructions live in constructions, the D/B/G/E/F
+    constants in cascade, the line scan of verify in dseries, and the
+    corpus commands in corpus, so the modules classify and verify import do
+    not compile them (one home per function is checked above).  No module
+    imports relclass.cli: under `python -m relclass.cli` the CLI runs as
+    __main__, and such an import would compile it a second time.
+    perfbench/setup_probe.py reads corpora through relclass.cli.load_corpus."""
+    homes = {
+        path.stem: {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for path, tree in _trees("src/relclass")
+    }
+    assert {"minimal_lines", "prescribe_genus", "represent_search", "decompose_ideal"} <= homes["constructions"]
+    assert {"d_constants_lambda", "b_constants", "g_constants", "f2_uniform", "e_constants"} <= homes["cascade"]
+    assert {"line_norms", "on_line", "norm_class_reps"} <= homes["dseries"]
+    assert {"run_corpus", "cmd_verify", "cmd_bound"} <= homes["corpus"]
+    cli_imports = []
+    for path, tree in _trees("src/relclass"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "relclass." * bool(node.level) + (node.module or "")
+                names = [base] + [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "relclass.cli" in names:
+                cli_imports.append(f"{path.name}:{node.lineno}")
+    assert cli_imports == []
+    assert callable(getattr(importlib.import_module("relclass.cli"), "load_corpus", None))
 
 
 def test_verify_over_a_quartic_field_loads_no_imagquad(tmp_path):
@@ -244,14 +306,15 @@ def test_verify_over_a_quartic_field_loads_no_imagquad(tmp_path):
 
 def test_bound_loads_no_numeric_layer_before_a_row_passes_parity(tmp_path):
     """Rows whose base field fails the 37-splitting parity test never reach
-    the cascade, so a corpus of them loads no mpmath, hecke or dseries."""
+    the cascade, so a corpus of them loads no mpmath, hecke, dseries or
+    cascade."""
     corpus = tmp_path / "parity.txt"
     # Q(sqrt 2) and Q(sqrt 5): s is odd in the 37-splitting of both
     corpus.write_text("2,2,-21,0\n2,5,-11,0\n")
     argv = ["bound", "--corpus", str(corpus), "--pmax", "100", "--lambda-grid", "1e29,1e30,1e31"]
     report, layers = _run_and_list_layers(RUN_CLI.format(argv))
     assert report.count('"status": "ParityFails: ') == 2
-    assert layers == ["relclass.bounds", "relclass.cm"]
+    assert layers == ["relclass.bounds", "relclass.cm", "relclass.corpus"]
 
 
 def test_no_module_imports_dataclasses():
