@@ -27,7 +27,7 @@ from .errors import (
     NoFeasibleLambda,
     ParityFails,
 )
-from .field import Field, FIdeal, PrimeIdeal, canonical_unit_row, primes_up_to
+from .field import Field, FIdeal, PrimeIdeal, canonical_unit_row, primes_up_to, surd_floor, surd_sign
 from .intmat import vec_mat
 from .numerics import PI, Interval, iexp, ilog, imax, ipow, isqrt_iv
 
@@ -131,6 +131,7 @@ class LatticeConstants(NamedTuple):
     C_1: Interval
     A1: Interval
     A2: Interval
+    fac1: Interval  # 2^n/sqrt(d_F) + 2n C_T0/T0: the covering factor of the box counts
 
 
 def lattice_constants(F: Field) -> LatticeConstants:
@@ -144,77 +145,104 @@ def lattice_constants(F: Field) -> LatticeConstants:
     fac2 = base + Interval(2.0 * n) * C_1
     A1 = Interval(2.0) ** (n - 1) * iexp(_sqrt_n_n1(n) * d0) * fac1 * fac2
     A2 = iexp(_sqrt_n_n1(n) * d0 / Interval(2.0)) * fac2
-    return LatticeConstants(d0, T0, C_T0, C_1, A1, A2)
+    return LatticeConstants(d0, T0, C_T0, C_1, A1, A2, fac1)
 
 
 # -- box counting ---------------------------------------------------------------------
 
 
+def _box_sides(x0: tuple, c: tuple) -> tuple[int, list[tuple[int, int]]]:
+    """(L, [(L*(x0_j - c_j), L*(x0_j + c_j))]): the box's sides as integers over
+    L, the lcm of the denominators of x0 and c (ints or Fractions)."""
+    L = math.lcm(*(v.denominator for v in (*x0, *c)))
+    sides = []
+    for x, w in zip(x0, c):
+        xs, ws = L // x.denominator * x.numerator, L // w.denominator * w.numerator
+        sides.append((xs - ws, xs + ws))
+    return L, sides
+
+
 def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
     """Exact number of lattice points of the ideal in the box
-    |sigma_j(x) - x0_j| <= c_j.
+    |sigma_j(x) - x0_j| <= c_j (x0 and c hold ints or Fractions; a box with
+    a negative width holds no point).
 
     For n = 2 the points r*b0 + s*b1 are counted one line of fixed r at a
-    time.  On a line sigma_j(x) is linear in s, so each side of the box bounds
-    s by sigma_j((q - r*b0)/b1) for an end q of the box, the ends swapped where
-    sigma_j(b1) < 0; the line holds an integer interval of s.  Every bound is
-    an exact floor of an embedding."""
-    x0 = tuple(Fraction(v) for v in x0)
-    c = tuple(Fraction(v) for v in c)
+    time, on integers alone.  With sigma_j(b_i) = (u_i + t v_i sqrt m)/e_i
+    (t = 1 for j = 0, -1 for j = 1) and the box scaled by L to integer sides
+    Y, sigma_j(r*b0 + s*b1) = Y/L reads
+        s = (P0 + r*P1 + t*(Q0 + r*Q1) sqrt m) / d
+    after multiplying by the conjugate of u1 + t v1 sqrt m, with integers
+    P0, Q0 (one pair per side Y), P1, Q1 and d > 0 fixed once per box.  The
+    two sides of each embedding bound s, the lower from Y = L(x0_j - c_j)
+    unless sigma_j(b1) < 0 swaps them, so a line costs four exact floors."""
+    L, sides = _box_sides(x0, c)
     if F.n == 1:
-        g = Fraction(idl.num[0][0], idl.den)
-        lo = (x0[0] - c[0]) / g
-        hi = (x0[0] + c[0]) / g
-        return math.floor(hi) - math.ceil(lo) + 1
+        # the points k*a/den; L*(x0 - c) <= k*a*L/den <= L*(x0 + c)
+        [(lo, hi)] = sides
+        a, den = idl.num[0][0], idl.den
+        return max(0, (hi * den) // (L * a) + (-lo * den) // (L * a) + 1)
     b0, b1 = idl.basis_elems()
     r_lo, r_hi = _line_range(b0, b1, x0, c)
-    w = b0 / b1
-    ends = []  # (j, e_lo, e_hi): sigma_j(e_lo - r*w) <= s <= sigma_j(e_hi - r*w)
-    for j in range(2):
-        e = [F.elem(x0[j] - c[j]) / b1, F.elem(x0[j] + c[j]) / b1]
-        if b1.embedding_sign(j) < 0:
-            e.reverse()
-        ends.append((j, *e))
+    m = F.m
+    (u0, v0), (u1, v1) = b0._uv(), b1._uv()
+    e0, e1 = 2 * b0.den, 2 * b1.den
+    d = e0 * L * (u1 * u1 - m * v1 * v1)
+    g = e1 if d > 0 else -e1
+    d = abs(d)
+    p1 = g * L * (m * v0 * v1 - u0 * u1)
+    q1 = g * L * (u0 * v1 - v0 * u1)
+    low, high = [], []  # (P0, t*Q0) of each embedding's bounds, the lower negated for its ceiling
+    for (y_lo, y_hi), t in zip(sides, (1, -1)):
+        if surd_sign(u1, t * v1, m) < 0:
+            y_lo, y_hi = y_hi, y_lo
+        low.append((-g * e0 * u1 * y_lo, t * g * e0 * v1 * y_lo))
+        high.append((g * e0 * u1 * y_hi, -t * g * e0 * v1 * y_hi))
+    (lp0, lq0), (lp1, lq1) = low
+    (hp0, hq0), (hp1, hq1) = high
     count = 0
     for r in range(r_lo, r_hi + 1):
-        rw = w * r
-        s_lo = max(-(rw - e_lo).embedding_floor(j) for j, e_lo, _ in ends)
-        s_hi = min((e_hi - rw).embedding_floor(j) for j, _, e_hi in ends)
-        count += max(0, s_hi - s_lo + 1)
+        p, q = r * p1, r * q1
+        s_lo = -min(surd_floor(lp0 - p, lq0 - q, m, d), surd_floor(lp1 - p, lq1 + q, m, d))
+        s_hi = min(surd_floor(hp0 + p, hq0 + q, m, d), surd_floor(hp1 + p, hq1 - q, m, d))
+        if s_hi >= s_lo:
+            count += s_hi - s_lo + 1
     return count
 
 
 def _line_range(b0, b1, x0: tuple, c: tuple) -> tuple[int, int]:
     """Least and greatest r whose line r*b0 + s*b1 (s real) meets the box.
 
-    r = Tr(b0* x) for the trace-dual element b0* = (Tr(b1^2) b0 - Tr(b0 b1) b1)/det,
-    so r = sum_j sigma_j(b0*) sigma_j(x) is extreme at the corner q of the box
-    that the signs of sigma_j(b0*) pick, where it is sigma_0(b0* q_0 + conj(b0*) q_1).
-    """
-    t00, t01, t11 = (b0 * b0).trace(), (b0 * b1).trace(), (b1 * b1).trace()
-    dual = (b0 * t11 - b1 * t01) / (t00 * t11 - t01 * t01)
-    dc = dual.conj()
-    sg = [dual.embedding_sign(j) for j in range(2)]
-    top = dual * (x0[0] + sg[0] * c[0]) + dc * (x0[1] + sg[1] * c[1])
-    bottom = dual * (x0[0] - sg[0] * c[0]) + dc * (x0[1] - sg[1] * c[1])
-    return -(-bottom).embedding_floor(0), top.embedding_floor(0)
+    r = Tr(b0* x) = sigma_0(b0*) sigma_0(x) + sigma_1(b0*) sigma_1(x) for the
+    trace-dual element b0*; by Cramer's rule, with sigma_j(b_i) =
+    (u_i + t v_i sqrt m)/(2 den_i) and D = v0 u1 - u0 v1,
+        r = den_0 ((y0 - y1) u1 sqrt m - (y0 + y1) v1 m) / (m D)
+    at the point of embeddings (y0, y1), so sigma_j(b0*) has the sign of D times
+    that of sigma_1(b1) for j = 0 and of -sigma_0(b1) for j = 1.  r is extreme
+    at the two corners those signs pick: one exact floor each."""
+    m = b0.F.m
+    (u0, v0), (u1, v1) = b0._uv(), b1._uv()
+    D = v0 * u1 - u0 * v1
+    g = b0.den if D > 0 else -b0.den
+    L, sides = _box_sides(x0, c)
+    top, bottom = [], []
+    for (lo, hi), k in zip(sides, (surd_sign(u1, -v1, m), -surd_sign(u1, v1, m))):
+        top.append(hi if k * g > 0 else lo)
+        bottom.append(lo if k * g > 0 else hi)
+    d = m * abs(D) * L
+    r_hi = surd_floor(-g * (top[0] + top[1]) * v1 * m, g * (top[0] - top[1]) * u1, m, d)
+    r_lo = -surd_floor(g * (bottom[0] + bottom[1]) * v1 * m, -g * (bottom[0] - bottom[1]) * u1, m, d)
+    return r_lo, r_hi
 
 
 def box_bound_check(F: Field, consts: LatticeConstants, idl: FIdeal, x0: tuple, c: tuple) -> dict:
     """Exact count against the certified covering bound."""
     c = tuple(Fraction(v) for v in c)
-    prod_c = Fraction(1)
-    for v in c:
-        prod_c *= v
+    prod_c = math.prod(c)
     nm = idl.norm()
     pre_ok = prod_c >= Fraction(consts.T0.hi) * nm
     count = count_box(F, idl, x0, c)
-    n = F.n
-    bound = (
-        (Interval(2.0) ** n / isqrt_iv(Interval.exact(F.d_F)) + Interval(2.0 * n) * consts.C_T0 / consts.T0)
-        * Interval(prod_c)
-        / Interval(Fraction(nm))
-    )
+    bound = consts.fac1 * Interval(prod_c) / Interval(Fraction(nm))
     ok = count <= bound.lo
     if pre_ok and not ok:
         raise BoundViolated(f"count {count} exceeds certified bound {bound}")

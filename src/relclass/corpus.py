@@ -123,6 +123,8 @@ def cmd_bound(args) -> int:
         if not isinstance(injected, dict):
             raise InvalidArgument(f"--strategy injected: {path} holds no JSON object")
         strategy = "injected"
+    elif strategy != "heuristic":
+        raise InvalidArgument(f"--strategy takes heuristic or injected:FILE, got {strategy!r}")
     grid = None
     if args.lambda_grid is not None:
         try:

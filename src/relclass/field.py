@@ -125,6 +125,36 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
     return r
 
 
+# -- exact surds p + q*sqrt(m) on integers, m > 0 ------------------------------------
+
+
+def surd_sign(p: int, q: int, m: int) -> int:
+    """Exact sign of p + q*sqrt(m)."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return 1 if q > 0 else -1
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    lhs, rhs = p * p, m * q * q
+    if p > 0:
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+
+
+def surd_floor(p: int, q: int, m: int, d: int) -> int:
+    """Exact floor((p + q*sqrt(m))/d) for d > 0; the ceiling is
+    -surd_floor(-p, -q, m, d)."""
+    # floor(q*sqrt m) exactly; then floor((p + it)/d) = floor((p + q sqrt m)/d)
+    mq2 = m * q * q
+    w = isqrt(mq2)
+    if q < 0:
+        w = -w - (w * w != mq2)
+    return (p + w) // d
+
+
 class Field:
     """A totally real field Q or Q(sqrt m) with its arithmetic data.
 
@@ -499,21 +529,8 @@ class FElem:
         """Exact sign of the i-th real embedding (index 0 sends sqrt m -> +)."""
         if self.F.n == 1:
             return (self.na > 0) - (self.na < 0)
-        u, v = self._uv()  # den > 0 leaves every sign below unchanged
-        if i == 1:
-            v = -v
-        if v == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        lhs, rhs = u * u, self.F.m * v * v
-        if u > 0:
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+        u, v = self._uv()  # den > 0 leaves the sign unchanged
+        return surd_sign(u, v if i == 0 else -v, self.F.m)
 
     def embedding_floor(self, i: int) -> int:
         """Exact floor of the i-th real embedding; the ceiling is
@@ -521,14 +538,7 @@ class FElem:
         if self.F.n == 1:
             return self.na // self.den
         u, v = self._uv()
-        if i == 1:
-            v = -v
-        # floor(v*sqrt m) exactly; then floor((u + it)/(2 den)) = floor(x)
-        mv2 = self.F.m * v * v
-        w = isqrt(mv2)
-        if v < 0:
-            w = -w - (w * w != mv2)
-        return (u + w) // (2 * self.den)
+        return surd_floor(u, v if i == 0 else -v, self.F.m, 2 * self.den)
 
     def is_totally_positive(self) -> bool:
         return all(self.embedding_sign(i) > 0 for i in range(self.F.n))

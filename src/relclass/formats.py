@@ -103,8 +103,11 @@ class CorpusEntry:
         return make_cm(F, F.elem(self.delta_a, self.delta_b))
 
     def label(self) -> str:
-        if self.n == 1:
+        if self.n == 1 and self.m is None and self.delta_b == 0:
             return f"Q(sqrt({self.delta_a}))"
+        if self.n == 1:  # a malformed row: show the m and delta_b it carries
+            m = "-" if self.m is None else self.m
+            return f"Q(sqrt({self.delta_a}+{self.delta_b}w))[m={m}]"
         return f"Q(sqrt{self.m})(sqrt({self.delta_a}+{self.delta_b}w))"
 
 

@@ -811,8 +811,9 @@ def _ref_elem(F, a, b=0) -> FElem:
 
 # -- box counting ---------------------------------------------------------------------
 # The point-by-point counter that relclass.bounds used before its line-by-line
-# one, kept verbatim: it scans a padded (2*rmax+1)^2 square of coefficients and
-# tests every point with four exact embedding signs.
+# one, kept verbatim but for the clamp of an empty box over Q to 0: it scans a
+# padded (2*rmax+1)^2 square of coefficients and tests every point with four
+# exact embedding signs.
 
 
 def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
@@ -824,7 +825,7 @@ def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
         g = Fraction(idl.num[0][0], idl.den)
         lo = (x0[0] - c[0]) / g
         hi = (x0[0] + c[0]) / g
-        return math.floor(hi) - math.ceil(lo) + 1
+        return max(0, math.floor(hi) - math.ceil(lo) + 1)
     b0, b1 = idl.basis_elems()
     # float ranges with margin, exact membership filter
     e = [[b.embed(i) for i in range(2)] for b in (b0, b1)]

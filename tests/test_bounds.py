@@ -6,9 +6,11 @@ from pathlib import Path
 import mpmath
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relclass import bounds as bnd
-from relclass import cascade
+from relclass import cascade, field
 from relclass.cm import make_cm
 from relclass.errors import (
     AssumptionViolated,
@@ -18,9 +20,9 @@ from relclass.errors import (
     ParityFails,
     StrategyUnavailable,
 )
-from relclass.field import kronecker, make_field
+from relclass.field import FElem, kronecker, make_field
 from relclass.hecke import QuadChar, base_change_table, gz_table, twist_table
-from relclass.numerics import Interval
+from relclass.numerics import Interval, isqrt_iv
 
 Q = make_field(1)
 F5 = make_field(2, 5)
@@ -78,6 +80,56 @@ def test_count_box_examples():
     assert bnd.count_box(Q, Q.unit_ideal(), (0,), (5,)) == 11
     assert bnd.count_box(Q, Q.ideal(3), (0,), (5,)) == 3
     assert bnd.count_box(F5, F5.unit_ideal(), (0, 0), (3, 3)) == 17
+    # a box with a negative width is empty on either degree
+    assert bnd.count_box(Q, Q.unit_ideal(), (0,), (-3,)) == 0
+    assert bnd.count_box(Q, Q.ideal(3), (Fraction(1, 2),), (Fraction(-7, 4),)) == 0
+    assert bnd.count_box(F5, F5.unit_ideal(), (0, 0), (3, -3)) == 0
+    assert bnd.box_bound_check(Q, LAT_Q, Q.unit_ideal(), (0,), (-3,))["count"] == 0
+
+
+BOX_FIELDS = [Q] + [make_field(2, m) for m in (2, 3, 5, 6, 7, 13, 17, 21, 33)]
+
+
+@st.composite
+def box_case(draw):
+    """An ideal (a product of up to two primes above 2, 3, 5 or 7, scaled by
+    1/k to den > 1 at times) and a small box with denominators 1 to 8, its
+    widths at times 0 or below 0."""
+    F = draw(st.sampled_from(BOX_FIELDS))
+    primes = [pr.ideal for p in (2, 3, 5, 7) for pr in F.splitting(p).primes]
+    idl = F.unit_ideal()
+    for pr in draw(st.lists(st.sampled_from(primes), max_size=2)):
+        idl = idl * pr
+    idl = idl.scale(Fraction(1, draw(st.integers(1, 3))))
+    x0 = tuple(Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 8))) for _ in range(F.n))
+    c = tuple(Fraction(draw(st.integers(-4, 16)), draw(st.integers(1, 8))) for _ in range(F.n))
+    return F, idl, x0, c
+
+
+@settings(max_examples=120, deadline=None)
+@given(box_case())
+def test_count_box_against_point_scan(case):
+    F, idl, x0, c = case
+    assert bnd.count_box(F, idl, x0, c) == oracles.count_box(F, idl, x0, c)
+
+
+def test_count_box_builds_no_element_per_line(monkeypatch):
+    """A line costs integer floors only: a box of 60 and more lines builds
+    no more base-field elements than a box of 3 lines."""
+    built = []
+    new, init = field._new, FElem.__init__
+    monkeypatch.setattr(field, "_new", lambda cls: built.append(cls) or new(cls))
+    monkeypatch.setattr(FElem, "__init__", lambda self, *a: built.append(FElem) or init(self, *a))
+    one = F5.unit_ideal()
+    elems = []
+    for c in ((1, 1), (40, 40)):
+        b0, b1 = one.basis_elems()
+        r_lo, r_hi = bnd._line_range(b0, b1, (0, 0), c)
+        built.clear()
+        bnd.count_box(F5, one, (0, 0), c)
+        elems.append((r_hi - r_lo + 1, built.count(FElem)))
+    (few, small), (many, large) = elems
+    assert few == 3 and many >= 60 and large <= small
 
 
 def _acceptance_07_boxes():
@@ -150,11 +202,16 @@ def test_line_range_is_tight():
             assert (r_lo, r_hi) == (int(mpmath.ceil(min(rs) - tol)), int(mpmath.floor(max(rs) + tol))), (F, idl, x0, c)
 
 
+def _fac1(F, T0, C_T0):
+    """The covering factor 2^n/sqrt(d_F) + 2n C_T0/T0, as lattice_constants builds it."""
+    n = F.n
+    return Interval(2.0) ** n / isqrt_iv(Interval.exact(F.d_F)) + Interval(2.0 * n) * C_T0 / T0
+
+
 def test_box_check_compares_against_certified_lower_end():
     # (2 + 2 C_T0/T0) * 5 lands 5e-10 below the count 11 of [-5, 5]
-    lat = bnd.LatticeConstants(
-        LAT_Q.d0, Interval(1.0), Interval(0.1 - 5e-11), LAT_Q.C_1, LAT_Q.A1, LAT_Q.A2
-    )
+    T0, C_T0 = Interval(1.0), Interval(0.1 - 5e-11)
+    lat = bnd.LatticeConstants(LAT_Q.d0, T0, C_T0, LAT_Q.C_1, LAT_Q.A1, LAT_Q.A2, _fac1(Q, T0, C_T0))
     bound = (Interval(2.0) + Interval(2.0) * lat.C_T0 / lat.T0) * Interval(5.0)
     assert 11 - 1e-9 < bound.lo < 11
     with pytest.raises(BoundViolated):
@@ -164,9 +221,8 @@ def test_box_check_compares_against_certified_lower_end():
 def test_box_bound_monotone_in_slack():
     lat = LAT_Q
     rep1 = bnd.box_bound_check(Q, lat, Q.unit_ideal(), (0,), (5,))
-    lat2 = bnd.LatticeConstants(
-        lat.d0, lat.T0, lat.C_T0 * Interval(2.0), lat.C_1, lat.A1, lat.A2
-    )
+    C_T0 = lat.C_T0 * Interval(2.0)
+    lat2 = bnd.LatticeConstants(lat.d0, lat.T0, C_T0, lat.C_1, lat.A1, lat.A2, _fac1(Q, lat.T0, C_T0))
     rep2 = bnd.box_bound_check(Q, lat2, Q.unit_ideal(), (0,), (5,))
     assert rep2["bound"] >= rep1["bound"]
 
@@ -204,7 +260,7 @@ def test_b_constants_scaling():
     lat = LAT_Q
     Mp = Interval(2.0)
     b1 = cascade.b_constants(Q, lat, Mp)
-    lat2 = bnd.LatticeConstants(lat.d0, lat.T0, lat.C_T0, lat.C_1, lat.A1, lat.A2 * Interval(2.0))
+    lat2 = bnd.LatticeConstants(lat.d0, lat.T0, lat.C_T0, lat.C_1, lat.A1, lat.A2 * Interval(2.0), lat.fac1)
     b2 = cascade.b_constants(Q, lat2, Mp)
     assert abs(_midpoint(b2["B1"]) - 2 * _midpoint(b1["B1"])) < 1e-9
     # B3 max-branch switch on synthetic M'

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from relclass.cli import load_corpus, main
-from relclass.formats import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION
+from relclass.formats import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, CorpusEntry
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -191,12 +191,13 @@ def test_bound_injected(tmp_path):
         ["--lambda-grid", "inf"],
         ["--strategy", "injected:missing.json"],
         ["--strategy", "injected:c.txt"],
+        ["--strategy", "foo"],
     ],
 )
 def test_bound_rejects_bad_arguments_before_any_row(tmp_path, flags):
-    """A grid must be a comma list of finite positive numbers, and an
-    injected strategy a readable JSON object; anything else ends the command
-    with one line, before a row runs."""
+    """A grid must be a comma list of finite positive numbers, and the
+    strategy heuristic or an injected readable JSON object; anything else
+    ends the command with one line, before a row runs."""
     p = tmp_path / "c.txt"
     p.write_text("1,-,-5,0\n")
     flags = [f.replace(":", f":{tmp_path}/") for f in flags]
@@ -246,6 +247,15 @@ def test_bad_row_becomes_input_status(tmp_path, command, line, error):
     rows = data["rows"] if command == "verify" else data
     assert rows[0]["status"].startswith(f"INPUT: {error}: ")
     assert len(rows) == 2
+
+
+def test_malformed_rational_rows_have_their_own_labels():
+    """A valid row over Q is labelled Q(sqrt(a)); a row over Q that carries
+    a radicand or a delta_b shows it, so no two rows share a label."""
+    lines = ["1,-,-4,0", "1,,-4,0", "1,5,-4,0", "1,-,-4,3", "1,5,-4,3"]
+    labels = [CorpusEntry(line, 1).label() for line in lines]
+    assert labels[:2] == ["Q(sqrt(-4))"] * 2
+    assert labels[2:] == ["Q(sqrt(-4+0w))[m=5]", "Q(sqrt(-4+3w))[m=-]", "Q(sqrt(-4+3w))[m=5]"]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from relclass.field import (
     ideals_of_norm_up_to,
     make_field,
     primes_up_to,
+    surd_floor,
+    surd_sign,
 )
 
 Q = make_field(1)
@@ -309,6 +312,38 @@ def test_embedding_floor_against_exact_signs(case, i):
     i %= F.n
     k = x.embedding_floor(i)
     assert (x - k).embedding_sign(i) >= 0 and (x - k - 1).embedding_sign(i) < 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(-(10**30), 10**30),
+    st.one_of(st.just(0), st.integers(-(10**15), 10**15)),
+    st.sampled_from([2, 3, 5, 6, 7, 13, 21, 33, 1, 4, 9, 49]),
+    st.integers(1, 10**6),
+)
+def test_surd_kernel_against_fraction_and_mpmath(p, q, m, d):
+    """floor((p + q sqrt m)/d) and sign(p + q sqrt m), with q < 0 and q = 0
+    among them: against Fraction where q = 0 or m is a square, and elsewhere
+    against 60 digits, which decide both because p + q sqrt m lies at least
+    1/(2 |q| sqrt m) > 1e-17 from every integer."""
+    k, sign = surd_floor(p, q, m, d), surd_sign(p, q, m)
+    r = math.isqrt(m)
+    if q == 0 or r * r == m:
+        x = Fraction(p + q * r, d)
+        assert k == math.floor(x) and sign == (x > 0) - (x < 0)
+        return
+    with mpmath.workdps(60):
+        x = mpmath.mpf(p) + q * mpmath.sqrt(m)
+        assert k == int(mpmath.floor(x / d)) and sign == (x > 0) - (x < 0)
+
+
+def test_surd_kernel_at_the_edges():
+    # q < 0 rounds floor(q sqrt m) away from zero, q = 0 is a rational floor
+    assert surd_floor(0, -1, 2, 1) == -2 and surd_floor(0, 1, 2, 1) == 1
+    assert surd_floor(-7, 0, 5, 2) == -4 and surd_floor(7, 0, 5, 2) == 3
+    assert surd_floor(3, -2, 2, 1) == 0  # 3 - 2 sqrt 2 = 0.17...
+    assert surd_sign(3, -2, 2) == 1 and surd_sign(-3, 2, 2) == -1 and surd_sign(0, 0, 2) == 0
+    assert surd_sign(0, -1, 7) == -1 and surd_sign(-1, 0, 7) == -1
 
 
 def test_embedding_floor_where_floats_fail():
