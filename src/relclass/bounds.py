@@ -28,7 +28,6 @@ from .errors import (
     ParityFails,
 )
 from .field import Field, FIdeal, PrimeIdeal, canonical_unit_row, primes_up_to, surd_floor, surd_sign
-from .intmat import vec_mat
 from .numerics import PI, Interval, iexp, ilog, imax, ipow, isqrt_iv
 
 if TYPE_CHECKING:
@@ -254,8 +253,6 @@ def box_bound_check(F: Field, consts: LatticeConstants, idl: FIdeal, x0: tuple, 
 
 def count_norm_orbits_F(F: Field, idl: FIdeal, t: Fraction) -> int:
     """#{[a] in (ideal - 0)/units : |N(a)| <= t * N(ideal)}, exact."""
-    from .lattice import lll_reduce_gram, short_vectors
-
     tprime = Fraction(t) * idl.norm()
     if F.n == 1:
         g = Fraction(idl.num[0][0], idl.den)
@@ -264,12 +261,11 @@ def count_norm_orbits_F(F: Field, idl: FIdeal, t: Fraction) -> int:
     # Tr(x^2) <= t' (eps + 1/eps); the window is that, rounded up to 2^-16
     window = (F.eps + F.one() / F.eps) * (tprime * 2**16)
     q_bound = Fraction(-(-window).embedding_floor(0), 2**16)
-    # an element is row/den on the integer row v * num; |N(row/den)| <= t'
-    # reads |a^2 + c1 a b - c0 b^2| <= t' den^2 on the row (a, b)
+    # an element is row/den on an integer row; |N(row/den)| <= t' reads
+    # |a^2 + c1 a b - c0 b^2| <= t' den^2 on the row (a, b)
     cap = tprime * idl.den**2
     seen = set()
-    for v in short_vectors(lll_reduce_gram(idl.gram()), q_bound):
-        a, b = vec_mat(v, idl.num)
+    for a, b in idl._short_rows(q_bound):
         if abs(a * a + F.c1 * a * b - F.c0 * b * b) <= cap:
             seen.add(tuple(canonical_unit_row(F, [a, b])))
     return len(seen)

@@ -49,13 +49,11 @@ from .field import (
     _row_mul,
     elem_with_valuation,
     ideal_transversal,
-    order_rows,
     prime_products,
     primes_up_to,
 )
 from .finitefield import ResidueField
 from .intmat import hnf_lattice, solve_exact, vec_mat, zspan_kernel, zspan_solve
-from .lattice import lll_reduce_gram, short_vectors
 
 
 class KElem:
@@ -482,13 +480,12 @@ class KIdeal(LatticeIdeal):
     """Fractional ideal of K as an integer HNF lattice over the order basis,
     divided by one denominator."""
 
-    __slots__ = ("_basis", "_relnorm", "_red", "_conj", "_gens")
+    __slots__ = ("_basis", "_relnorm", "_conj", "_gens")
 
     def __init__(self, K: CMField, num: list[list[int]], den: int):
         super().__init__(K, num, den)
         self._basis = None
         self._relnorm = None
-        self._red = None
         self._conj = None
         self._gens = None  # (l, alpha): the ideal is l o_K + alpha o_K, alpha a row
 
@@ -588,13 +585,6 @@ class KIdeal(LatticeIdeal):
         return f"KIdeal(N={self.norm()})"
 
     # -- metric structure ---------------------------------------------------------
-
-    def _short_rows(self, q_bound) -> list[list[int]]:
-        """Integer rows, over den, of the nonzero z with Tr(z conj z) <= q_bound,
-        one of each +-pair, on the module's one cached LLL reduction."""
-        if self._red is None:
-            self._red = lll_reduce_gram(self.gram())
-        return [vec_mat(v, self.num) for v in short_vectors(self._red, q_bound)]
 
     def _small_row(self, bound: Fraction) -> list[int]:
         """The row of a nonzero element of least absolute norm among short
@@ -876,30 +866,17 @@ def _exceptional_radicands(F: Field) -> list[FElem]:
 
 
 def line_colon_ideal(K: CMField, alpha: KElem, module: KIdeal) -> FIdeal:
-    """The fractional F-ideal {x in F : x*alpha in module}.
+    """The fractional F-ideal {x in F : x*alpha in module}, the F-part of
+    module * alpha^-1.
 
-    Computed as (module intersect F*alpha) / alpha: basis vectors of the
-    module landing on the line are integer kernel combinations of the
-    cross products with alpha."""
-    F = K.F
-    bs = module.basis_kelems()
-    rows, _ = order_rows(F, [b.x * alpha.y - b.y * alpha.x for b in bs])
-    ker = zspan_kernel(rows)
-    gens = []
-    for comb in ker:
-        v = None
-        for c, b in zip(comb, bs):
-            if c:
-                piece = b.scale(c)
-                v = piece if v is None else v + piece
-        if v is None or v.is_zero():
-            continue
-        x = v / alpha
-        assert x.y.is_zero(), "intersection vector not on the line"
-        gens.append(x.x)
-    if not gens:
-        raise DecompositionFailed("module meets the line trivially")
-    return FIdeal.from_generators(F, gens)
+    o_F's basis opens the order basis, so an element lies in F iff its order
+    coordinates past the first n vanish: the F-part is the kernel of those
+    coordinates on the product's rows, read on the first n."""
+    n = K.F.n
+    arow, aden = K._to_order(alpha.inverse())
+    rows = [_row_mul(K._mt, r, arow) for r in module.num]
+    ker = zspan_kernel([r[n:] for r in rows])
+    return FIdeal.from_rows(K.F, [vec_mat(c, rows)[:n] for c in ker], module.den * aden)
 
 
 def unit_window(K: CMField, t: Fraction) -> Fraction:

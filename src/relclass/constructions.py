@@ -21,7 +21,7 @@ from .errors import (
     LemmaViolation,
     SearchBudgetExceeded,
 )
-from .field import FElem, Field, FIdeal, canonical_unit_row, is_prime_int
+from .field import FElem, Field, FIdeal, canonical_unit_row, is_prime_int, order_rows
 from .forms import (
     PseudoForm,
     free_module_basis,
@@ -30,7 +30,7 @@ from .forms import (
     hilbert_symbol,
     ideal_to_form,
 )
-from .intmat import hnf_lattice, zspan_kernel
+from .intmat import hnf_lattice
 from .lattice import lll_reduce_gram, short_vectors
 
 # cap on the elements prescribe_genus scans
@@ -244,44 +244,16 @@ def _line_colon(F: Field, Q: PseudoForm, x: FElem, y: FElem) -> FIdeal:
         return c2
     if c2 is None:
         return c1
-    return _ideal_intersect(F, c1, c2)
-
-
-def _ideal_intersect(F: Field, A: FIdeal, B: FIdeal) -> FIdeal:
-    den = A.den * B.den
-    ra = [[x * B.den for x in r] for r in A.num]
-    rb = [[x * A.den for x in r] for r in B.num]
-    ker = zspan_kernel(ra + rb)
-    rows = []
-    for comb in ker:
-        v = [0] * F.n
-        for c, r in zip(comb[: len(ra)], ra):
-            for i in range(F.n):
-                v[i] += c * r[i]
-        if any(v):
-            rows.append(v)
-    h = hnf_lattice(rows)
-    gens = []
-    for r in h:
-        if F.n == 1:
-            gens.append(F.elem(Fraction(r[0], den)))
-        else:
-            gens.append(F.elem(Fraction(r[0], den), Fraction(r[1], den)))
-    return FIdeal.from_generators(F, gens)
+    return c1 & c2
 
 
 def _line_key(x: FElem, y: FElem, b_id: FIdeal):
-    """Canonical key of the saturated line through (x, y)."""
-    # saturate: the line is {(t x, t y) : t in b_id}
-    gens = []
-    for t in b_id.basis_elems():
-        gens.append(((t * x).coords(), (t * y).coords()))
-    den = 1
-    for gx, gy in gens:
-        for c in list(gx) + list(gy):
-            den = math.lcm(den, c.denominator)
-    rows = [[int(c * den) for c in list(gx) + list(gy)] for gx, gy in gens]
-    h = hnf_lattice(rows)
+    """Canonical key of the saturated line {(t x, t y) : t in b_id}: the HNF
+    of the pairs' order rows over one denominator."""
+    ts = b_id.basis_elems()
+    rows, den = order_rows(b_id.F, [t * z for z in (x, y) for t in ts])
+    k = len(ts)
+    h = hnf_lattice([rx + ry for rx, ry in zip(rows[:k], rows[k:])])
     return (den, tuple(tuple(r) for r in h))
 
 

@@ -21,7 +21,7 @@ from .errors import (
     NonSquarefree,
     SearchBudgetExceeded,
 )
-from .intmat import echelon_solve, hnf_lattice, vec_mat
+from .intmat import echelon_solve, hnf_lattice, vec_mat, zspan_kernel
 
 # most coordinates FIdeal.principal_gen may scan before it gives up undecided
 PRINCIPAL_SCAN_BUDGET = 10**6
@@ -760,7 +760,7 @@ class LatticeIdeal:
     `_to_order(x) -> (row, den)` for its elements.
     """
 
-    __slots__ = ("ring", "num", "den", "_norm")
+    __slots__ = ("ring", "num", "den", "_norm", "_red")
 
     def __init__(self, ring, num: list[list[int]], den: int):
         g = den
@@ -774,6 +774,7 @@ class LatticeIdeal:
         self.num = num
         self.den = den
         self._norm = None
+        self._red = None
 
     @classmethod
     def from_rows(cls, ring, rows: list[list[int]], den: int):
@@ -821,6 +822,15 @@ class LatticeIdeal:
             [sum(a * b for a, b in zip(rt, s)) for s in rows] for rt in (vec_mat(r, T) for r in rows)
         ]
 
+    def _short_rows(self, q_bound) -> list[list[int]]:
+        """Integer rows, over den, of the nonzero z with Tr(z conj z) <= q_bound,
+        one of each +-pair, on the ideal's one cached LLL reduction."""
+        from .lattice import lll_reduce_gram, short_vectors
+
+        if self._red is None:
+            self._red = lll_reduce_gram(self.gram())
+        return [vec_mat(v, self.num) for v in short_vectors(self._red, q_bound)]
+
     def conj(self):
         rows = [vec_mat(r, self.ring._conj_mat) for r in self.num]
         return self.from_rows(self.ring, rows, self.den)
@@ -832,6 +842,17 @@ class LatticeIdeal:
             return self.from_rows(ring, rows, self.den * other.den)
         orow, den = ring._to_order(other)
         return self.from_rows(ring, [_row_mul(ring._mt, r, orow) for r in self.num], self.den * den)
+
+    def __and__(self, other):
+        """The intersection with another ideal of the same ring (the lcm of
+        two integral ideals): over the common denominator D, the combinations
+        of both row sets that sum to zero, read on the rows of self."""
+        D = math.lcm(self.den, other.den)
+        ra = [[x * (D // self.den) for x in r] for r in self.num]
+        rb = [[x * (D // other.den) for x in r] for r in other.num]
+        deg = self.ring.deg
+        rows = [vec_mat(c[:deg], ra) for c in zspan_kernel(ra + rb)]
+        return self.from_rows(self.ring, rows, D)
 
     def scale(self, r):
         """The ideal times the positive rational r."""

@@ -183,7 +183,7 @@ def twist_table(table: EigenvalueTable, chi: QuadChar) -> EigenvalueTable:
         a1, a2 = _split_level(table, cond)
         new_level = a1 * cond * cond
     except LevelNotSquarefree:
-        new_level = _ideal_lcm(F, table.level, cond * cond)
+        new_level = table.level & (cond * cond)  # lcm = intersection
     lam = {}
     for pr in table.primes():
         v_new = new_level.valuation(pr)
@@ -192,16 +192,6 @@ def twist_table(table: EigenvalueTable, chi: QuadChar) -> EigenvalueTable:
         else:
             lam[_pkey(pr)] = chi.star(pr) * table.lam(pr)
     return EigenvalueTable(F, new_level, table.pmax, lam, None, "twist")
-
-
-def _ideal_lcm(F: Field, a: FIdeal, b: FIdeal) -> FIdeal:
-    v = dict(b.factor())
-    for pr, k in a.factor():
-        v[pr] = max(k, v.get(pr, 0))
-    out = F.unit_ideal()
-    for pr, k in v.items():
-        out = out * pr.ideal**k
-    return out
 
 
 def _split_level(table: EigenvalueTable, cond: FIdeal) -> tuple[FIdeal, FIdeal]:

@@ -1319,3 +1319,44 @@ def canonical_unit_rep_F(F: Field, x):
             cur = best
             break
     return cur if cur.coords() >= (-cur).coords() else -cur
+
+
+# Ideal intersection and the F-part of a line as relclass computed them before
+# LatticeIdeal.__and__: the lcm of two integral ideals from their
+# factorisations, and {x in F : x alpha in M} from the kernel of the cross
+# products with alpha, each kernel vector divided by alpha.
+
+
+def ideal_lcm(F: Field, a, b):
+    """lcm(a, b) of two integral F-ideals: the product of the prime powers of
+    the larger valuation."""
+    v = dict(b.factor())
+    for pr, k in a.factor():
+        v[pr] = max(k, v.get(pr, 0))
+    out = F.unit_ideal()
+    for pr, k in v.items():
+        out = out * pr.ideal**k
+    return out
+
+
+def line_colon_ideal(K, alpha, module):
+    """The fractional F-ideal {x in F : x*alpha in module}, as
+    (module intersect F*alpha) / alpha: the basis vectors of the module on
+    the line are the integer kernel combinations of the cross products
+    x(b) y(alpha) - y(b) x(alpha)."""
+    from relclass.field import FIdeal, order_rows
+    from relclass.intmat import zspan_kernel
+
+    F = K.F
+    bs = module.basis_kelems()
+    rows, _ = order_rows(F, [b.x * alpha.y - b.y * alpha.x for b in bs])
+    gens = []
+    for comb in zspan_kernel(rows):
+        v = K.zero()
+        for c, b in zip(comb, bs):
+            if c:
+                v = v + b.scale(c)
+        x = v / alpha
+        assert x.y.is_zero(), "intersection vector not on the line"
+        gens.append(x.x)
+    return FIdeal.from_generators(F, gens)

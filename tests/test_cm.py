@@ -1,3 +1,4 @@
+import math
 import pytest
 from fractions import Fraction
 from pathlib import Path
@@ -474,6 +475,23 @@ def test_class_reps_match_oracle_closure(corpus):
         assert K.F.h_F == 1
         want = [r.key() for r in oracles.class_reps_by_closure(K)]
         assert [r.key() for r in K.class_data().reps] == want, entry
+
+
+@pytest.mark.parametrize("corpus", ["q50", "quartic80"])
+def test_line_colon_ideal_matches_cross_products(corpus):
+    """The F-part of N_i alpha^-1, one kernel on the order rows, against the
+    kernel of the cross products with alpha: for every class representative
+    N_i of four fields of the corpus and every alpha of its line scan, run
+    to the bound of the norm-count check."""
+    entries = load_corpus(str(CORPORA / f"{corpus}.txt"))
+    for entry in entries[:: len(entries) // 4][:4]:
+        K = entry.cm()
+        x_max = Fraction(math.ceil((2 / math.pi) ** K.F.n * math.sqrt(K.abs_disc) + 2))
+        for Ni in K.class_data().N_reps:
+            lines, exclude = line_norms(K, Ni, x_max)
+            assert exclude is not None
+            for _, z in lines:
+                assert line_colon_ideal(K, z, Ni) == oracles.line_colon_ideal(K, z, Ni), (entry, z)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 13])

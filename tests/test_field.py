@@ -4,12 +4,14 @@ import math
 from fractions import Fraction
 
 import mpmath
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import FElem as RefElem
 from oracles import FIdeal as RefIdeal
 
+from relclass.cm import make_cm
 from relclass.errors import MixedFields, NonSquarefree
 from relclass.field import (
     FElem,
@@ -426,6 +428,76 @@ def test_factor_recomposes(case):
     assert prod == a
     order = [(pr.p, F.splitting(pr.p).primes.index(pr)) for pr, _ in fac]
     assert order == sorted(order)
+
+
+# -- intersection of ideals ------------------------------------------------------------
+
+LCM_FIELDS = [make_field(1)] + [make_field(2, m) for m in (2, 3, 5, 6, 7, 10, 13, 17)]
+LCM_CM_FIELDS = [
+    make_cm(F, F.elem(a, b))
+    for F, a, b in [(LCM_FIELDS[0], -5, 0), (LCM_FIELDS[0], -84, 0), (F2, -21, 0), (F5, -11, 0),
+                    (make_field(2, 3), -7, -1)]
+]
+
+
+def _small_primes(F):
+    return [pr for p in (2, 3, 5, 7) for pr in F.splitting(p).primes]
+
+
+@st.composite
+def prime_power_products(draw, primes, low=0):
+    """The product of the given prime ideals with exponents in [low, 2]."""
+    out = primes[0] ** 0
+    for P in primes:
+        out = out * P ** draw(st.integers(low, 2))
+    return out
+
+
+def _within(X, Y) -> bool:
+    """X is contained in Y: each row of X over X.den lies in the lattice of
+    Y over Y.den."""
+    for r in X.num:
+        scaled = [x * Y.den for x in r]
+        if any(s % X.den for s in scaled):
+            return False
+        if not oracles.echelon_contains(Y.num, [s // X.den for s in scaled]):
+            return False
+    return True
+
+
+def _check_intersection(A, B):
+    """A & B lies in A and in B; over a common denominator d the integral
+    ideals dA, dB satisfy dA dB in dA & dB = d(A & B), with equality to the
+    product when their norms are coprime."""
+    C = A & B
+    assert _within(C, A) and _within(C, B)
+    d = math.lcm(A.den, B.den)
+    a, b = A.scale(d), B.scale(d)
+    assert a & b == C.scale(d) == b & a
+    assert _within(a * b, a & b)
+    if math.gcd(int(a.norm()), int(b.norm())) == 1:
+        assert a & b == a * b
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_intersection_is_the_lcm(data):
+    """On integral ideals of Q and Q(sqrt m), products of the primes above
+    2, 3, 5 and 7, A & B is the lcm from the factorisations; on fractional
+    ideals of F and on ideals of CM fields it has the lattice properties of
+    the intersection."""
+    F = data.draw(st.sampled_from(LCM_FIELDS))
+    primes = [pr.ideal for pr in _small_primes(F)]
+    A, B = data.draw(prime_power_products(primes)), data.draw(prime_power_products(primes))
+    assert A & B == oracles.ideal_lcm(F, A, B)
+    _check_intersection(A, B)
+    gens = st.lists(small_elem(F), min_size=1, max_size=3).filter(lambda xs: any(not x.is_zero() for x in xs))
+    _check_intersection(FIdeal.from_generators(F, data.draw(gens)), FIdeal.from_generators(F, data.draw(gens)))
+    K = data.draw(st.sampled_from(LCM_CM_FIELDS))
+    kprimes = [kp.ideal for pr in _small_primes(K.F) for kp in K.primes_above(pr)]
+    A, B = (data.draw(prime_power_products(kprimes, -1)).scale(Fraction(1, data.draw(st.integers(1, 3))))
+            for _ in range(2))
+    _check_intersection(A, B)
 
 
 VALUATION_FIELDS = [make_field(1)] + [make_field(2, m) for m in (2, 3, 5, 13, 17)]

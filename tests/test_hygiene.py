@@ -6,9 +6,10 @@ definition.  A function or method counts as used only when src/, the
 acceptance gate tests/test_acceptance.py or perfbench/ references it, so
 code that unit tests alone reach does not stay; classes and aliases may be
 referenced anywhere in src/, tests/ or perfbench/.  A reference is a name,
-an attribute, an imported name, or an identifier string such as the
-"FIdeal.principal_gen" span targets of perfbench/spans.py.  Dunder names are
-used implicitly and are exempt.
+an attribute, an imported name, or a dotted identifier string such as the
+"FIdeal.principal_gen" span targets of perfbench/spans.py; a bare string
+such as a report key or a local name is not.  Dunder names are used
+implicitly and are exempt.
 Every parameter other than self/cls is read in its function's body.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "relclass"
-IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
 def _trees(*paths):
@@ -47,7 +48,7 @@ def _references(tree):
             for alias in node.names:
                 yield alias.name, node.lineno
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if IDENTIFIER.fullmatch(node.value):
+            if DOTTED.fullmatch(node.value):
                 for part in node.value.split("."):
                     yield part, node.lineno
 
@@ -199,6 +200,7 @@ LAYERS = (
     "relclass.dseries",
     "relclass.forms",
     "relclass.hecke",
+    "relclass.lattice",
 )
 
 
@@ -216,7 +218,9 @@ RUN_CLI = "from relclass.cli import main\nmain({!r})"
 
 def test_cli_import_loads_no_numeric_layer():
     """field needs neither CM fields nor forms nor the numeric layer, and the
-    cascade itself loads neither mpmath nor the eigenvalue tables."""
+    box counts (import relclass.bounds) load no other layer: neither the
+    cascade, mpmath or the eigenvalue tables, nor the CM fields or the LLL
+    and short-vector enumeration of lattice."""
     assert _run_and_list_layers("import relclass.cli")[1] == []
     report, layers = _run_and_list_layers(RUN_CLI.format(["field", "--n", "2", "--m", "5"]))
     assert '"dF": 5' in report and layers == []
@@ -233,7 +237,7 @@ def test_only_bound_loads_mpmath_and_hecke(tmp_path):
     report, layers = _run_and_list_layers(RUN_CLI.format(["verify", "--corpus", str(corpus)]))
     assert report.count('"lemma41"') == 2 and report.count('"status": "ok"') == 2
     assert report.count('"genus"') == 2
-    assert layers == ["relclass.bounds", "relclass.cm", "relclass.corpus", "relclass.dseries"]
+    assert layers == ["relclass.bounds", "relclass.cm", "relclass.corpus", "relclass.dseries", "relclass.lattice"]
     argv = ["bound", "--corpus", str(corpus), "--pmax", "100", "--lambda-grid", "1e29,1e30,1e31"]
     report, layers = _run_and_list_layers(RUN_CLI.format(argv))
     assert '"C": "1e-29"' in report
@@ -245,6 +249,7 @@ def test_only_bound_loads_mpmath_and_hecke(tmp_path):
         "relclass.corpus",
         "relclass.dseries",
         "relclass.hecke",
+        "relclass.lattice",
     ]
 
 
@@ -254,9 +259,9 @@ def test_classify_loads_only_cm_and_forms():
     only under --csv."""
     argv = ["classify", "--n", "1", "--delta-a", "-23"]
     report, layers = _run_and_list_layers(RUN_CLI.format(argv))
-    assert '"h_K": 3' in report and layers == ["relclass.cm", "relclass.forms"]
+    assert '"h_K": 3' in report and layers == ["relclass.cm", "relclass.forms", "relclass.lattice"]
     report, layers = _run_and_list_layers(RUN_CLI.format(argv + ["--csv"]))
-    assert report.startswith("bijection_ok,") and layers == ["csv", "relclass.cm", "relclass.forms"]
+    assert report.startswith("bijection_ok,") and layers == ["csv", "relclass.cm", "relclass.forms", "relclass.lattice"]
 
 
 def test_code_no_command_runs_lives_in_its_own_module():
@@ -306,8 +311,8 @@ def test_verify_over_a_quartic_field_loads_no_imagquad(tmp_path):
 
 def test_bound_loads_no_numeric_layer_before_a_row_passes_parity(tmp_path):
     """Rows whose base field fails the 37-splitting parity test never reach
-    the cascade, so a corpus of them loads no mpmath, hecke, dseries or
-    cascade."""
+    the cascade, so a corpus of them loads no mpmath, hecke, dseries,
+    cascade or lattice."""
     corpus = tmp_path / "parity.txt"
     # Q(sqrt 2) and Q(sqrt 5): s is odd in the 37-splitting of both
     corpus.write_text("2,2,-21,0\n2,5,-11,0\n")
