@@ -338,18 +338,16 @@ def bound_params(K: CMField) -> BoundParams:
     R = max(pr.norm() for pr in ram)
     P_K = [pr for pr in ram if pr.norm() < R]
     P_UK = [pr for pr in ram if pr.norm() < U]
-    # scan checks
+    # scan checks: no split prime below V, at most one below U
+    split_below_U = 0
     for p in primes_up_to(int(max(V, U)) + 1):
         for pr in K.F.splitting(p).primes:
-            if pr.norm() >= max(V, U):
+            q = pr.norm()
+            if q >= max(V, U) or K.splitting_kind(pr) != "split":
                 continue
-            kind = K.splitting_kind(pr)
-            if kind == "split" and pr.norm() < V:
+            if q < V:
                 raise LemmaViolation(f"split prime {pr} below V = {V}")
-    split_below_U = 0
-    for p in primes_up_to(int(U) + 1):
-        for pr in K.F.splitting(p).primes:
-            if pr.norm() < U and K.splitting_kind(pr) == "split":
+            if q < U:
                 split_below_U += 1
     if split_below_U > 1:
         raise LemmaViolation(f"{split_below_U} split primes below U")

@@ -49,10 +49,12 @@ from .field import (
     _row_mul,
     elem_with_valuation,
     ideal_transversal,
+    omega_root,
     prime_products,
     primes_up_to,
+    residue_char,
+    sqrt_mod_p,
 )
-from .finitefield import ResidueField
 from .intmat import hnf_lattice, solve_exact, vec_mat, zspan_kernel, zspan_solve
 
 
@@ -169,7 +171,6 @@ class CMField:
         self._build_mult_tables()
         self._class_data = None
         self._counts = None
-        self._kprime_cache: dict = {}
         self._local_cache: dict = {}
 
     # -- multiplication structure over the Z-basis of o_K ------------------------
@@ -382,45 +383,64 @@ class CMField:
 
     # -- primes ---------------------------------------------------------------------
 
-    def _local_quadratic(self, pr: PrimeIdeal):
-        """(w, rf, roots, kind): an integral w of K that generates o_K over
-        o_F locally at pr, the residue field rf of pr, the roots in rf of
-        X^2 - B X - C (B, C the residues of Tr(w) and -N(w), so that w
-        reduces to one of them), and the splitting kind of pr in K, read
-        from the number of roots (Cohen, GTM 138, 1.5).  Cached per base
-        prime."""
-        key = (pr.p, pr.second_gen)
-        if key in self._local_cache:
-            return self._local_cache[key]
+    def _residue_roots(self, pr: PrimeIdeal, w: KElem) -> list[FElem]:
+        """Representatives in o_F of the roots in o/pr of X^2 - Tr(w) X + N(w),
+        ascending.  At odd p with f = 1 they come from a square root of the
+        discriminant's image in F_p; at p = 2 or f = 2 from a scan of o/pr."""
         F = self.F
-        j = -self.c_inv.valuation(pr)
-        tau = elem_with_valuation(self.c_inv, pr, -j)
-        w = KElem(self, tau * self.b_shift, tau)
-        assert w.is_integral()
-        rf = ResidueField(F, pr)
-        B, C = rf.reduce_integral(w.rel_trace()), rf.reduce_integral(-w.rel_norm())
-        roots = rf.quadratic_roots(B, C)
-        kind = {2: "split", 1: "ramified", 0: "inert"}[len(roots)]
-        ram = self.rel_disc.valuation(pr) > 0
-        assert (kind == "ramified") == ram, f"residue roots vs discriminant at {pr}"
-        self._local_cache[key] = w, rf, roots, kind
-        return w, rf, roots, kind
+        t, n = w.rel_trace(), w.rel_norm()
+        p = pr.p
+        if p == 2 or pr.f == 2:
+            return [r for r in ideal_transversal(F, pr.ideal) if pr.ideal.contains(r * r - t * r + n)]
+        R = omega_root(pr, 1)
+        disc = t * t - 4 * n
+        s = sqrt_mod_p(disc.na + disc.nb * R, p)
+        b, inv2 = t.na + t.nb * R, (p + 1) // 2
+        return [F.elem(r) for r in sorted({(b + s) * inv2 % p, (b - s) * inv2 % p})]
+
+    def _local(self, pr: PrimeIdeal) -> list:
+        """The cache entry [splitting kind, w, primes above or None] of pr,
+        where w is an integral element of K that generates o_K over o_F
+        locally at pr.
+
+        pr ramifies iff it divides the relative discriminant.  Otherwise w
+        reduces modulo the primes above pr to the roots of
+        X^2 - Tr(w) X + N(w) in o/pr (Kummer-Dedekind; Cohen, GTM 138,
+        4.8), so pr splits iff there are two: at odd p iff the discriminant
+        is a square mod pr."""
+        key = (pr.p, pr.second_gen)
+        entry = self._local_cache.get(key)
+        if entry is None:
+            j = -self.c_inv.valuation(pr)
+            tau = elem_with_valuation(self.c_inv, pr, -j)
+            w = KElem(self, tau * self.b_shift, tau)
+            assert w.is_integral()
+            if self.rel_disc.valuation(pr) > 0:
+                kind = "ramified"
+            elif pr.p == 2:
+                kind = "split" if self._residue_roots(pr, w) else "inert"
+            else:
+                t, n = w.rel_trace(), w.rel_norm()
+                kind = "split" if residue_char(pr, t * t - 4 * n) == 1 else "inert"
+            entry = self._local_cache[key] = [kind, w, None]
+        return entry
 
     def primes_above(self, pr: PrimeIdeal) -> list[KPrime]:
-        key = (pr.p, pr.second_gen)
-        if key in self._kprime_cache:
-            return self._kprime_cache[key]
-        F = self.F
-        w, rf, roots, kind = self._local_quadratic(pr)
+        entry = self._local(pr)
+        kind, w, out = entry
+        if out is not None:
+            return out
         pK = self.extend_ideal(pr.ideal)
-        out: list[KPrime] = []
+        out = []
         if kind == "inert":
             out.append(KPrime(pr, 2, False, pK))
         else:
+            roots = self._residue_roots(pr, w)
+            assert len(roots) == (1 if kind == "ramified" else 2), f"residue roots vs discriminant at {pr}"
             for r in roots:
                 # pr o_K + g o_K: pK is an o_K-module, so its Z-basis serves,
                 # beside g times the order basis
-                g = w - KElem(self, _lift_residue(F, rf, r), F.zero())
+                g = w - KElem(self, r, self.F.zero())
                 grow, den = self._to_order(g)
                 rows = [[x * den for x in row] for row in pK.num]
                 rows += [_row_mul(self._mt, grow, e) for e in self._unit_rows]
@@ -429,12 +449,12 @@ class CMField:
         for kp in out:
             expected = pr.norm() ** kp.rel_f
             assert kp.ideal.norm() == expected, (pr, kp.ideal.norm(), expected)
-        self._kprime_cache[key] = out
+        entry[2] = out
         return out
 
     def splitting_kind(self, pr: PrimeIdeal) -> str:
         """'split', 'inert' or 'ramified', without building the primes above pr."""
-        return self._local_quadratic(pr)[3]
+        return self._local(pr)[0]
 
     def kprimes_up_to(self, bound: float) -> list[KPrime]:
         out = []
@@ -618,17 +638,9 @@ class KIdeal(LatticeIdeal):
                 return K._from_order(row, self.den)
         return None
 
-    def is_principal(self) -> bool:
-        return self.principal_gen() is not None
-
     def in_same_class(self, other: "KIdeal") -> bool:
-        if self.K.F.h_F == 1:
-            q = self * other.conj()
-            q = q.scale(q.den)
-            return q.is_principal()
-        q = self * other.inverse()
-        q = q.scale(q.den)
-        return q.is_principal()
+        q = self * (other.conj() if self.K.F.h_F == 1 else other.inverse())
+        return q.scale(q.den).is_principal()
 
     def small_class_rep(self) -> "KIdeal":
         """Integral ideal of Minkowski-bounded norm in the same class.
@@ -930,8 +942,3 @@ def _combinations(rows):
                     out = [a + s * b for a, b in zip(out, r)]
                 yield out
 
-
-def _lift_residue(F: Field, rf: ResidueField, r) -> FElem:
-    if rf.f == 1:
-        return F.elem(r[0])
-    return F.elem(r[0], r[1])

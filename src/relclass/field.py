@@ -102,7 +102,7 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
     a %= p
     if p == 2 or a == 0:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
+    if kronecker(a, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -111,7 +111,7 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         q //= 2
         s += 1
     z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    while kronecker(z, p) != -1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -123,6 +123,39 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+def omega_root(pr: "PrimeIdeal", k: int) -> int:
+    """R mod p^k with omega - R in pr, for pr of degree 1 (unramified when
+    k > 1): Newton steps on X^2 - c1 X - c0 from the root mod p that
+    second_gen = omega - R0 carries."""
+    F, p = pr.second_gen.F, pr.p
+    R = -pr.second_gen.na % p
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        mod = p**prec
+        R = (R - (R * R - F.c1 * R - F.c0) * pow(2 * R - F.c1, -1, mod)) % mod
+    return R
+
+
+def residue_char(pr: "PrimeIdeal", x: "FElem") -> int:
+    """The quadratic character of o/pr (p odd) at a pr-unit x; 0 when x is
+    in pr.
+
+    For f = 2 it is that of N(x) mod p, since x^((p^2-1)/2) = N(x)^((p-1)/2).
+    For f = 1 x maps to (na + nb R)/den in F_p = Z_p.  A unit keeps p in den
+    only when p splits, and then p^v divides both den and na + nb R, so R
+    is needed mod p^(v+1), v = v_p(den)."""
+    p = pr.p
+    if pr.f == 2:
+        F = x.F
+        return kronecker(x.na * x.na + F.c1 * x.na * x.nb - F.c0 * x.nb * x.nb, p)
+    v, den = 0, x.den
+    while den % p == 0:
+        v, den = v + 1, den // p
+    num = (x.na + x.nb * omega_root(pr, v + 1)) % p ** (v + 1)
+    return kronecker(num // p**v * den, p)
 
 
 # -- exact surds p + q*sqrt(m) on integers, m > 0 ------------------------------------
@@ -226,7 +259,7 @@ class Field:
         self.eps = FElem(self, a, b)
         if abs(self.eps.norm()) != 1 or not self.eps.is_integral():
             raise AssertionError("fundamental unit construction failed")
-        # the scan returns x, y > 0, so the first embedding is already > 1
+        # x, y > 0, so the first embedding is already > 1
         self.regulator = math.log(self.eps.embed(0))
         self.d0 = math.sqrt(2.0) * self.regulator
 
@@ -331,9 +364,11 @@ def fundamental_unit_xy(m: int) -> tuple[int, int]:
     """Fundamental unit of the maximal order of Q(sqrt m), as (x, y) with
     eps = (x + y*sqrt m)/2.
 
-    The continued fraction of sqrt(m) yields a unit of Z[sqrt m], which bounds
-    the search; the minimal y >= 1 with x^2 - m y^2 = +-4 (coordinates
-    integral in the maximal order) is then the fundamental unit.
+    The continued fraction of sqrt(m) yields the fundamental unit
+    p + q*sqrt(m) of Z[sqrt m].  It is the fundamental unit unless
+    m = 1 (mod 4) and Z[omega] holds its cube root (t + y*sqrt m)/2, t and y
+    odd, whose norm is that of the cube, n = p^2 - m q^2, so that
+    t^3 - 3 n t = 2p and t^2 - m y^2 = 4n.
     """
     a0 = isqrt(m)
     if a0 * a0 == m:
@@ -349,22 +384,26 @@ def fundamental_unit_xy(m: int) -> tuple[int, int]:
         a = (a0 + P) // Q
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-    y_cap = 2 * q_cur
-    half_ok = m % 4 == 1
-    for y in range(1, y_cap + 1):
-        for sgn in (-4, 4):
-            t2 = m * y * y + sgn
-            if t2 <= 0:
-                continue
-            x = isqrt(t2)
-            if x * x != t2:
-                continue
-            if half_ok:
-                if (x - y) % 2 == 0:
-                    return (x, y)
-            elif x % 2 == 0 and y % 2 == 0:
-                return (x, y)
-    raise SearchBudgetExceeded("fundamental unit scan failed below CF bound")
+    p, q = p_cur, q_cur
+    if m % 4 == 1:
+        n = p * p - m * q * q
+        # with c^3 <= 2p < (c + 1)^3, an integer root of t^3 - 3nt = 2p
+        # can only be c when n = -1 and c + 1 when n = 1
+        t = _icbrt(2 * p) + (n == 1)
+        y2, r = divmod(t * t - 4 * n, m)
+        if t**3 - 3 * n * t == 2 * p and t % 2 and r == 0 and isqrt(y2) ** 2 == y2:
+            return (t, isqrt(y2))
+    return (2 * p, 2 * q)
+
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 1, by Newton steps on integers."""
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 class FElem:
@@ -573,16 +612,14 @@ class FElem:
             if r2 is not None:
                 return F.elem(0, r2) if F.c1 == 0 else F.elem(-r2, 2 * r2)
             return None
-        # q != 0: from 2pq + q^2 c1 = b and p^2 + q^2 c0 = a
-        # substitute p = (b - q^2 c1)/(2 q): quartic in q; solve via norm: N(x) = (p^2+q^2c0)^2 - ...
+        # y^2 = x gives N(y)^2 = N(x), Tr(y)^2 = Tr(x) + 2 N(y) and
+        # b_x = b_y Tr(y), b the omega-coordinate
         nrm = self.norm()
         rn = _rat_sqrt(nrm) if nrm >= 0 else None
         if rn is None:
             return None
         for sign in (rn, -rn):
-            # p^2 + c1 p q - c0 q^2 = sign and candidate trace relation
             tr = self.trace()
-            # x = y^2 => trace(x) = trace(y)^2 - 2*sign(N(y)) ... solve t^2 = tr + 2*sign
             t2 = tr + 2 * sign
             if t2 < 0:
                 continue
@@ -590,14 +627,6 @@ class FElem:
             if t is None:
                 continue
             for tt in {t, -t}:
-                if tt == 0:
-                    continue
-                # y has trace tt and norm sign: y = (tt +- sqrt(tt^2-4 sign))/2 as element
-                # solve y from linear system: y + conj(y) = tt, y*conj(y) = sign
-                # y = a' + b' w with 2a' + b' c1 = tt and norm = sign
-                # b' from: y - conj(y) = b'(2w - c1) = +-sqrt(d) ... use direct: y^2 = self
-                # parametrize b' via y^2 relation: (y^2).b = b => 2 a' b' + b'^2 c1 = b
-                # with a' = (tt - b' c1)/2: b'(tt - b' c1) + b'^2 c1 = b => b' tt = b
                 if tt == 0:
                     continue
                 bprime = self.b / tt

@@ -39,10 +39,11 @@ from .field import (
     PrimeIdeal,
     elem_with_valuation,
     ideal_transversal,
+    omega_root,
     order_rows,
     prime_divisors,
+    residue_char,
 )
-from .finitefield import ResidueField
 from .intmat import zspan_solve
 
 
@@ -244,7 +245,7 @@ def ideal_to_form(K: CMField, A: KIdeal) -> PseudoForm:
     Q = PseudoForm(F, F.unit_ideal(), a, b, c)
     assert Q.is_positive_definite()
     d = Q.field_disc()
-    assert (d * K.delta).is_square() or (d * K.delta).square_root() is not None
+    assert (d * K.delta).is_square()
     nrm = A.rel_norm()
     assert Q.disc_ideal() == K.rel_disc * (nrm * nrm)
     assert Q.norm_ideal() == nrm
@@ -364,21 +365,15 @@ def hilbert_symbol(F: Field, s: FElem, d: FElem, place) -> int:
 
 
 def _tame_symbol(F: Field, s: FElem, d: FElem, pr: PrimeIdeal) -> int:
-    rf = ResidueField(F, pr)
-    alpha = s.valuation(pr)
-    beta = d.valuation(pr)
-    us = rf.unit_residue(s, alpha)
-    ud = rf.unit_residue(d, beta)
-    q = rf.q
-    sign = -1 if (alpha * beta) % 2 == 1 and (q - 1) // 2 % 2 == 1 else 1
-    chi_s = rf.legendre(us)
-    chi_d = rf.legendre(ud)
-    out = sign
-    if beta % 2 == 1:
-        out *= chi_s
-    if alpha % 2 == 1:
-        out *= chi_d
-    return out
+    """(s, d) at an odd prime: the quadratic character of o/pr at the unit
+    (-1)^(alpha beta) s^beta d^-alpha, alpha = v(s) and beta = v(d) (Serre,
+    A Course in Arithmetic, III 1.2)."""
+    alpha, beta = s.valuation(pr), d.valuation(pr)
+    x = F.elem(-1 if alpha * beta % 2 else 1)
+    for y, k in ((s, beta), (d, -alpha)):
+        for _ in range(abs(k)):
+            x = x * y if k > 0 else x / y
+    return residue_char(pr, x)
 
 
 def _symbol_by_reciprocity(F: Field, s: FElem, d: FElem) -> int:
@@ -401,19 +396,13 @@ def _symbol_by_reciprocity(F: Field, s: FElem, d: FElem) -> int:
 def _q2_image(F: Field, x: FElem, pr: PrimeIdeal) -> tuple[int, int]:
     """(v, u mod 8) with x = 2^v u in F_P = Q_2, for P above a split 2.
 
-    omega goes to the root R of X^2 - c1 X - c0 with omega - R in P, lifted by
-    Newton steps (the derivative 2R - c1 is odd).  The numerator na + nb R has
-    valuation at most that of its norm, so R is needed to that many digits
-    plus 3."""
+    omega goes to the root R of X^2 - c1 X - c0 with omega - R in P, which
+    field.omega_root lifts by Newton steps (the derivative 2R - c1 is odd).
+    The numerator na + nb R has valuation at most that of its norm, so R is
+    needed to that many digits plus 3."""
     nm = x.na * x.na + F.c1 * x.na * x.nb - F.c0 * x.nb * x.nb
     k = _v2(nm) + 3
-    R = 0 if pr.ideal.contains(F.omega()) else 1
-    prec = 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        mod = 2**prec
-        R = (R - (R * R - F.c1 * R - F.c0) * pow(2 * R - F.c1, -1, mod)) % mod
-    num = (x.na + x.nb * R) % 2**k
+    num = (x.na + x.nb * omega_root(pr, k)) % 2**k
     vn, vd = _v2(num), _v2(x.den)
     # odd u has u^-1 = u mod 8
     return vn - vd, (num >> vn) * (x.den >> vd) % 8

@@ -14,7 +14,7 @@ from math import gcd, isqrt
 
 from relclass.errors import MixedFields, NoRepresentedValueFound, SearchBudgetExceeded
 from relclass.field import FElem as FieldElem
-from relclass.field import Field, PrimeIdeal, _felem, ideal_transversal
+from relclass.field import Field, PrimeIdeal, _felem, ideal_transversal, sqrt_mod_p
 from relclass.intmat import hnf_lattice, solve_exact
 
 
@@ -1360,3 +1360,306 @@ def line_colon_ideal(K, alpha, module):
         assert x.y.is_zero(), "intersection vector not on the line"
         gens.append(x.x)
     return FIdeal.from_generators(F, gens)
+
+
+# -- the fundamental unit by a scan ----------------------------------------------------
+# relclass.field.fundamental_unit_xy before its closed form, kept verbatim but
+# for the name: after the continued fraction it scans y = 1 ... 2q for the
+# least y with x^2 - m y^2 = +-4.
+
+
+def fundamental_unit_by_scan(m: int) -> tuple[int, int]:
+    """Fundamental unit of the maximal order of Q(sqrt m), as (x, y) with
+    eps = (x + y*sqrt m)/2.
+
+    The continued fraction of sqrt(m) yields a unit of Z[sqrt m], which bounds
+    the search; the minimal y >= 1 with x^2 - m y^2 = +-4 (coordinates
+    integral in the maximal order) is then the fundamental unit.
+    """
+    a0 = isqrt(m)
+    if a0 * a0 == m:
+        raise ValueError(f"{m} is a perfect square")
+    P, Q, a = 0, 1, a0
+    p_prev, p_cur = 1, a0
+    q_prev, q_cur = 0, 1
+    while True:
+        P = a * Q - P
+        Q = (m - P * P) // Q
+        if Q == 1:
+            break
+        a = (a0 + P) // Q
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    y_cap = 2 * q_cur
+    half_ok = m % 4 == 1
+    for y in range(1, y_cap + 1):
+        for sgn in (-4, 4):
+            t2 = m * y * y + sgn
+            if t2 <= 0:
+                continue
+            x = isqrt(t2)
+            if x * x != t2:
+                continue
+            if half_ok:
+                if (x - y) % 2 == 0:
+                    return (x, y)
+            elif x % 2 == 0 and y % 2 == 0:
+                return (x, y)
+    raise SearchBudgetExceeded("fundamental unit scan failed below CF bound")
+
+
+# -- residue fields of base-field primes ------------------------------------------------
+# The GF(p^f) type that relclass.cm and relclass.forms reduced through before
+# field.residue_char and field.omega_root, kept verbatim but for the element
+# type's local name: elements are pairs (a0, a1) over F_p modulo the minimal
+# polynomial of omega in the inert case, a1 = 0 when f = 1.  Below it, the
+# splitting data and the tame symbol as relclass computed them through it.
+
+
+class ResidueField:
+    """GF(p^f) attached to a prime of the base field, with the reduction map."""
+
+    def __init__(self, F: Field, prime: PrimeIdeal):
+        self.F = F
+        self.prime = prime
+        self.p = prime.p
+        self.f = prime.f
+        self.q = prime.p**prime.f
+        if self.f == 1:
+            # omega maps to a root of its minimal polynomial mod p
+            if F.n == 1:
+                self.omega_image = 0
+            else:
+                g = prime.second_gen  # omega - r (or p itself in degree-1 situations)
+                if g.b != 0:
+                    self.omega_image = int((-g.a / g.b) % self.p)
+                else:
+                    self.omega_image = 0
+        else:
+            self.omega_image = None  # omega is the residue generator itself
+
+    # elements are tuples (a0, a1) mod p; a1 = 0 unless f = 2
+    def zero(self):
+        return (0, 0)
+
+    def one(self):
+        return (1, 0)
+
+    def make(self, a0: int):
+        return (a0 % self.p, 0)
+
+    def add(self, x, y):
+        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
+
+    def sub(self, x, y):
+        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
+
+    def mul(self, x, y):
+        if self.f == 1:
+            return ((x[0] * y[0]) % self.p, 0)
+        c0, c1 = self.F.c0 % self.p, self.F.c1 % self.p
+        a = (x[0] * y[0] + x[1] * y[1] * c0) % self.p
+        b = (x[0] * y[1] + x[1] * y[0] + x[1] * y[1] * c1) % self.p
+        return (a, b)
+
+    def pow(self, x, k: int):
+        out = self.one()
+        base = x
+        while k:
+            if k & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            k >>= 1
+        return out
+
+    def inv(self, x):
+        if x == (0, 0):
+            raise ZeroDivisionError
+        return self.pow(x, self.q - 2)
+
+    def is_zero(self, x) -> bool:
+        return x[0] == 0 and x[1] == 0
+
+    def is_square(self, x) -> bool:
+        if self.is_zero(x):
+            return True
+        if self.p == 2:
+            return True  # squaring is a bijection in characteristic 2
+        return self.pow(x, (self.q - 1) // 2) == self.one()
+
+    def sqrt(self, x):
+        """A square root in GF(q), or None."""
+        if self.is_zero(x):
+            return self.zero()
+        if self.p == 2:
+            # Frobenius inverse: sqrt = x^(q/2)
+            return self.pow(x, self.q // 2)
+        if self.f == 1:
+            r = sqrt_mod_p(x[0], self.p)
+            return None if r is None else (r, 0)
+        if not self.is_square(x):
+            return None
+        # Tonelli-Shanks over GF(q)
+        q1 = self.q - 1
+        s = 0
+        qq = q1
+        while qq % 2 == 0:
+            qq //= 2
+            s += 1
+        # GF(p) lies in the squares of GF(p^2), so the nonresidue is sought
+        # among a0 + omega: their norms are the values of an irreducible
+        # quadratic, and about half of them are nonsquares mod p
+        z = next((a0, 1) for a0 in range(self.p) if not self.is_square((a0, 1)))
+        m, c = s, self.pow(z, qq)
+        t, r = self.pow(x, qq), self.pow(x, (qq + 1) // 2)
+        while t != self.one():
+            t2, i = t, 0
+            while t2 != self.one():
+                t2 = self.mul(t2, t2)
+                i += 1
+            b = self.pow(c, 1 << (m - i - 1))
+            m, c = i, self.mul(b, b)
+            t, r = self.mul(t, c), self.mul(r, b)
+        return r
+
+    def quadratic_roots(self, B, C):
+        """Roots of X^2 - B X - C in GF(q), with multiplicity collapsed."""
+        if self.p == 2:
+            roots = []
+            for a0 in range(2):
+                for a1 in range(2 if self.f == 2 else 1):
+                    x = (a0, a1)
+                    if self.sub(self.mul(x, x), self.add(self.mul(B, x), C)) == self.zero():
+                        roots.append(x)
+            return roots
+        disc = self.add(self.mul(B, B), self.mul(self.make(4), C))
+        sd = self.sqrt(disc)
+        if sd is None:
+            return []
+        inv2 = self.inv(self.make(2))
+        r1 = self.mul(self.add(B, sd), inv2)
+        r2 = self.mul(self.sub(B, sd), inv2)
+        return [r1] if r1 == r2 else sorted({r1, r2})
+
+    # -- reduction ----------------------------------------------------------
+
+    def reduce_integral(self, x: FieldElem):
+        """Image of an integral element."""
+        assert x.is_integral()
+        a, b = x.na, x.nb
+        if self.f == 1:
+            return ((a + b * self.omega_image) % self.p, 0)
+        return (a % self.p, b % self.p)
+
+    def reduce(self, x: FieldElem):
+        """Image of any x with v_prime(x) >= 0 (denominators handled)."""
+        F, p = self.F, self.p
+        d = x.den
+        num = F.elem(x.na, x.nb)  # x * d, integral
+        correction = self.one()
+        guard = 0
+        while d % p == 0:
+            guard += 1
+            if guard > 64:  # pragma: no cover
+                raise SearchBudgetExceeded("residue reduction loop")
+            if num.na % p == 0 and num.nb % p == 0:
+                num = F.elem(num.na // p, num.nb // p)
+                d //= p
+                continue
+            # split prime: clear the conjugate-prime denominator
+            t = self.prime.second_gen.conj()
+            num = num * t
+            correction = self.mul(correction, self.reduce_integral(t))
+            g = gcd(num.na, num.nb, d)
+            if g > 1:
+                num = F.elem(num.na // g, num.nb // g)
+                d //= g
+        img = self.reduce_integral(num)
+        dinv = self.inv(self.make(d % p))
+        out = self.mul(img, dinv)
+        if correction != self.one():
+            out = self.mul(out, self.inv(correction))
+        return out
+
+    def unit_residue(self, x: FieldElem, val: int):
+        """Image of x * pi^(-val), pi the stored uniformizer; nonzero by construction."""
+        pi = self.prime.second_gen
+        y = x
+        for _ in range(val):
+            y = y / pi
+        for _ in range(-val):
+            y = y * pi
+        return self.reduce(y)
+
+    def legendre(self, x) -> int:
+        """Quadratic character of a nonzero residue: +1 square, -1 nonsquare."""
+        if self.is_zero(x):
+            return 0
+        if self.p == 2:
+            return 1
+        return 1 if self.is_square(x) else -1
+
+
+def local_quadratic(K, pr: PrimeIdeal):
+    """(w, rf, roots, kind): an integral w of K that generates o_K over
+    o_F locally at pr, the residue field rf of pr, the roots in rf of
+    X^2 - B X - C (B, C the residues of Tr(w) and -N(w), so that w
+    reduces to one of them), and the splitting kind of pr in K, read
+    from the number of roots (Cohen, GTM 138, 1.5)."""
+    from relclass.cm import KElem
+    from relclass.field import elem_with_valuation
+
+    F = K.F
+    j = -K.c_inv.valuation(pr)
+    tau = elem_with_valuation(K.c_inv, pr, -j)
+    w = KElem(K, tau * K.b_shift, tau)
+    assert w.is_integral()
+    rf = ResidueField(F, pr)
+    B, C = rf.reduce_integral(w.rel_trace()), rf.reduce_integral(-w.rel_norm())
+    roots = rf.quadratic_roots(B, C)
+    kind = {2: "split", 1: "ramified", 0: "inert"}[len(roots)]
+    ram = K.rel_disc.valuation(pr) > 0
+    assert (kind == "ramified") == ram, f"residue roots vs discriminant at {pr}"
+    return w, rf, roots, kind
+
+
+def primes_above_by_residue_field(K, pr: PrimeIdeal) -> list:
+    """The KPrimes above pr: pr o_K when inert, else pr o_K + (w - r) o_K for
+    each root r of local_quadratic, lifted to o_F."""
+    from relclass.cm import KElem, KIdeal, KPrime
+    from relclass.field import _row_mul
+
+    F = K.F
+    w, rf, roots, kind = local_quadratic(K, pr)
+    pK = K.extend_ideal(pr.ideal)
+    if kind == "inert":
+        return [KPrime(pr, 2, False, pK)]
+    out = []
+    for r in roots:
+        lift = F.elem(r[0]) if rf.f == 1 else F.elem(r[0], r[1])
+        g = w - KElem(K, lift, F.zero())
+        grow, den = K._to_order(g)
+        rows = [[x * den for x in row] for row in pK.num]
+        rows += [_row_mul(K._mt, grow, e) for e in K._unit_rows]
+        ideal = KIdeal.from_rows(K, rows, den).two_element()
+        out.append(KPrime(pr, 1, kind == "ramified", ideal))
+    return out
+
+
+def tame_symbol_by_residue_field(F: Field, s: FieldElem, d: FieldElem, pr: PrimeIdeal) -> int:
+    """(s, d) at an odd prime from the residues of the unit parts of s and d."""
+    rf = ResidueField(F, pr)
+    alpha = s.valuation(pr)
+    beta = d.valuation(pr)
+    us = rf.unit_residue(s, alpha)
+    ud = rf.unit_residue(d, beta)
+    q = rf.q
+    sign = -1 if (alpha * beta) % 2 == 1 and (q - 1) // 2 % 2 == 1 else 1
+    chi_s = rf.legendre(us)
+    chi_d = rf.legendre(ud)
+    out = sign
+    if beta % 2 == 1:
+        out *= chi_s
+    if alpha % 2 == 1:
+        out *= chi_d
+    return out

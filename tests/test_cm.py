@@ -239,7 +239,7 @@ def test_splitting_kinds_match_disc():
 
 @pytest.mark.parametrize("corpus", ["q50", "quartic80"])
 def test_splitting_kind_matches_primes_above(corpus):
-    # the kind read from the residue roots alone agrees with the primes of K
+    # the kind read without building primes agrees with the primes of K
     # built above each base prime of norm below 200, the dyadic ones included
     root = Path(__file__).resolve().parent.parent
     for entry in load_corpus(str(root / "corpus" / f"{corpus}.txt")):
@@ -251,6 +251,37 @@ def test_splitting_kind_matches_primes_above(corpus):
                 ks = K.primes_above(pr)
                 built = "split" if len(ks) == 2 else ("ramified" if ks[0].ramified else "inert")
                 assert K.splitting_kind(pr) == built, (entry.label(), pr)
+
+
+def _stratified_rows(corpus: str):
+    """Every fourth row of each base field's rows of the corpus, ordered by
+    the norm of the relative discriminant."""
+    root = Path(__file__).resolve().parent.parent
+    by_field = {}
+    for entry in load_corpus(str(root / "corpus" / f"{corpus}.txt")):
+        K = entry.cm()
+        by_field.setdefault(K.F.m, []).append(K)
+    for Ks in by_field.values():
+        yield from sorted(Ks, key=lambda K: (K.rel_disc_norm, str(K.delta)))[::4]
+
+
+@pytest.mark.parametrize("corpus", ["q50", "quartic80"])
+def test_splitting_and_primes_above_match_the_residue_field(corpus):
+    """The kind from the relative discriminant and one quadratic character
+    agrees with the residue-field roots at every prime over p <= 500, and the
+    primes above from sqrt_mod_p or the residue scan are the residue-field
+    ones, in the same order with the same ideals and two-element generators,
+    up to norm 200."""
+    for K in _stratified_rows(corpus):
+        for p in primes_up_to(500):
+            for pr in K.F.splitting(p).primes:
+                kind = oracles.local_quadratic(K, pr)[3]
+                assert K.splitting_kind(pr) == kind, (K, pr)
+                if pr.norm() > 200:
+                    continue
+                got, want = K.primes_above(pr), oracles.primes_above_by_residue_field(K, pr)
+                data = lambda kps: [(kp.rel_f, kp.ramified, kp.ideal.key(), kp.ideal._gens) for kp in kps]
+                assert data(got) == data(want), (K, pr)
 
 
 def test_decompose_and_recompose_over_Q():

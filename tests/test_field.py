@@ -17,9 +17,13 @@ from relclass.field import (
     FElem,
     FIdeal,
     factor_prime,
+    fundamental_unit_xy,
     ideals_of_norm_up_to,
+    is_squarefree,
     make_field,
+    omega_root,
     primes_up_to,
+    residue_char,
     surd_floor,
     surd_sign,
 )
@@ -85,6 +89,47 @@ def test_unit_is_fundamental_exhaustive(m):
                         assert (xx - y) % 2 != 0
                     else:
                         assert xx % 2 != 0 or y % 2 != 0
+
+
+def test_fundamental_unit_matches_the_scan():
+    """The closed form (the continued-fraction unit of Z[sqrt m] or its cube
+    root in Z[omega]) agrees with the y-scan for every squarefree m < 150,
+    and gives m = 151, where the scan would step y up to 281269386."""
+    for m in range(2, 150):
+        if is_squarefree(m):
+            assert fundamental_unit_xy(m) == oracles.fundamental_unit_by_scan(m), m
+    x, y = fundamental_unit_xy(151)
+    assert (x, y) == (3456296080, 281269386) and x * x - 151 * y * y in (4, -4)
+
+
+def test_residue_char_and_omega_root_match_the_residue_field():
+    """Over Q and Q(sqrt m), m in {2, 3, 5, 7, 13, 17, 19, 21}, at every prime
+    above an odd p < 40: omega_root is a root of omega's minimal polynomial
+    mod p^k at the residue of omega, and residue_char is the Legendre symbol
+    of the residue field on small integral elements and on their quotients
+    by 3 + omega, which put a split p into the denominator."""
+    den_cases = 0
+    for F in [Q] + [make_field(2, m) for m in (2, 3, 5, 7, 13, 17, 19, 21)]:
+        small = {F.elem(a, b * (F.n - 1)) for a in range(-4, 5) for b in range(-4, 5)} - {F.zero()}
+        small = sorted(small, key=FElem.coords)
+        pool = small + [x / F.elem(3, F.n - 1) for x in small]
+        for p in primes_up_to(39)[1:]:
+            for pr in F.splitting(p).primes:
+                rf = oracles.ResidueField(F, pr)
+                if pr.f == 1:
+                    unramified = pr.e == 1 and F.n == 2
+                    for k in [1, 2, 3, 5] if unramified else [1]:
+                        R = omega_root(pr, k)
+                        assert 0 <= R < p**k and R % p == rf.omega_image
+                        assert (R * R - F.c1 * R - F.c0) % p**k == 0
+                for x in pool:
+                    v = x.valuation(pr)
+                    if v == 0:
+                        assert residue_char(pr, x) == rf.legendre(rf.reduce(x)), (F, pr, x)
+                        den_cases += x.den % p == 0
+                    elif v > 0 and x.is_integral():
+                        assert residue_char(pr, x) == 0
+    assert den_cases > 0
 
 
 def test_elem_ops():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from oracles import ResidueField
+
 from relclass.field import make_field, primes_up_to
-from relclass.finitefield import ResidueField
 
 
 def _inert_residue_fields():

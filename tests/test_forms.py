@@ -1,14 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import hilbert_symbol_2adic_oracle, twoadic_symbol_by_enumeration
+from oracles import (
+    hilbert_symbol_2adic_oracle,
+    tame_symbol_by_residue_field,
+    twoadic_symbol_by_enumeration,
+)
 
 from relclass.cm import class_counts, make_cm
 from relclass.errors import DegenerateForm, LemmaViolation, NotFundamental
-from relclass.field import make_field, prime_divisors
+from relclass.field import make_field, prime_divisors, primes_up_to
 from relclass.forms import (
     classify,
     form_field,
@@ -146,6 +151,27 @@ def test_classify_counts():
         strong, weak = classify(K)
         assert len(weak) == weak_expected
         assert len(weak) <= class_counts(K)[0] <= 2 * len(weak)
+
+
+@pytest.mark.parametrize("m", [None, 2, 3, 5, 7, 13, 17, 19, 21])
+def test_tame_symbols_match_the_residue_field(m):
+    """hilbert_symbol at every prime over an odd p < 40, split, inert or
+    ramified, agrees with the symbol read from residue-field images of the
+    unit parts.  s and d run over small integral elements, their quotients
+    by 3 + omega (a split p then divides the denominator), and products
+    with the prime's generator, so that valuations of both signs occur."""
+    F = make_field(1) if m is None else make_field(2, m)
+    rng = random.Random(m or 1)
+    small = {F.elem(a, b * (F.n - 1)) for a in range(-3, 4) for b in range(-3, 4)} - {F.zero()}
+    small = sorted(small, key=lambda x: x.coords())
+    pool = small + [x / F.elem(3, F.n - 1) for x in small]
+    for p in primes_up_to(39)[1:]:
+        for pr in F.splitting(p).primes:
+            local = pool + [x * pr.second_gen for x in rng.sample(pool, min(20, len(pool)))]
+            for _ in range(600):
+                s, d = rng.choice(local), rng.choice(local)
+                want = tame_symbol_by_residue_field(F, s, d, pr)
+                assert hilbert_symbol(F, s, d, pr) == want, (s, d, pr)
 
 
 def test_hilbert_symbol_classics():
