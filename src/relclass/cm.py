@@ -386,12 +386,21 @@ class CMField:
     def _residue_roots(self, pr: PrimeIdeal, w: KElem) -> list[FElem]:
         """Representatives in o_F of the roots in o/pr of X^2 - Tr(w) X + N(w),
         ascending.  At odd p with f = 1 they come from a square root of the
-        discriminant's image in F_p; at p = 2 or f = 2 from a scan of o/pr."""
+        discriminant's image in F_p.  At p = 2 or f = 2 a scan of o/pr stops
+        at the first root r1, and the other is Tr(w) - r1 reduced into the
+        transversal (x mod h00 by the row (h00, h01), then y mod h11), so it
+        comes later in the scan."""
         F = self.F
         t, n = w.rel_trace(), w.rel_norm()
         p = pr.p
         if p == 2 or pr.f == 2:
-            return [r for r in ideal_transversal(F, pr.ideal) if pr.ideal.contains(r * r - t * r + n)]
+            r1 = next((r for r in ideal_transversal(F, pr.ideal) if pr.ideal.contains(r * r - t * r + n)), None)
+            if r1 is None:
+                return []
+            r2, num = t - r1, pr.ideal.num
+            q, x = divmod(r2.na, num[0][0])
+            r2 = F.elem(x) if F.n == 1 else F.elem(x, (r2.nb - q * num[0][1]) % num[1][1])
+            return [r1] if r2 == r1 else [r1, r2]
         R = omega_root(pr, 1)
         disc = t * t - 4 * n
         s = sqrt_mod_p(disc.na + disc.nb * R, p)
@@ -829,9 +838,10 @@ class ClassCounts(NamedTuple):
 def class_counts(K: CMField) -> ClassCounts:
     """h_K, h and the conjugation orbit count: the one entry point for counts.
 
-    Degree-1 fields go through the integer-only lattice pipeline of imagquad,
-    which builds no representatives (h = h_K over Q); other fields read them
-    off the class data.  They are computed once per K.
+    Degree-1 fields count Gauss's reduced forms of discriminant
+    -rel_disc_norm through imagquad, which builds no representatives (h = h_K
+    over Q); other fields read them off the class data.  They are computed
+    once per K.
     """
     if K._counts is None:
         if K.F.n == 1:

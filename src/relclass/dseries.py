@@ -295,9 +295,10 @@ def mellin_quadrature(u: float, s: complex) -> complex:
 def norm_class_reps(K: CMField) -> list[KIdeal]:
     """One ideal in each class of Cl(K) modulo the image of Cl(F).
 
-    Over Q they come from imagquad's reduced forms (a, b, c) of discriminant
-    D = -N(d_K/F), as the ideals a Z + ((-b + sqrt D)/2) Z, and no class data
-    is built; otherwise they are the class data's N_reps.  The two paths
+    Over Q they come from Gauss's reduced forms (a, b, c) of discriminant
+    D = -N(d_K/F), one per class, which imagquad lists by a scan over
+    3a^2 <= -D: the ideals a Z + ((-b + sqrt D)/2) Z, with no class data
+    built; otherwise they are the class data's N_reps.  The two paths
     choose different ideals, so only readers of class invariants may call
     this: classify and decompose_ideal print or return their
     representatives and read the class data themselves.

@@ -275,7 +275,8 @@ class Field:
         return self.elem(1)
 
     def omega(self) -> "FElem":
-        return self.elem(0, 1)
+        """The generator omega of o_F over Z; 0 over Q, where o_F = Z."""
+        return self.elem(0, 1) if self.n == 2 else self.zero()
 
     def maximal_order_basis(self) -> list["FElem"]:
         if self.n == 1:

@@ -172,21 +172,3 @@ def short_vectors(reduced: LLLData, bound) -> list[tuple[int, ...]]:
     canon.sort()
     return canon
 
-
-def gauss_reduce_binary(a, b, c):
-    """Reduce a positive definite integer binary form (a, b, c); returns the
-    classical reduced representative (-a < b <= a <= c, b >= 0 when a == c)."""
-    while True:
-        if b > a or b <= -a:
-            # normalize b into (-a, a]
-            r = (a - b) // (2 * a)
-            b2 = b + 2 * r * a
-            c = a * r * r + b * r + c
-            b = b2
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        if a == c and b < 0:
-            b = -b
-        if -a < b <= a <= c and not (a == c and b < 0):
-            return (a, b, c)

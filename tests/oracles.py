@@ -1,9 +1,13 @@
 """Independent oracles used only by the test suite.
 
 These deliberately avoid the library's partition/principality decision logic:
-reduced forms are enumerated by a direct coefficient scan, class numbers of
-relative extensions come from a relation-lattice determinant, and small
-arithmetic facts are recomputed from first principles.
+class numbers of relative extensions come from a relation-lattice determinant,
+and small arithmetic facts are recomputed from first principles.  Over Q the
+library lists Gauss's reduced forms by a coefficient scan, as `reduced_forms`
+here does; its independent reference is the ideal-product pipeline
+`reduced_forms_by_ideal_products`, which multiplies the prime ideals up to
+the Minkowski bound as HNF lattices and Gauss-reduces each product's norm
+form.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from math import gcd, isqrt
 
 from relclass.errors import MixedFields, NoRepresentedValueFound, SearchBudgetExceeded
 from relclass.field import FElem as FieldElem
-from relclass.field import Field, PrimeIdeal, _felem, ideal_transversal, sqrt_mod_p
+from relclass.field import Field, PrimeIdeal, _felem, ideal_transversal, kronecker, primes_up_to, sqrt_mod_p
 from relclass.intmat import hnf_lattice, solve_exact
 
 
@@ -60,6 +64,113 @@ def conj_orbits_oracle(D: int) -> int:
         seen.add(fb)
         orbits += 1
     return orbits
+
+
+def gauss_reduce_binary(a, b, c):
+    """Reduce a positive definite integer binary form (a, b, c); returns the
+    classical reduced representative (-a < b <= a <= c, b >= 0 when a == c)."""
+    while True:
+        if b > a or b <= -a:
+            # normalize b into (-a, a]
+            r = (a - b) // (2 * a)
+            b2 = b + 2 * r * a
+            c = a * r * r + b * r + c
+            b = b2
+        if a > c:
+            a, b, c = c, -b, a
+            continue
+        if a == c and b < 0:
+            b = -b
+        if -a < b <= a <= c and not (a == c and b < 0):
+            return (a, b, c)
+
+
+def _prime_ideal_b(D: int, p: int) -> int | None:
+    """b for the ideal Z*p + Z*(b+sqrt D)/2 above p; None when p is inert."""
+    if p == 2:
+        r = D % 8
+        if r == 1:
+            return 1
+        if r == 5:
+            return None
+        # D = 0 mod 4: ramified
+        return 0 if D % 8 == 0 else 2
+    if D % p == 0:
+        return p if D % 2 else 0
+    s = sqrt_mod_p(D % p, p)
+    if s is None:
+        return None
+    b = s if (s - D) % 2 == 0 else p - s if (p - s - D) % 2 == 0 else s + p
+    return b % (2 * p)
+
+
+def _quadratic_ideal_product(D: int, L1: tuple[int, int, int], L2: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Product of two integral ideals of the order of discriminant D, given as
+    HNF triples (a, u, v) of the rows (a, 0), (u, v) over {1, theta} with
+    theta = (D + sqrt D)/2, so theta^2 = D theta - (D^2 - D)/4."""
+    s, t = D, -((D * D - D) // 4)
+    a1, u1, v1 = L1
+    a2, u2, v2 = L2
+    rows = []
+    for x1, y1 in ((a1, 0), (u1, v1)):
+        for x2, y2 in ((a2, 0), (u2, v2)):
+            # (x1 + y1 th)(x2 + y2 th) = x1x2 + y1y2 t + (x1y2 + x2y1 + y1y2 s) th
+            rows.append([x1 * y2 + x2 * y1 + y1 * y2 * s, x1 * x2 + y1 * y2 * t])
+    # HNF with the theta column first: rows [[v, u], [0, a]]
+    (v, u), (_, a) = hnf_lattice(rows)
+    return (a, u, v)
+
+
+def _norm_form_key(D: int, L: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Gauss-reduced norm form of the ideal lattice: the class invariant."""
+    a, u, v = L
+    # N(x + y theta) = x^2 + D x y + y^2 (D^2 - D)/4 on e1 = (a, 0), e2 = (u, v)
+    q = (D * D - D) // 4
+    A, B, C = a * a, 2 * a * u + D * a * v, u * u + D * u * v + v * v * q
+    n = a * v
+    assert A % n == 0 and B % n == 0 and C % n == 0
+    return gauss_reduce_binary(A // n, B // n, C // n)
+
+
+def reduced_forms_by_ideal_products(D: int) -> list[tuple[int, int, int]]:
+    """The reduced norm forms of the classes of the field of discriminant
+    D < 0, sorted, from the ideals: every product of prime ideals of norm up
+    to the Minkowski bound (2/pi) sqrt|D|, with its norm form Gauss-reduced."""
+    bound = int((2.0 / math.pi) * (abs(D) ** 0.5) * (1 + 1e-12)) + 1
+    prime_data = []
+    for p in primes_up_to(bound):
+        b = _prime_ideal_b(D, p)
+        if b is None:
+            continue  # inert primes only contribute principal content
+        # Z*p + Z*(b + sqrt D)/2 = rows (p, 0), ((b - D)/2 mod p, 1)
+        lat = (p, (b - D) // 2 % p, 1)
+        conj = None if kronecker(D, p) == 0 else (p, (-b - D) // 2 % p, 1)
+        prime_data.append((p, lat, conj))
+    keys: set[tuple[int, int, int]] = set()
+
+    def rec(i: int, cur: tuple[int, int, int], nm: int):
+        keys.add(_norm_form_key(D, cur))
+        if i == len(prime_data):
+            return
+        rec(i + 1, cur, nm)
+        p, lat, conj = prime_data[i]
+        # split primes take one-sided powers; mixed products are content
+        # multiples, and a ramified prime squares to (p)
+        for side in (lat, conj):
+            if side is None:
+                continue
+            nm2, cur2 = nm, cur
+            while True:
+                nm2 *= p
+                if nm2 > bound:
+                    break
+                cur2 = _quadratic_ideal_product(D, cur2, side)
+                rec(i + 1, cur2, nm2)
+                if conj is None:
+                    break
+
+    rec(0, (1, 0, 1), 1)
+    return sorted(keys)
 
 
 def fundamental_discs(limit: int) -> list[int]:

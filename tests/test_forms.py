@@ -174,6 +174,14 @@ def test_tame_symbols_match_the_residue_field(m):
                 assert hilbert_symbol(F, s, d, pr) == want, (s, d, pr)
 
 
+def test_omega_over_Q_is_zero():
+    """Over Q omega is 0, not a nilpotent with nb = 1: 3 / (omega + 3) is 1,
+    and the symbol at 3 of it against -1 is (1, -1)_3 = 1."""
+    x = Q.elem(3) / (Q.omega() + 3)
+    assert (x.na, x.nb, x.den) == (1, 0, 1)
+    assert hilbert_symbol(Q, x, Q.elem(-1), Q.splitting(3).primes[0]) == 1
+
+
 def test_hilbert_symbol_classics():
     p2 = Q.splitting(2).primes[0]
     for a in (-7, -5, -3, -1, 1, 2, 3, 5, 6, 10):

@@ -230,7 +230,9 @@ def test_cli_import_loads_no_numeric_layer():
 def test_only_bound_loads_mpmath_and_hecke(tmp_path):
     """verify with every check runs no mpmath, no eigenvalue table and no
     form code; bound on a parity-applicable row loads mpmath and hecke, so
-    the check can fail."""
+    the check can fail.  On these rows bound loads no lattice code: over Q
+    the class numbers come from imagquad's reduced forms, and imagquad
+    imports nothing from the package."""
     corpus = tmp_path / "two.txt"
     # a q50 row, and a quartic row with reldisc 1764 > 4^2, so lemma41 runs on both
     corpus.write_text("1,-,-1947,0,8,3\n2,2,-21,0,8,4\n")
@@ -249,7 +251,6 @@ def test_only_bound_loads_mpmath_and_hecke(tmp_path):
         "relclass.corpus",
         "relclass.dseries",
         "relclass.hecke",
-        "relclass.lattice",
     ]
 
 
