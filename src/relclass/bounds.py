@@ -174,7 +174,9 @@ def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
     after multiplying by the conjugate of u1 + t v1 sqrt m, with integers
     P0, Q0 (one pair per side Y), P1, Q1 and d > 0 fixed once per box.  The
     two sides of each embedding bound s, the lower from Y = L(x0_j - c_j)
-    unless sigma_j(b1) < 0 swaps them, so a line costs four exact floors."""
+    unless sigma_j(b1) < 0 swaps them, so a line costs four exact floors.
+    The sides (L, Y) and the basis's (u_i, v_i) are taken once per box and
+    shared with _line_range."""
     L, sides = _box_sides(x0, c)
     if F.n == 1:
         # the points k*a/den; L*(x0 - c) <= k*a*L/den <= L*(x0 + c)
@@ -182,9 +184,10 @@ def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
         a, den = idl.num[0][0], idl.den
         return max(0, (hi * den) // (L * a) + (-lo * den) // (L * a) + 1)
     b0, b1 = idl.basis_elems()
-    r_lo, r_hi = _line_range(b0, b1, x0, c)
     m = F.m
-    (u0, v0), (u1, v1) = b0._uv(), b1._uv()
+    uv0, uv1 = b0._uv(), b1._uv()
+    r_lo, r_hi = _line_range(m, b0.den, uv0, uv1, L, sides)
+    (u0, v0), (u1, v1) = uv0, uv1
     e0, e1 = 2 * b0.den, 2 * b1.den
     d = e0 * L * (u1 * u1 - m * v1 * v1)
     g = e1 if d > 0 else -e1
@@ -209,9 +212,11 @@ def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
     return count
 
 
-def _line_range(b0, b1, x0: tuple, c: tuple) -> tuple[int, int]:
+def _line_range(m: int, den0: int, uv0: tuple, uv1: tuple, L: int, sides: list) -> tuple[int, int]:
     """Least and greatest r whose line r*b0 + s*b1 (s real) meets the box.
 
+    The basis enters as (u_i, v_i) = b_i._uv() with den0 = b0.den, and the box
+    as _box_sides gives it: the integer sides Y over L.
     r = Tr(b0* x) = sigma_0(b0*) sigma_0(x) + sigma_1(b0*) sigma_1(x) for the
     trace-dual element b0*; by Cramer's rule, with sigma_j(b_i) =
     (u_i + t v_i sqrt m)/(2 den_i) and D = v0 u1 - u0 v1,
@@ -219,11 +224,9 @@ def _line_range(b0, b1, x0: tuple, c: tuple) -> tuple[int, int]:
     at the point of embeddings (y0, y1), so sigma_j(b0*) has the sign of D times
     that of sigma_1(b1) for j = 0 and of -sigma_0(b1) for j = 1.  r is extreme
     at the two corners those signs pick: one exact floor each."""
-    m = b0.F.m
-    (u0, v0), (u1, v1) = b0._uv(), b1._uv()
+    (u0, v0), (u1, v1) = uv0, uv1
     D = v0 * u1 - u0 * v1
-    g = b0.den if D > 0 else -b0.den
-    L, sides = _box_sides(x0, c)
+    g = den0 if D > 0 else -den0
     top, bottom = [], []
     for (lo, hi), k in zip(sides, (surd_sign(u1, -v1, m), -surd_sign(u1, v1, m))):
         top.append(hi if k * g > 0 else lo)
@@ -235,17 +238,32 @@ def _line_range(b0, b1, x0: tuple, c: tuple) -> tuple[int, int]:
 
 
 def box_bound_check(F: Field, consts: LatticeConstants, idl: FIdeal, x0: tuple, c: tuple) -> dict:
-    """Exact count against the certified covering bound."""
-    c = tuple(Fraction(v) for v in c)
-    prod_c = math.prod(c)
+    """Exact count against the certified covering bound fac1 * prod(c) / N(a).
+
+    The comparison runs on integers, one product per side.  With
+    prod(c) = P/Q, N(a) = a/b and the dyadic rationals T0.hi = t/tq and
+    fac1.lo = f/fq (floats are exact ratios), the precondition
+    prod(c) >= T0.hi N(a) reads P b tq >= t a Q, and the count is within the
+    bound when count Q a fq <= f P b.  The bound reported is that exact
+    rational fac1.lo * prod(c) / N(a): under the precondition prod(c) > 0,
+    so it is a certified lower end of the bound, and it is never below the
+    outward-rounded interval product's lower end."""
+    P = Q = 1
+    for v in c:
+        P *= v.numerator
+        Q *= v.denominator
     nm = idl.norm()
-    pre_ok = prod_c >= Fraction(consts.T0.hi) * nm
+    a, b = nm.numerator, nm.denominator
+    t, tq = consts.T0.hi.as_integer_ratio()
+    f, fq = consts.fac1.lo.as_integer_ratio()
+    pre_ok = P * b * tq >= t * a * Q
     count = count_box(F, idl, x0, c)
-    bound = consts.fac1 * Interval(prod_c) / Interval(Fraction(nm))
-    ok = count <= bound.lo
+    top, bottom = f * P * b, Q * a * fq
+    ok = count * bottom <= top
+    bound = Fraction(top, bottom)
     if pre_ok and not ok:
         raise BoundViolated(f"count {count} exceeds certified bound {bound}")
-    return {"count": count, "bound": bound.lo, "precondition": pre_ok, "ok": ok or not pre_ok}
+    return {"count": count, "bound": bound, "precondition": pre_ok, "ok": ok or not pre_ok}
 
 
 # -- norm counting --------------------------------------------------------------------

@@ -174,7 +174,10 @@ def twist_table(table: EigenvalueTable, chi: QuadChar) -> EigenvalueTable:
     For a squarefree source level a = a1 * a2 (a2 | cond) the new level is
     exactly a1 * cond^2.  Otherwise the recorded level is the standard upper
     bound lcm(a, cond^2); eigenvalues away from cond and the level are exact
-    either way, which is all the twist-involution contract uses."""
+    either way, which is all the twist-involution contract uses.  Only a
+    twist of a twist reaches that branch (test_hecke's
+    test_epsilon_needs_squarefree_level): the tables that CLI commands and
+    the gate criteria build have squarefree levels."""
     F = table.F
     if F != chi.K.F:
         raise NonQuadraticCharacter("character lives over a different base field")

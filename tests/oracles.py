@@ -16,10 +16,12 @@ import math
 from fractions import Fraction
 from math import gcd, isqrt
 
-from relclass.errors import MixedFields, NoRepresentedValueFound, SearchBudgetExceeded
+from relclass import bounds
+from relclass.errors import BoundViolated, MixedFields, NoRepresentedValueFound, SearchBudgetExceeded
 from relclass.field import FElem as FieldElem
 from relclass.field import Field, PrimeIdeal, _felem, ideal_transversal, kronecker, primes_up_to, sqrt_mod_p
 from relclass.intmat import hnf_lattice, solve_exact
+from relclass.numerics import Interval
 
 
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
@@ -964,6 +966,26 @@ def _in_box_exact(F: Field, x, x0, c) -> bool:
         if hi.embedding_sign(i) > 0 or lo.embedding_sign(i) < 0:
             return False
     return True
+
+
+# The covering-bound check that relclass.bounds ran before it compared on
+# integers, kept verbatim: prod(c) and N(a) enter as outward-rounded intervals,
+# and the count must lie below the lower end of fac1 * prod(c) / N(a).  The
+# count is the library's count_box, which the point scan above checks.
+
+
+def box_bound_check_by_intervals(F: Field, consts, idl, x0: tuple, c: tuple) -> dict:
+    """Exact count against the certified covering bound."""
+    c = tuple(Fraction(v) for v in c)
+    prod_c = math.prod(c)
+    nm = idl.norm()
+    pre_ok = prod_c >= Fraction(consts.T0.hi) * nm
+    count = bounds.count_box(F, idl, x0, c)
+    bound = consts.fac1 * Interval(prod_c) / Interval(Fraction(nm))
+    ok = count <= bound.lo
+    if pre_ok and not ok:
+        raise BoundViolated(f"count {count} exceeds certified bound {bound}")
+    return {"count": count, "bound": bound.lo, "precondition": pre_ok, "ok": ok or not pre_ok}
 
 
 # -- ideals of the base field ---------------------------------------------------------

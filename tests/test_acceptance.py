@@ -15,10 +15,9 @@ from pathlib import Path
 
 import pytest
 from oracles import (
-    class_number_oracle,
-    conj_orbits_oracle,
     fundamental_discs,
-    reduced_forms,
+    gauss_reduce_binary,
+    reduced_forms_by_ideal_products,
     relation_class_number,
 )
 
@@ -59,15 +58,18 @@ def test_01_correspondence_rational():
     assert len(discs) >= 3000
     for D in discs:
         h, orbits = class_group_counts(D)
-        oracle_h = class_number_oracle(D)
-        oracle_orbits = conj_orbits_oracle(D)
+        # the oracle side multiplies prime ideals, not coefficients: the norm
+        # forms of the products, and an orbit {f, reduction of f's conjugate}
+        oracle = reduced_forms_by_ideal_products(D)
+        oracle_h = len(oracle)
+        oracle_orbits = len({min(f, gauss_reduce_binary(f[0], -f[1], f[2])) for f in oracle})
         assert (h, orbits) == (oracle_h, oracle_orbits), (D, h, orbits, oracle_h, oracle_orbits)
         assert orbits <= h <= 2 * orbits
     dt = time.time() - t0
     _report(
         1,
         dt < 180,
-        f"{len(discs)} rational fields match the reduced-form oracle in {dt:.0f}s (< 180s)",
+        f"{len(discs)} rational fields match the ideal-product oracle in {dt:.0f}s (< 180s)",
     )
 
 

@@ -124,7 +124,7 @@ def test_count_box_builds_no_element_per_line(monkeypatch):
     elems = []
     for c in ((1, 1), (40, 40)):
         b0, b1 = one.basis_elems()
-        r_lo, r_hi = bnd._line_range(b0, b1, (0, 0), c)
+        r_lo, r_hi = bnd._line_range(F5.m, b0.den, b0._uv(), b1._uv(), *bnd._box_sides((0, 0), c))
         built.clear()
         bnd.count_box(F5, one, (0, 0), c)
         elems.append((r_hi - r_lo + 1, built.count(FElem)))
@@ -190,7 +190,8 @@ def test_line_range_is_tight():
         if F.n == 1:
             continue
         b0, b1 = idl.basis_elems()
-        r_lo, r_hi = bnd._line_range(b0, b1, tuple(map(Fraction, x0)), tuple(map(Fraction, c)))
+        sides = bnd._box_sides(tuple(map(Fraction, x0)), tuple(map(Fraction, c)))
+        r_lo, r_hi = bnd._line_range(F.m, b0.den, b0._uv(), b1._uv(), *sides)
         with mpmath.workdps(60):
             s = mpmath.sqrt(F.m)
             omegas = (s, -s) if F.c1 == 0 else ((1 + s) / 2, (1 - s) / 2)
@@ -225,6 +226,47 @@ def test_box_bound_monotone_in_slack():
     lat2 = bnd.LatticeConstants(lat.d0, lat.T0, C_T0, lat.C_1, lat.A1, lat.A2, _fac1(Q, lat.T0, C_T0))
     rep2 = bnd.box_bound_check(Q, lat2, Q.unit_ideal(), (0,), (5,))
     assert rep2["bound"] >= rep1["bound"]
+
+
+def test_box_check_agrees_with_the_interval_check():
+    """On the acceptance-07 boxes the integer check gives the interval check's
+    count and precondition, accepts every box it accepts, and reports a bound
+    never below its outward-rounded one."""
+    lats = {}
+    for F, idl, x0, c in _acceptance_07_boxes():
+        lat = lats.setdefault(F, bnd.lattice_constants(F))
+        rep = bnd.box_bound_check(F, lat, idl, x0, c)
+        ref = oracles.box_bound_check_by_intervals(F, lat, idl, x0, c)
+        assert (rep["count"], rep["precondition"]) == (ref["count"], ref["precondition"]), (F, idl, x0, c)
+        assert rep["ok"] or not ref["ok"], (F, idl, x0, c)
+        assert rep["bound"] >= Fraction(ref["bound"])
+
+
+def test_box_check_accepts_a_count_on_the_bound():
+    # fac1.lo = 9/4 and [-4, 4] holds 9 integers: the count equals fac1.lo * 4
+    # exactly, where the outward-rounded interval product falls one ulp short
+    lat = LAT_Q._replace(fac1=Interval(2.25, 2.5))
+    rep = bnd.box_bound_check(Q, lat, Q.unit_ideal(), (0,), (4,))
+    assert rep == {"count": 9, "bound": 9, "precondition": True, "ok": True}
+    with pytest.raises(BoundViolated):
+        oracles.box_bound_check_by_intervals(Q, lat, Q.unit_ideal(), (0,), (4,))
+
+
+def test_box_check_builds_no_interval(monkeypatch):
+    """The check compares integers only: no Interval is built in a call."""
+    lat5 = bnd.lattice_constants(F5)
+    built = []
+    init = Interval.__init__
+    monkeypatch.setattr(Interval, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    p3 = F5.splitting(3).primes[0].ideal
+    for F, lat, idl, x0, c in (
+        (Q, LAT_Q, Q.unit_ideal(), (0,), (5,)),
+        (Q, LAT_Q, Q.ideal(3), (Fraction(1, 2),), (Fraction(7, 2),)),
+        (F5, lat5, F5.unit_ideal(), (0, 0), (3, 3)),
+        (F5, lat5, p3, (Fraction(-7, 3), 1), (Fraction(17, 8), Fraction(33, 8))),
+    ):
+        assert bnd.box_bound_check(F, lat, idl, x0, c)["ok"]
+    assert built == []
 
 
 def test_norm_count_b_rational_example():
