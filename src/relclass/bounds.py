@@ -27,7 +27,18 @@ from .errors import (
     NoFeasibleLambda,
     ParityFails,
 )
-from .field import Field, FIdeal, PrimeIdeal, canonical_unit_row, primes_up_to, surd_floor, surd_sign
+from .field import (
+    Field,
+    FIdeal,
+    PrimeIdeal,
+    canonical_unit_row,
+    parity_applicable,
+    primes_up_to,
+    splitting_37,
+    surd_floor,
+    surd_sign,
+    surd_uv,
+)
 from .numerics import PI, Interval, iexp, ilog, imax, ipow, isqrt_iv
 
 if TYPE_CHECKING:
@@ -175,22 +186,24 @@ def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
     P0, Q0 (one pair per side Y), P1, Q1 and d > 0 fixed once per box.  The
     two sides of each embedding bound s, the lower from Y = L(x0_j - c_j)
     unless sigma_j(b1) < 0 swaps them, so a line costs four exact floors.
-    The sides (L, Y) and the basis's (u_i, v_i) are taken once per box and
-    shared with _line_range."""
+    The basis is read off the ideal's integer rows, b_i = (row_i . (1,
+    omega))/den, so e_0 = e_1 = 2 den; the sides (L, Y) and the (u_i, v_i)
+    are taken once per box and shared with _line_range."""
     L, sides = _box_sides(x0, c)
+    den = idl.den
     if F.n == 1:
         # the points k*a/den; L*(x0 - c) <= k*a*L/den <= L*(x0 + c)
         [(lo, hi)] = sides
-        a, den = idl.num[0][0], idl.den
+        a = idl.num[0][0]
         return max(0, (hi * den) // (L * a) + (-lo * den) // (L * a) + 1)
-    b0, b1 = idl.basis_elems()
     m = F.m
-    uv0, uv1 = b0._uv(), b1._uv()
-    r_lo, r_hi = _line_range(m, b0.den, uv0, uv1, L, sides)
+    row0, row1 = idl.num
+    uv0, uv1 = surd_uv(F, *row0), surd_uv(F, *row1)
+    r_lo, r_hi = _line_range(m, den, uv0, uv1, L, sides)
     (u0, v0), (u1, v1) = uv0, uv1
-    e0, e1 = 2 * b0.den, 2 * b1.den
+    e0 = 2 * den
     d = e0 * L * (u1 * u1 - m * v1 * v1)
-    g = e1 if d > 0 else -e1
+    g = e0 if d > 0 else -e0
     d = abs(d)
     p1 = g * L * (m * v0 * v1 - u0 * u1)
     q1 = g * L * (u0 * v1 - v0 * u1)
@@ -215,7 +228,7 @@ def count_box(F: Field, idl: FIdeal, x0: tuple, c: tuple) -> int:
 def _line_range(m: int, den0: int, uv0: tuple, uv1: tuple, L: int, sides: list) -> tuple[int, int]:
     """Least and greatest r whose line r*b0 + s*b1 (s real) meets the box.
 
-    The basis enters as (u_i, v_i) = b_i._uv() with den0 = b0.den, and the box
+    The basis enters as its (u_i, v_i) and den0 (den_1 cancels), and the box
     as _box_sides gives it: the integer sides Y over L.
     r = Tr(b0* x) = sigma_0(b0*) sigma_0(x) + sigma_1(b0*) sigma_1(x) for the
     trace-dual element b0*; by Cramer's rule, with sigma_j(b_i) =
@@ -448,24 +461,6 @@ def final_C(bundle: ConstantBundle) -> dict:
     if best is None:
         raise NoFeasibleLambda("no grid point with E2 > 0")
     return {"lambda": best[0], "C": best[1], "rows": rows, "breakdown": best[2]}
-
-
-def splitting_37(F: Field) -> tuple[int, int, int]:
-    """(s, e, f) with 37 o_F = (p_1 ... p_s)^e and f = n/(s e)."""
-    st = F.splitting(37)
-    s = len(st.primes)
-    e = st.primes[0].e
-    f = st.primes[0].f
-    assert f == F.n // (s * e)
-    return s, e, f
-
-
-def parity_applicable(F: Field) -> bool:
-    """[F:Q] odd, or s even in the 37-splitting (both give n + s even)."""
-    s, e, f = splitting_37(F)
-    if F.n % 2 == 1:
-        return True
-    return s % 2 == 0
 
 
 def final_bound(K: CMField, bundle: ConstantBundle, C: float | None = None) -> dict:

@@ -34,9 +34,6 @@ from typing import NamedTuple
 
 from .errors import (
     DecompositionFailed,
-    InvalidArgument,
-    NotIntegral,
-    NotTotallyNegative,
     SearchBudgetExceeded,
 )
 from .field import (
@@ -47,6 +44,7 @@ from .field import (
     PrimeIdeal,
     _felem,
     _row_mul,
+    cm_radicand,
     elem_with_valuation,
     ideal_transversal,
     omega_root,
@@ -156,16 +154,8 @@ class KPrime(NamedTuple):
 
 class CMField:
     def __init__(self, F: Field, delta: FElem):
-        if not isinstance(delta, FElem):
-            delta = F.elem(Fraction(delta))
-        if F.n == 1 and delta.nb:
-            raise InvalidArgument(f"delta has omega-coordinate {delta.b} over Q, where omega = 0")
-        if not delta.is_integral():
-            raise NotIntegral(f"delta = {delta} is not integral")
-        if not delta.is_totally_negative():
-            raise NotTotallyNegative(f"delta = {delta} is not totally negative")
         self.F = F
-        self.delta = delta
+        self.delta = cm_radicand(F, delta)
         self.deg = 2 * F.n
         self._build_order()
         self._build_mult_tables()
@@ -502,7 +492,7 @@ class CMField:
 
 def make_cm(F: Field, delta) -> CMField:
     """Construct K = F(sqrt delta), delta integral and totally negative."""
-    return CMField(F, delta if isinstance(delta, FElem) else F.elem(Fraction(delta)))
+    return CMField(F, delta)
 
 
 class KIdeal(LatticeIdeal):

@@ -19,6 +19,8 @@ from .errors import (
     InvalidArgument,
     MixedFields,
     NonSquarefree,
+    NotIntegral,
+    NotTotallyNegative,
     SearchBudgetExceeded,
 )
 from .intmat import echelon_solve, hnf_lattice, vec_mat, zspan_kernel
@@ -175,6 +177,12 @@ def surd_sign(p: int, q: int, m: int) -> int:
     if p > 0:
         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
     return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+
+
+def surd_uv(F: "Field", na: int, nb: int) -> tuple[int, int]:
+    """(u, v) with na + nb*omega = (u + v*sqrt(m))/2 in F = Q(sqrt m)."""
+    c1 = F.c1
+    return 2 * na + c1 * nb, (2 - c1) * nb
 
 
 def surd_floor(p: int, q: int, m: int, d: int) -> int:
@@ -359,6 +367,40 @@ def make_field(n: int, m: int | None = None) -> Field:
     if (n, m) not in _FIELDS:
         _FIELDS[n, m] = Field(n, m)
     return _FIELDS[n, m]
+
+
+def cm_radicand(F: Field, delta) -> "FElem":
+    """delta as an element of F, checked to give a CM field F(sqrt delta):
+    no omega-coordinate over Q (where omega = 0), integral and totally
+    negative.  The checks read F alone, so a caller can make them before it
+    builds the extension."""
+    if not isinstance(delta, FElem):
+        delta = F.elem(Fraction(delta))
+    if F.n == 1 and delta.nb:
+        raise InvalidArgument(f"delta has omega-coordinate {delta.b} over Q, where omega = 0")
+    if not delta.is_integral():
+        raise NotIntegral(f"delta = {delta} is not integral")
+    if not delta.is_totally_negative():
+        raise NotTotallyNegative(f"delta = {delta} is not totally negative")
+    return delta
+
+
+def splitting_37(F: Field) -> tuple[int, int, int]:
+    """(s, e, f) with 37 o_F = (p_1 ... p_s)^e and f = n/(s e)."""
+    st = F.splitting(37)
+    s = len(st.primes)
+    e = st.primes[0].e
+    f = st.primes[0].f
+    assert f == F.n // (s * e)
+    return s, e, f
+
+
+def parity_applicable(F: Field) -> bool:
+    """[F:Q] odd, or s even in the 37-splitting (both give n + s even)."""
+    s, e, f = splitting_37(F)
+    if F.n % 2 == 1:
+        return True
+    return s % 2 == 0
 
 
 def fundamental_unit_xy(m: int) -> tuple[int, int]:
@@ -561,9 +603,7 @@ class FElem:
 
     # sqrt(m)-coordinates: x = (u + v*sqrt m) / (2*den)
     def _uv(self) -> tuple[int, int]:
-        if self.F.c1 == 0:
-            return (2 * self.na, 2 * self.nb)
-        return (2 * self.na + self.nb, self.nb)
+        return surd_uv(self.F, self.na, self.nb)
 
     def embedding_sign(self, i: int) -> int:
         """Exact sign of the i-th real embedding (index 0 sends sqrt m -> +)."""

@@ -108,11 +108,6 @@ class PseudoForm(NamedTuple):
         )
 
 
-def make_form(F: Field, a, b, c, steinitz: FIdeal | None = None) -> PseudoForm:
-    conv = lambda v: v if isinstance(v, FElem) else F.elem(Fraction(v))
-    return PseudoForm(F, steinitz if steinitz is not None else F.unit_ideal(), conv(a), conv(b), conv(c))
-
-
 # -- fundamentality ------------------------------------------------------------------
 
 
@@ -136,7 +131,15 @@ def is_fundamental_local(F: Field, d: FElem, pr: PrimeIdeal) -> bool:
 
     Odd p: d not in p^2.  p | 2: quadratic residue mod 4, and either pi^2
     does not divide d or d/pi^2 is not a residue mod 4 (any u in o_p is
-    allowed in the residue test)."""
+    allowed in the residue test).
+
+    is_fundamental passes d* = d t^2/n^2 with v(t) = v(steinitz) and
+    v(n) = v(norm ideal), so v(d*) is the valuation of the ideal
+    D* = disc ideal / norm ideal^2, which is integral because
+    (b^2 - 4ac) steinitz^2 lies in the square of the norm ideal.  At an odd
+    prime not dividing D*, v(d*) = 0 and the test holds trivially.  (The
+    norm ideal counts: the form (1/3, 0, 3) over Q has discriminant -4 and
+    d* = -36 at 3.)"""
     v = d.valuation(pr)
     assert v >= 0
     if pr.p != 2:
@@ -156,7 +159,7 @@ def is_fundamental(Q: PseudoForm) -> bool:
     if d.is_zero():
         raise DegenerateForm("zero discriminant")
     nq = Q.norm_ideal()
-    for pr in _relevant_primes(F, Q):
+    for pr in _relevant_primes(Q, nq):
         t_a = elem_with_valuation(Q.steinitz, pr, Q.steinitz.valuation(pr))
         n_t = elem_with_valuation(nq, pr, nq.valuation(pr))
         d_star = d * t_a * t_a / (n_t * n_t)
@@ -165,22 +168,16 @@ def is_fundamental(Q: PseudoForm) -> bool:
     return True
 
 
-def _relevant_primes(F: Field, Q: PseudoForm) -> list[PrimeIdeal]:
-    nums = set()
-    for x in (Q.a, Q.b, Q.c, F.elem(2)):
-        if not x.is_zero():
-            nm = abs(x.norm())
-            nums.add(nm.numerator)
-            nums.add(nm.denominator)
-    nums.add(int(Q.steinitz.norm().numerator))
-    nums.add(int(Q.steinitz.norm().denominator))
-    ps = set()
-    for n in nums:
-        ps.update(prime_divisors(n))
-    out = []
-    for p in sorted(ps):
-        out.extend(F.splitting(p).primes)
-    return out
+def _relevant_primes(Q: PseudoForm, nq: FIdeal) -> list[PrimeIdeal]:
+    """The primes of F above 2 or above a prime dividing the norm of the
+    integral ideal D* = disc ideal / nq^2 (nq the norm ideal), by ascending
+    p: at any other prime is_fundamental_local holds trivially.  That norm is
+    |N(b^2 - 4ac)| N(steinitz)^2 / N(nq)^2, the one integer trial-divided;
+    the norms of a, b and c can be far larger."""
+    nm = abs(Q.field_disc().norm()) * (Q.steinitz.norm() / nq.norm()) ** 2
+    assert nm.denominator == 1
+    ps = {2, *prime_divisors(nm.numerator)}
+    return [pr for p in sorted(ps) for pr in Q.F.splitting(p).primes]
 
 
 def form_field(Q: PseudoForm) -> CMField:

@@ -19,7 +19,17 @@ from math import gcd, isqrt
 from relclass import bounds
 from relclass.errors import BoundViolated, MixedFields, NoRepresentedValueFound, SearchBudgetExceeded
 from relclass.field import FElem as FieldElem
-from relclass.field import Field, PrimeIdeal, _felem, ideal_transversal, kronecker, primes_up_to, sqrt_mod_p
+from relclass.field import (
+    Field,
+    PrimeIdeal,
+    _felem,
+    ideal_transversal,
+    kronecker,
+    prime_divisors,
+    primes_up_to,
+    sqrt_mod_p,
+)
+from relclass.forms import PseudoForm
 from relclass.intmat import hnf_lattice, solve_exact
 from relclass.numerics import Interval
 
@@ -388,6 +398,13 @@ def relation_class_number(K, budget: int = 2500, stable_window: int = 60):
     scan of small elements until the determinant is stable.  Conjugation is
     inversion on classes, so orbits = (h + #2-torsion)/2 with the 2-torsion
     read off the Smith form of the relation matrix.
+
+    The scan stops once the determinant has been stable for stable_window
+    relations.  The relations found span a sublattice of the full relation
+    lattice, so the determinant is a multiple of h_K, and it is h_K only if
+    the stop came late enough: nothing here certifies that.  Acceptance
+    criterion 2 therefore also compares h_K with the corpus column, which is
+    what pins the value.
     """
     assert K.F.h_F == 1
     bound = K.minkowski_bound()
@@ -1795,4 +1812,52 @@ def tame_symbol_by_residue_field(F: Field, s: FieldElem, d: FieldElem, pr: Prime
         out *= chi_s
     if alpha % 2 == 1:
         out *= chi_d
+    return out
+
+
+def relevant_primes_by_trial_division(Q, nq) -> list[PrimeIdeal]:
+    """The primes at which forms.is_fundamental once ran its local tests:
+    those above the primes dividing |N(a)|, |N(b)|, |N(c)|, 2 or the norm of
+    the Steinitz ideal of the form Q, found by trial division, by ascending
+    p.  It takes forms._relevant_primes's arguments but does not read the
+    norm ideal nq.  Unlike the primes of D* = disc ideal / nq^2 this set
+    can miss an odd prime that divides b^2 - 4ac but none of a, b, c."""
+    F = Q.F
+    nums = set()
+    for x in (Q.a, Q.b, Q.c, F.elem(2)):
+        if not x.is_zero():
+            nm = abs(x.norm())
+            nums.add(nm.numerator)
+            nums.add(nm.denominator)
+    nums.add(int(Q.steinitz.norm().numerator))
+    nums.add(int(Q.steinitz.norm().denominator))
+    ps = set()
+    for n in nums:
+        ps.update(prime_divisors(n))
+    return [pr for p in sorted(ps) for pr in F.splitting(p).primes]
+
+
+def make_form(F: Field, a, b, c, steinitz=None):
+    """The form (a, b, c) on o + steinitz (default o_F), with rational
+    coefficients taken into F."""
+    conv = lambda v: v if isinstance(v, FieldElem) else F.elem(Fraction(v))
+    return PseudoForm(F, steinitz if steinitz is not None else F.unit_ideal(), conv(a), conv(b), conv(c))
+
+
+def definite_forms(F: Field, rng, count: int) -> list:
+    """count random definite forms over F with small coefficients, drawn from
+    rng (the forms of acceptance criterion 6; unit Steinitz ideal, not
+    necessarily fundamental)."""
+    out = []
+    while len(out) < count:
+        if F.n == 1:
+            Qf = make_form(F, 1 + rng.randrange(8), rng.randrange(-8, 9), 1 + rng.randrange(9))
+        else:
+            a = F.elem(1 + rng.randrange(4), rng.randrange(-1, 2))
+            b = F.elem(rng.randrange(-3, 4), rng.randrange(-1, 2))
+            c = F.elem(1 + rng.randrange(4), rng.randrange(-1, 2))
+            Qf = make_form(F, a, b, c)
+        d = Qf.field_disc()
+        if not d.is_zero() and d.is_totally_negative():
+            out.append(Qf)
     return out

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    definite_forms,
     fundamental_discs,
     gauss_reduce_binary,
     reduced_forms_by_ideal_products,
@@ -27,7 +28,7 @@ from relclass.cli import load_corpus
 from relclass.cm import class_counts, make_cm
 from relclass.errors import LemmaViolation
 from relclass.field import make_field
-from relclass.imagquad import class_group_counts
+from relclass.imagquad import class_group_counts, reduced_forms
 
 ROOT = Path(__file__).resolve().parent.parent
 Q = make_field(1)
@@ -59,8 +60,10 @@ def test_01_correspondence_rational():
     for D in discs:
         h, orbits = class_group_counts(D)
         # the oracle side multiplies prime ideals, not coefficients: the norm
-        # forms of the products, and an orbit {f, reduction of f's conjugate}
+        # forms of the products, sorted, and an orbit {f, reduction of f's
+        # conjugate}
         oracle = reduced_forms_by_ideal_products(D)
+        assert reduced_forms(D) == oracle, D
         oracle_h = len(oracle)
         oracle_orbits = len({min(f, gauss_reduce_binary(f[0], -f[1], f[2])) for f in oracle})
         assert (h, orbits) == (oracle_h, oracle_orbits), (D, h, orbits, oracle_h, oracle_orbits)
@@ -74,6 +77,9 @@ def test_01_correspondence_rational():
 
 
 def test_02_correspondence_real_quadratic():
+    """class_counts against the relation-lattice oracle on quartic80.  The
+    oracle stops once its determinant has been stable for 60 relations, so
+    it can return a multiple of h_K; the corpus column pins the value."""
     t0 = time.time()
     entries = load_corpus(str(ROOT / "corpus" / "quartic80.txt"))
     per_field = {}
@@ -140,23 +146,8 @@ def test_06_unique_line():
     per_field = 200
     total = 0
     for F in [Q] + BASE_FIELDS:
-        done = 0
-        while done < per_field:
-            if F.n == 1:
-                a = 1 + rng.randrange(8)
-                b = rng.randrange(-8, 9)
-                c = 1 + rng.randrange(9)
-                Qf = forms.make_form(F, a, b, c)
-            else:
-                a = F.elem(1 + rng.randrange(4), rng.randrange(-1, 2))
-                b = F.elem(rng.randrange(-3, 4), rng.randrange(-1, 2))
-                c = F.elem(1 + rng.randrange(4), rng.randrange(-1, 2))
-                Qf = forms.PseudoForm(F, F.unit_ideal(), a, b, c)
-            d = Qf.field_disc()
-            if d.is_zero() or not d.is_totally_negative():
-                continue
+        for Qf in definite_forms(F, rng, per_field):
             constructions.minimal_lines(Qf)  # LemmaViolation on 2+ lines
-            done += 1
             total += 1
     _report(6, True, f"at most one sub-threshold saturated line on {total} random definite forms")
 

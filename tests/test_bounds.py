@@ -362,16 +362,6 @@ def test_f2_uniform_exceeds_one():
     assert cascade.f2_uniform(Q).lo > 1.0
 
 
-def test_parity_and_splitting_37():
-    assert bnd.parity_applicable(Q)
-    s, e, f = bnd.splitting_37(Q)
-    assert (s, e, f) == (1, 1, 1)
-    F3 = make_field(2, 3)
-    assert bnd.parity_applicable(F3)  # 37 splits: s = 2 even
-    assert not bnd.parity_applicable(F5)  # 37 inert: s = 1, n = 2
-    assert not bnd.parity_applicable(make_field(2, 2))
-
-
 def test_final_bound_branches_and_factor():
     tab = gz_table(200)
     tab.eps_sign = 1

@@ -236,6 +236,9 @@ def test_csv_output(tmp_path):
         ("1,,5,0", "NotTotallyNegative"),
         ("1,-,-4,3", "InvalidArgument"),
         ("1,5,-4,0", "InvalidArgument"),
+        # Q(sqrt 5) fails the parity test: bound checks delta before parity
+        ("2,5,3,0", "NotTotallyNegative"),
+        ("2,5,-1,1", "NotTotallyNegative"),
     ],
 )
 def test_bad_row_becomes_input_status(tmp_path, command, line, error):

@@ -129,19 +129,6 @@ def test_class_data_by_partition_over_Q_sqrt10(d, counts, n_reps):
     assert 2 * cd.h_K in (F.h_F * h_d * h_10d, 2 * F.h_F * h_d * h_10d)
 
 
-def test_reduced_forms_match_the_ideal_products():
-    """On every fundamental D in [-10^4, -3] the reduced-form scan gives the
-    sorted forms of the ideal-product pipeline, and class_group_counts their
-    number and the number of orbits {f, reduction of its conjugate}."""
-    discs = oracles.fundamental_discs(10**4)
-    assert len(discs) == 3043
-    for D in discs:
-        want = oracles.reduced_forms_by_ideal_products(D)
-        assert imagquad.reduced_forms(D) == want, D
-        orbits = {min(f, oracles.gauss_reduce_binary(f[0], -f[1], f[2])) for f in want}
-        assert class_group_counts(D) == (len(want), len(orbits)), D
-
-
 def test_class_counts_computed_once_per_field(monkeypatch):
     """Over Q the reduced-form enumeration runs once per K, however many
     readers ask for the counts."""

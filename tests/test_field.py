@@ -22,8 +22,10 @@ from relclass.field import (
     is_squarefree,
     make_field,
     omega_root,
+    parity_applicable,
     primes_up_to,
     residue_char,
+    splitting_37,
     surd_floor,
     surd_sign,
 )
@@ -32,6 +34,16 @@ Q = make_field(1)
 F2 = make_field(2, 2)
 F5 = make_field(2, 5)
 F10 = make_field(2, 10)
+
+
+def test_parity_and_splitting_37():
+    assert parity_applicable(Q)
+    s, e, f = splitting_37(Q)
+    assert (s, e, f) == (1, 1, 1)
+    F3 = make_field(2, 3)
+    assert parity_applicable(F3)  # 37 splits: s = 2 even
+    assert not parity_applicable(F5)  # 37 inert: s = 1, n = 2
+    assert not parity_applicable(F2)
 
 
 def test_rational_field_conventions():

@@ -1,16 +1,22 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    definite_forms,
     hilbert_symbol_2adic_oracle,
+    make_form,
+    relevant_primes_by_trial_division,
     tame_symbol_by_residue_field,
     twoadic_symbol_by_enumeration,
 )
 
+from relclass import forms
+from relclass.cli import load_corpus
 from relclass.cm import class_counts, make_cm
 from relclass.errors import DegenerateForm, LemmaViolation, NotFundamental
 from relclass.field import make_field, prime_divisors, primes_up_to
@@ -25,7 +31,6 @@ from relclass.forms import (
     ideal_to_form,
     is_fundamental,
     lower_bound_t,
-    make_form,
     weakly_equivalent,
 )
 from relclass.constructions import (
@@ -35,6 +40,7 @@ from relclass.constructions import (
     representable_criterion,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 Q = make_field(1)
 F2 = make_field(2, 2)
 F5 = make_field(2, 5)
@@ -80,6 +86,55 @@ def test_fundamentality():
     assert _is_fundamental_checked(make_form(Q, 3, 0, 3))  # disc/norm^2 = (4)
     assert _is_fundamental_checked(make_form(Q, 2, 2, 3))
     assert not _is_fundamental_checked(make_form(Q, 1, 0, 9))  # disc -36 = 9 * (-4)
+    # disc -4, but norm (1/3): d* = -36 at 3, a prime of the norm ideal only
+    assert not _is_fundamental_checked(make_form(Q, Fraction(1, 3), 0, 3))
+    assert not _is_fundamental_checked(make_form(Q, 1, 1, 16))  # disc -63 = 9 * (-7)
+
+
+def _verdicts(f, monkeypatch) -> tuple[bool, bool]:
+    """is_fundamental(f) on its prime set, and on the trial-division prime
+    set it read before."""
+    new = is_fundamental(f)
+    with monkeypatch.context() as patch:
+        patch.setattr(forms, "_relevant_primes", relevant_primes_by_trial_division)
+        return new, is_fundamental(f)
+
+
+def test_relevant_primes_agree_with_trial_division_on_classify_forms(monkeypatch):
+    """Every form classify builds over both corpora, the norm forms of the
+    orbit representatives and their unit-square scalings, gets the same
+    verdict from both prime sets."""
+    count = 0
+    for path in ("q50.txt", "quartic80.txt"):
+        for e in load_corpus(str(ROOT / "corpus" / path)):
+            K = e.cm()
+            units = forms._unit_square_reps(K.F)
+            for rep in K.class_data().orbit_reps:
+                f = ideal_to_form(K, rep)
+                for u in units:
+                    assert _verdicts(f.scaled(u), monkeypatch) == (True, True), (e.label(), rep)
+                    count += 1
+    assert count > 1000
+
+
+def test_relevant_primes_on_the_gate_forms(monkeypatch):
+    """On the random forms of acceptance criterion 6 the two prime sets
+    agree except where trial division of a, b and c misses an odd prime p
+    with p^2 | b^2 - 4ac, such as 5 for (7, 3, 3) of discriminant -75.
+    There the form is not fundamental, as the discriminant identity
+    confirms, and only the new prime set says so."""
+    rng = random.Random(20260808)
+    missed = 0
+    for F in [Q, F2, make_field(2, 3), F5, make_field(2, 13)]:
+        for f in definite_forms(F, rng, 200):
+            new, old = _verdicts(f, monkeypatch)
+            if new == old:
+                continue
+            assert old and not _is_fundamental_checked(f)
+            seen = {pr.p for pr in relevant_primes_by_trial_division(f, f.norm_ideal())}
+            assert any(pr.p not in seen and v >= 2 for pr, v in f.disc_ideal().factor())
+            missed += 1
+    assert 0 < missed < 100
 
 
 def test_basis_change_invariance():

@@ -311,16 +311,25 @@ def test_verify_over_a_quartic_field_loads_no_imagquad(tmp_path):
 
 
 def test_bound_loads_no_numeric_layer_before_a_row_passes_parity(tmp_path):
-    """Rows whose base field fails the 37-splitting parity test never reach
-    the cascade, so a corpus of them loads no mpmath, hecke, dseries,
-    cascade or lattice."""
+    """The parity test reads the base field alone, so rows whose base field
+    fails it build no CM field: a corpus of them compiles of the package only
+    the CLI, the base field and the corpus commands, and neither cm nor
+    bounds nor the numeric layer."""
     corpus = tmp_path / "parity.txt"
     # Q(sqrt 2) and Q(sqrt 5): s is odd in the 37-splitting of both
     corpus.write_text("2,2,-21,0\n2,5,-11,0\n")
     argv = ["bound", "--corpus", str(corpus), "--pmax", "100", "--lambda-grid", "1e29,1e30,1e31"]
-    report, layers = _run_and_list_layers(RUN_CLI.format(argv))
+    modules = [f"relclass.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    report, loaded = _run_and_list_layers(RUN_CLI.format(argv), LAYERS + tuple(modules))
     assert report.count('"status": "ParityFails: ') == 2
-    assert layers == ["relclass.bounds", "relclass.cm", "relclass.corpus"]
+    assert loaded == [
+        "relclass.cli",
+        "relclass.corpus",
+        "relclass.errors",
+        "relclass.field",
+        "relclass.formats",
+        "relclass.intmat",
+    ]
 
 
 def test_no_module_imports_dataclasses():
