@@ -8,11 +8,10 @@ field.LatticeIdeal lattices over the Z-basis of o_K, as ideals of F are over
 {1, omega}; products, conjugates and trace forms run through precomputed
 integer structure constants.
 
-The class group is built by subgroup closure over the prime generators with
-discrete-log bookkeeping, so conjugation (which is inversion on classes when
-the base class group is trivial) and the orbit count come from the group
-structure; a slower pairwise-partition fallback covers nontrivial base class
-groups.
+The class group is built by one subgroup closure with discrete-log
+bookkeeping, for every base class number: the extensions of the classes of F
+come first, then the prime generators, so conjugation (A -> A^-1 N(A) o_K, a
+linear map on logs) and the image of Cl(F) come from the group structure.
 
 Fields with o_K^x != o_F^x (the finitely many unit-exceptional extensions,
 F(zeta_6) = F(sqrt(-3)) among them) are constructed and flagged; the
@@ -48,7 +47,6 @@ from .field import (
     elem_with_valuation,
     ideal_transversal,
     omega_root,
-    prime_products,
     primes_up_to,
     residue_char,
     sqrt_mod_p,
@@ -476,15 +474,8 @@ class CMField:
 
     def class_data(self) -> "ClassData":
         if self._class_data is None:
-            self._class_data = _compute_class_data(self)
+            self._class_data = _class_data_by_closure(self)
         return self._class_data
-
-    def integral_ideals_up_to(self, bound: float) -> list["KIdeal"]:
-        """All integral ideals of norm in [1, bound] (prime products)."""
-        uniq = {}
-        for idl, _ in prime_products(self.maximal_order(), self.kprimes_up_to(bound), bound):
-            uniq.setdefault(idl.key(), idl)
-        return sorted(uniq.values(), key=lambda i: (i.norm(), i.key()))
 
     def __repr__(self):
         return f"{self.F}(sqrt({self.delta}))"
@@ -638,20 +629,25 @@ class KIdeal(LatticeIdeal):
         return None
 
     def in_same_class(self, other: "KIdeal") -> bool:
+        """Over h_F = 1, conj(other) = N(other) other^-1 with N(other) principal."""
         q = self * (other.conj() if self.K.F.h_F == 1 else other.inverse())
         return q.scale(q.den).is_principal()
 
     def small_class_rep(self) -> "KIdeal":
-        """Integral ideal of Minkowski-bounded norm in the same class.
+        """Integral ideal of small norm in the same class.
 
         For a short z in q = den * self, q^-1 z is integral, and its conjugate
-        is q conj(z) N(q)^-1 o_K because q conj(q) = N(q) o_K.  Its rows are
+        R is q conj(z) N(q)^-1 o_K because q conj(q) = N(q) o_K.  Its rows are
         the products of q's rows, conj(z) and the basis of N(q)^-1: one HNF,
-        and no inverse of an ideal of K.
+        and no inverse of an ideal of K.  R lies in the class of q times that
+        of N(q)^-1 o_K, which is trivial over h_F = 1.  Otherwise R is
+        multiplied by a o_K for the class representative a of F with N(R) a
+        principal, since N(R) = N(z) N(q)^-1 lies in the class of N(q)^-1.
         """
         q = self.scale(self.den) if self.den != 1 else self
         K = self.K
-        n = K.F.n
+        F = K.F
+        n = F.n
         base = float(2 * q.norm() ** Fraction(1, n))
         z = q._small_row(Fraction(math.ceil(base * n * 1.2 * 2**10), 2**10))
         mt = K._mt
@@ -659,7 +655,12 @@ class KIdeal(LatticeIdeal):
         inv = q.rel_norm().inverse()
         pad = [0] * n
         w = [_row_mul(mt, zc, r + pad) for r in inv.num]
-        return KIdeal.from_rows(K, [_row_mul(mt, r, x) for r in q.num for x in w], inv.den)
+        R = KIdeal.from_rows(K, [_row_mul(mt, r, x) for r in q.num for x in w], inv.den)
+        if F.h_F > 1:
+            j = F.inverse_class(R.rel_norm())
+            if j:
+                R = R * K.extend_ideal(F.class_reps[j])
+        return R
 
 
 class ClassData(NamedTuple):
@@ -694,31 +695,35 @@ class ClassData(NamedTuple):
         return len(self.orbit_reps)
 
 
-def _compute_class_data(K: CMField) -> ClassData:
-    if K.F.h_F == 1:
-        return _class_data_by_closure(K)
-    return _class_data_by_partition(K)
-
-
 def _class_data_by_closure(K: CMField) -> ClassData:
-    """Subgroup closure over prime generators with discrete logs.
+    """Subgroup closure over generators with discrete logs (Cohen, GTM 138,
+    ch. 6), for every h_F.
 
-    Valid when the base class group is trivial: conjugation is then inversion
-    on classes, and the orbit count equals (h + #2-torsion)/2.
+    The extensions a o_K of F's nontrivial class representatives come first,
+    so the image of Cl(F) is the first subgroup built; then one prime above
+    each base prime that splits or ramifies below the Minkowski bound (an
+    inert prime lies in the image, and the second prime of a split pair in
+    the image times the first).  Conjugation A -> A^-1 N(A) o_K is, on logs,
+    v -> -v - sum_g v_g e_j(g), with e_j the log of a_j o_K (e_0 = 0) and
+    N(g) a_j principal: inversion over h_F = 1.  N_reps holds the first
+    class of each coset of the image, logs reduced modulo the relations and
+    the e_j.
     """
-    bound = K.minkowski_bound()
-    kps = K.kprimes_up_to(bound)
-    gens: list[KPrime] = []
+    F = K.F
+    gens = [K.extend_ideal(a).two_element() for a in F.class_reps[1:]]
+    n_image = len(gens)
     seen_base = set()
-    for kp in kps:
+    for kp in K.kprimes_up_to(K.minkowski_bound()):
         if kp.rel_f == 2:
-            continue  # inert primes extend base primes: principal over h_F = 1
+            continue  # inert primes extend base primes: in the image of Cl(F)
         bkey = (kp.base.p, kp.base.second_gen)
         if bkey in seen_base:
-            continue  # one prime per split pair; the other is its inverse class
+            continue  # one prime per split pair; the other is pr o_K over it
         seen_base.add(bkey)
-        gens.append(kp)
+        gens.append(kp.ideal)
     k = len(gens)
+    # conj(g) lies in the class -[g] - [gens[shift[g]]], or -[g] when shift[g] < 0
+    shift = [F.inverse_class(g.rel_norm()) - 1 if F.h_F > 1 else -1 for g in gens]
     mo = K.maximal_order()
     elements: list[tuple[tuple[int, ...], KIdeal]] = [(tuple([0] * k), mo)]
     relations: list[list[int]] = []
@@ -728,7 +733,7 @@ def _class_data_by_closure(K: CMField) -> ClassData:
         d = 0
         rel = None
         while rel is None:
-            cur = (cur * g.ideal).small_class_rep()
+            cur = (cur * g).small_class_rep()
             d += 1
             for vec, rep in elements:
                 if cur.in_same_class(rep):
@@ -753,70 +758,34 @@ def _class_data_by_closure(K: CMField) -> ClassData:
                     prod = (pw * rep).small_class_rep().two_element()
                     new_elements.append((tuple(nv), prod))
             elements = new_elements
-    # canonical residue reduction for dlog vectors modulo the relation lattice
     rel_rows = hnf_lattice(relations) if relations else []
-
-    def reduce_vec(v):
-        v = list(v)
-        for r in rel_rows:
-            c = next(kk for kk in range(k) if r[kk] != 0)
-            q = v[c] // r[c]
-            if q:
-                for t in range(k):
-                    v[t] -= q * r[t]
-        return tuple(v)
-
-    index = {reduce_vec(vec): i for i, (vec, rep) in enumerate(elements)}
+    index = {_reduce(vec, rel_rows): i for i, (vec, rep) in enumerate(elements)}
     assert len(index) == len(elements), "discrete logs do not separate classes"
     conj_pairs = []
     for vec, rep in elements:
-        inv = reduce_vec([-x for x in vec])
-        conj_pairs.append(index[inv])
-    reps = [rep for _, rep in elements]
-    return ClassData(reps, conj_pairs, list(reps))
+        c = [-x for x in vec]
+        for t, s in enumerate(shift):
+            if s >= 0:
+                c[s] -= vec[t]
+        conj_pairs.append(index[_reduce(c, rel_rows)])
+    unit = [[int(t == i) for t in range(k)] for i in range(n_image)]
+    image_rows = hnf_lattice(relations + unit) if n_image else rel_rows
+    cosets: dict[tuple[int, ...], KIdeal] = {}
+    for vec, rep in elements:
+        cosets.setdefault(_reduce(vec, image_rows), rep)
+    return ClassData([rep for _, rep in elements], conj_pairs, list(cosets.values()))
 
 
-def _class_data_by_partition(K: CMField) -> ClassData:
-    """Pairwise-partition fallback (nontrivial base class group)."""
-    ideals = K.integral_ideals_up_to(K.minkowski_bound())
-    reps: list[KIdeal] = []
-    for idl in ideals:
-        if not any(idl.in_same_class(r) for r in reps):
-            reps.append(idl)
-    conj_pairs = []
-    for r in reps:
-        rc = r.conj()
-        idx = next((ri for ri, r2 in enumerate(reps) if rc.in_same_class(r2)), None)
-        if idx is None:
-            raise SearchBudgetExceeded("conjugate class not found among representatives")
-        conj_pairs.append(idx)
-    im_indices = {0}
-    base_images = []
-    for a in K.F.class_reps[1:]:
-        ext = K.extend_ideal(a)
-        base_images.append(next(ri for ri, r in enumerate(reps) if ext.in_same_class(r)))
-    changed = True
-    while changed:
-        changed = False
-        for bi in base_images:
-            for i in list(im_indices):
-                prod = reps[i] * reps[bi]
-                kk = next(ri for ri, r in enumerate(reps) if prod.in_same_class(r))
-                if kk not in im_indices:
-                    im_indices.add(kk)
-                    changed = True
-    assert len(reps) % len(im_indices) == 0
-    N_reps = []
-    covered: set[int] = set()
-    for i, r in enumerate(reps):
-        if i in covered:
-            continue
-        N_reps.append(r)
-        for j in im_indices:
-            prod = reps[i] * reps[j]
-            covered.add(next(ri for ri, r2 in enumerate(reps) if prod.in_same_class(r2)))
-    assert len(N_reps) * len(im_indices) == len(reps)
-    return ClassData(reps, conj_pairs, N_reps)
+def _reduce(v, rows) -> tuple[int, ...]:
+    """The canonical residue of the vector v modulo the lattice of the HNF
+    rows."""
+    v = list(v)
+    for r in rows:
+        c = next(t for t, x in enumerate(r) if x)
+        q = v[c] // r[c]
+        if q:
+            v = [a - q * b for a, b in zip(v, r)]
+    return tuple(v)
 
 
 class ClassCounts(NamedTuple):

@@ -245,6 +245,7 @@ class Field:
             units = [self._to_order(u)[0] for u in (self.eps, self.one() / self.eps)]
             self._unit_steps = [[_row_mul(self._mt, e, u) for e in ([1, 0], [0, 1])] for u in units]
         self._prime_cache: dict[int, SplittingType] = {}
+        self._class_cache: dict = {}  # inverse_class's answers, by reduced ideal
         self._init_class_group()
         self.unit_sq_index = 2**self.n
 
@@ -324,6 +325,24 @@ class Field:
                 reps.append(idl)
         self.h_F = len(reps)
         self.class_reps = reps
+
+    def inverse_class(self, a: "FIdeal") -> int:
+        """The index j with a * class_reps[j] principal.
+
+        A principality test scans a range that grows with the square root of
+        the norm, so the tests run on small integral ideals: c = x a^-1, for
+        x the first LLL-reduced basis element of a, in the class of a^-1,
+        against conj(a_j) = N(a_j) a_j^-1 in that of a_j^-1.  Few such c
+        exist, so the answer is kept for each."""
+        from .lattice import lll_reduce_gram
+
+        row = vec_mat(lll_reduce_gram(a.gram()).U[0], a.num)
+        c = a.inverse() * _felem(self, row[0], row[1], a.den)
+        key = c.key()
+        if key not in self._class_cache:
+            reps = self.class_reps
+            self._class_cache[key] = next(j for j, r in enumerate(reps) if (c * r.conj()).is_principal())
+        return self._class_cache[key]
 
     # -- misc -------------------------------------------------------------------
 

@@ -7,7 +7,9 @@ library lists Gauss's reduced forms by a coefficient scan, as `reduced_forms`
 here does; its independent reference is the ideal-product pipeline
 `reduced_forms_by_ideal_products`, which multiplies the prime ideals up to
 the Minkowski bound as HNF lattices and Gauss-reduces each product's norm
-form.
+form.  Some references are algorithms the library replaced, kept here to
+compare against: `class_data_by_partition`, for one, partitions the ideals
+below the Minkowski bound with the library's own principality test.
 """
 
 from __future__ import annotations
@@ -1398,6 +1400,54 @@ def class_reps_by_closure(K) -> list:
             kideal_small_class_rep(kideal_product(pw, rep)) for pw in powers for rep in elements
         ]
     return elements
+
+
+def integral_ideals_up_to(K, bound: float) -> list:
+    """All integral ideals of K of norm in [1, bound] (prime products),
+    sorted by norm and key."""
+    from relclass.field import prime_products
+
+    uniq = {}
+    for idl, _ in prime_products(K.maximal_order(), K.kprimes_up_to(bound), bound):
+        uniq.setdefault(idl.key(), idl)
+    return sorted(uniq.values(), key=lambda i: (i.norm(), i.key()))
+
+
+def class_data_by_partition(K):
+    """ClassData of K by the pairwise partition: every integral ideal below
+    the Minkowski bound is tested against every representative found so far,
+    each conjugate against every representative, and the image of Cl(F) is
+    closed under products with the extensions of F's class representatives."""
+    from relclass.cm import ClassData
+
+    reps: list = []
+    for idl in integral_ideals_up_to(K, K.minkowski_bound()):
+        if not any(idl.in_same_class(r) for r in reps):
+            reps.append(idl)
+
+    def index(a):
+        return next(ri for ri, r in enumerate(reps) if a.in_same_class(r))
+
+    conj_pairs = [index(r.conj()) for r in reps]
+    base_images = [index(K.extend_ideal(a)) for a in K.F.class_reps[1:]]
+    image = {0}
+    changed = True
+    while changed:
+        changed = False
+        for bi in base_images:
+            for i in list(image):
+                kk = index(reps[i] * reps[bi])
+                if kk not in image:
+                    image.add(kk)
+                    changed = True
+    assert len(reps) % len(image) == 0
+    N_reps, covered = [], set()
+    for i, r in enumerate(reps):
+        if i not in covered:
+            N_reps.append(r)
+            covered.update(index(r * reps[j]) for j in image)
+    assert len(N_reps) * len(image) == len(reps)
+    return ClassData(reps, conj_pairs, N_reps)
 
 
 def reduced_gram(red) -> list[list[int]]:

@@ -90,6 +90,21 @@ def test_verify_ok_and_violation(tmp_path):
     assert json.loads(out)["summary"]["violations"] == 1
 
 
+def test_verify_over_nontrivial_base_class_groups(tmp_path):
+    """Every check of verify on fields over Q(sqrt m) with h_F = 2."""
+    p = tmp_path / "hf.txt"
+    p.write_text("2,10,-7,0\n2,10,-11,0\n2,10,-13,0\n2,15,-7,0\n2,26,-6,0\n")
+    code, out, _ = run_cli(["verify", "--corpus", str(p)])
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["summary"]["violations"] == 0
+    rows = data["rows"]
+    assert all(r["status"] == "ok" for r in rows)
+    assert (rows[1]["h_K"], rows[1]["orbits"], rows[1]["vsum"]) == (12, 7, "1<=6")
+    assert (rows[2]["genus"], rows[2]["vsum"]) == ("2^2<=8", "2<=4")
+    assert (rows[4]["orbits"], rows[4]["vsum"]) == (5, "0<=4")
+
+
 def test_verify_empty_corpus(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("# nothing\n")

@@ -1,5 +1,6 @@
 import math
 import pytest
+from itertools import combinations, combinations_with_replacement
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,13 +110,22 @@ def test_class_groups_over_Q(delta, h, orbits):
     assert conj_orbits_oracle(D) == orbits
 
 
+def _kuroda_holds(K, h_K) -> bool:
+    """Kuroda's class number formula for K = Q(sqrt m, sqrt d), d < 0:
+    2 h_K = Q h(m) h(d) h(md) with unit index Q in {1, 2}."""
+    d = int(K.delta.a)
+    h = [class_counts(make_cm(Q, e)).h_K for e in (d, K.F.m * d)]
+    prod = K.F.h_F * h[0] * h[1]
+    return 2 * h_K in (prod, 2 * prod)
+
+
 @pytest.mark.parametrize(
     "d,counts,n_reps",
     [(-7, (4, 2, 3), 2), (-11, (12, 6, 7), 6), (-13, (8, 4, 8), 4)],
 )
-def test_class_data_by_partition_over_Q_sqrt10(d, counts, n_reps):
+def test_class_data_over_Q_sqrt10(d, counts, n_reps):
     F = make_field(2, 10)
-    assert F.h_F == 2  # the partition path: Cl(F) is not trivial
+    assert F.h_F == 2  # Cl(F) is not trivial
     K = make_cm(F, F.elem(d))
     cd = K.class_data()
     assert (cd.h_K, cd.h, cd.orbits) == counts
@@ -123,10 +133,66 @@ def test_class_data_by_partition_over_Q_sqrt10(d, counts, n_reps):
     assert all(cd.conj_pairs[j] == i for i, j in enumerate(cd.conj_pairs))
     assert cd.N_reps[0] is K.maximal_order()
     assert class_counts(K) == counts
-    # Kuroda's class number formula for the biquadratic K = Q(sqrt 10, sqrt d):
-    # h_K = Q h(F) h(Q(sqrt d)) h(Q(sqrt 10d)) / 2 with unit index Q in {1, 2}
-    h_d, h_10d = (class_group_counts(e if e % 4 == 1 else 4 * e)[0] for e in (d, 10 * d))
-    assert 2 * cd.h_K in (F.h_F * h_d * h_10d, 2 * F.h_F * h_d * h_10d)
+    assert _kuroda_holds(K, cd.h_K)
+
+
+# K = Q(sqrt m)(sqrt d) with h_F = 2 or 4, and (h_K, h, orbits)
+BASE_CLASS_FIELDS = [
+    (10, -3, (4, 2, 4)), (10, -7, (4, 2, 3)), (10, -11, (12, 6, 7)), (10, -13, (8, 4, 8)),
+    (10, -6, (4, 2, 4)), (15, -7, (8, 4, 6)), (26, -7, (12, 6, 7)), (82, -1, (8, 4, 6)),
+    (82, -6, (8, 2, 8)),
+]
+
+
+def _check_class_data(K, cd):
+    """conj_pairs is an involution that the conjugate classes follow, the
+    representatives are pairwise inequivalent, and N_reps opens with o_K."""
+    assert all(cd.conj_pairs[j] == i for i, j in enumerate(cd.conj_pairs))
+    assert all(r.conj().in_same_class(cd.reps[cd.conj_pairs[i]]) for i, r in enumerate(cd.reps))
+    assert not any(a.in_same_class(b) for a, b in combinations(cd.reps, 2))
+    assert cd.N_reps[0] is K.maximal_order()
+
+
+@pytest.mark.parametrize("m,d,counts", BASE_CLASS_FIELDS)
+def test_closure_matches_partition_over_nontrivial_base_class_groups(m, d, counts):
+    """The discrete-log closure, with Cl(F) of order 2 or 4, against the
+    pairwise partition of the ideals below the Minkowski bound and against
+    Kuroda's formula."""
+    F = make_field(2, m)
+    assert F.h_F in (2, 4)
+    K = make_cm(F, F.elem(d))
+    cd = K.class_data()
+    want = oracles.class_data_by_partition(make_cm(F, F.elem(d)))
+    assert (cd.h_K, cd.h, cd.orbits) == (want.h_K, want.h, want.orbits) == counts
+    assert len(cd.N_reps) == len(want.N_reps) == counts[1]
+    _check_class_data(K, cd)
+    assert _kuroda_holds(K, cd.h_K)
+
+
+def test_closure_over_a_base_class_group_of_order_3():
+    """Q(sqrt 79)(sqrt -1), h_F = 3: the counts are pinned, since
+    oracles.class_data_by_partition takes about 17 s to confirm them."""
+    F = make_field(2, 79)
+    assert F.h_F == 3
+    K = make_cm(F, F.elem(-1))
+    cd = K.class_data()
+    assert (cd.h_K, cd.h, cd.orbits) == (15, 5, 9)
+    assert len(cd.N_reps) == 5
+    _check_class_data(K, cd)
+    assert _kuroda_holds(K, cd.h_K)
+
+
+@pytest.mark.parametrize("d", [-7, -11])
+def test_small_class_rep_keeps_the_class(d):
+    """Over Q(sqrt 10), h_F = 2, the small representative of every product
+    of two primes of norm <= 30 lies in the product's class."""
+    F = make_field(2, 10)
+    K = make_cm(F, F.elem(d))
+    kps = K.kprimes_up_to(30)
+    products = [a.ideal * b.ideal for a, b in combinations_with_replacement(kps, 2)]
+    assert len(products) == {-7: 15, -11: 28}[d]
+    for q in products:
+        assert q.small_class_rep().in_same_class(q)
 
 
 def test_class_counts_computed_once_per_field(monkeypatch):
@@ -286,7 +352,7 @@ def test_splitting_and_primes_above_match_the_residue_field(corpus):
 
 def test_decompose_and_recompose_over_Q():
     K = make_cm(Q, -5)
-    for idl in K.integral_ideals_up_to(12.0):
+    for idl in oracles.integral_ideals_up_to(K, 12.0):
         i, a, alpha = decompose_ideal(K, idl)
         # reconstruction is verified inside; check the shape data
         assert a.is_integral()
@@ -304,7 +370,7 @@ def test_decompose_random_roundtrip_quartic():
     F = F2
     K = make_cm(F, F.elem(-5))
     count = 0
-    for idl in K.integral_ideals_up_to(16.0):
+    for idl in oracles.integral_ideals_up_to(K, 16.0):
         decompose_ideal(K, idl)
         count += 1
     assert count >= 5
@@ -413,7 +479,7 @@ INTEGRAL_IDEALS_UP_TO_16 = {
 @pytest.mark.parametrize("n,m,delta", list(INTEGRAL_IDEALS_UP_TO_16))
 def test_integral_ideals_up_to_pinned(n, m, delta):
     F = make_field(n, m)
-    got = make_cm(F, F.elem(delta)).integral_ideals_up_to(16.0)
+    got = oracles.integral_ideals_up_to(make_cm(F, F.elem(delta)), 16.0)
     assert all(idl.den == 1 for idl in got)
     want = INTEGRAL_IDEALS_UP_TO_16[n, m, delta]
     assert [tuple(x for r in idl.num for x in r) for idl in got] == want

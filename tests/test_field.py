@@ -214,6 +214,19 @@ def test_class_groups():
     assert make_field(2, 13).h_F == 1
 
 
+@pytest.mark.parametrize("m,bound", [(10, 60), (79, 20), (82, 60)])
+def test_inverse_class_matches_the_direct_test(m, bound):
+    """The class index read on the reduced ideal x a^-1 is the j with
+    a * class_reps[j] principal, tested on a itself, for every integral
+    ideal of norm <= bound (the direct test is slow over Q(sqrt 79), whose
+    unit is 80 + 9 sqrt 79)."""
+    F = make_field(2, m)
+    assert F.h_F > 1
+    for a in ideals_of_norm_up_to(F, bound):
+        want = [j for j, r in enumerate(F.class_reps) if (a * r).is_principal()]
+        assert want == [F.inverse_class(a)], (F, a)
+
+
 def test_ideal_norm_multiplicative():
     ideals = ideals_of_norm_up_to(F2, 20)
     for a in ideals[:8]:
