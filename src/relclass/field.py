@@ -25,9 +25,6 @@ from .errors import (
 )
 from .intmat import echelon_solve, hnf_lattice, vec_mat, zspan_kernel
 
-# most coordinates FIdeal.principal_gen may scan before it gives up undecided
-PRINCIPAL_SCAN_BUDGET = 10**6
-
 
 def is_squarefree(m: int) -> bool:
     if m % 4 == 0:
@@ -245,7 +242,6 @@ class Field:
             units = [self._to_order(u)[0] for u in (self.eps, self.one() / self.eps)]
             self._unit_steps = [[_row_mul(self._mt, e, u) for e in ([1, 0], [0, 1])] for u in units]
         self._prime_cache: dict[int, SplittingType] = {}
-        self._class_cache: dict = {}  # inverse_class's answers, by reduced ideal
         self._init_class_group()
         self.unit_sq_index = 2**self.n
 
@@ -260,12 +256,8 @@ class Field:
         s = math.sqrt(m)
         self.omega_embeddings = (s, -s) if self.c1 == 0 else ((1 + s) / 2, (1 - s) / 2)
         x, y = fundamental_unit_xy(m)
-        # eps = (x + y sqrt m)/2; omega coords: a + b*omega with b = y (c1=0: b=y/... )
-        if self.c1 == 0:
-            a, b = Fraction(x, 2), Fraction(y, 2)
-        else:
-            a, b = Fraction(x - y, 2), Fraction(y)
-        self.eps = FElem(self, a, b)
+        # (x + y sqrt m)/2 with sqrt m = (2 - c1) omega - c1
+        self.eps = FElem(self, Fraction(x - self.c1 * y, 2), Fraction(y, 2 - self.c1))
         if abs(self.eps.norm()) != 1 or not self.eps.is_integral():
             raise AssertionError("fundamental unit construction failed")
         # x, y > 0, so the first embedding is already > 1
@@ -313,36 +305,25 @@ class Field:
     # -- class group ----------------------------------------------------------
 
     def _init_class_group(self):
+        """class_reps[j] is the first ideal met of its class by ascending norm
+        up to the Minkowski bound sqrt(d_F)/2; _class_index maps its
+        form_cycle key to j."""
+        self.class_reps = [self.unit_ideal()]
         if self.n == 1:
             self.h_F = 1
-            self.class_reps = [self.unit_ideal()]
-            self.minkowski = 1.0
             return
-        self.minkowski = math.sqrt(self.d_F) / 2
-        reps: list[FIdeal] = [self.unit_ideal()]
-        for idl in ideals_of_norm_up_to(self, int(self.minkowski)):
-            if not any((idl * r.inverse()).is_principal() for r in reps):
-                reps.append(idl)
-        self.h_F = len(reps)
-        self.class_reps = reps
+        self._class_index = {form_cycle(*self.class_reps[0].norm_form())[1]: 0}
+        for idl in ideals_of_norm_up_to(self, isqrt(self.d_F) // 2):
+            key = form_cycle(*idl.norm_form())[1]
+            if key not in self._class_index:
+                self._class_index[key] = len(self.class_reps)
+                self.class_reps.append(idl)
+        self.h_F = len(self.class_reps)
 
     def inverse_class(self, a: "FIdeal") -> int:
-        """The index j with a * class_reps[j] principal.
-
-        A principality test scans a range that grows with the square root of
-        the norm, so the tests run on small integral ideals: c = x a^-1, for
-        x the first LLL-reduced basis element of a, in the class of a^-1,
-        against conj(a_j) = N(a_j) a_j^-1 in that of a_j^-1.  Few such c
-        exist, so the answer is kept for each."""
-        from .lattice import lll_reduce_gram
-
-        row = vec_mat(lll_reduce_gram(a.gram()).U[0], a.num)
-        c = a.inverse() * _felem(self, row[0], row[1], a.den)
-        key = c.key()
-        if key not in self._class_cache:
-            reps = self.class_reps
-            self._class_cache[key] = next(j for j, r in enumerate(reps) if (c * r.conj()).is_principal())
-        return self._class_cache[key]
+        """The index j with a * class_reps[j] principal: the class of
+        conj(a) = N(a) a^-1."""
+        return self._class_index[form_cycle(*a.conj().norm_form())[1]] if self.n == 2 else 0
 
     # -- misc -------------------------------------------------------------------
 
@@ -424,48 +405,53 @@ def parity_applicable(F: Field) -> bool:
 
 def fundamental_unit_xy(m: int) -> tuple[int, int]:
     """Fundamental unit of the maximal order of Q(sqrt m), as (x, y) with
-    eps = (x + y*sqrt m)/2.
+    eps = (x + y*sqrt m)/2, x, y > 0.
 
-    The continued fraction of sqrt(m) yields the fundamental unit
-    p + q*sqrt(m) of Z[sqrt m].  It is the fundamental unit unless
-    m = 1 (mod 4) and Z[omega] holds its cube root (t + y*sqrt m)/2, t and y
-    odd, whose norm is that of the cube, n = p^2 - m q^2, so that
-    t^3 - 3 n t = 2p and t^2 - m y^2 = 4n.
+    For d the discriminant and b < sqrt d the largest with b = d (mod 2),
+    the reduced form (1, b, (b^2 - d)/4) is the norm form of the basis
+    (1, theta), theta = (b + sqrt d)/2.  The next form with |a| = 1 on its
+    cycle is (-1, b, ...) or itself, at x + y theta = +-eps^(+-1).
     """
-    a0 = isqrt(m)
-    if a0 * a0 == m:
+    d = m if m % 4 == 1 else 4 * m
+    b = isqrt(d)
+    if b * b == d:
         raise NonSquarefree(f"{m} is a perfect square")
-    P, Q, a = 0, 1, a0
-    p_prev, p_cur = 1, a0
-    q_prev, q_cur = 0, 1
-    while True:
-        P = a * Q - P
-        Q = (m - P * P) // Q
-        if Q == 1:
-            break
-        a = (a0 + P) // Q
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    p, q = p_cur, q_cur
-    if m % 4 == 1:
-        n = p * p - m * q * q
-        # with c^3 <= 2p < (c + 1)^3, an integer root of t^3 - 3nt = 2p
-        # can only be c when n = -1 and c + 1 when n = 1
-        t = _icbrt(2 * p) + (n == 1)
-        y2, r = divmod(t * t - 4 * n, m)
-        if t**3 - 3 * n * t == 2 * p and t % 2 and r == 0 and isqrt(y2) ** 2 == y2:
-            return (t, isqrt(y2))
-    return (2 * p, 2 * q)
+    b -= (b - d) % 2
+    (x, y), _ = form_cycle(1, b, (b * b - d) // 4)
+    # x + y theta = (2x + by + y sqrt d)/2, and sqrt d is sqrt m or 2 sqrt m
+    return abs(2 * x + b * y), abs(y) * (1 if d == m else 2)
 
 
-def _icbrt(n: int) -> int:
-    """floor(n^(1/3)) for n >= 1, by Newton steps on integers."""
-    x = 1 << -(-n.bit_length() // 3)
+def form_cycle(a: int, b: int, c: int) -> tuple[tuple[int, int] | None, tuple[int, int]]:
+    """Gauss's rho on the integral form f = (a, b, c) of non-square
+    discriminant D > 0 until its cycle of reduced forms closes
+    (Buchmann-Vollmer, Binary Quadratic Forms, 2007, ch. 6): (xy, key).
+
+    rho(a, b, c) = (c, b', (b'^2 - D)/4c) is the substitution
+    (x, y) -> (-y, x + s y), with b' = 2cs - b the largest that is at most
+    max(sqrt D, |c|).  xy is the (x, y) with f(x, y) = +-1 of the first
+    form after f with |a| = 1, or None if f represents neither 1 nor -1.
+    key is the least (|a|, b) over the reduced forms
+    (|sqrt D - 2|a|| < b < sqrt D), one cycle; it names the cycles of f and
+    of (-a, b, -c), since rho commutes with (a, c) -> (-a, -c)."""
+    D = b * b - 4 * a * c
+    r = isqrt(D)
+    x0, y0, x1, y1 = 1, 0, 0, 1  # columns of the substitution from f
+    xy = first = key = None
     while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
+        t = max(r, abs(c))
+        nb = t - (t + b) % (2 * abs(c))
+        s = (nb + b) // (2 * c)
+        a, b, c = c, nb, (nb * nb - D) // (4 * c)
+        x0, y0, x1, y1 = x1, y1, s * x1 - x0, s * y1 - y0
+        if xy is None and abs(a) == 1:
+            xy = (x0, y0)
+        if r - 2 * abs(a) < b <= r and 2 * abs(a) - b <= r:
+            if first is None:
+                first, key = (a, b), (abs(a), b)
+            elif (a, b) == first:
+                return xy, key
+            key = min(key, (abs(a), b))
 
 
 class FElem:
@@ -1033,50 +1019,62 @@ class FIdeal(LatticeIdeal):
                     out.append((pr, v))
         return out
 
-    def principal_gen(self) -> FElem | None:
-        """Generator of matching norm, reduced into the unit fundamental domain.
+    def norm_form(self) -> tuple[int, int, int]:
+        """(A, B, C) = N(x b0 + y b1)/N(J) for J = den * self and its HNF
+        basis b0 = a + b omega, b1 = c omega, oriented like (1, omega).  A
+        factor of negative norm turns it into (-A, B, -C) on the reoriented
+        basis, so its form_cycle key names the class of the ideal."""
+        F = self.F
+        (a, b), (_, c) = self.num
+        return (a * a + F.c1 * a * b - F.c0 * b * b) // (a * c), (F.c1 * a - 2 * F.c0 * b) // a, -F.c0 * c // a
 
-        Any generator has a unit multiple with both |sigma_i(x)| <= sqrt(N)*eps,
-        which pins its second coordinate to a finite range; for each such
-        coordinate the norm equation is a quadratic in the first, solved
-        exactly.  An empty scan certifies non-principality.
+    def principal_gen(self) -> FElem | None:
+        """A generator, or None when the ideal is not principal.
+
+        The cycle of the norm form decides and gives a generator g of
+        J = den * self.  Of +-g eps^k, the one returned is the one the r1 scan
+        (tests/oracles.principal_gen_by_scan) meets first: the least
+        coordinate r1 on b1 with |r1| <= r1_max, then N > 0, then
+        2 A r0 + B r1 >= 0.  The window holds the orbit's trace-form
+        minimiser.  Along g eps^k, r1 = P eps^k + Q (N(eps)/eps)^k, whose
+        values at even k and at odd k grow with the distance from one
+        centre, so past two successive k outside, no k is inside.
         """
         F = self.F
-        target = self.norm()
         if F.n == 1:
             return F.elem(Fraction(self.num[0][0], self.den))
-        eps1 = F.eps.embed(0)
-        lim = math.sqrt(float(target)) * eps1 * 1.0000001 + 1e-12
+        A, B, C = self.norm_form()
+        xy, _ = form_cycle(A, B, C)
+        if xy is None:
+            return None
+        (a, b), (_, c) = self.num
+        g = canonical_unit_row(F, [xy[0] * a, xy[0] * b + xy[1] * c])
+        lim = math.sqrt(float(self.norm())) * F.eps.embed(0) * 1.0000001 + 1e-12
         b0, b1 = self.basis_elems()
         e00, e01 = b0.embed(0), b0.embed(1)
         e10, e11 = b1.embed(0), b1.embed(1)
         det = e00 * e11 - e01 * e10
         r1_max = int((abs(e00) + abs(e01)) * lim / abs(det)) + 2
-        if 2 * r1_max + 1 > PRINCIPAL_SCAN_BUDGET:
-            raise SearchBudgetExceeded("principality search budget exhausted")
-        A = b0.norm()
-        B = (b0 * b1.conj() + b1 * b0.conj()).a  # Tr-type cross coefficient
-        C = b1.norm()
-        for r1 in range(-r1_max, r1_max + 1):
-            for tt in (target, -target):
-                # A r0^2 + B r1 r0 + (C r1^2 - tt) = 0
-                disc = (B * r1) * (B * r1) - 4 * A * (C * r1 * r1 - tt)
-                if disc < 0:
-                    continue
-                s = _rat_sqrt(disc)
-                if s is None:
-                    continue
-                for sgn in (s, -s):
-                    r0f = (-B * r1 + sgn) / (2 * A)
-                    if r0f.denominator != 1:
-                        continue
-                    r0 = int(r0f)
-                    if r0 == 0 and r1 == 0:
-                        continue
-                    x = FElem(F, r0 * b0.a + r1 * b1.a, r0 * b0.b + r1 * b1.b)
-                    if abs(x.norm()) == target:
-                        return x
-        return None
+
+        def coords(row: list[int]) -> tuple[int, int]:
+            """(r0, r1) of the element of order row `row` on (b0, b1)."""
+            return row[0] // a, (a * row[1] - b * row[0]) // (a * c)
+
+        window = [g]
+        for step in F._unit_steps:
+            x, outside = g, 0
+            while outside < 2:
+                x = vec_mat(x, step)
+                outside = outside + 1 if abs(coords(x)[1]) > r1_max else 0
+                if not outside:
+                    window.append(x)
+
+        def scan_order(row: list[int]) -> tuple[int, bool, bool]:
+            r0, r1 = coords(row)
+            return r1, A * r0 * r0 + B * r0 * r1 + C * r1 * r1 < 0, 2 * A * r0 + B * r1 < 0
+
+        best = min((w for x in window for w in (x, [-x[0], -x[1]])), key=scan_order)
+        return _felem(F, best[0], best[1], self.den)
 
 
 class PrimeIdeal(NamedTuple):

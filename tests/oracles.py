@@ -1562,6 +1562,63 @@ def line_colon_ideal(K, alpha, module):
     return FIdeal.from_generators(F, gens)
 
 
+# -- principality over F by an r1 scan --------------------------------------------------
+# relclass.field.FIdeal.principal_gen before the cycle of reduced forms, kept
+# verbatim but for the name and the ideal passed as an argument: the second
+# coordinate r1 runs over a float range that bounds a generator's unit
+# multiple with both |sigma_i(x)| <= sqrt(N) eps, and the norm equation is
+# solved exactly for r0.
+
+# most coordinates principal_gen_by_scan may scan before it gives up undecided
+PRINCIPAL_SCAN_BUDGET = 10**6
+
+
+def principal_gen_by_scan(idl) -> FieldElem | None:
+    """Generator of matching norm, reduced into the unit fundamental domain.
+
+    Any generator has a unit multiple with both |sigma_i(x)| <= sqrt(N)*eps,
+    which pins its second coordinate to a finite range; for each such
+    coordinate the norm equation is a quadratic in the first, solved
+    exactly.  An empty scan certifies non-principality.
+    """
+    F = idl.F
+    target = idl.norm()
+    if F.n == 1:
+        return F.elem(Fraction(idl.num[0][0], idl.den))
+    eps1 = F.eps.embed(0)
+    lim = math.sqrt(float(target)) * eps1 * 1.0000001 + 1e-12
+    b0, b1 = idl.basis_elems()
+    e00, e01 = b0.embed(0), b0.embed(1)
+    e10, e11 = b1.embed(0), b1.embed(1)
+    det = e00 * e11 - e01 * e10
+    r1_max = int((abs(e00) + abs(e01)) * lim / abs(det)) + 2
+    if 2 * r1_max + 1 > PRINCIPAL_SCAN_BUDGET:
+        raise SearchBudgetExceeded("principality search budget exhausted")
+    A = b0.norm()
+    B = (b0 * b1.conj() + b1 * b0.conj()).a  # Tr-type cross coefficient
+    C = b1.norm()
+    for r1 in range(-r1_max, r1_max + 1):
+        for tt in (target, -target):
+            # A r0^2 + B r1 r0 + (C r1^2 - tt) = 0
+            disc = (B * r1) * (B * r1) - 4 * A * (C * r1 * r1 - tt)
+            if disc < 0:
+                continue
+            s = _rat_sqrt(disc)
+            if s is None:
+                continue
+            for sgn in (s, -s):
+                r0f = (-B * r1 + sgn) / (2 * A)
+                if r0f.denominator != 1:
+                    continue
+                r0 = int(r0f)
+                if r0 == 0 and r1 == 0:
+                    continue
+                x = FieldElem(F, r0 * b0.a + r1 * b1.a, r0 * b0.b + r1 * b1.b)
+                if abs(x.norm()) == target:
+                    return x
+    return None
+
+
 # -- the fundamental unit by a scan ----------------------------------------------------
 # relclass.field.fundamental_unit_xy before its closed form, kept verbatim but
 # for the name: after the continued fraction it scans y = 1 ... 2q for the

@@ -33,6 +33,16 @@ def test_field_quadratic_and_rejection():
     assert "NonSquarefree" in err
 
 
+@pytest.mark.parametrize("m", [94, 151])
+def test_field_with_a_large_unit(m):
+    # eps = 2143295 + 221064 sqrt 94 and 1728148040 + 140634693 sqrt 151: the
+    # cycle of reduced forms decides each principality test of the class
+    # group, where a scan over a range growing with eps gave up (exit 3)
+    code, out, err = run_cli(["field", "--n", "2", "--m", str(m)])
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["hF"] == 1
+
+
 def test_classify_examples():
     code, out, _ = run_cli(["classify", "--n", "1", "--delta-a", "-5"])
     assert code == EXIT_OK
