@@ -31,7 +31,6 @@ from .field import (
     Field,
     FIdeal,
     PrimeIdeal,
-    canonical_unit_row,
     parity_applicable,
     primes_up_to,
     splitting_37,
@@ -282,26 +281,6 @@ def box_bound_check(F: Field, consts: LatticeConstants, idl: FIdeal, x0: tuple, 
 # -- norm counting --------------------------------------------------------------------
 
 
-def count_norm_orbits_F(F: Field, idl: FIdeal, t: Fraction) -> int:
-    """#{[a] in (ideal - 0)/units : |N(a)| <= t * N(ideal)}, exact."""
-    tprime = Fraction(t) * idl.norm()
-    if F.n == 1:
-        g = Fraction(idl.num[0][0], idl.den)
-        return math.floor(tprime / g)
-    # a unit multiple of x has sigma_0(x)^2/|N(x)| in [1/eps, eps], so
-    # Tr(x^2) <= t' (eps + 1/eps); the window is that, rounded up to 2^-16
-    window = (F.eps + F.one() / F.eps) * (tprime * 2**16)
-    q_bound = Fraction(-(-window).embedding_floor(0), 2**16)
-    # an element is row/den on an integer row; |N(row/den)| <= t' reads
-    # |a^2 + c1 a b - c0 b^2| <= t' den^2 on the row (a, b)
-    cap = tprime * idl.den**2
-    seen = set()
-    for a, b in idl._short_rows(q_bound):
-        if abs(a * a + F.c1 * a * b - F.c0 * b * b) <= cap:
-            seen.add(tuple(canonical_unit_row(F, [a, b])))
-    return len(seen)
-
-
 def norm_count_check_K(K: CMField, Ni, t: Fraction, lat: LatticeConstants) -> dict:
     """Inequality (a): orbits off the minimal line against A1 t / sqrt(disc)."""
     # the excluded line has minimal |N(L o_K)| among saturated lines; scan far
@@ -319,8 +298,10 @@ def norm_count_check_K(K: CMField, Ni, t: Fraction, lat: LatticeConstants) -> di
     return {"count": count, "rhs": rhs.hi, "ok": ok}
 
 
-def norm_count_check_F(F: Field, idl: FIdeal, t: Fraction, lat: LatticeConstants) -> dict:
-    count = count_norm_orbits_F(F, idl, Fraction(t))
+def norm_count_check_F(idl: FIdeal, t: Fraction, lat: LatticeConstants) -> dict:
+    """Inequality (b): the unit orbits of nonzero a in the ideal with
+    |N(a)| <= t N(ideal) against A2 t."""
+    count = len(idl.unit_orbits(Fraction(t) * idl.norm()))
     rhs = lat.A2 * Interval(Fraction(t))
     ok = count <= rhs.hi
     if not ok:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
 
 from .errors import (
@@ -50,6 +50,8 @@ from .field import (
     primes_up_to,
     residue_char,
     sqrt_mod_p,
+    unit_steps,
+    unit_window,
 )
 from .intmat import hnf_lattice, solve_exact, vec_mat, zspan_kernel, zspan_solve
 
@@ -219,12 +221,7 @@ class CMField:
         # Tr_{K/F}(b_i conj b_j) off the diagonal, half of it on it
         self._norm_form = terms
         self._unit_rows = [[int(i == j) for j in range(deg)] for i in range(deg)]
-        # rows of b_i * eps^(+-1), for canonical_unit_row; None over Q
-        self._unit_steps = None
-        if self.F.n == 2:
-            F = self.F
-            units = [integral_row(KElem(self, u, F.zero())) for u in (F.eps, F.one() / F.eps)]
-            self._unit_steps = [[_row_mul(table, e, u) for e in self._unit_rows] for u in units]
+        self._unit_steps = unit_steps(self.F, table, deg)
 
     def _rel_norm_row(self, row) -> list[int]:
         """N_{K/F}(z) = x + y*omega as [x, y] (y = 0 over Q), for the integral
@@ -238,10 +235,9 @@ class CMField:
         return [x, y]
 
     def _abs_norm(self, row) -> int:
-        """|N_{K/Q}(z)| for the integral z of order row `row`."""
-        x, y = self._rel_norm_row(row)
-        F = self.F
-        return abs(x * x + F.c1 * x * y - F.c0 * y * y) if F.n == 2 else abs(x)
+        """|N_{K/Q}(z)| for the integral z of order row `row`: F's norm of
+        its relative norm."""
+        return abs(self.F.norm_int(*self._rel_norm_row(row)))
 
     def _ambient(self, row) -> list[int]:
         """The ambient numerators of the element of order row `row`: its
@@ -615,10 +611,9 @@ class KIdeal(LatticeIdeal):
     def principal_gen(self) -> KElem | None:
         """Search z in the module with |N(z)| = N(module), unit-window bounded.
 
-        Any generator moves into the window {Tr(z conj z) <= 2 sqrt(N) (eps+1/eps)}
-        under multiplication by units, so an empty window certifies
-        non-principality.  Norms are read off the integer rows; only the
-        generator becomes an element.
+        Any generator moves into unit_window(K, N) under multiplication by
+        units, so an empty window certifies non-principality.  Norms are
+        read off the integer rows; only the generator becomes an element.
         """
         t = self.norm()
         K = self.K
@@ -858,24 +853,6 @@ def line_colon_ideal(K: CMField, alpha: KElem, module: KIdeal) -> FIdeal:
     rows = [_row_mul(K._mt, r, arow) for r in module.num]
     ker = zspan_kernel([r[n:] for r in rows])
     return FIdeal.from_rows(K.F, [vec_mat(c, rows)[:n] for c in ker], module.den * aden)
-
-
-def unit_window(K: CMField, t: Fraction) -> Fraction:
-    """Bound on Tr(z conj z) that every unit orbit with |N(z)| <= t meets.
-
-    For n = 1 the trace form is 2|N(z)|; for n = 2 a unit multiple has
-    Tr(z conj z) <= 2 sqrt(t) (eps + 1/eps), rounded up to 2^-20 exactly:
-    (eps + 1/eps)^2 = Tr(eps)^2 - 2 N(eps) + 2 is an integer S, so the
-    window is k/2^20 with k the least integer whose square is at least
-    2^40 4 t S.
-    """
-    if K.F.n == 1:
-        return 2 * t
-    eps = K.F.eps
-    x = Fraction(t) * (2**42 * (int(eps.trace()) ** 2 - 2 * int(eps.norm()) + 2))
-    m = -(-x.numerator // x.denominator)
-    k = isqrt(m)
-    return Fraction(k + (k * k < m), 2**20)
 
 
 # -- small helpers -------------------------------------------------------------------

@@ -90,7 +90,7 @@ def cmd_verify(args) -> int:
         if "normcounts" in checks and K.unit_equal:
             lat = lattice(K.F)
             bnd.norm_count_check_K(K, K.maximal_order(), Fraction(5), lat)
-            bnd.norm_count_check_F(K.F, K.F.unit_ideal(), Fraction(7), lat)
+            bnd.norm_count_check_F(K.F.unit_ideal(), Fraction(7), lat)
             row["normcounts"] = "ok"
         if "measures" in checks and K.unit_equal:
             lat = lattice(K.F)

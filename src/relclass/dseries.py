@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cm import CMField, KElem, KIdeal, class_counts, line_colon_ideal, unit_window
+from .cm import CMField, KElem, KIdeal, class_counts, line_colon_ideal
 from .errors import InequalityViolated, OutOfRegion, TruncationTooLarge
-from .field import Field, canonical_unit_row, prime_products, primes_up_to
+from .field import Field, prime_products, primes_up_to
 
 MAX_TRUNCATION = 10**4
 
@@ -53,7 +53,7 @@ class CoeffSeries:
         return CoeffSeries(X, out, "quotient")
 
 
-def _euler_coeffs(local_factors: list[tuple[int, list[Fraction]]], X: int) -> list[Fraction]:
+def euler_coeffs(local_factors: list[tuple[int, list[Fraction]]], X: int) -> list[Fraction]:
     """Expand a product of local series sum_k c_{p,k} (p^k)^-s up to X.
 
     local_factors: (prime power base q, [c_0, c_1, ...]) per prime."""
@@ -96,7 +96,7 @@ def zeta_coeffs_field(F: Field, X: int) -> CoeffSeries:
         for pr in F.splitting(p).primes:
             if pr.norm() <= X:
                 factors.append((pr.norm(), _geom(X, pr.norm())))
-    coeffs = _euler_coeffs(factors, X)
+    coeffs = euler_coeffs(factors, X)
     cap = min(X, 400)
     direct = [1] * cap if F.n == 1 else _quadratic_ideal_counts(F.c0, F.c1, cap)
     for n in range(1, cap + 1):
@@ -131,7 +131,7 @@ def zeta_coeffs_cm(K: CMField, X: int) -> CoeffSeries:
             for kp in K.primes_above(pr):
                 if kp.norm() <= X:
                     factors.append((kp.norm(), _geom(X, kp.norm())))
-    coeffs = _euler_coeffs(factors, X)
+    coeffs = euler_coeffs(factors, X)
     cap = min(X, 60)
     direct = _ideal_count_direct_cm(K, cap)
     for n in range(1, cap + 1):
@@ -174,7 +174,7 @@ def vseries(K: CMField, X: int) -> CoeffSeries:
                 factors.append((q, [Fraction(1)] + [Fraction(2)] * (ln - 1)))
             elif kind == "ramified":
                 factors.append((q, [Fraction(1), Fraction(1)]))
-    prod_route = _euler_coeffs(factors, X)
+    prod_route = euler_coeffs(factors, X)
     zk = zeta_coeffs_cm(K, X)
     zf = zeta_coeffs_field(K.F, X)
     zf2 = [Fraction(0)] * X
@@ -325,17 +325,8 @@ def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
     least value), or None when no line is saturated.
     """
     nN = Ni.norm()
-    t_abs = Fraction(x_max) * nN
-    cap = t_abs * Ni.den**K.deg  # |N(row/den)| <= t_abs on the integer row
-    seen: dict = {}
-    for row in Ni._short_rows(unit_window(K, t_abs)):
-        if K._abs_norm(row) > cap:
-            continue
-        zr = canonical_unit_row(K, row)
-        key = tuple(K._ambient(zr))
-        if key not in seen:
-            seen[key] = K._from_order(zr, Ni.den)
-    lines = [(zc.abs_norm() / nN, zc) for zc in seen.values()]
+    alphas = [K._from_order(zr, Ni.den) for zr in Ni.unit_orbits(x_max * nN)]
+    lines = [(z.abs_norm() / nN, z) for z in alphas]
     lines.sort(key=lambda t: (t[0], tuple(t[1].coords())))
     for _, zc in lines:
         b = line_colon_ideal(K, zc, Ni)

@@ -148,8 +148,7 @@ def residue_char(pr: "PrimeIdeal", x: "FElem") -> int:
     is needed mod p^(v+1), v = v_p(den)."""
     p = pr.p
     if pr.f == 2:
-        F = x.F
-        return kronecker(x.na * x.na + F.c1 * x.na * x.nb - F.c0 * x.nb * x.nb, p)
+        return kronecker(x.F.norm_int(x.na, x.nb), p)
     v, den = 0, x.den
     while den % p == 0:
         v, den = v + 1, den // p
@@ -235,12 +234,7 @@ class Field:
             self._conj_mat = [(1, 0), (self.c1, -1)]
             self._trace_mat = [[2, self.c1], [self.c1, self.c1 * self.c1 + 2 * self.c0]]
         self._init_units()
-        # rows of b_i * eps^(+-1), for canonical_unit_row; over Q the only
-        # units are +-1
-        self._unit_steps = None
-        if self.n == 2:
-            units = [self._to_order(u)[0] for u in (self.eps, self.one() / self.eps)]
-            self._unit_steps = [[_row_mul(self._mt, e, u) for e in ([1, 0], [0, 1])] for u in units]
+        self._unit_steps = unit_steps(self, self._mt, self.deg)
         self._prime_cache: dict[int, SplittingType] = {}
         self._init_class_group()
         self.unit_sq_index = 2**self.n
@@ -263,6 +257,16 @@ class Field:
         # x, y > 0, so the first embedding is already > 1
         self.regulator = math.log(self.eps.embed(0))
         self.d0 = math.sqrt(2.0) * self.regulator
+
+    # -- integer norms ---------------------------------------------------------
+
+    def norm_int(self, a: int, b: int = 0) -> int:
+        """N(a + b omega), signed, for integers a and b (omega = 0 over Q)."""
+        return a * a + self.c1 * a * b - self.c0 * b * b if self.n == 2 else a
+
+    def _abs_norm(self, row) -> int:
+        """|N(z)| for the integral z of order row `row`."""
+        return abs(self.norm_int(*row))
 
     # -- element constructors ---------------------------------------------
 
@@ -535,13 +539,15 @@ class FElem:
         o = other if other.__class__ is FElem and other.F is self.F else self._coerce(other)
         F = self.F
         # x / o = x * conj(o) / N(o); with o = (a + b w)/d that is
-        # x * (ca - b w) * d / (a ca - c0 b^2), ca = a + c1 b
+        # x * (ca - b w) * d / N(a + b w), ca = a + c1 b, and x * d / a over Q
         a, b = o.na, o.nb
-        ca = a + b * F.c1
-        nrm = a * ca - F.c0 * b * b
+        nrm = F.norm_int(a, b)
         if nrm == 0:
             raise ZeroDivisionError
         x1, y1 = self.na, self.nb
+        if F.n == 1:
+            return _felem(F, x1 * o.den, y1 * o.den, self.den * nrm)
+        ca = a + b * F.c1
         na = x1 * ca - y1 * b * F.c0
         nb = y1 * ca - x1 * b - y1 * b * F.c1
         return _felem(F, na * o.den, nb * o.den, self.den * nrm)
@@ -586,10 +592,7 @@ class FElem:
         return Fraction(2 * self.na + self.nb * self.F.c1, self.den)
 
     def norm(self) -> Fraction:
-        if self.F.n == 1:
-            return Fraction(self.na, self.den)
-        F, a, b = self.F, self.na, self.nb
-        return Fraction(a * a + F.c1 * a * b - F.c0 * b * b, self.den * self.den)
+        return Fraction(self.F.norm_int(self.na, self.nb), self.den**self.F.n)
 
     def is_zero(self) -> bool:
         return self.na == 0 and self.nb == 0
@@ -616,14 +619,6 @@ class FElem:
             return (self.na > 0) - (self.na < 0)
         u, v = self._uv()  # den > 0 leaves the sign unchanged
         return surd_sign(u, v if i == 0 else -v, self.F.m)
-
-    def embedding_floor(self, i: int) -> int:
-        """Exact floor of the i-th real embedding; the ceiling is
-        -(-x).embedding_floor(i)."""
-        if self.F.n == 1:
-            return self.na // self.den
-        u, v = self._uv()
-        return surd_floor(u, v if i == 0 else -v, self.F.m, 2 * self.den)
 
     def is_totally_positive(self) -> bool:
         return all(self.embedding_sign(i) > 0 for i in range(self.F.n))
@@ -801,6 +796,42 @@ def canonical_unit_row(ring, row: list[int]) -> list[int]:
     return row if tuple(c) >= tuple(-x for x in c) else [-x for x in row]
 
 
+def unit_steps(F: Field, mt, deg: int) -> list[list[list[int]]] | None:
+    """The matrices of multiplication by eps and by 1/eps on the order rows
+    of a ring of degree deg over F whose Z-basis opens with F's (1, omega),
+    through its structure constants mt: the steps of canonical_unit_row.
+    None over Q, whose only units are +-1."""
+    if F.n == 1:
+        return None
+    pad = [0] * (deg - 2)
+    units = [F._to_order(u)[0] + pad for u in (F.eps, F.one() / F.eps)]
+    return [[_row_mul(mt, e, u) for e in _identity(deg)] for u in units]
+
+
+def unit_window(ring, t) -> Fraction:
+    """A bound on Tr(z conj z) that every unit orbit of nonzero z in the ring
+    with |N(z)| <= t meets, on the grid 2^-20 Z.
+
+    For a ring of degree deg over F of degree n, r = deg/n, Tr(z conj z) is
+    r times the sum of y_i = |sigma_i z|^2 over one place above each real
+    place of F, and their product is |N(z)|^(2/r).  Over Q that is at most
+    r t^(2/r).  Over Q(sqrt m) a unit eps^k multiplies y_0/y_1 by eps^4k, so
+    some multiple has y_0/y_1 in [eps^-2, eps^2] and sum at most
+    |N(z)|^(1/r) (eps + 1/eps).  Both read (deg/n) t^(2/deg) S, with S = 1
+    over Q and eps + 1/eps otherwise.  Its square is rational, as
+    S^2 = Tr(eps)^2 - 2 N(eps) + 2 is an integer, so the window is k/2^20
+    with k the least integer whose square is at least 2^40 times it: one
+    isqrt."""
+    F = ring if isinstance(ring, Field) else ring.F
+    r = ring.deg // F.n
+    x = Fraction(t) ** (4 // ring.deg) * (r * r * 2**40)
+    if F.n == 2:
+        x *= int(F.eps.trace()) ** 2 - 2 * int(F.eps.norm()) + 2
+    m = -(-x.numerator // x.denominator)
+    k = isqrt(m)
+    return Fraction(k + (k * k < m), 2**20)
+
+
 def _row_mul(mt, r1: list[int], r2: list[int]) -> list[int]:
     """The product of two elements given by their rows, through the
     structure constants mt[i][j] = row of b_i * b_j."""
@@ -905,6 +936,21 @@ class LatticeIdeal:
         if self._red is None:
             self._red = lll_reduce_gram(self.gram())
         return [vec_mat(v, self.num) for v in short_vectors(self._red, q_bound)]
+
+    def unit_orbits(self, t) -> list[list[int]]:
+        """The canonical_unit_row of each unit orbit of nonzero z in the ideal
+        with |N(z)| <= t, as integer rows over den, in the order they are met
+        in unit_window(ring, t), which every such orbit meets: Fincke-Pohst
+        enumeration on the trace form (Cohen, GTM 138, Alg. 2.7.5), reduced
+        modulo the units."""
+        ring = self.ring
+        cap = t * self.den**ring.deg  # |N(row/den)| <= t on the integer row
+        orbits: dict = {}
+        for row in self._short_rows(unit_window(ring, t)):
+            if ring._abs_norm(row) <= cap:
+                zr = canonical_unit_row(ring, row)
+                orbits.setdefault(tuple(zr), zr)
+        return list(orbits.values())
 
     def conj(self):
         rows = [vec_mat(r, self.ring._conj_mat) for r in self.num]
@@ -1026,7 +1072,7 @@ class FIdeal(LatticeIdeal):
         basis, so its form_cycle key names the class of the ideal."""
         F = self.F
         (a, b), (_, c) = self.num
-        return (a * a + F.c1 * a * b - F.c0 * b * b) // (a * c), (F.c1 * a - 2 * F.c0 * b) // a, -F.c0 * c // a
+        return F.norm_int(a, b) // (a * c), (F.c1 * a - 2 * F.c0 * b) // a, -F.c0 * c // a
 
     def principal_gen(self) -> FElem | None:
         """A generator, or None when the ideal is not principal.

@@ -397,7 +397,7 @@ def _q2_image(F: Field, x: FElem, pr: PrimeIdeal) -> tuple[int, int]:
     field.omega_root lifts by Newton steps (the derivative 2R - c1 is odd).
     The numerator na + nb R has valuation at most that of its norm, so R is
     needed to that many digits plus 3."""
-    nm = x.na * x.na + F.c1 * x.na * x.nb - F.c0 * x.nb * x.nb
+    nm = F.norm_int(x.na, x.nb)
     k = _v2(nm) + 3
     num = (x.na + x.nb * omega_root(pr, k)) % 2**k
     vn, vd = _v2(num), _v2(x.den)

@@ -11,7 +11,6 @@ partial Euler products of L(1, sym^2) are flagged heuristic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -254,34 +253,20 @@ def _lam_power(table: EigenvalueTable, pr: PrimeIdeal, k: int) -> int:
 
 
 def dirichlet_coeffs(table: EigenvalueTable, N: int) -> list[int]:
-    """Coefficients c_n of D(s, f) = sum c_n n^-s for n <= N (norm-indexed)."""
-    out = [Fraction(0)] * N
-    out[0] = Fraction(1)
+    """Coefficients c_n of D(s, f) = sum c_n n^-s for n <= N (norm-indexed):
+    the Euler product of the local series sum_k lambda(pr^k) N(pr)^-ks."""
+    from .dseries import euler_coeffs
+
+    factors = []
     for p in primes_up_to(N):
         if p > table.pmax:
             raise InsufficientCoefficients(f"need eigenvalues at {p}")
         for pr in table.F.splitting(p).primes:
-            q = pr.norm()
-            if q > N:
-                continue
-            ln = 0
-            qk = 1
-            while qk <= N:
-                qk *= q
-                ln += 1
-            cs = [Fraction(_lam_power(table, pr, k)) for k in range(ln)]
-            new = [Fraction(0)] * N
-            for n in range(1, N + 1):
-                if out[n - 1] == 0:
-                    continue
-                qk, k = 1, 0
-                while n * qk <= N and k < len(cs):
-                    if cs[k]:
-                        new[n * qk - 1] += out[n - 1] * cs[k]
-                    qk *= q
-                    k += 1
-            out = new
-    return [int(c) for c in out]
+            q, cs = pr.norm(), []
+            while q ** len(cs) <= N:
+                cs.append(_lam_power(table, pr, len(cs)))
+            factors.append((q, cs))
+    return [int(c) for c in euler_coeffs(factors, N)]
 
 
 # -- Euler factors -----------------------------------------------------------------

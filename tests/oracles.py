@@ -1563,11 +1563,11 @@ def line_colon_ideal(K, alpha, module):
 
 
 # -- principality over F by an r1 scan --------------------------------------------------
-# relclass.field.FIdeal.principal_gen before the cycle of reduced forms, kept
-# verbatim but for the name and the ideal passed as an argument: the second
-# coordinate r1 runs over a float range that bounds a generator's unit
-# multiple with both |sigma_i(x)| <= sqrt(N) eps, and the norm equation is
-# solved exactly for r0.
+# relclass.field.FIdeal.principal_gen before the cycle of reduced forms, in its
+# order and on its float window, with the norm equation solved on integers: the
+# second coordinate r1 runs over a float range that bounds a generator's unit
+# multiple with both |sigma_i(x)| <= sqrt(N) eps, and for each r1 the first
+# coordinate r0 comes from one isqrt.
 
 # most coordinates principal_gen_by_scan may scan before it gives up undecided
 PRINCIPAL_SCAN_BUDGET = 10**6
@@ -1580,13 +1580,20 @@ def principal_gen_by_scan(idl) -> FieldElem | None:
     which pins its second coordinate to a finite range; for each such
     coordinate the norm equation is a quadratic in the first, solved
     exactly.  An empty scan certifies non-principality.
+
+    On the HNF rows (a, b), (0, c) of J = den idl, b0 = (a + b omega)/den,
+    b1 = c omega/den and x = r0 b0 + r1 b1 is (r0 a + (r0 b + r1 c) omega)/den,
+    so den^2 N(x) = A r0^2 + B r0 r1 + C r1^2 with the integers below
+    (N(u + v omega) = u^2 + c1 u v - c0 v^2), and N(x) = +-N(idl) reads
+    A r0^2 + B r1 r0 + C r1^2 = +-a c.  For each r1 the targets +ac and -ac
+    are tried in turn, and the roots r0 = (-B r1 +- s)/2A with s^2 the
+    discriminant, +s first.
     """
     F = idl.F
-    target = idl.norm()
     if F.n == 1:
         return F.elem(Fraction(idl.num[0][0], idl.den))
     eps1 = F.eps.embed(0)
-    lim = math.sqrt(float(target)) * eps1 * 1.0000001 + 1e-12
+    lim = math.sqrt(float(idl.norm())) * eps1 * 1.0000001 + 1e-12
     b0, b1 = idl.basis_elems()
     e00, e01 = b0.embed(0), b0.embed(1)
     e10, e11 = b1.embed(0), b1.embed(1)
@@ -1594,28 +1601,24 @@ def principal_gen_by_scan(idl) -> FieldElem | None:
     r1_max = int((abs(e00) + abs(e01)) * lim / abs(det)) + 2
     if 2 * r1_max + 1 > PRINCIPAL_SCAN_BUDGET:
         raise SearchBudgetExceeded("principality search budget exhausted")
-    A = b0.norm()
-    B = (b0 * b1.conj() + b1 * b0.conj()).a  # Tr-type cross coefficient
-    C = b1.norm()
+    (a, b), (_, c) = idl.num
+    A = a * a + F.c1 * a * b - F.c0 * b * b
+    B = c * (F.c1 * a - 2 * F.c0 * b)
+    C = -F.c0 * c * c
+    target = a * c
     for r1 in range(-r1_max, r1_max + 1):
         for tt in (target, -target):
-            # A r0^2 + B r1 r0 + (C r1^2 - tt) = 0
-            disc = (B * r1) * (B * r1) - 4 * A * (C * r1 * r1 - tt)
+            disc = (B * r1) ** 2 - 4 * A * (C * r1 * r1 - tt)
             if disc < 0:
                 continue
-            s = _rat_sqrt(disc)
-            if s is None:
+            s = isqrt(disc)
+            if s * s != disc:
                 continue
             for sgn in (s, -s):
-                r0f = (-B * r1 + sgn) / (2 * A)
-                if r0f.denominator != 1:
+                r0, rest = divmod(-B * r1 + sgn, 2 * A)
+                if rest or (r0 == 0 and r1 == 0):
                     continue
-                r0 = int(r0f)
-                if r0 == 0 and r1 == 0:
-                    continue
-                x = FieldElem(F, r0 * b0.a + r1 * b1.a, r0 * b0.b + r1 * b1.b)
-                if abs(x.norm()) == target:
-                    return x
+                return F.elem(Fraction(r0 * a, idl.den), Fraction(r0 * b + r1 * c, idl.den))
     return None
 
 

@@ -190,7 +190,7 @@ def test_08_norm_counts(lat_constants):
             which = rng.randrange(3)
             if which == 0 or not Ks:
                 idl = F.unit_ideal() if rng.random() < 0.5 else F.splitting(3).primes[0].ideal
-                bnd.norm_count_check_F(F, idl, t, lat)
+                bnd.norm_count_check_F(idl, t, lat)
             else:
                 K = Ks[rng.randrange(len(Ks))]
                 cd = K.class_data()

@@ -270,7 +270,7 @@ def test_box_check_builds_no_interval(monkeypatch):
 
 
 def test_norm_count_b_rational_example():
-    rep = bnd.norm_count_check_F(Q, Q.unit_ideal(), Fraction(7), LAT_Q)
+    rep = bnd.norm_count_check_F(Q.unit_ideal(), Fraction(7), LAT_Q)
     assert rep["count"] == 7
     assert rep["rhs"] >= 7
 
@@ -454,9 +454,9 @@ def _norm_count_fields():
 def test_norm_count_K_matches_direct_enumeration(t):
     """The orbit count of inequality (a) against a direct short-vector scan in
     twice the unit window, off the same minimal saturated line."""
-    from relclass.cm import unit_window
     from relclass.constructions import canonical_unit_rep
     from relclass.dseries import line_norms, on_line
+    from relclass.field import unit_window
     from relclass.lattice import lll_reduce_gram, short_vectors
 
     Ks = _norm_count_fields()
@@ -479,25 +479,28 @@ def test_norm_count_K_matches_direct_enumeration(t):
             assert bnd.norm_count_check_K(K, Ni, t, lat)["count"] == len(seen)
 
 
-@pytest.mark.parametrize("m", [2, 3, 5, 13])
+@pytest.mark.parametrize("m", [None, 2, 3, 5, 13])
 def test_norm_count_F_matches_direct_enumeration(m):
-    """The orbit count of inequality (b) against a direct short-vector scan in
-    twice the window t' (eps + 1/eps), with orbits told apart by the FElem
-    unit-orbit walk of the oracles, on integral ideals and their halves."""
+    """The orbit count of inequality (b), read through norm_count_check_F,
+    against a direct short-vector scan in twice the window t' (eps + 1/eps)
+    (t'^2 over Q), with orbits told apart by the FElem unit-orbit walk of
+    the oracles, on integral ideals and their halves."""
     from relclass.lattice import lll_reduce_gram, short_vectors
 
-    F = make_field(2, m)
+    F = make_field(1) if m is None else make_field(2, m)
+    lat = bnd.lattice_constants(F)
     eps = F.eps.embed(0)
+    S = Fraction(math.ceil((eps + 1 / eps) * 1000), 1000) if F.n == 2 else 1
     ideals = [F.unit_ideal()] + [pr.ideal for p in (2, 3, 7) for pr in F.splitting(p).primes]
     for idl in ideals + [idl.scale(Fraction(1, 2)) for idl in ideals]:
-        b0, b1 = idl.basis_elems()
+        basis = idl.basis_elems()
         gram = idl.gram()
         for t in (Fraction(1), Fraction(7, 3), Fraction(12), Fraction(29, 2)):
             tprime = t * idl.norm()
-            window = 2 * tprime * Fraction(math.ceil((eps + 1 / eps) * 1000), 1000)
+            window = 2 * tprime ** (2 // F.n) * S
             seen = set()
-            for r, s in short_vectors(lll_reduce_gram(gram), window):
-                x = b0 * r + b1 * s
+            for v in short_vectors(lll_reduce_gram(gram), window):
+                x = sum((b * c for b, c in zip(basis, v)), F.zero())
                 if not x.is_zero() and abs(x.norm()) <= tprime:
                     seen.add(oracles.canonical_unit_rep_F(F, x).coords())
-            assert bnd.count_norm_orbits_F(F, idl, t) == len(seen), (F, idl, t)
+            assert bnd.norm_count_check_F(idl, t, lat)["count"] == len(seen), (F, idl, t)

@@ -16,12 +16,11 @@ from relclass.cm import (
     class_counts,
     line_colon_ideal,
     make_cm,
-    unit_window,
 )
 from relclass.constructions import decompose_ideal
 from relclass.dseries import line_norms
 from relclass.errors import NotIntegral, NotTotallyNegative, RelclassError
-from relclass.field import LatticeIdeal, kronecker, make_field, primes_up_to
+from relclass.field import LatticeIdeal, kronecker, make_field, primes_up_to, unit_window
 from relclass.lattice import lll_reduce_gram, short_vectors
 from relclass.intmat import solve_exact
 from relclass.imagquad import class_group_counts
@@ -591,19 +590,24 @@ def test_line_colon_ideal_matches_cross_products(corpus):
                 assert line_colon_ideal(K, z, Ni) == oracles.line_colon_ideal(K, z, Ni), (entry, z)
 
 
-@pytest.mark.parametrize("m", [2, 3, 5, 13])
+@pytest.mark.parametrize("m", [None, 2, 3, 5, 13])
 def test_unit_window_is_exact_from_above(m):
-    """w = unit_window(K, t) is the least point of the 2^-20 grid at or above
-    2 sqrt(t) (eps + 1/eps), compared exactly by squaring; (eps + 1/eps)^2
-    comes from field arithmetic."""
-    F = make_field(2, m)
-    K = make_cm(F, F.elem(-7))
-    x = F.eps + F.one() / F.eps
-    S = (x * x).a
-    assert (x * x).b == 0
+    """w = unit_window(ring, t) is the least point of the 2^-20 grid at or
+    above (deg/n) t^(2/deg) S, on F = Q or Q(sqrt m) and on K = F(sqrt -7),
+    compared exactly by squaring; S = 1 over Q, and otherwise
+    S^2 = (eps + 1/eps)^2 comes from field arithmetic."""
+    F = make_field(1) if m is None else make_field(2, m)
+    S2 = 1
+    if F.n == 2:
+        x = F.eps + F.one() / F.eps
+        S2 = (x * x).a
+        assert (x * x).b == 0
     step = Fraction(1, 2**20)
-    for t in [Fraction(k, 12) for k in range(1, 241)] + [Fraction(10**9 + 7, 3), Fraction(2**61 - 1)]:
-        w = unit_window(K, t)
-        assert w % step == 0
-        assert w * w >= 4 * t * S
-        assert (w - step) ** 2 < 4 * t * S
+    for ring in (F, make_cm(F, F.elem(-7))):
+        r = ring.deg // F.n
+        for t in [Fraction(k, 12) for k in range(1, 241)] + [Fraction(10**9 + 7, 3), Fraction(2**61 - 1)]:
+            w = unit_window(ring, t)
+            w2 = r * r * t ** (4 // ring.deg) * S2
+            assert w % step == 0
+            assert w * w >= w2
+            assert (w - step) ** 2 < w2

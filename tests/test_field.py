@@ -232,10 +232,9 @@ def test_principal_gen_matches_the_scan():
     """The cycle's verdict and generator are the r1 scan's on o_F and every
     integral ideal of norm <= 40 times the inverse of each class
     representative, and on their quotients by 2 and 3, over every squarefree
-    m < 60 but 31, 43, 46 and 59: the scan's range grows with eps, and on
-    these four (eps > 1000) it takes from 4 s to minutes."""
+    m < 60."""
     for m in range(2, 60):
-        if not is_squarefree(m) or m in (31, 43, 46, 59):
+        if not is_squarefree(m):
             continue
         F = make_field(2, m)
         for a in [F.unit_ideal()] + ideals_of_norm_up_to(F, 40):
@@ -402,21 +401,6 @@ def test_element_views_and_errors():
     assert F.elem(2) == 2 and F.elem(Fraction(1, 2)) == 0.5 and x != None  # noqa: E711
 
 
-@st.composite
-def field_and_elem(draw):
-    F = draw(st.sampled_from(REF_FIELDS))
-    return F, FElem(F, *draw(coordinates(F)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(field_and_elem(), st.integers(0, 1))
-def test_embedding_floor_against_exact_signs(case, i):
-    F, x = case
-    i %= F.n
-    k = x.embedding_floor(i)
-    assert (x - k).embedding_sign(i) >= 0 and (x - k - 1).embedding_sign(i) < 0
-
-
 @settings(max_examples=400, deadline=None)
 @given(
     st.integers(-(10**30), 10**30),
@@ -447,19 +431,13 @@ def test_surd_kernel_at_the_edges():
     assert surd_floor(3, -2, 2, 1) == 0  # 3 - 2 sqrt 2 = 0.17...
     assert surd_sign(3, -2, 2) == 1 and surd_sign(-3, 2, 2) == -1 and surd_sign(0, 0, 2) == 0
     assert surd_sign(0, -1, 7) == -1 and surd_sign(-1, 0, 7) == -1
-
-
-def test_embedding_floor_where_floats_fail():
-    x = F2.elem(0, -1)  # -sqrt 2: floor(v sqrt m) for v < 0 rounds away from zero
-    assert (x.embedding_floor(0), x.embedding_floor(1)) == (-2, 1)
-    # (1 + sqrt 2)^40 lies 4e-16 below an integer that a double rounds to
-    y = F2.one()
+    # (1 + sqrt 2)^40 = p + q sqrt 2 lies 4e-16 below 2p, to which a double rounds
+    p, q = 1, 0
     for _ in range(40):
-        y = y * F2.elem(1, 1)
-    t = y.trace()
-    assert t.denominator == 1 and math.floor(y.embed(0)) == t
-    assert y.embedding_floor(0) == t - 1 and y.embedding_floor(1) == 0
-    assert (-y).embedding_floor(0) == -t
+        p, q = p + 2 * q, p + q
+    assert math.floor(p + q * math.sqrt(2)) == 2 * p
+    assert surd_floor(p, q, 2, 1) == 2 * p - 1 and surd_floor(p, -q, 2, 1) == 0
+    assert surd_floor(-p, -q, 2, 1) == -2 * p
 
 
 # -- the lattice ideal type against the FIdeal it replaced -----------------------
