@@ -281,6 +281,13 @@ def box_bound_check(F: Field, consts: LatticeConstants, idl: FIdeal, x0: tuple, 
 # -- norm counting --------------------------------------------------------------------
 
 
+def norm_count_scan_bound(K: CMField, t) -> Fraction:
+    """The bound of norm_count_check_K's line scan: t, or the Minkowski-type
+    bound below which the minimal saturated line lies if that is larger."""
+    mink = (2 / math.pi) ** K.F.n * math.sqrt(K.abs_disc) + 2
+    return max(Fraction(t), Fraction(mink))
+
+
 def norm_count_check_K(K: CMField, Ni, t: Fraction, lat: LatticeConstants) -> dict:
     """Inequality (a): orbits off the minimal line against A1 t / sqrt(disc)."""
     # the excluded line has minimal |N(L o_K)| among saturated lines; scan far
@@ -288,8 +295,7 @@ def norm_count_check_K(K: CMField, Ni, t: Fraction, lat: LatticeConstants) -> di
     # orbit, so the count reads off the same scan.
     from .dseries import line_norms, on_line
 
-    mink = (2 / math.pi) ** K.F.n * math.sqrt(K.abs_disc) + 2
-    lines, exclude = line_norms(K, Ni, max(Fraction(t), Fraction(mink)))
+    lines, exclude = line_norms(K, Ni, norm_count_scan_bound(K, t))
     count = sum(1 for v, z in lines if v <= t and (exclude is None or not on_line(z, exclude)))
     rhs = lat.A1 * Interval(Fraction(t)) / isqrt_iv(Interval.exact(K.rel_disc_norm))
     ok = count <= rhs.hi

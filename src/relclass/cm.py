@@ -12,6 +12,9 @@ The class group is built by one subgroup closure with discrete-log
 bookkeeping, for every base class number: the extensions of the classes of F
 come first, then the prime generators, so conjugation (A -> A^-1 N(A) o_K, a
 linear map on logs) and the image of Cl(F) come from the group structure.
+The closure builds each generator when it reaches it, and stops at h_K where
+a class number formula certifies h_K (over Q, and for biquadratic K without
+extra units).
 
 Fields with o_K^x != o_F^x (the finitely many unit-exceptional extensions,
 F(zeta_6) = F(sqrt(-3)) among them) are constructed and flagged; the
@@ -33,6 +36,7 @@ from typing import NamedTuple
 
 from .errors import (
     DecompositionFailed,
+    LemmaViolation,
     SearchBudgetExceeded,
 )
 from .field import (
@@ -162,6 +166,7 @@ class CMField:
         self._class_data = None
         self._counts = None
         self._local_cache: dict = {}
+        self._line_scans: dict = {}  # dseries.line_norms: ideal key -> widest scan
 
     # -- multiplication structure over the Z-basis of o_K ------------------------
 
@@ -694,35 +699,31 @@ def _class_data_by_closure(K: CMField) -> ClassData:
     """Subgroup closure over generators with discrete logs (Cohen, GTM 138,
     ch. 6), for every h_F.
 
-    The extensions a o_K of F's nontrivial class representatives come first,
-    so the image of Cl(F) is the first subgroup built; then one prime above
-    each base prime that splits or ramifies below the Minkowski bound (an
-    inert prime lies in the image, and the second prime of a split pair in
-    the image times the first).  Conjugation A -> A^-1 N(A) o_K is, on logs,
-    v -> -v - sum_g v_g e_j(g), with e_j the log of a_j o_K (e_0 = 0) and
-    N(g) a_j principal: inversion over h_F = 1.  N_reps holds the first
-    class of each coset of the image, logs reduced modulo the relations and
-    the e_j.
+    The generators come from _closure_generators, built as the loop reaches
+    them.  The loop stops once it holds h_K classes when _certified_h_K
+    knows h_K: the closure proves its classes distinct and the formula that
+    there are no others, and later generators would only add relations.
+    Conjugation A -> A^-1 N(A) o_K is, on logs, v -> -v - sum_g v_g e_j(g),
+    with e_j the log of a_j o_K (e_0 = 0) and N(g) a_j principal: inversion
+    over h_F = 1.  N_reps holds the first class of each coset of the image
+    of Cl(F), logs reduced modulo the relations and the e_j.
     """
     F = K.F
-    gens = [K.extend_ideal(a).two_element() for a in F.class_reps[1:]]
-    n_image = len(gens)
-    seen_base = set()
-    for kp in K.kprimes_up_to(K.minkowski_bound()):
-        if kp.rel_f == 2:
-            continue  # inert primes extend base primes: in the image of Cl(F)
-        bkey = (kp.base.p, kp.base.second_gen)
-        if bkey in seen_base:
-            continue  # one prime per split pair; the other is pr o_K over it
-        seen_base.add(bkey)
-        gens.append(kp.ideal)
-    k = len(gens)
-    # conj(g) lies in the class -[g] - [gens[shift[g]]], or -[g] when shift[g] < 0
-    shift = [F.inverse_class(g.rel_norm()) - 1 if F.h_F > 1 else -1 for g in gens]
+    count = _certified_h_K(K)
+    gens = _closure_generators(K)
     mo = K.maximal_order()
-    elements: list[tuple[tuple[int, ...], KIdeal]] = [(tuple([0] * k), mo)]
+    # logs grow by one coordinate per generator taken
+    elements: list[tuple[tuple[int, ...], KIdeal]] = [((), mo)]
     relations: list[list[int]] = []
-    for i, g in enumerate(gens):
+    # conj(g) lies in the class -[g] - [gens[shift[g]]], or -[g] when shift[g] < 0
+    shift: list[int] = []
+    while len(elements) != count:
+        g = next(gens, None)
+        if g is None:
+            break
+        i = len(shift)
+        shift.append(F.inverse_class(g.rel_norm()) - 1 if F.h_F > 1 else -1)
+        elements = [(vec + (0,), rep) for vec, rep in elements]
         cur = mo
         powers: list[KIdeal] = []
         d = 0
@@ -732,11 +733,8 @@ def _class_data_by_closure(K: CMField) -> ClassData:
             d += 1
             for vec, rep in elements:
                 if cur.in_same_class(rep):
-                    rvec = [0] * k
-                    rvec[i] = d
-                    for t in range(k):
-                        rvec[t] -= vec[t]
-                    rel = rvec
+                    rel = [-x for x in vec]
+                    rel[i] = d
                     break
             if rel is None:
                 powers.append(cur.two_element())
@@ -753,6 +751,10 @@ def _class_data_by_closure(K: CMField) -> ClassData:
                     prod = (pw * rep).small_class_rep().two_element()
                     new_elements.append((tuple(nv), prod))
             elements = new_elements
+    if count is not None and len(elements) != count:
+        raise LemmaViolation(f"the closure holds {len(elements)} classes where the class number formula gives {count}")
+    k = len(shift)
+    relations = [r + [0] * (k - len(r)) for r in relations]
     rel_rows = hnf_lattice(relations) if relations else []
     index = {_reduce(vec, rel_rows): i for i, (vec, rep) in enumerate(elements)}
     assert len(index) == len(elements), "discrete logs do not separate classes"
@@ -763,12 +765,59 @@ def _class_data_by_closure(K: CMField) -> ClassData:
             if s >= 0:
                 c[s] -= vec[t]
         conj_pairs.append(index[_reduce(c, rel_rows)])
-    unit = [[int(t == i) for t in range(k)] for i in range(n_image)]
-    image_rows = hnf_lattice(relations + unit) if n_image else rel_rows
+    # the first generators are the extensions of F's nontrivial classes
+    unit = [[int(t == i) for t in range(k)] for i in range(min(len(F.class_reps) - 1, k))]
+    image_rows = hnf_lattice(relations + unit) if unit else rel_rows
     cosets: dict[tuple[int, ...], KIdeal] = {}
     for vec, rep in elements:
         cosets.setdefault(_reduce(vec, image_rows), rep)
     return ClassData([rep for _, rep in elements], conj_pairs, list(cosets.values()))
+
+
+def _closure_generators(K: CMField):
+    """The closure's generators, each built when the closure reaches it.
+
+    The extensions a o_K of F's nontrivial class representatives come first,
+    so the image of Cl(F) is the first subgroup built; then, by (norm, p,
+    second_gen), one prime above each base prime that splits or ramifies
+    below the Minkowski bound, the first by HNF key of a split pair.  An
+    inert prime lies in the image, and the second prime of a split pair in
+    the image times the first.
+    """
+    F = K.F
+    for a in F.class_reps[1:]:
+        yield K.extend_ideal(a).two_element()
+    bound = K.minkowski_bound()
+    base = [pr for p in primes_up_to(int(bound)) for pr in F.splitting(p).primes if pr.norm() <= bound]
+    base.sort(key=lambda pr: (pr.norm(), pr.p, str(pr.second_gen)))
+    for pr in base:
+        if K.splitting_kind(pr) != "inert":
+            yield min((kp.ideal for kp in K.primes_above(pr)), key=KIdeal.key)
+
+
+def _certified_h_K(K: CMField) -> int | None:
+    """h_K from a class number formula, or None where none applies.
+
+    Over Q it counts Gauss's reduced forms (read from the counts when
+    class_counts ran first).  Over Q(sqrt m) with rational delta, K is the
+    biquadratic Q(sqrt m, sqrt delta), and Kuroda's formula
+    2 h_K = Q h(m) h(delta) h(m delta) holds (Lemmermeyer, Acta Arith. 72
+    (1995)).  Its unit index Q is 1 when o_K^x = o_F^x: then w_K = 2 and
+    E_K = +-E_F.
+    """
+    F = K.F
+    if F.n == 1:
+        if K._counts is not None:
+            return K._counts.h_K
+        from .imagquad import class_group_counts
+
+        return class_group_counts(-K.rel_disc_norm)[0]
+    if K.delta.nb or not K.unit_equal:
+        return None
+    from .imagquad import class_group_counts, field_disc
+
+    d = K.delta.na
+    return F.h_F * class_group_counts(field_disc(d))[0] * class_group_counts(field_disc(F.m * d))[0] // 2
 
 
 def _reduce(v, rows) -> tuple[int, ...]:

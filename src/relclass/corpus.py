@@ -59,6 +59,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"unknown checks: {bad}\n")
         return EXIT_INPUT
     lat_cache: dict = {}
+    t_a, samples = Fraction(5), [2.0, 5.0, 10.0]  # the bounds of normcounts (a) and measures
 
     def lattice(F):
         if F not in lat_cache:
@@ -87,14 +88,19 @@ def cmd_verify(args) -> int:
         if "lemma41" in checks and K.unit_equal and K.rel_disc_norm > 4**K.F.n:
             bp = bnd.bound_params(K)
             row["lemma41"] = f"V={bp.V:.4g},U={bp.U:.4g},R={bp.R}"
+        if "normcounts" in checks and "measures" in checks and K.unit_equal:
+            # one scan of the lines of o_K, at the larger bound, serves both
+            # checks: line_norms keeps it on K and filters it to each bound
+            bound = max(bnd.norm_count_scan_bound(K, t_a), dseries.mu_K_scan_bound(max(samples)))
+            dseries.line_norms(K, K.maximal_order(), bound)
         if "normcounts" in checks and K.unit_equal:
             lat = lattice(K.F)
-            bnd.norm_count_check_K(K, K.maximal_order(), Fraction(5), lat)
+            bnd.norm_count_check_K(K, K.maximal_order(), t_a, lat)
             bnd.norm_count_check_F(K.F.unit_ideal(), Fraction(7), lat)
             row["normcounts"] = "ok"
         if "measures" in checks and K.unit_equal:
             lat = lattice(K.F)
-            dseries.measure_compare(K, [2.0, 5.0, 10.0], lat.A1.hi, lat.A2.hi)
+            dseries.measure_compare(K, samples, lat.A1.hi, lat.A2.hi)
             row["measures"] = "ok"
 
     rows, worst = run_corpus(args.corpus, run_row)

@@ -25,7 +25,7 @@ class CoeffSeries:
 
     __slots__ = ("X", "coeffs", "provenance")
 
-    def __init__(self, X: int, coeffs: list[Fraction], provenance: str):
+    def __init__(self, X: int, coeffs: list[int], provenance: str):
         assert len(coeffs) == X
         self.X = X
         self.coeffs = coeffs
@@ -36,14 +36,14 @@ class CoeffSeries:
             return NotImplemented
         return (self.X, self.coeffs, self.provenance) == (other.X, other.coeffs, other.provenance)
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int) -> int:
         return self.coeffs[n - 1]
 
     def div(self, other: "CoeffSeries") -> "CoeffSeries":
         """Series quotient; other must have leading coefficient 1."""
         X = min(self.X, other.X)
         assert other.coeffs[0] == 1
-        out = [Fraction(0)] * X
+        out = [0] * X
         for n in range(1, X + 1):
             acc = self.coeffs[n - 1]
             for d in range(2, n + 1):
@@ -53,16 +53,16 @@ class CoeffSeries:
         return CoeffSeries(X, out, "quotient")
 
 
-def euler_coeffs(local_factors: list[tuple[int, list[Fraction]]], X: int) -> list[Fraction]:
+def euler_coeffs(local_factors: list[tuple[int, list[int]]], X: int) -> list[int]:
     """Expand a product of local series sum_k c_{p,k} (p^k)^-s up to X.
 
     local_factors: (prime power base q, [c_0, c_1, ...]) per prime."""
-    out = [Fraction(0)] * X
-    out[0] = Fraction(1)
+    out = [0] * X
+    out[0] = 1
     for q, cs in local_factors:
         if q > X:
             continue
-        new = [Fraction(0)] * X
+        new = [0] * X
         for n in range(1, X + 1):
             if out[n - 1] == 0:
                 continue
@@ -77,13 +77,13 @@ def euler_coeffs(local_factors: list[tuple[int, list[Fraction]]], X: int) -> lis
     return out
 
 
-def _geom(X: int, q: int) -> list[Fraction]:
+def _geom(X: int, q: int) -> list[int]:
     ln = 0
     qk = 1
     while qk <= X:
         qk *= q
         ln += 1
-    return [Fraction(1)] * ln
+    return [1] * ln
 
 
 def zeta_coeffs_field(F: Field, X: int) -> CoeffSeries:
@@ -171,13 +171,13 @@ def vseries(K: CMField, X: int) -> CoeffSeries:
             if kind == "split":
                 # (1 + q^-s)/(1 - q^-s) = 1 + 2 q^-s + 2 q^-2s + ...
                 ln = len(_geom(X, q))
-                factors.append((q, [Fraction(1)] + [Fraction(2)] * (ln - 1)))
+                factors.append((q, [1] + [2] * (ln - 1)))
             elif kind == "ramified":
-                factors.append((q, [Fraction(1), Fraction(1)]))
+                factors.append((q, [1, 1]))
     prod_route = euler_coeffs(factors, X)
     zk = zeta_coeffs_cm(K, X)
     zf = zeta_coeffs_field(K.F, X)
-    zf2 = [Fraction(0)] * X
+    zf2 = [0] * X
     for n in range(1, X + 1):
         if n * n <= X:
             zf2[n * n - 1] = zf.coeffs[n - 1]
@@ -196,7 +196,7 @@ def vsum_check(K: CMField) -> dict:
     X = max(16, int(threshold) + 2)
     vs = vseries(K, X)
     # exact comparison: n < sqrt(d)/2^nf iff n^2 4^nf < d
-    total = Fraction(0)
+    total = 0
     for n in range(1, X + 1):
         if n * n * 4**K.F.n < K.rel_disc_norm:
             total += vs.coeff(n)
@@ -206,10 +206,10 @@ def vsum_check(K: CMField) -> dict:
         raise InequalityViolated(f"vsum {total} > h = {h}")
     return {
         "threshold": threshold,
-        "partial_sum": int(total),
+        "partial_sum": total,
         "h": h,
         "ok": ok,
-        "margin": h - int(total),
+        "margin": h - total,
     }
 
 
@@ -323,16 +323,33 @@ def line_norms(K: CMField, Ni: KIdeal, x_max: Fraction):
     Returns (lines, exclude): lines is the sorted list of (value, alpha), alpha
     canonical, and exclude the alpha of the first saturated line (the one of
     least value), or None when no line is saturated.
+
+    K keeps the widest scan of each ideal, and a call within its bound reads
+    the answer off it: the lines sort by (value, coordinates), and each
+    orbit's canonical row does not depend on the bound, so the lines of value
+    <= x_max, and the first saturated line if it is among them, are what a
+    scan at x_max finds.
     """
-    nN = Ni.norm()
-    alphas = [K._from_order(zr, Ni.den) for zr in Ni.unit_orbits(x_max * nN)]
-    lines = [(z.abs_norm() / nN, z) for z in alphas]
-    lines.sort(key=lambda t: (t[0], tuple(t[1].coords())))
-    for _, zc in lines:
-        b = line_colon_ideal(K, zc, Ni)
-        if b.norm() == 1 and b.is_integral():
-            return lines, zc
-    return lines, None
+    scan = K._line_scans.get(Ni.key())
+    if scan is None or scan[0] < x_max:
+        nN = Ni.norm()
+        alphas = [K._from_order(zr, Ni.den) for zr in Ni.unit_orbits(x_max * nN)]
+        lines = [(z.abs_norm() / nN, z) for z in alphas]
+        lines.sort(key=lambda t: (t[0], tuple(t[1].coords())))
+        first = None
+        for t in lines:
+            b = line_colon_ideal(K, t[1], Ni)
+            if b.norm() == 1 and b.is_integral():
+                first = t
+                break
+        scan = K._line_scans[Ni.key()] = (x_max, lines, first)
+    _, lines, first = scan
+    return [t for t in lines if t[0] <= x_max], (first[1] if first and first[0] <= x_max else None)
+
+
+def mu_K_scan_bound(x_max: float) -> Fraction:
+    """The bound of measure_mu_K's line scans, which finds each minimal line."""
+    return Fraction(math.ceil(x_max) + 1)
 
 
 def on_line(z: KElem, w: KElem) -> bool:
@@ -345,7 +362,7 @@ def measure_mu_K(K: CMField, x_max: float) -> StepMeasure:
     mu = StepMeasure()
     for Ni in norm_class_reps(K):
         # the fixed L_i: minimal |N(L o_K)| among saturated lines
-        lines, exclude = line_norms(K, Ni, Fraction(math.ceil(x_max) + 1))
+        lines, exclude = line_norms(K, Ni, mu_K_scan_bound(x_max))
         for val, alpha in lines:
             if exclude is not None and on_line(alpha, exclude):
                 continue

@@ -266,7 +266,7 @@ def dirichlet_coeffs(table: EigenvalueTable, N: int) -> list[int]:
             while q ** len(cs) <= N:
                 cs.append(_lam_power(table, pr, len(cs)))
             factors.append((q, cs))
-    return [int(c) for c in euler_coeffs(factors, N)]
+    return euler_coeffs(factors, N)
 
 
 # -- Euler factors -----------------------------------------------------------------

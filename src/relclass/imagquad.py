@@ -3,7 +3,8 @@
 Each class of discriminant D < 0 holds exactly one reduced form (a, b, c),
 -a < b <= a <= c with b >= 0 when a = c (Cohen, GTM 138, 5.3), and
 3a^2 <= -D for it, so the classes are listed by a scan over (a, b) in
-integers.
+integers.  cm counts the classes of K over Q here, and of the imaginary
+quadratic subfields of a biquadratic K for Kuroda's formula.
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
                 out.append((a, b, c))
         a += 1
     return out
+
+
+def field_disc(x: int) -> int:
+    """The discriminant of Q(sqrt x), x < 0: the squarefree part s of x, times
+    4 unless s = 1 mod 4."""
+    d = 2
+    while d * d <= -x:
+        while x % (d * d) == 0:
+            x //= d * d
+        d += 1
+    return x if x % 4 == 1 else 4 * x
 
 
 def class_group_counts(D: int) -> tuple[int, int]:

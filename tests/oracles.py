@@ -1450,6 +1450,66 @@ def class_data_by_partition(K):
     return ClassData(reps, conj_pairs, N_reps)
 
 
+def class_data_by_full_sweep(K):
+    """ClassData of K by the discrete-log closure over every generator below
+    the Minkowski bound, with no stop at a known class number: the library's
+    closure before it stopped at the certified h_K, and before it built its
+    generators on demand (here they come from K.kprimes_up_to)."""
+    from relclass.cm import ClassData, _reduce
+
+    F = K.F
+    gens = [K.extend_ideal(a).two_element() for a in F.class_reps[1:]]
+    n_image = len(gens)
+    seen_base = set()
+    for kp in K.kprimes_up_to(K.minkowski_bound()):
+        if kp.rel_f == 2:
+            continue  # inert primes extend base primes: in the image of Cl(F)
+        bkey = (kp.base.p, kp.base.second_gen)
+        if bkey not in seen_base:  # one prime per split pair
+            seen_base.add(bkey)
+            gens.append(kp.ideal)
+    k = len(gens)
+    shift = [F.inverse_class(g.rel_norm()) - 1 if F.h_F > 1 else -1 for g in gens]
+    mo = K.maximal_order()
+    elements = [(tuple([0] * k), mo)]
+    relations = []
+    for i, g in enumerate(gens):
+        cur, powers, d, rel = mo, [], 0, None
+        while rel is None:
+            cur = (cur * g).small_class_rep()
+            d += 1
+            for vec, rep in elements:
+                if cur.in_same_class(rep):
+                    rel = [d * int(t == i) - vec[t] for t in range(k)]
+                    break
+            if rel is None:
+                powers.append(cur.two_element())
+        relations.append(rel)
+        new_elements = list(elements)
+        for e in range(1, d):
+            for vec, rep in elements:
+                nv = list(vec)
+                nv[i] += e
+                new_elements.append((tuple(nv), (powers[e - 1] * rep).small_class_rep().two_element()))
+        elements = new_elements
+    rel_rows = hnf_lattice(relations) if relations else []
+    index = {_reduce(vec, rel_rows): i for i, (vec, rep) in enumerate(elements)}
+    assert len(index) == len(elements)
+    conj_pairs = []
+    for vec, rep in elements:
+        c = [-x for x in vec]
+        for t, s in enumerate(shift):
+            if s >= 0:
+                c[s] -= vec[t]
+        conj_pairs.append(index[_reduce(c, rel_rows)])
+    unit = [[int(t == i) for t in range(k)] for i in range(n_image)]
+    image_rows = hnf_lattice(relations + unit) if n_image else rel_rows
+    cosets = {}
+    for vec, rep in elements:
+        cosets.setdefault(_reduce(vec, image_rows), rep)
+    return ClassData([rep for _, rep in elements], conj_pairs, list(cosets.values()))
+
+
 def reduced_gram(red) -> list[list[int]]:
     """D * (U G U^T) for the LLLData of lattice.lll_reduce_gram: the reduced
     Gram matrix, which the enumeration does not need."""

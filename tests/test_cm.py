@@ -132,7 +132,7 @@ def test_class_data_over_Q_sqrt10(d, counts, n_reps):
     assert all(cd.conj_pairs[j] == i for i, j in enumerate(cd.conj_pairs))
     assert cd.N_reps[0] is K.maximal_order()
     assert class_counts(K) == counts
-    assert _kuroda_holds(K, cd.h_K)
+    assert _class_data_keys(cd) == _class_data_keys(oracles.class_data_by_full_sweep(make_cm(F, F.elem(d))))
 
 
 # K = Q(sqrt m)(sqrt d) with h_F = 2 or 4, and (h_K, h, orbits)
@@ -141,6 +141,10 @@ BASE_CLASS_FIELDS = [
     (10, -6, (4, 2, 4)), (15, -7, (8, 4, 6)), (26, -7, (12, 6, 7)), (82, -1, (8, 4, 6)),
     (82, -6, (8, 2, 8)),
 ]
+
+
+def _class_data_keys(cd):
+    return [r.key() for r in cd.reps], cd.conj_pairs, [r.key() for r in cd.N_reps]
 
 
 def _check_class_data(K, cd):
@@ -155,8 +159,11 @@ def _check_class_data(K, cd):
 @pytest.mark.parametrize("m,d,counts", BASE_CLASS_FIELDS)
 def test_closure_matches_partition_over_nontrivial_base_class_groups(m, d, counts):
     """The discrete-log closure, with Cl(F) of order 2 or 4, against the
-    pairwise partition of the ideals below the Minkowski bound and against
-    Kuroda's formula."""
+    pairwise partition of the ideals below the Minkowski bound, and against
+    the closure over every generator: Kuroda's formula stops the closure
+    where delta is rational and there are no extra units, so it is no
+    independent check there.  Where it applies, the certified count is the
+    sweep's h_K."""
     F = make_field(2, m)
     assert F.h_F in (2, 4)
     K = make_cm(F, F.elem(d))
@@ -165,7 +172,9 @@ def test_closure_matches_partition_over_nontrivial_base_class_groups(m, d, count
     assert (cd.h_K, cd.h, cd.orbits) == (want.h_K, want.h, want.orbits) == counts
     assert len(cd.N_reps) == len(want.N_reps) == counts[1]
     _check_class_data(K, cd)
-    assert _kuroda_holds(K, cd.h_K)
+    sweep = oracles.class_data_by_full_sweep(make_cm(F, F.elem(d)))
+    assert _class_data_keys(cd) == _class_data_keys(sweep)
+    assert cm._certified_h_K(K) == (sweep.h_K if K.unit_equal else None)
 
 
 def test_closure_over_a_base_class_group_of_order_3():
@@ -178,7 +187,52 @@ def test_closure_over_a_base_class_group_of_order_3():
     assert (cd.h_K, cd.h, cd.orbits) == (15, 5, 9)
     assert len(cd.N_reps) == 5
     _check_class_data(K, cd)
-    assert _kuroda_holds(K, cd.h_K)
+    assert _kuroda_holds(K, cd.h_K)  # no certified count over F(sqrt -1): not circular
+    assert cm._certified_h_K(K) is None
+    assert _class_data_keys(cd) == _class_data_keys(oracles.class_data_by_full_sweep(make_cm(F, F.elem(-1))))
+
+
+@pytest.mark.parametrize("corpus", ["q50", "quartic80"])
+def test_stopped_closure_matches_the_full_sweep(corpus):
+    """The closure stops at the certified h_K on every q50 field and on the
+    61 quartic80 fields with rational delta, and builds its generators as it
+    reaches them; its representatives, conjugation pairs and N_reps are
+    those of the closure over every generator below the Minkowski bound.
+    Where a certified count exists it is the sweep's h_K; the rows with
+    irrational delta have none."""
+    certified = 0
+    for entry in load_corpus(str(CORPORA / f"{corpus}.txt")):
+        K, fresh = entry.cm(), entry.cm()
+        sweep = oracles.class_data_by_full_sweep(fresh)
+        h_K = cm._certified_h_K(fresh)
+        assert h_K in (None, sweep.h_K), entry
+        assert (h_K is None) == (K.F.n == 2 and K.delta.nb != 0), entry
+        certified += h_K is not None
+        assert _class_data_keys(K.class_data()) == _class_data_keys(sweep), entry
+    assert certified == {"q50": 49, "quartic80": 61}[corpus]
+
+
+def test_certified_count_needs_rational_delta_and_no_extra_units():
+    """Kuroda's formula counts K = Q(sqrt m, sqrt delta) only: there is no
+    certified count when delta is not rational, or when K has extra units,
+    as F(sqrt -1) has."""
+    assert cm._certified_h_K(make_cm(F2, F2.elem(-3, 1))) is None
+    assert cm._certified_h_K(make_cm(F5, F5.elem(-1))) is None
+    assert cm._certified_h_K(make_cm(F2, F2.elem(-21))) == 8
+
+
+def test_closure_builds_only_the_generators_it_uses(monkeypatch):
+    """Over Q(sqrt 2)(sqrt -21) the closure stops at h_K = 8 before it
+    reaches most base primes below the Minkowski bound, and builds the
+    primes above a base prime only when it takes their generator."""
+    K = make_cm(F2, F2.elem(-21))
+    bound = K.minkowski_bound()
+    below = [pr for p in primes_up_to(int(bound)) for pr in F2.splitting(p).primes if pr.norm() <= bound]
+    built = []
+    primes_above = cm.CMField.primes_above
+    monkeypatch.setattr(cm.CMField, "primes_above", lambda self, pr: built.append(pr) or primes_above(self, pr))
+    assert K.class_data().h_K == 8
+    assert 0 < len(built) < len(below)
 
 
 @pytest.mark.parametrize("d", [-7, -11])

@@ -76,12 +76,45 @@ def test_truncation_guard():
 def test_series_quotient_times_divisor():
     zk = zeta_coeffs_cm(make_cm(Q, -5), 50)
     zf = zeta_coeffs_field(Q, 50)
-    zf2 = [Fraction(0)] * 50
+    zf2 = [0] * 50
     for n in range(1, 8):
         zf2[n * n - 1] = zf.coeffs[n - 1]
     div = CoeffSeries(50, zf2, "z2")
     q = zk.div(div)
     assert oracles.coeff_series_mul(q, div) == zk.coeffs
+    assert all(type(c) is int for c in q.coeffs)
+
+
+def test_coefficients_are_ints():
+    """The Dirichlet coefficients are exact ints: no Fraction enters the
+    series or the partial sum of vsum_check."""
+    K = make_cm(F5, F5.elem(-11))
+    for series in (zeta_coeffs_field(F5, 60), zeta_coeffs_cm(K, 60), vseries(K, 60)):
+        assert all(type(c) is int for c in series.coeffs), series.provenance
+    assert type(vsum_check(K)["partial_sum"]) is int
+
+
+@pytest.mark.parametrize("corpus", ["q50", "quartic80"])
+def test_line_norms_read_off_a_wider_scan(corpus):
+    """The scan of an ideal that K keeps answers a smaller bound exactly as
+    a scan at that bound does: the same lines in the same order, and the same
+    excluded line, also where the wider scan's first saturated line lies
+    above the smaller bound."""
+    from relclass.bounds import norm_count_scan_bound
+    from relclass.dseries import line_norms
+
+    def rows(scan):
+        lines, exclude = scan
+        return [(v, tuple(z.coords())) for v, z in lines], exclude and tuple(exclude.coords())
+
+    for entry in load_corpus(str(Path(__file__).resolve().parent.parent / "corpus" / f"{corpus}.txt"))[::5]:
+        K = entry.cm()
+        wide = norm_count_scan_bound(K, Fraction(5)) + 11
+        for i, Ni in enumerate(norm_class_reps(K)[:2]):
+            line_norms(K, Ni, wide)
+            for b in (Fraction(1), Fraction(2), Fraction(11), norm_count_scan_bound(K, Fraction(5))):
+                fresh = entry.cm()
+                assert rows(line_norms(K, Ni, b)) == rows(line_norms(fresh, norm_class_reps(fresh)[i], b)), (entry, b)
 
 
 def test_vseries_examples_and_positivity():

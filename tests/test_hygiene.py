@@ -297,12 +297,17 @@ def test_code_no_command_runs_lives_in_its_own_module():
     assert callable(getattr(importlib.import_module("relclass.cli"), "load_corpus", None))
 
 
-def test_verify_over_a_quartic_field_loads_no_imagquad(tmp_path):
-    """The reduced-form class groups of imagquad serve base field Q only, so
-    verify over Q(sqrt 2) never compiles them; over Q it does."""
+def test_verify_loads_imagquad_only_where_it_counts(tmp_path):
+    """imagquad's reduced forms count the classes of K over Q, and of the
+    imaginary quadratic subfields of a biquadratic K for Kuroda's formula,
+    which stops the class-group closure: verify over Q(sqrt 2) with rational
+    delta compiles them, and with delta not rational it does not."""
     corpus = tmp_path / "quartic.txt"
     corpus.write_text("2,2,-21,0,8,4\n")
     argv = ["verify", "--corpus", str(corpus)]
+    report, layers = _run_and_list_layers(RUN_CLI.format(argv), ("relclass.imagquad", "relclass.cm"))
+    assert report.count('"status": "ok"') == 1 and layers == ["relclass.cm", "relclass.imagquad"]
+    corpus.write_text("2,2,-3,1,2,2\n")
     report, layers = _run_and_list_layers(RUN_CLI.format(argv), ("relclass.imagquad", "relclass.cm"))
     assert report.count('"status": "ok"') == 1 and layers == ["relclass.cm"]
     corpus.write_text("1,-,-1947,0,8,3\n")
