@@ -51,7 +51,6 @@ from .field import (
     elem_with_valuation,
     ideal_transversal,
     omega_root,
-    primes_up_to,
     residue_char,
     sqrt_mod_p,
     unit_steps,
@@ -454,18 +453,6 @@ class CMField:
         """'split', 'inert' or 'ramified', without building the primes above pr."""
         return self._local(pr)[0]
 
-    def kprimes_up_to(self, bound: float) -> list[KPrime]:
-        out = []
-        for p in primes_up_to(int(bound)):
-            for pr in self.F.splitting(p).primes:
-                if pr.norm() > bound:
-                    continue
-                for kp in self.primes_above(pr):
-                    if kp.norm() <= bound:
-                        out.append(kp)
-        out.sort(key=lambda kp: (kp.norm(), kp.base.p, str(kp.base.second_gen), kp.ideal.key()))
-        return out
-
     # -- class group -------------------------------------------------------------------
 
     def minkowski_bound(self) -> float:
@@ -788,7 +775,7 @@ def _closure_generators(K: CMField):
     for a in F.class_reps[1:]:
         yield K.extend_ideal(a).two_element()
     bound = K.minkowski_bound()
-    base = [pr for p in primes_up_to(int(bound)) for pr in F.splitting(p).primes if pr.norm() <= bound]
+    base = F.primes_of_norm_up_to(bound)
     base.sort(key=lambda pr: (pr.norm(), pr.p, str(pr.second_gen)))
     for pr in base:
         if K.splitting_kind(pr) != "inert":

@@ -4,8 +4,11 @@ the contour estimates.  The lines of K that the measure mu_K and the norm
 counts of bounds.norm_count_check_K read (line_norms over norm_class_reps)
 live here, so classify, which runs neither, does not compile them.
 
-Coefficients are exact integers; the only real arithmetic happens at the
-final inequality of each check, rounded outward.
+Each series is one Euler product, with each local factor read from how a
+prime of F splits (F.splitting, CMField.splitting_kind): no ideal of K is
+built.  The references that enumerate ideals instead live in
+tests/oracles.py.  Coefficients are exact integers; the only real
+arithmetic happens at the final inequality of each check, rounded outward.
 """
 
 from __future__ import annotations
@@ -15,42 +18,9 @@ from fractions import Fraction
 
 from .cm import CMField, KElem, KIdeal, class_counts, line_colon_ideal
 from .errors import InequalityViolated, OutOfRegion, TruncationTooLarge
-from .field import Field, prime_products, primes_up_to
+from .field import Field
 
 MAX_TRUNCATION = 10**4
-
-
-class CoeffSeries:
-    """Dirichlet coefficients v_1..v_X with a provenance tag."""
-
-    __slots__ = ("X", "coeffs", "provenance")
-
-    def __init__(self, X: int, coeffs: list[int], provenance: str):
-        assert len(coeffs) == X
-        self.X = X
-        self.coeffs = coeffs
-        self.provenance = provenance
-
-    def __eq__(self, other):
-        if type(other) is not CoeffSeries:
-            return NotImplemented
-        return (self.X, self.coeffs, self.provenance) == (other.X, other.coeffs, other.provenance)
-
-    def coeff(self, n: int) -> int:
-        return self.coeffs[n - 1]
-
-    def div(self, other: "CoeffSeries") -> "CoeffSeries":
-        """Series quotient; other must have leading coefficient 1."""
-        X = min(self.X, other.X)
-        assert other.coeffs[0] == 1
-        out = [0] * X
-        for n in range(1, X + 1):
-            acc = self.coeffs[n - 1]
-            for d in range(2, n + 1):
-                if n % d == 0 and other.coeffs[d - 1]:
-                    acc -= other.coeffs[d - 1] * out[n // d - 1]
-            out[n - 1] = acc
-        return CoeffSeries(X, out, "quotient")
 
 
 def euler_coeffs(local_factors: list[tuple[int, list[int]]], X: int) -> list[int]:
@@ -86,107 +56,43 @@ def _geom(X: int, q: int) -> list[int]:
     return [1] * ln
 
 
-def zeta_coeffs_field(F: Field, X: int) -> CoeffSeries:
-    """Ideal counts of the base field, Euler product route, cross-checked
-    against a direct sublattice enumeration on the first 400 coefficients."""
+def zeta_coeffs_field(F: Field, X: int) -> list[int]:
+    """The numbers of integral ideals of F of norm 1..X: the Euler product of
+    (1 - N(p)^-s)^-1 over the primes p of F."""
+    if X > MAX_TRUNCATION:
+        raise TruncationTooLarge(f"X = {X} > {MAX_TRUNCATION}")
+    return euler_coeffs([(pr.norm(), _geom(X, pr.norm())) for pr in F.primes_of_norm_up_to(X)], X)
+
+
+def zeta_coeffs_cm(K: CMField, X: int) -> list[int]:
+    """The numbers of integral ideals of K of norm 1..X.  The local factor at
+    a prime p of F of norm q is (1 - q^-s)^-2 if p splits in K,
+    (1 - q^-2s)^-1 if it is inert and (1 - q^-s)^-1 if it ramifies."""
     if X > MAX_TRUNCATION:
         raise TruncationTooLarge(f"X = {X} > {MAX_TRUNCATION}")
     factors = []
-    for p in primes_up_to(X):
-        for pr in F.splitting(p).primes:
-            if pr.norm() <= X:
-                factors.append((pr.norm(), _geom(X, pr.norm())))
-    coeffs = euler_coeffs(factors, X)
-    cap = min(X, 400)
-    direct = [1] * cap if F.n == 1 else _quadratic_ideal_counts(F.c0, F.c1, cap)
-    for n in range(1, cap + 1):
-        assert coeffs[n - 1] == direct[n - 1], (n, coeffs[n - 1], direct[n - 1])
-    return CoeffSeries(X, coeffs, "ideal-count")
+    for pr in K.F.primes_of_norm_up_to(X):
+        cs = _geom(X, pr.norm())
+        kind = K.splitting_kind(pr)
+        if kind == "split":
+            cs = list(range(1, len(cs) + 1))
+        elif kind == "inert":
+            cs = [1 - k % 2 for k in range(len(cs))]
+        factors.append((pr.norm(), cs))
+    return euler_coeffs(factors, X)
 
 
-def _quadratic_ideal_counts(c0: int, c1: int, cap: int) -> list[int]:
-    """Numbers of integral ideals of each index n <= cap in Z[w], w^2 = c0 + c1 w.
-
-    An ideal of index n = a c has the unique HNF basis a, b + c w with
-    0 <= b < a.  Since w a = (a/c)(b + c w) - ab/c and
-    w (b + c w) = c c0 + (b + c c1) w, it is closed under w exactly when
-    c | a, c | b and a | c c0 - (b/c + c1) b."""
-    counts = [0] * cap
-    for c in range(1, math.isqrt(cap) + 1):
-        for a in range(c, cap // c + 1, c):
-            counts[a * c - 1] += sum(1 for b in range(0, a, c) if (c * c0 - (b // c + c1) * b) % a == 0)
-    return counts
-
-
-def zeta_coeffs_cm(K: CMField, X: int) -> CoeffSeries:
-    """Ideal counts of the extension field, cross-checked by direct
-    enumeration on the first 60 coefficients."""
-    if X > MAX_TRUNCATION:
-        raise TruncationTooLarge(f"X = {X} > {MAX_TRUNCATION}")
-    factors = []
-    for p in primes_up_to(X):
-        for pr in K.F.splitting(p).primes:
-            if pr.norm() > X:
-                continue
-            for kp in K.primes_above(pr):
-                if kp.norm() <= X:
-                    factors.append((kp.norm(), _geom(X, kp.norm())))
-    coeffs = euler_coeffs(factors, X)
-    cap = min(X, 60)
-    direct = _ideal_count_direct_cm(K, cap)
-    for n in range(1, cap + 1):
-        assert coeffs[n - 1] == direct[n - 1], (n, coeffs[n - 1], direct[n - 1])
-    return CoeffSeries(X, coeffs, "ideal-count")
-
-
-def _ideal_count_direct_cm(K: CMField, cap: int) -> list[int]:
-    """Counts of integral o_K-sublattices of index <= cap, by enumeration."""
-    if K.deg == 2:
-        # o_K = Z[theta], theta = (d + sqrt d)/2, theta^2 = -(d^2 - d)/4 + d theta
-        d = -K.rel_disc_norm
-        return _quadratic_ideal_counts(-((d * d - d) // 4), d, cap)
-    # degree 4: enumerate prime products (products of distinct structures are
-    # distinct ideals), which is the unique-factorization route
-    seen = {}
-    for idl, nm in prime_products(K.maximal_order(), K.kprimes_up_to(cap), cap):
-        seen.setdefault(idl.key(), nm)
-    counts = [0] * cap
-    for nm in seen.values():
-        counts[nm - 1] += 1
-    return counts
-
-
-def vseries(K: CMField, X: int) -> CoeffSeries:
-    """zeta_K(s)/zeta_F(2s), both as an Euler product over base primes and as
-    a coefficient quotient; exact agreement is required."""
-    if X > MAX_TRUNCATION:
-        raise TruncationTooLarge(f"X = {X} > {MAX_TRUNCATION}")
-    factors = []
-    for p in primes_up_to(X):
-        for pr in K.F.splitting(p).primes:
-            q = pr.norm()
-            if q > X:
-                continue
-            kind = K.splitting_kind(pr)
-            if kind == "split":
-                # (1 + q^-s)/(1 - q^-s) = 1 + 2 q^-s + 2 q^-2s + ...
-                ln = len(_geom(X, q))
-                factors.append((q, [1] + [2] * (ln - 1)))
-            elif kind == "ramified":
-                factors.append((q, [1, 1]))
-    prod_route = euler_coeffs(factors, X)
+def vseries(K: CMField, X: int) -> list[int]:
+    """The coefficients v_1..v_X of zeta_K(s)/zeta_F(2s), all >= 0."""
     zk = zeta_coeffs_cm(K, X)
-    zf = zeta_coeffs_field(K.F, X)
-    zf2 = [0] * X
+    zf = zeta_coeffs_field(K.F, math.isqrt(X))
+    # divide by sum_m zf[m - 1] (m^2)^-s, whose leading coefficient is 1
+    out = zk[:]
     for n in range(1, X + 1):
-        if n * n <= X:
-            zf2[n * n - 1] = zf.coeffs[n - 1]
-        else:
-            break
-    quotient_route = zk.div(CoeffSeries(X, zf2, "zeta_F(2s)"))
-    assert prod_route == quotient_route.coeffs, "Euler product vs quotient mismatch"
-    out = CoeffSeries(X, prod_route, "euler-product")
-    assert all(v >= 0 for v in out.coeffs)
+        for m in range(2, math.isqrt(n) + 1):
+            if n % (m * m) == 0:
+                out[n - 1] -= zf[m - 1] * out[n // (m * m) - 1]
+    assert all(v >= 0 for v in out)
     return out
 
 
@@ -194,12 +100,8 @@ def vsum_check(K: CMField) -> dict:
     """sum of v_n over n < sqrt|disc|/2^n_F compared with h = h_K/|im phi|."""
     threshold = math.sqrt(K.rel_disc_norm) / 2**K.F.n
     X = max(16, int(threshold) + 2)
-    vs = vseries(K, X)
     # exact comparison: n < sqrt(d)/2^nf iff n^2 4^nf < d
-    total = 0
-    for n in range(1, X + 1):
-        if n * n * 4**K.F.n < K.rel_disc_norm:
-            total += vs.coeff(n)
+    total = sum(v for n, v in enumerate(vseries(K, X), 1) if n * n * 4**K.F.n < K.rel_disc_norm)
     h = class_counts(K).h
     ok = total <= h
     if not ok:
@@ -388,9 +290,9 @@ def measure_mu_F(F: Field, x_max: float) -> StepMeasure:
     mu = StepMeasure()
     zf = zeta_coeffs_field(F, max(2, int(math.isqrt(int(x_max)) + 1)))
     mu.atoms.append((1.0, 1.0))  # the unit ideal
-    for n in range(2, zf.X + 1):
+    for n in range(2, len(zf) + 1):
         if n * n <= x_max:
-            mu.atoms.append((float(n * n), float(zf.coeff(n))))
+            mu.atoms.append((float(n * n), float(zf[n - 1])))
     return mu
 
 

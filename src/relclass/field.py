@@ -338,6 +338,10 @@ class Field:
             self._prime_cache[p] = st
         return st
 
+    def primes_of_norm_up_to(self, bound: float) -> list["PrimeIdeal"]:
+        """The primes of norm <= bound, by p and then in splitting(p)'s order."""
+        return [pr for p in primes_up_to(int(bound)) for pr in self.splitting(p).primes if pr.norm() <= bound]
+
     def to_json(self) -> str:
         data = {
             "n": self.n,
@@ -1253,7 +1257,6 @@ def prime_products(one, primes, bound):
 
 def ideals_of_norm_up_to(F: Field, bound: int) -> list["FIdeal"]:
     """All integral ideals of norm in [2, bound], sorted by norm."""
-    primes = [pi for p in primes_up_to(bound) for pi in F.splitting(p).primes if pi.norm() <= bound]
-    out = [idl for idl, nm in prime_products(F.unit_ideal(), primes, bound) if nm > 1]
+    out = [idl for idl, nm in prime_products(F.unit_ideal(), F.primes_of_norm_up_to(bound), bound) if nm > 1]
     out.sort(key=lambda idl: idl.norm())
     return out

@@ -410,7 +410,7 @@ def relation_class_number(K, budget: int = 2500, stable_window: int = 60):
     """
     assert K.F.h_F == 1
     bound = K.minkowski_bound()
-    kps = K.kprimes_up_to(bound)
+    kps = kprimes_up_to(K, bound)
     gens = []
     seen_base = set()
     for kp in kps:
@@ -1382,7 +1382,7 @@ def class_reps_by_closure(K) -> list:
         return kideal_principal_gen(q.scale(q.den)) is not None
 
     gens, seen_base = [], set()
-    for kp in K.kprimes_up_to(K.minkowski_bound()):
+    for kp in kprimes_up_to(K, K.minkowski_bound()):
         bkey = (kp.base.p, kp.base.second_gen)
         if kp.rel_f == 1 and bkey not in seen_base:
             seen_base.add(bkey)
@@ -1402,13 +1402,21 @@ def class_reps_by_closure(K) -> list:
     return elements
 
 
+def kprimes_up_to(K, bound: float) -> list:
+    """The primes of K of norm <= bound, built by CMField.primes_above and
+    sorted by (norm, p, second generator of the base prime, HNF key)."""
+    out = [kp for pr in K.F.primes_of_norm_up_to(bound) for kp in K.primes_above(pr) if kp.norm() <= bound]
+    out.sort(key=lambda kp: (kp.norm(), kp.base.p, str(kp.base.second_gen), kp.ideal.key()))
+    return out
+
+
 def integral_ideals_up_to(K, bound: float) -> list:
     """All integral ideals of K of norm in [1, bound] (prime products),
     sorted by norm and key."""
     from relclass.field import prime_products
 
     uniq = {}
-    for idl, _ in prime_products(K.maximal_order(), K.kprimes_up_to(bound), bound):
+    for idl, _ in prime_products(K.maximal_order(), kprimes_up_to(K, bound), bound):
         uniq.setdefault(idl.key(), idl)
     return sorted(uniq.values(), key=lambda i: (i.norm(), i.key()))
 
@@ -1454,14 +1462,14 @@ def class_data_by_full_sweep(K):
     """ClassData of K by the discrete-log closure over every generator below
     the Minkowski bound, with no stop at a known class number: the library's
     closure before it stopped at the certified h_K, and before it built its
-    generators on demand (here they come from K.kprimes_up_to)."""
+    generators on demand (here they come from kprimes_up_to)."""
     from relclass.cm import ClassData, _reduce
 
     F = K.F
     gens = [K.extend_ideal(a).two_element() for a in F.class_reps[1:]]
     n_image = len(gens)
     seen_base = set()
-    for kp in K.kprimes_up_to(K.minkowski_bound()):
+    for kp in kprimes_up_to(K, K.minkowski_bound()):
         if kp.rel_f == 2:
             continue  # inert primes extend base primes: in the image of Cl(F)
         bkey = (kp.base.p, kp.base.second_gen)
@@ -1532,20 +1540,37 @@ def hecke_extend(table, idl) -> int:
     return out
 
 
-def coeff_series_mul(x, y) -> list[Fraction]:
-    """Dirichlet convolution of the coefficients of two dseries.CoeffSeries,
-    to min(X) terms: the inverse of CoeffSeries.div."""
-    X = min(x.X, y.X)
-    out = [Fraction(0)] * X
+def coeff_series_mul(x: list[int], y: list[int]) -> list[int]:
+    """Dirichlet convolution of two coefficient lists, to the shorter one's
+    length: multiplying v_n by zeta_F(2s) gives zeta_K back."""
+    X = min(len(x), len(y))
+    out = [0] * X
     for i in range(1, X + 1):
-        a = x.coeffs[i - 1]
+        a = x[i - 1]
         if a == 0:
             continue
         for j in range(1, X // i + 1):
-            b = y.coeffs[j - 1]
+            b = y[j - 1]
             if b:
                 out[i * j - 1] += a * b
     return out
+
+
+def vseries_by_local_factors(K, X: int) -> list[int]:
+    """v_1..v_X of zeta_K(s)/zeta_F(2s) as one product over the primes p of
+    F, q = N(p): the local factor is (1 + q^-s)/(1 - q^-s) if p splits in K,
+    1 + q^-s if it ramifies and 1 if it is inert."""
+    from relclass.dseries import euler_coeffs
+
+    factors = []
+    for pr in K.F.primes_of_norm_up_to(X):
+        kind = K.splitting_kind(pr)
+        if kind == "split":
+            # euler_coeffs stops at q^k > X, and k <= log2 X
+            factors.append((pr.norm(), [1] + [2] * X.bit_length()))
+        elif kind == "ramified":
+            factors.append((pr.norm(), [1, 1]))
+    return euler_coeffs(factors, X)
 
 
 def canonical_unit_rep_F(F: Field, x):

@@ -227,7 +227,7 @@ def test_closure_builds_only_the_generators_it_uses(monkeypatch):
     primes above a base prime only when it takes their generator."""
     K = make_cm(F2, F2.elem(-21))
     bound = K.minkowski_bound()
-    below = [pr for p in primes_up_to(int(bound)) for pr in F2.splitting(p).primes if pr.norm() <= bound]
+    below = F2.primes_of_norm_up_to(bound)
     built = []
     primes_above = cm.CMField.primes_above
     monkeypatch.setattr(cm.CMField, "primes_above", lambda self, pr: built.append(pr) or primes_above(self, pr))
@@ -241,7 +241,7 @@ def test_small_class_rep_keeps_the_class(d):
     of two primes of norm <= 30 lies in the product's class."""
     F = make_field(2, 10)
     K = make_cm(F, F.elem(d))
-    kps = K.kprimes_up_to(30)
+    kps = oracles.kprimes_up_to(K, 30)
     products = [a.ideal * b.ideal for a, b in combinations_with_replacement(kps, 2)]
     assert len(products) == {-7: 15, -11: 28}[d]
     for q in products:
@@ -322,7 +322,7 @@ def test_nonrational_delta():
 
 def test_rel_norm_multiplicative():
     K = make_cm(Q, -5)
-    kps = K.kprimes_up_to(15)
+    kps = oracles.kprimes_up_to(K, 15)
     for a in kps[:4]:
         for b in kps[:4]:
             prod = a.ideal * b.ideal
@@ -333,7 +333,7 @@ def test_rel_norm_multiplicative():
 def test_conj_is_involution_and_norm_preserving():
     F = F2
     K = make_cm(F, F.elem(-5))
-    for kp in K.kprimes_up_to(20):
+    for kp in oracles.kprimes_up_to(K, 20):
         c = kp.ideal.conj()
         assert c.conj() == kp.ideal
         assert c.norm() == kp.ideal.norm()
@@ -410,7 +410,7 @@ def test_decompose_and_recompose_over_Q():
         # reconstruction is verified inside; check the shape data
         assert a.is_integral()
     # spec examples: M = (2, 1+sqrt-5) has a = (1); 3*M has a = (3)
-    p2 = K.kprimes_up_to(3)[0]
+    p2 = oracles.kprimes_up_to(K, 3)[0]
     i1, a1, alpha1 = decompose_ideal(K, p2.ideal)
     assert a1.norm() == 1
     m3 = p2.ideal * K.elem(3)
@@ -449,7 +449,7 @@ def test_decompose_random_products():
     rng = random.Random(5)
     for delta in (-5, -23):
         K = make_cm(Q, delta)
-        kps = K.kprimes_up_to(20)
+        kps = oracles.kprimes_up_to(K, 20)
         count = 0
         while count < 200:
             idl = K.maximal_order()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     definite_forms,
     hilbert_symbol_2adic_oracle,
+    kprimes_up_to,
     make_form,
     relevant_primes_by_trial_division,
     tame_symbol_by_residue_field,
@@ -175,7 +176,7 @@ def test_ideal_to_form_examples():
     assert (f.a.a, f.b.a, f.c.a) == (1, 1, 6)
     # the norm form of (2, 1+sqrt-5) has content N(A) = (2)
     K5 = make_cm(Q, -5)
-    p2 = K5.kprimes_up_to(3)[0]
+    p2 = kprimes_up_to(K5, 3)[0]
     f = ideal_to_form(K5, p2.ideal)
     assert f.norm_ideal().norm() == 2
     assert f.disc_ideal() == K5.rel_disc * (p2.ideal.rel_norm() ** 2)

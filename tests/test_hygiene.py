@@ -118,15 +118,19 @@ def test_every_class_level_alias_is_referenced():
     assert _unreferenced(ast.Assign) == []
 
 
+def _span_targets() -> dict[str, list[str]]:
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
 def test_every_span_target_resolves():
     """perfbench/spans.py wraps each name of TARGETS on its relclass module,
     a method in its own class's namespace; a target that no longer resolves
     breaks every traced benchmark run."""
-    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     missing = []
-    for layer, quals in spans.TARGETS.items():
+    for layer, quals in _span_targets().items():
         module = importlib.import_module(f"relclass.{layer}")
         for qual in quals:
             owner, _, name = qual.rpartition(".")
@@ -137,6 +141,35 @@ def test_every_span_target_resolves():
             if not found:
                 missing.append(f"{layer}.{qual}")
     assert missing == []
+
+
+# traced by perfbench/spans.py with no caller; the benchmark change that
+# re-points the span table retires it
+SPAN_ONLY = ("forms.weakly_equivalent",)
+
+
+def test_every_span_target_has_a_caller():
+    """The span table keeps no code alive: each function or method it traces
+    is referenced, outside its own definition, in src/relclass or in the
+    acceptance gate, so perfbench/ alone does not count."""
+    refs = defaultdict(list)
+    for path, tree in _trees("src/relclass", "tests/test_acceptance.py"):
+        for name, line in _references(tree):
+            refs[name].append((path, line))
+    uncalled = []
+    for layer, quals in _span_targets().items():
+        path = PACKAGE / f"{layer}.py"
+        module = ast.parse(path.read_text())
+        classes = {n.name: n for n in module.body if isinstance(n, ast.ClassDef)}
+        for qual in quals:
+            owner, _, name = qual.rpartition(".")
+            body = classes[owner].body if owner else module.body
+            node = next((n for n in body if isinstance(n, ast.FunctionDef) and n.name == name), None)
+            # a name the module imports (forms.lower_bound_t) has no body there
+            own = range(node.lineno, node.end_lineno + 1) if node else range(0)
+            if not any(p != path or line not in own for p, line in refs[name]):
+                uncalled.append(f"{layer}.{qual}")
+    assert [u for u in uncalled if u not in SPAN_ONLY] == []
 
 
 def test_every_parameter_is_read():
