@@ -32,7 +32,6 @@ from .field import (
     FIdeal,
     PrimeIdeal,
     parity_applicable,
-    primes_up_to,
     splitting_37,
     surd_floor,
     surd_sign,
@@ -358,15 +357,14 @@ def bound_params(K: CMField) -> BoundParams:
     P_UK = [pr for pr in ram if pr.norm() < U]
     # scan checks: no split prime below V, at most one below U
     split_below_U = 0
-    for p in primes_up_to(int(max(V, U)) + 1):
-        for pr in K.F.splitting(p).primes:
-            q = pr.norm()
-            if q >= max(V, U) or K.splitting_kind(pr) != "split":
-                continue
-            if q < V:
-                raise LemmaViolation(f"split prime {pr} below V = {V}")
-            if q < U:
-                split_below_U += 1
+    for pr in K.F.primes_of_norm_up_to(max(V, U)):
+        q = pr.norm()
+        if q >= max(V, U) or K.splitting_kind(pr) != "split":
+            continue
+        if q < V:
+            raise LemmaViolation(f"split prime {pr} below V = {V}")
+        if q < U:
+            split_below_U += 1
     if split_below_U > 1:
         raise LemmaViolation(f"{split_below_U} split primes below U")
     if R < U:
@@ -396,14 +394,16 @@ def make_bundle(
     strategy: str = "heuristic",
     injected: dict | None = None,
     lambda_grid: list[float] | None = None,
-    prime_cap: int = 400,
+    prime_cap: int | None = None,
 ) -> ConstantBundle:
-    from .cascade import b_constants, f2_uniform, g_constants, m_prime
+    """The lambda-free constants; prime_cap (default cascade.PRIME_CAP) bounds
+    the primes the G constants read."""
+    from .cascade import PRIME_CAP, b_constants, f2_uniform, g_constants, m_prime
 
     lat = lattice_constants(F)
     Mp = m_prime(F, table.level)
     B = b_constants(F, lat, Mp)
-    G = g_constants(table, strategy, injected, prime_cap=prime_cap)
+    G = g_constants(table, strategy, injected, prime_cap=PRIME_CAP if prime_cap is None else prime_cap)
     F2 = f2_uniform(F)
     grid = lambda_grid if lambda_grid is not None else [1, 2, 5, 10, 20, 50, 100, 200]
     rigor = {

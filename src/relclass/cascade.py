@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import LambdaTooSmall, StrategyUnavailable
-from .field import Field, FIdeal, kronecker, primes_up_to
+from .field import Field, FIdeal, kronecker
 from .numerics import (
     EULER_GAMMA,
     GAMMA_3_2,
@@ -42,6 +42,9 @@ if TYPE_CHECKING:
 
 # prime norms up to this enter the F2 products
 F2_CAP = 131
+# the truncated Euler products of the G constants read the primes over p up
+# to this; `relclass bound` builds its eigenvalue tables no further
+PRIME_CAP = 300
 
 
 # -- D constants ---------------------------------------------------------------------
@@ -184,7 +187,7 @@ def g_constants(
     table: EigenvalueTable,
     strategy: str = "heuristic",
     injected: dict | None = None,
-    prime_cap: int = 400,
+    prime_cap: int = PRIME_CAP,
 ) -> GConstants:
     """G1 (lower), G2/G3 (upper) for the chosen Dirichlet-series pair.
 
@@ -265,11 +268,9 @@ def _g3_quadrature(table: EigenvalueTable, prime_cap: int, eta: float, panels: i
     import mpmath
 
     primes_data = []
-    for p in primes_up_to(min(prime_cap, 150)):
-        for pr in F.splitting(p).primes:
-            v = table.level_val(pr)
-            lq = math.log(pr.norm())
-            primes_data.append((lq, v, 0 if v else table.lam(pr), math.exp(-lq)))
+    for _, q, v, lam in table.local(min(prime_cap, 150)):
+        lq = math.log(q)
+        primes_data.append((lq, v, 0 if v else lam, math.exp(-lq)))
 
     # The exponents -w and -(w + 1)/2, exp(-lq) and lam * u are each formed
     # once, by the same float operations as inline, so every node is bit for
@@ -338,14 +339,13 @@ def f2_uniform(F: Field) -> Interval:
     sqrt(q)/(q^(1/4)-1)^2."""
     out = Interval(1.0)
     seen = set()
-    for p in primes_up_to(F2_CAP):
-        for pr in F.splitting(p).primes:
-            q = pr.norm()
-            if q > F2_CAP or q in seen:
-                continue
-            seen.add(q)
-            qi = Interval(float(q))
-            out = out * isqrt_iv(qi) / (ipow(qi, 0.25) - Interval(1.0)) ** 2
+    for pr in F.primes_of_norm_up_to(F2_CAP):
+        q = pr.norm()
+        if q in seen:
+            continue
+        seen.add(q)
+        qi = Interval(float(q))
+        out = out * isqrt_iv(qi) / (ipow(qi, 0.25) - Interval(1.0)) ** 2
     return out
 
 

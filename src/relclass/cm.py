@@ -56,7 +56,7 @@ from .field import (
     unit_steps,
     unit_window,
 )
-from .intmat import hnf_lattice, solve_exact, vec_mat, zspan_kernel, zspan_solve
+from .intmat import hnf_lattice, vec_mat, zspan_kernel, zspan_solve
 
 
 class KElem:
@@ -183,14 +183,16 @@ class CMField:
         deg = self.deg
         basis = self.order_basis
         amb = [z.coords() for z in basis]  # rows: ambient coordinates
-        # column b of amb^-1 solves amb * x = e_b; amb^-1 is an integer matrix
-        # because Z[omega, sqrt(delta)] lies in o_K
-        cols = [solve_exact(amb, [int(a == b) for a in range(deg)]) for b in range(deg)]
-        assert all(c.denominator == 1 for col in cols for c in col)
-        self._order_mat = [[int(col[a]) for col in cols] for a in range(deg)]
-        # amb itself over one denominator, for _from_order
+        # amb over one denominator, for _from_order
         self._amb_den = math.lcm(*(c.denominator for row in amb for c in row))
         self._amb = [[int(c * self._amb_den) for c in row] for row in amb]
+        # _order_mat = amb^-1 = _amb_den * _amb^-1: row a is the integer
+        # combination of the rows of _amb equal to _amb_den * e_a.  amb^-1 is
+        # an integer matrix because Z[omega, sqrt(delta)] lies in o_K
+        self._order_mat = [
+            zspan_solve(self._amb, [self._amb_den * (a == b) for b in range(deg)]) for a in range(deg)
+        ]
+        assert None not in self._order_mat
 
         def integral_row(z: KElem) -> tuple[int, ...]:
             row, den = self._to_order(z)

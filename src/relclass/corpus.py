@@ -146,15 +146,17 @@ def cmd_bound(args) -> int:
         if F not in bundles:
             from . import bounds as bnd
             from . import hecke
+            from .cascade import PRIME_CAP
             from .cm import make_cm
 
-            table = hecke.gz_table(args.pmax)
+            # the G constants read no prime over p > PRIME_CAP, so the tables
+            # stop there: a larger --pmax changes nothing
+            cap = min(PRIME_CAP, args.pmax)
+            table = hecke.gz_table(cap)
             if F.n == 2:
                 table = hecke.base_change_table(table, F)
             f_table = hecke.twist_table(table, hecke.QuadChar(make_cm(F, -139)))
-            bundles[F] = bnd.make_bundle(
-                F, f_table, strategy, injected, lambda_grid=grid, prime_cap=min(300, args.pmax)
-            )
+            bundles[F] = bnd.make_bundle(F, f_table, strategy, injected, lambda_grid=grid, prime_cap=cap)
         return bundles[F]
 
     def run_row(entry, row):

@@ -5,7 +5,10 @@ character, and quadratic base change to real quadratic fields.
 Point counting is a per-prime table loop; eigenvalues transport along base
 change via the symmetric-function identity at inert primes.  Euler factors
 are exact integer polynomials in q^-s; the numeric epsilon residual and the
-partial Euler products of L(1, sym^2) are flagged heuristic.
+partial Euler products of L(1, sym^2) are flagged heuristic.  `relclass
+bound` builds its tables only to min(cascade.PRIME_CAP, --pmax), the primes
+its truncated products read, and every product reads them from one list,
+EigenvalueTable.local.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ class EigenvalueTable:
     eps_sign is set once the root number is known; discrepancy notes a
     computed eigenvalue at the level that differs from the configured one."""
 
-    __slots__ = ("F", "level", "pmax", "lam_map", "eps_sign", "provenance", "discrepancy")
+    _FIELDS = ("F", "level", "pmax", "lam_map", "eps_sign", "provenance", "discrepancy")
+    __slots__ = _FIELDS + ("_local",)
 
     def __init__(
         self,
@@ -104,11 +108,12 @@ class EigenvalueTable:
         self.eps_sign = eps_sign
         self.provenance = provenance
         self.discrepancy = discrepancy
+        self._local = None
 
     def __eq__(self, other):
         if type(other) is not EigenvalueTable:
             return NotImplemented
-        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
+        return all(getattr(self, a) == getattr(other, a) for a in self._FIELDS)
 
     def lam(self, pr: PrimeIdeal) -> int:
         key = _pkey(pr)
@@ -119,11 +124,22 @@ class EigenvalueTable:
     def level_val(self, pr: PrimeIdeal) -> int:
         return self.level.valuation(pr)
 
+    def local(self, P: int) -> list[tuple[PrimeIdeal, int, int, int]]:
+        """(pr, N(pr), v_level(pr), lambda(pr)) for the primes pr over p <= P,
+        by p and then in splitting(p)'s order: the one list every truncated
+        product reads, built once per table."""
+        if P > self.pmax:
+            raise OutOfTableRange(f"primes up to {P} outside table range {self.pmax}")
+        if self._local is None:
+            self._local = [
+                (pr, pr.norm(), self.level_val(pr), self.lam(pr))
+                for p in primes_up_to(self.pmax)
+                for pr in self.F.splitting(p).primes
+            ]
+        return [e for e in self._local if e[0].p <= P]
+
     def primes(self) -> list[PrimeIdeal]:
-        out = []
-        for p in primes_up_to(self.pmax):
-            out.extend(self.F.splitting(p).primes)
-        return out
+        return [pr for pr, _, _, _ in self.local(self.pmax)]
 
 
 def gz_table(pmax: int = 1000) -> EigenvalueTable:
@@ -188,11 +204,7 @@ def twist_table(table: EigenvalueTable, chi: QuadChar) -> EigenvalueTable:
         new_level = table.level & (cond * cond)  # lcm = intersection
     lam = {}
     for pr in table.primes():
-        v_new = new_level.valuation(pr)
-        if v_new >= 2:
-            lam[_pkey(pr)] = 0
-        else:
-            lam[_pkey(pr)] = chi.star(pr) * table.lam(pr)
+        lam[_pkey(pr)] = 0 if new_level.valuation(pr) >= 2 else chi.star(pr) * table.lam(pr)
     return EigenvalueTable(F, new_level, table.pmax, lam, None, "twist")
 
 
@@ -258,14 +270,11 @@ def dirichlet_coeffs(table: EigenvalueTable, N: int) -> list[int]:
     from .dseries import euler_coeffs
 
     factors = []
-    for p in primes_up_to(N):
-        if p > table.pmax:
-            raise InsufficientCoefficients(f"need eigenvalues at {p}")
-        for pr in table.F.splitting(p).primes:
-            q, cs = pr.norm(), []
-            while q ** len(cs) <= N:
-                cs.append(_lam_power(table, pr, len(cs)))
-            factors.append((q, cs))
+    for pr, q, _, _ in table.local(N):
+        cs = []
+        while q ** len(cs) <= N:
+            cs.append(_lam_power(table, pr, len(cs)))
+        factors.append((q, cs))
     return euler_coeffs(factors, N)
 
 
@@ -453,22 +462,16 @@ def symsq_L1(table: EigenvalueTable, P: int) -> dict:
     """Partial Euler product of L(1, sym^2) with a last-decade drift diagnostic."""
     def partial(bound: int) -> float:
         out = 1.0
-        for p in primes_up_to(bound):
-            if p > table.pmax:
-                raise OutOfTableRange(f"prime {p} beyond table range")
-            for pr in table.F.splitting(p).primes:
-                q = pr.norm()
-                v = table.level_val(pr)
-                if v >= 2:
-                    continue
-                if v == 1:
-                    out *= 1.0 / (1.0 - q**-2)
-                    continue
-                lam = table.lam(pr)
-                f1 = 1.0 - lam / q + 1.0 / q
-                f2 = 1.0 - 1.0 / q
-                f3 = 1.0 + lam / q + 1.0 / q
-                out *= 1.0 / (f1 * f2 * f3)
+        for _, q, v, lam in table.local(bound):
+            if v >= 2:
+                continue
+            if v == 1:
+                out *= 1.0 / (1.0 - q**-2)
+                continue
+            f1 = 1.0 - lam / q + 1.0 / q
+            f2 = 1.0 - 1.0 / q
+            f3 = 1.0 + lam / q + 1.0 / q
+            out *= 1.0 / (f1 * f2 * f3)
         return out
 
     full = partial(P)
@@ -481,22 +484,19 @@ def symsq_log_deriv_L1(table: EigenvalueTable, P: int) -> dict:
     """Central-difference estimate of L'(1, sym2)/L(1, sym2) on the partial
     product; heuristic like every truncated L-quantity here."""
     h = 1e-4
+    local = table.local(P)
 
     def logL(s: float) -> float:
         acc = 0.0
-        for p in primes_up_to(P):
-            for pr in table.F.splitting(p).primes:
-                q = pr.norm()
-                v = table.level_val(pr)
-                if v >= 2:
-                    continue
-                if v == 1:
-                    acc += -math.log(1.0 - q ** (-1 - s))
-                    continue
-                lam = table.lam(pr)
-                u = q ** (-(s + 1) / 2)
-                w = q**-s
-                acc += -math.log((1 - lam * u + w) * (1 - w) * (1 + lam * u + w))
+        for _, q, v, lam in local:
+            if v >= 2:
+                continue
+            if v == 1:
+                acc += -math.log(1.0 - q ** (-1 - s))
+                continue
+            u = q ** (-(s + 1) / 2)
+            w = q**-s
+            acc += -math.log((1 - lam * u + w) * (1 - w) * (1 + lam * u + w))
         return acc
 
     val = (logL(1 + h) - logL(1 - h)) / (2 * h)

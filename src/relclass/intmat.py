@@ -1,12 +1,10 @@
-"""Small exact linear algebra over the integers and rationals.
+"""Small exact linear algebra over the integers.
 
-Everything here works on lists of lists of ints/Fractions (row vectors).
+Everything here works on lists of lists of ints (row vectors).
 Dimensions stay tiny (<= 8), so the quadratic algorithms are fine.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def hnf_lattice(rows: list[list[int]]) -> list[list[int]]:
@@ -88,41 +86,6 @@ def vec_mat(v: list[int], mat) -> list[int]:
         if a:
             out = [o + a * x for o, x in zip(out, row)]
     return out
-
-
-def solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]):
-    """One rational solution of mat * x = rhs (rows = equations), or None."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    a = [[Fraction(mat[i][j]) for j in range(ncols)] + [Fraction(rhs[i])] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if a[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][ncols]
-    return x
 
 
 def _augmented_hnf(rows: list[list[int]], width: int) -> list[list[int]]:

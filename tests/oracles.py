@@ -32,7 +32,7 @@ from relclass.field import (
     sqrt_mod_p,
 )
 from relclass.forms import PseudoForm
-from relclass.intmat import hnf_lattice, solve_exact
+from relclass.intmat import hnf_lattice
 from relclass.numerics import Interval
 
 
@@ -1164,7 +1164,43 @@ class FIdeal:
 
 # -- integral solves ------------------------------------------------------------------
 # The Fraction Gauss-Jordan route that relclass.intmat.zspan_solve took before
-# its echelon back-substitution, kept verbatim.
+# its echelon back-substitution, kept verbatim.  solve_exact also gave
+# CMField._order_mat, column by column, before it came from zspan_solve.
+
+
+def solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]):
+    """One rational solution of mat * x = rhs (rows = equations), or None."""
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    a = [[Fraction(mat[i][j]) for j in range(ncols)] + [Fraction(rhs[i])] for i in range(nrows)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if a[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if a[i][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = a[i][ncols]
+    return x
 
 
 def solve_integral(basis: list[list[int]], target: list[int]):
@@ -1523,6 +1559,21 @@ def reduced_gram(red) -> list[list[int]]:
     Gram matrix, which the enumeration does not need."""
     UG = [[sum(c * g for c, g in zip(row, col)) for col in zip(*red.DG)] for row in red.U]
     return [[sum(t * c for t, c in zip(ug, other)) for other in red.U] for ug in UG]
+
+
+def eigenvalue_local(table, P: int) -> list[tuple]:
+    """(pr, N(pr), v_level(pr), lambda(pr)) over the primes over p <= P: the
+    loop over primes_up_to and splitting(p) that symsq_L1, symsq_log_deriv_L1
+    and the G3 nodes each ran before hecke.EigenvalueTable.local."""
+    from relclass.errors import OutOfTableRange
+
+    out = []
+    for p in primes_up_to(P):
+        if p > table.pmax:
+            raise OutOfTableRange(f"prime {p} beyond table range")
+        for pr in table.F.splitting(p).primes:
+            out.append((pr, pr.norm(), table.level_val(pr), table.lam(pr)))
+    return out
 
 
 def hecke_extend(table, idl) -> int:

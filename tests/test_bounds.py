@@ -420,6 +420,20 @@ def test_g3_quadrature_is_bit_for_bit(m, expected):
     assert cascade._g3_quadrature(table, 300, 0.125) == expected
 
 
+@pytest.mark.parametrize(
+    "m, G1, G2",
+    [(None, 4.1799370780810225e-08, 13.842040845907146), (3, 1.0699534891237908e-24, 32.5099790875493)],
+)
+def test_g1_g2_are_bit_for_bit(m, G1, G2):
+    """G1 and G2 at prime cap 300, at the 128 bits `relclass bound` runs a
+    row's cascade in: the partial products of L(1, sym^2) and its log
+    derivative give the same doubles as their hand-written prime loops did."""
+    F = make_field(1) if m is None else make_field(2, m)
+    with mpmath.workprec(128):
+        g = cascade.g_constants(_bound_table(F), "heuristic", prime_cap=300)
+    assert (g.G1, g.G2) == (G1, G2)
+
+
 def test_zeta_inv_prime_closed_form():
     # F = Q, level 37 * 139^2: 1/((36/37)(138/139))
     tab = gz_table(60)

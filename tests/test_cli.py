@@ -183,6 +183,25 @@ def test_bound_report_does_not_depend_on_row_order(tmp_path, order):
     assert out == json.dumps(rows, sort_keys=True, indent=1) + "\n"
 
 
+def test_bound_builds_its_tables_only_to_the_prime_cap(tmp_path, monkeypatch, capsys):
+    """The G constants read no prime over p > cascade.PRIME_CAP = 300, so
+    `bound --pmax 2000` point-counts to 300 and prints what `--pmax 300` does."""
+    from relclass import hecke
+
+    calls = []
+    gz_table = hecke.gz_table
+    monkeypatch.setattr(hecke, "gz_table", lambda pmax: calls.append(pmax) or gz_table(pmax))
+    p = tmp_path / "c.txt"
+    p.write_text((ROOT / "corpus" / "q50.txt").read_text().splitlines()[1] + "\n")
+    runs = []
+    for pmax in ("2000", "300"):
+        code = main(["bound", "--corpus", str(p), "--lambda-grid", "1e29,1e30,1e31", "--pmax", pmax])
+        runs.append((code, *capsys.readouterr()))
+    assert calls == [300, 300]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXIT_OK and json.loads(runs[0][1])[0]["status"] == "ok"
+
+
 def test_bound_injected(tmp_path):
     inj = tmp_path / "g.json"
     inj.write_text(json.dumps({"G1": 1e-12, "G2": 25.0, "G3": 1e6}))

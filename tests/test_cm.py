@@ -22,7 +22,6 @@ from relclass.dseries import line_norms
 from relclass.errors import NotIntegral, NotTotallyNegative, RelclassError
 from relclass.field import LatticeIdeal, kronecker, make_field, primes_up_to, unit_window
 from relclass.lattice import lll_reduce_gram, short_vectors
-from relclass.intmat import solve_exact
 from relclass.imagquad import class_group_counts
 
 Q = make_field(1)
@@ -465,7 +464,28 @@ CORPORA = Path(__file__).resolve().parent.parent / "corpus"
 def _order_coords_by_solve(K, z):
     """Order coordinates of z from one Fraction solve of o . amb = coords(z)."""
     amb = [b.coords() for b in K.order_basis]
-    return solve_exact([list(col) for col in zip(*amb)], z.coords())
+    return oracles.solve_exact([list(col) for col in zip(*amb)], z.coords())
+
+
+# the rows of test_cli.test_verify_over_nontrivial_base_class_groups (h_F = 2)
+BASE_CLASS_ROWS = ("2,10,-7,0", "2,10,-11,0", "2,10,-13,0", "2,15,-7,0", "2,26,-6,0")
+
+
+@pytest.mark.parametrize("corpus", ["q50", "quartic80", "hF2"])
+def test_order_mat_is_the_fraction_inverse(corpus):
+    """_order_mat, whose rows are integer solves on the rows of _amb, is the
+    inverse of the ambient basis matrix that Fraction Gauss-Jordan gives
+    column by column."""
+    from relclass.formats import CorpusEntry
+
+    if corpus == "hF2":
+        fields = [CorpusEntry(line, i).cm() for i, line in enumerate(BASE_CLASS_ROWS, 1)]
+    else:
+        fields = [entry.cm() for entry in load_corpus(str(CORPORA / f"{corpus}.txt"))]
+    for K in fields:
+        amb = [z.coords() for z in K.order_basis]
+        cols = [oracles.solve_exact(amb, [int(a == b) for a in range(K.deg)]) for b in range(K.deg)]
+        assert K._order_mat == [[col[a] for col in cols] for a in range(K.deg)], K
 
 
 @pytest.mark.parametrize("corpus", ["q50", "quartic80"])

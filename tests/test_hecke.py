@@ -1,5 +1,5 @@
 import pytest
-from oracles import hecke_extend
+from oracles import eigenvalue_local, hecke_extend
 
 from relclass.cm import make_cm
 from relclass.errors import LevelNotSquarefree, OutOfTableRange
@@ -48,6 +48,21 @@ def test_derived_tables_declare_no_discrepancy():
 def test_out_of_range():
     with pytest.raises(OutOfTableRange):
         TBL.lam(Q.splitting(1009).primes[0])
+
+
+@pytest.mark.parametrize("m", [None, 3, 5])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_local_is_the_hand_written_prime_loop(m, twisted):
+    """On the tables `relclass bound` builds at the prime cap 300."""
+    F = Q if m is None else make_field(2, m)
+    table = gz_table(300) if m is None else base_change_table(gz_table(300), F)
+    if twisted:
+        table = twist_table(table, QuadChar(make_cm(F, F.elem(-139))))
+    for P in (2, 37, 139, 150, 299, 300):
+        assert table.local(P) == eigenvalue_local(table, P), P
+    assert table.primes() == [pr for pr, _, _, _ in eigenvalue_local(table, 300)]
+    with pytest.raises(OutOfTableRange):
+        table.local(301)
 
 
 def test_twist_involution():
