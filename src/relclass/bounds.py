@@ -394,16 +394,13 @@ def make_bundle(
     strategy: str = "heuristic",
     injected: dict | None = None,
     lambda_grid: list[float] | None = None,
-    prime_cap: int | None = None,
 ) -> ConstantBundle:
-    """The lambda-free constants; prime_cap (default cascade.PRIME_CAP) bounds
-    the primes the G constants read."""
-    from .cascade import PRIME_CAP, b_constants, f2_uniform, g_constants, m_prime
+    from .cascade import b_constants, f2_uniform, g_constants, m_prime
 
     lat = lattice_constants(F)
     Mp = m_prime(F, table.level)
     B = b_constants(F, lat, Mp)
-    G = g_constants(table, strategy, injected, prime_cap=PRIME_CAP if prime_cap is None else prime_cap)
+    G = g_constants(table, strategy, injected)
     F2 = f2_uniform(F)
     grid = lambda_grid if lambda_grid is not None else [1, 2, 5, 10, 20, 50, 100, 200]
     rigor = {

@@ -187,11 +187,11 @@ def g_constants(
     table: EigenvalueTable,
     strategy: str = "heuristic",
     injected: dict | None = None,
-    prime_cap: int = PRIME_CAP,
 ) -> GConstants:
     """G1 (lower), G2/G3 (upper) for the chosen Dirichlet-series pair.
 
-    heuristic: truncated symmetric-square data and contour quadrature;
+    heuristic: symmetric-square data truncated at the primes over
+    p <= min(PRIME_CAP, table.pmax) and contour quadrature;
     injected: caller-supplied finite positive reals pass through verbatim."""
     if strategy == "injected":
         given = injected if isinstance(injected, dict) else {}
@@ -215,6 +215,7 @@ def g_constants(
     n = F.n
     level_norm = int(table.level.norm())
     twopi = (2 * math.pi) ** (2 * n)
+    prime_cap = min(PRIME_CAP, table.pmax)
     L1 = symsq_L1(table, prime_cap)["value"]
     zprime = zeta_F_a_inv_prime_at_1(F, table.level)
     sq_primes = _square_level_primes(table)

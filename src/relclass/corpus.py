@@ -156,7 +156,7 @@ def cmd_bound(args) -> int:
             if F.n == 2:
                 table = hecke.base_change_table(table, F)
             f_table = hecke.twist_table(table, hecke.QuadChar(make_cm(F, -139)))
-            bundles[F] = bnd.make_bundle(F, f_table, strategy, injected, lambda_grid=grid, prime_cap=cap)
+            bundles[F] = bnd.make_bundle(F, f_table, strategy, injected, lambda_grid=grid)
         return bundles[F]
 
     def run_row(entry, row):

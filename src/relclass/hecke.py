@@ -138,9 +138,6 @@ class EigenvalueTable:
             ]
         return [e for e in self._local if e[0].p <= P]
 
-    def primes(self) -> list[PrimeIdeal]:
-        return [pr for pr, _, _, _ in self.local(self.pmax)]
-
 
 def gz_table(pmax: int = 1000) -> EigenvalueTable:
     """The source table over Q: eigenvalues of the level-37 curve."""
@@ -203,8 +200,8 @@ def twist_table(table: EigenvalueTable, chi: QuadChar) -> EigenvalueTable:
     except LevelNotSquarefree:
         new_level = table.level & (cond * cond)  # lcm = intersection
     lam = {}
-    for pr in table.primes():
-        lam[_pkey(pr)] = 0 if new_level.valuation(pr) >= 2 else chi.star(pr) * table.lam(pr)
+    for pr, _, _, lam_pr in table.local(table.pmax):
+        lam[_pkey(pr)] = 0 if new_level.valuation(pr) >= 2 else chi.star(pr) * lam_pr
     return EigenvalueTable(F, new_level, table.pmax, lam, None, "twist")
 
 

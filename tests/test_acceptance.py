@@ -312,7 +312,7 @@ def test_13_cascade(gz1000):
         ("injected", {"G1": 1e-13, "G2": 30.0, "G3": 1e7}),
     ):
         g2 = grid if strategy == "heuristic" else [1e37, 1e39, 1e41]
-        bundle = bnd.make_bundle(Q, f_table, strategy, injected, lambda_grid=g2, prime_cap=300)
+        bundle = bnd.make_bundle(Q, f_table, strategy, injected, lambda_grid=g2)
         C = bnd.final_C(bundle)["C"]
         assert C > 0
         for e in load_corpus(str(ROOT / "corpus" / "q50.txt")):

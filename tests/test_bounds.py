@@ -430,7 +430,7 @@ def test_g1_g2_are_bit_for_bit(m, G1, G2):
     derivative give the same doubles as their hand-written prime loops did."""
     F = make_field(1) if m is None else make_field(2, m)
     with mpmath.workprec(128):
-        g = cascade.g_constants(_bound_table(F), "heuristic", prime_cap=300)
+        g = cascade.g_constants(_bound_table(F), "heuristic")
     assert (g.G1, g.G2) == (G1, G2)
 
 
