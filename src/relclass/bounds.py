@@ -318,12 +318,10 @@ def norm_count_check_F(idl: FIdeal, t: Fraction, lat: LatticeConstants) -> dict:
 
 
 class BoundParams(NamedTuple):
-    t: int
     m: Fraction
     V: float
     U: float
     R: int
-    P_UK: list[PrimeIdeal]
     P_K: list[PrimeIdeal]
     h: int
     h_K: int
@@ -354,7 +352,6 @@ def bound_params(K: CMField) -> BoundParams:
     ram = [pr for (pr, v) in K.rel_disc_primes]
     R = max(pr.norm() for pr in ram)
     P_K = [pr for pr in ram if pr.norm() < R]
-    P_UK = [pr for pr in ram if pr.norm() < U]
     # scan checks: no split prime below V, at most one below U
     split_below_U = 0
     for pr in K.F.primes_of_norm_up_to(max(V, U)):
@@ -369,8 +366,7 @@ def bound_params(K: CMField) -> BoundParams:
         raise LemmaViolation(f"{split_below_U} split primes below U")
     if R < U:
         raise LemmaViolation(f"R = {R} < U = {U}")
-    assert all(pr in P_K for pr in P_UK)
-    return BoundParams(len(ram), m, V, U, R, P_UK, P_K, h, h_K)
+    return BoundParams(m, V, U, R, P_K, h, h_K)
 
 
 # -- the cascade ---------------------------------------------------------------------------
@@ -427,24 +423,20 @@ def final_C(bundle: ConstantBundle) -> dict:
     from .cascade import e_constants
 
     best = None
-    rows = []
     for lam in bundle.lambda_grid:
         try:
             ec = e_constants(bundle, lam)
         except LambdaTooSmall:
-            rows.append({"lambda": lam, "feasible": False, "reason": "lambda too small"})
             continue
         E2 = ec["E2"]
         if E2.lo <= 0:
-            rows.append({"lambda": lam, "feasible": False, "E2": E2.lo})
             continue
         Cval = min(1.0 / lam, (Interval(bundle.G.G1) * ec["D"]["D2"] * E2 / ec["E1"]).lo)
-        rows.append({"lambda": lam, "feasible": True, "C": Cval, "E2": E2.lo})
         if best is None or Cval > best[1]:
-            best = (lam, Cval, ec)
+            best = (lam, Cval)
     if best is None:
         raise NoFeasibleLambda("no grid point with E2 > 0")
-    return {"lambda": best[0], "C": best[1], "rows": rows, "breakdown": best[2]}
+    return {"lambda": best[0], "C": best[1]}
 
 
 def final_bound(K: CMField, bundle: ConstantBundle, C: float | None = None) -> dict:
@@ -454,7 +446,7 @@ def final_bound(K: CMField, bundle: ConstantBundle, C: float | None = None) -> d
     if not parity_applicable(F):
         raise ParityFails("the 37-splitting parity condition fails for this base field")
     params = bound_params(K)
-    s, e, f = splitting_37(F)
+    _, _, f = splitting_37(F)
     d = K.rel_disc_norm
     branch1 = math.log(d / 4**n) / (f * LOG_37.hi)
     if C is None:
@@ -480,11 +472,6 @@ def final_bound(K: CMField, bundle: ConstantBundle, C: float | None = None) -> d
         "slack": h_K - bound,
         "ramified_factors": factors,
         "C": C,
-        "s37": s,
-        "e37": e,
-        "f37": f,
-        "n_plus_s_even": (n + s) % 2 == 0,
-        "places_above_37": s,
         "rigor": bundle.rigor,
         "ok": ok,
     }

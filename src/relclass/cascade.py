@@ -122,23 +122,27 @@ def b_constants(F: Field, lat: LatticeConstants, Mp: Interval) -> dict:
 
 
 def zeta_F_numeric(F: Field, s: complex) -> complex:
-    """Numeric zeta_F via zeta * L(s, chi) (quadratic) or zeta (rational)."""
+    """Numeric zeta_F via zeta * L(s, chi) (quadratic) or zeta (rational).
+
+    mpmath works at 128 bits here, whatever the caller's precision: G2 takes
+    central differences of these values, which read their last bits."""
     import mpmath
 
-    z = complex(mpmath.zeta(s))
-    if F.n == 1:
-        return z
-    D = F.d_F
-    # L(s, chi_D) by Hurwitz zeta over residues mod |D|
-    q = abs(D)
-    acc = mpmath.mpc(0)
-    for a in range(1, q + 1):
-        ch = kronecker(D, a) if math.gcd(a, q) == 1 else 0
-        if ch:
-            acc += ch * mpmath.zeta(s, mpmath.mpf(a) / q)
-        # chi(a) for gcd > 1 is 0
-    L = acc * mpmath.mpf(q) ** (-s)
-    return complex(z * L)
+    with mpmath.workprec(128):
+        z = complex(mpmath.zeta(s))
+        if F.n == 1:
+            return z
+        D = F.d_F
+        # L(s, chi_D) by Hurwitz zeta over residues mod |D|
+        q = abs(D)
+        acc = mpmath.mpc(0)
+        for a in range(1, q + 1):
+            ch = kronecker(D, a) if math.gcd(a, q) == 1 else 0
+            if ch:
+                acc += ch * mpmath.zeta(s, mpmath.mpf(a) / q)
+            # chi(a) for gcd > 1 is 0
+        L = acc * mpmath.mpf(q) ** (-s)
+        return complex(z * L)
 
 
 def zeta_F_a_inv_prime_at_1(F: Field, level: FIdeal) -> float:
@@ -180,7 +184,6 @@ class GConstants(NamedTuple):
     G2: float
     G3: float
     provenance: str
-    details: dict
 
 
 def g_constants(
@@ -206,7 +209,7 @@ def g_constants(
             raise StrategyUnavailable(
                 f"injected G constants must be finite positive reals: {', '.join(bad)}"
             )
-        return GConstants(injected["G1"], injected["G2"], injected["G3"], "injected", {})
+        return GConstants(injected["G1"], injected["G2"], injected["G3"], "injected")
     if strategy != "heuristic":
         raise StrategyUnavailable(f"unknown strategy {strategy}")
     from .hecke import symsq_L1, symsq_log_deriv_L1
@@ -216,14 +219,14 @@ def g_constants(
     level_norm = int(table.level.norm())
     twopi = (2 * math.pi) ** (2 * n)
     prime_cap = min(PRIME_CAP, table.pmax)
-    L1 = symsq_L1(table, prime_cap)["value"]
+    L1 = symsq_L1(table, prime_cap)
     zprime = zeta_F_a_inv_prime_at_1(F, table.level)
     sq_primes = _square_level_primes(table)
     corr1 = 1.0
     for q in sq_primes:
         corr1 *= q / (math.sqrt(q) + 1) ** 2
     G1 = abs(2.0 * F.d_F**2 / (twopi * level_norm**n) * L1 * zprime * corr1)
-    logderiv = abs(2 * symsq_log_deriv_L1(table, prime_cap)["value"])
+    logderiv = abs(2 * symsq_log_deriv_L1(table, prime_cap))
     zsecond = abs(zeta_F_a_inv_second_over_first(F, table.level))
     corr2 = 0.0
     for q in sq_primes:
@@ -236,13 +239,7 @@ def g_constants(
         + corr2
     )
     G3 = _g3_quadrature(table, prime_cap, 0.125)
-    return GConstants(
-        G1,
-        G2,
-        G3,
-        "heuristic",
-        {"L1_sym2": L1, "zeta_inv_prime": zprime, "log_deriv": logderiv},
-    )
+    return GConstants(G1, G2, G3, "heuristic")
 
 
 def _square_level_primes(table: EigenvalueTable) -> list[int]:

@@ -308,7 +308,6 @@ class CMField:
             assert z.is_integral()
         self.order_basis = basis
         self._max_order: "KIdeal | None" = None
-        self._order_covol: Fraction | None = None
         self.unit_equal = self._units_equal()
 
     def _two_adic_j(self, pr: PrimeIdeal, v4d: int) -> tuple[int, FElem]:
@@ -397,10 +396,9 @@ class CMField:
         b, inv2 = t.na + t.nb * R, (p + 1) // 2
         return [F.elem(r) for r in sorted({(b + s) * inv2 % p, (b - s) * inv2 % p})]
 
-    def _local(self, pr: PrimeIdeal) -> list:
-        """The cache entry [splitting kind, w, primes above or None] of pr,
-        where w is an integral element of K that generates o_K over o_F
-        locally at pr.
+    def _local(self, pr: PrimeIdeal) -> tuple[str, KElem]:
+        """The cache entry (splitting kind, w) of pr, where w is an integral
+        element of K that generates o_K over o_F locally at pr.
 
         pr ramifies iff it divides the relative discriminant.  Otherwise w
         reduces modulo the primes above pr to the roots of
@@ -421,14 +419,11 @@ class CMField:
             else:
                 t, n = w.rel_trace(), w.rel_norm()
                 kind = "split" if residue_char(pr, t * t - 4 * n) == 1 else "inert"
-            entry = self._local_cache[key] = [kind, w, None]
+            entry = self._local_cache[key] = (kind, w)
         return entry
 
     def primes_above(self, pr: PrimeIdeal) -> list[KPrime]:
-        entry = self._local(pr)
-        kind, w, out = entry
-        if out is not None:
-            return out
+        kind, w = self._local(pr)
         pK = self.extend_ideal(pr.ideal)
         out = []
         if kind == "inert":
@@ -448,7 +443,6 @@ class CMField:
         for kp in out:
             expected = pr.norm() ** kp.rel_f
             assert kp.ideal.norm() == expected, (pr, kp.ideal.norm(), expected)
-        entry[2] = out
         return out
 
     def splitting_kind(self, pr: PrimeIdeal) -> str:
@@ -480,11 +474,10 @@ class KIdeal(LatticeIdeal):
     """Fractional ideal of K as an integer HNF lattice over the order basis,
     divided by one denominator."""
 
-    __slots__ = ("_basis", "_relnorm", "_conj", "_gens")
+    __slots__ = ("_relnorm", "_conj", "_gens")
 
     def __init__(self, K: CMField, num: list[list[int]], den: int):
         super().__init__(K, num, den)
-        self._basis = None
         self._relnorm = None
         self._conj = None
         self._gens = None  # (l, alpha): the ideal is l o_K + alpha o_K, alpha a row
@@ -494,9 +487,7 @@ class KIdeal(LatticeIdeal):
         return self.ring
 
     def basis_kelems(self) -> list[KElem]:
-        if self._basis is None:
-            self._basis = [self.K._from_order(r, self.den) for r in self.num]
-        return self._basis
+        return [self.K._from_order(r, self.den) for r in self.num]
 
     def rel_norm(self) -> FIdeal:
         """Norm ideal of F, generated by the N(z_i) and Tr_{K/F}(z_i conj z_j)
@@ -787,8 +778,8 @@ def _closure_generators(K: CMField):
 def _certified_h_K(K: CMField) -> int | None:
     """h_K from a class number formula, or None where none applies.
 
-    Over Q it counts Gauss's reduced forms (read from the counts when
-    class_counts ran first).  Over Q(sqrt m) with rational delta, K is the
+    Over Q it reads class_counts, which counts Gauss's reduced forms.
+    Over Q(sqrt m) with rational delta, K is the
     biquadratic Q(sqrt m, sqrt delta), and Kuroda's formula
     2 h_K = Q h(m) h(delta) h(m delta) holds (Lemmermeyer, Acta Arith. 72
     (1995)).  Its unit index Q is 1 when o_K^x = o_F^x: then w_K = 2 and
@@ -796,11 +787,7 @@ def _certified_h_K(K: CMField) -> int | None:
     """
     F = K.F
     if F.n == 1:
-        if K._counts is not None:
-            return K._counts.h_K
-        from .imagquad import class_group_counts
-
-        return class_group_counts(-K.rel_disc_norm)[0]
+        return class_counts(K).h_K
     if K.delta.nb or not K.unit_equal:
         return None
     from .imagquad import class_group_counts, field_disc

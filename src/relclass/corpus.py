@@ -15,8 +15,8 @@ from fractions import Fraction
 
 # verify imports cm, bounds and dseries when it starts.  bound checks each
 # row's delta and the 37-splitting parity on the base field first, and only
-# for a row that passes builds K and imports cm, bounds, mpmath, hecke,
-# dseries and the cascade.  That row's cascade runs at 128 bits.
+# for a row that passes builds K and imports cm, bounds, hecke, dseries and
+# the cascade.
 from .errors import InequalityViolated, InvalidArgument, ParityFails, RelclassError
 from .field import cm_radicand, parity_applicable
 from .formats import ALL_CHECKS, EXIT_INPUT, EXIT_OK, emit, fmt, load_corpus, outcome
@@ -165,21 +165,15 @@ def cmd_bound(args) -> int:
         if not parity_applicable(F):
             raise ParityFails("the 37-splitting parity condition fails for this base field")
         from . import bounds as bnd
+        from . import dseries
         from .cm import lower_bound_t, make_cm
 
-        # K is built before mpmath loads: in the other order the process's
-        # peak RSS is about 1 MB higher
         K = make_cm(F, delta)
-        import mpmath
-
-        from . import dseries
-
-        with mpmath.workprec(128):
-            b = bundle(F)
-            fc = bnd.final_C(b)
-            fb = bnd.final_bound(K, b, C=fc["C"])
-            t, genus_bound = lower_bound_t(K)
-            vs = dseries.vsum_check(K)
+        b = bundle(F)
+        fc = bnd.final_C(b)
+        fb = bnd.final_bound(K, b, C=fc["C"])
+        t, genus_bound = lower_bound_t(K)
+        vs = dseries.vsum_check(K)
         row.update(
             {
                 "reldisc": K.rel_disc_norm,

@@ -157,9 +157,7 @@ class StepMeasure:
 def mellin_closed(kind: str, params: dict, s: complex) -> complex:
     """Closed-form Mellin transforms of the comparison measures.
 
-    kind "gamma": integral of t^-s e^(-1/t) t^(u-1) dt = Gamma(s - u);
-    kind "K": h_K A1 2^(n s - n) s / ((s-1) sqrt(d)^s);
-    kind "F": h_F sqrt(A2) s/(s - 1/2).
+    kind "gamma": integral of t^-s e^(-1/t) t^(u-1) dt = Gamma(s - u).
     """
     s = complex(s)
     if kind == "gamma":
@@ -169,20 +167,6 @@ def mellin_closed(kind: str, params: dict, s: complex) -> complex:
         import mpmath
 
         return complex(mpmath.gamma(s - u))
-    if kind == "K":
-        if s.real <= 1:
-            raise OutOfRegion("Re(s) > 1 required")
-        h_K = params["h_K"]
-        A1 = params["A1"]
-        n = params["n"]
-        d = params["reldisc"]
-        return h_K * A1 * complex(2) ** (n * s - n) * s / ((s - 1) * complex(d) ** (s / 2))
-    if kind == "F":
-        if s.real <= 0.5:
-            raise OutOfRegion("Re(s) > 1/2 required")
-        h_F = params["h_F"]
-        A2 = params["A2"]
-        return h_F * math.sqrt(A2) * s / (s - 0.5)
     raise ValueError(f"unknown kind {kind}")
 
 

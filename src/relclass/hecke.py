@@ -36,46 +36,23 @@ TWIST_DISC = -139
 def ap_curve(p: int) -> int:
     """Trace of Frobenius at p by exhaustive point counting.
 
-    Good p: a_p = p + 1 - #E(F_p).  At p = 37 (multiplicative reduction) the
-    nonsingular locus is counted, a_p = p - #E_ns; a mismatch against the
-    configured value would be reported by the caller, not silently patched.
+    At good p, a_p = p + 1 - #E(F_p); at p = 37 (multiplicative reduction),
+    a_p = p - #E_ns(F_p), the nonsingular points, which drop the node.  Both
+    are p minus the number of affine solutions, so one count serves every p;
+    a mismatch of a_37 against the configured value would be reported by the
+    caller, not silently patched.
     """
-    if p == CURVE_LEVEL:
-        return _ap_multiplicative(p)
-    c2, c1, c0 = 1, CURVE[1], CURVE[2]
+    c2, c1, c0 = CURVE
     # tally y^2 + y over F_p, then count x with matching right side
     cnt = [0] * p
     for y in range(p):
         cnt[(y * y + y) % p] += 1
     total = 0
     for x in range(p):
-        rhs = (x * x * (x + c2) + c1 * x + c0) % p
-        total += cnt[rhs]
-    n_points = total + 1
-    ap = p + 1 - n_points
+        total += cnt[(x * x * (x + c2) + c1 * x + c0) % p]
+    ap = p - total
     assert ap * ap <= 4 * p, f"Hasse bound violated at {p}"
     return ap
-
-
-def _ap_multiplicative(p: int) -> int:
-    c1, c0 = CURVE[1] % p, CURVE[2] % p
-    sing = None
-    for x in range(p):
-        for y in range(p):
-            if (y * y + y - (x * x * x + x * x + c1 * x + c0)) % p:
-                continue
-            if (2 * y + 1) % p == 0 and (3 * x * x + 2 * x + c1) % p == 0:
-                sing = (x, y)
-    cnt = [0] * p
-    for y in range(p):
-        cnt[(y * y + y) % p] += 1
-    total = 0
-    for x in range(p):
-        rhs = (x * x * x + x * x + c1 * x + c0) % p
-        total += cnt[rhs]
-    smooth_affine = total - (1 if sing else 0)
-    n_ns = smooth_affine + 1
-    return p - n_ns
 
 
 def _pkey(pr: PrimeIdeal):
@@ -345,30 +322,23 @@ def psi_factor(table: EigenvalueTable, chi: QuadChar, pr: PrimeIdeal,
 def euler_factors(table: EigenvalueTable, chi: QuadChar, pr: PrimeIdeal):
     """(D_p, sym2_p, Psi_p, Phi_p) with Phi = D(f) D(f tensor chi) / Psi.
 
-    Phi is returned unreduced (numerator and denominator collected); the
-    defining identity Phi * Psi = D * D_chi holds exactly by construction and
-    the root bounds of the reduced quotient are checked numerically."""
+    Phi is phi_reduced's explicit factor, so the identity
+    Phi * Psi = D * D_chi is a check on it; its root bounds are asserted."""
     twisted = twist_table(table, chi)
-    Dp = d_factor(table, pr)
-    Dx = d_factor(twisted, pr)
-    sym = symsq_factor(table, pr)
-    psi = psi_factor(table, chi, pr, twisted)
-    phi_num = poly_mul(poly_mul(Dp.num, Dx.num), psi.den)
-    phi_den = poly_mul(poly_mul(Dp.den, Dx.den), psi.num)
-    phi = EulerFactor(pr.norm(), phi_num, phi_den)
-    assert check_root_bounds(phi_reduced(table, chi, pr), pr.norm()), f"root bound fails at {pr}"
-    return Dp, sym, psi, phi
+    phi = phi_reduced(table, chi, pr, twisted)
+    assert check_root_bounds(phi, pr.norm()), f"root bound fails at {pr}"
+    return d_factor(table, pr), symsq_factor(table, pr), psi_factor(table, chi, pr, twisted), phi
 
 
-def phi_reduced(table: EigenvalueTable, chi: QuadChar, pr: PrimeIdeal) -> EulerFactor:
-    """Phi_p with the common factors cancelled; degrees stay <= 2."""
+def phi_reduced(table: EigenvalueTable, chi: QuadChar, pr: PrimeIdeal,
+                twisted: EigenvalueTable) -> EulerFactor:
+    """Phi_p with the common factors cancelled; degrees stay <= 2.  twisted
+    is twist_table(table, chi)."""
     q = pr.norm()
     v = table.level_val(pr)
-    twisted = twist_table(table, chi)
     if v == 0:
-        lam = table.lam(pr)
-        lamx = twisted.lam(pr)
-        return EulerFactor(q, (1, lam, q), (1, -lamx, q))
+        # D(f tensor chi) is 1 where pr divides the conductor, not the level
+        return EulerFactor(q, (1, table.lam(pr), q), d_factor(twisted, pr).den)
     cond_v = chi.conductor().valuation(pr)
     gcd_v = min(v, 2 * cond_v)
     if gcd_v >= 2:
@@ -455,29 +425,24 @@ def epsilon_numeric(table: EigenvalueTable) -> tuple[int, float]:
     return eps, ratio
 
 
-def symsq_L1(table: EigenvalueTable, P: int) -> dict:
-    """Partial Euler product of L(1, sym^2) with a last-decade drift diagnostic."""
-    def partial(bound: int) -> float:
-        out = 1.0
-        for _, q, v, lam in table.local(bound):
-            if v >= 2:
-                continue
-            if v == 1:
-                out *= 1.0 / (1.0 - q**-2)
-                continue
-            f1 = 1.0 - lam / q + 1.0 / q
-            f2 = 1.0 - 1.0 / q
-            f3 = 1.0 + lam / q + 1.0 / q
-            out *= 1.0 / (f1 * f2 * f3)
-        return out
-
-    full = partial(P)
-    prev = partial(max(2, P // 10))
-    drift = abs(full - prev) / max(abs(full), 1e-30)
-    return {"value": full, "drift_last_decade": drift, "heuristic": True}
+def symsq_L1(table: EigenvalueTable, P: int) -> float:
+    """Partial Euler product of L(1, sym^2) over the primes over p <= P;
+    heuristic like every truncated L-quantity here."""
+    out = 1.0
+    for _, q, v, lam in table.local(P):
+        if v >= 2:
+            continue
+        if v == 1:
+            out *= 1.0 / (1.0 - q**-2)
+            continue
+        f1 = 1.0 - lam / q + 1.0 / q
+        f2 = 1.0 - 1.0 / q
+        f3 = 1.0 + lam / q + 1.0 / q
+        out *= 1.0 / (f1 * f2 * f3)
+    return out
 
 
-def symsq_log_deriv_L1(table: EigenvalueTable, P: int) -> dict:
+def symsq_log_deriv_L1(table: EigenvalueTable, P: int) -> float:
     """Central-difference estimate of L'(1, sym2)/L(1, sym2) on the partial
     product; heuristic like every truncated L-quantity here."""
     h = 1e-4
@@ -496,5 +461,4 @@ def symsq_log_deriv_L1(table: EigenvalueTable, P: int) -> dict:
             acc += -math.log((1 - lam * u + w) * (1 - w) * (1 + lam * u + w))
         return acc
 
-    val = (logL(1 + h) - logL(1 - h)) / (2 * h)
-    return {"value": val, "heuristic": True}
+    return (logL(1 + h) - logL(1 - h)) / (2 * h)

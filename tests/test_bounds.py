@@ -409,29 +409,42 @@ def test_g3_matches_128_bit_quadrature(m):
     assert abs(vals[0] - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("m, expected", [(None, 111980.76742396616), (3, 327052026859.33484)])
+# (G1, G2, G3) of g_constants on the tables `relclass bound --pmax 500` builds
+G_PINS = {
+    None: (4.1799370780810225e-08, 13.842040845907146, 111980.76742396616),
+    3: (1.0699534891237908e-24, 32.5099790875493, 327052026859.33484),
+}
+
+
+@pytest.mark.parametrize("m, expected", [(m, G_PINS[m][2]) for m in G_PINS])
 def test_g3_quadrature_is_bit_for_bit(m, expected):
     """The nodes are evaluated by the same float operations as before their
     loop invariants were hoisted: the sum over the tables `relclass bound
     --pmax 500` builds is the same double."""
     F = make_field(1) if m is None else make_field(2, m)
-    with mpmath.workprec(128):
-        table = _bound_table(F)
-    assert cascade._g3_quadrature(table, 300, 0.125) == expected
+    assert cascade._g3_quadrature(_bound_table(F), 300, 0.125) == expected
 
 
-@pytest.mark.parametrize(
-    "m, G1, G2",
-    [(None, 4.1799370780810225e-08, 13.842040845907146), (3, 1.0699534891237908e-24, 32.5099790875493)],
-)
+@pytest.mark.parametrize("m, G1, G2", [(m, *G_PINS[m][:2]) for m in G_PINS])
 def test_g1_g2_are_bit_for_bit(m, G1, G2):
-    """G1 and G2 at prime cap 300, at the 128 bits `relclass bound` runs a
-    row's cascade in: the partial products of L(1, sym^2) and its log
-    derivative give the same doubles as their hand-written prime loops did."""
+    """G1 and G2 at prime cap 300: the partial products of L(1, sym^2) and
+    its log derivative give the same doubles as their hand-written prime
+    loops did."""
     F = make_field(1) if m is None else make_field(2, m)
-    with mpmath.workprec(128):
-        g = cascade.g_constants(_bound_table(F), "heuristic")
+    g = cascade.g_constants(_bound_table(F), "heuristic")
     assert (g.G1, g.G2) == (G1, G2)
+
+
+@pytest.mark.parametrize("m", list(G_PINS))
+def test_g_constants_ignore_the_ambient_precision(m):
+    """The cascade sets the precision of its mpmath calls itself: a caller at
+    53, 128 or 200 bits gets the pinned G1, G2 and G3."""
+    F = make_field(1) if m is None else make_field(2, m)
+    table = _bound_table(F)
+    for prec in (53, 128, 200):
+        with mpmath.workprec(prec):
+            g = cascade.g_constants(table, "heuristic")
+        assert (g.G1, g.G2, g.G3) == G_PINS[m], prec
 
 
 def test_zeta_inv_prime_closed_form():

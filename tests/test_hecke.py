@@ -8,13 +8,16 @@ from relclass.hecke import (
     QuadChar,
     ap_curve,
     base_change_table,
+    check_root_bounds,
     d_factor,
     dirichlet_coeffs,
     epsilon_factor,
     epsilon_numeric,
     euler_factors,
     gz_table,
+    phi_reduced,
     poly_mul,
+    psi_factor,
     symsq_L1,
     twist_table,
 )
@@ -155,10 +158,30 @@ def test_epsilon_formula_consistent_across_factorizations():
 
 
 def test_symsq_positive_and_drift():
-    rep = symsq_L1(TBL, 500)
-    assert rep["value"] > 0
-    assert rep["heuristic"]
-    assert rep["drift_last_decade"] < 0.2
+    full = symsq_L1(TBL, 500)
+    assert full > 0
+    # the primes over (50, 500] move the partial product by under a fifth
+    assert abs(full - symsq_L1(TBL, 50)) / full < 0.2
+
+
+@pytest.mark.parametrize("m", [None, 2, 3, 5, 13])
+def test_phi_reduced_times_psi_is_d_times_d_chi(m):
+    """The explicit Phi_p satisfies Phi_p Psi_p = D_p(f) D_p(f chi) at every
+    prime of the base field over p <= 200, for characters whose conductor
+    meets the level (-37) or not; at a prime of the conductor off the level
+    the twisted form has level there, so D_p(f chi) = 1."""
+    F = Q if m is None else make_field(2, m)
+    table = gz_table(200) if m is None else base_change_table(gz_table(200), F)
+    for d in (-1, -3, -7, -37, -139):
+        chi = QuadChar(make_cm(F, F.elem(d)))
+        tw = twist_table(table, chi)
+        for pr, q, _, _ in table.local(200):
+            D, Dx = d_factor(table, pr), d_factor(tw, pr)
+            phi, psi = phi_reduced(table, chi, pr, tw), psi_factor(table, chi, pr, tw)
+            lhs = poly_mul(poly_mul(phi.num, psi.num), poly_mul(D.den, Dx.den))
+            rhs = poly_mul(poly_mul(D.num, Dx.num), poly_mul(phi.den, psi.den))
+            assert lhs == rhs, (m, d, pr)
+            assert check_root_bounds(phi, q), (m, d, pr)
 
 
 def test_root_bounds_all_factors():

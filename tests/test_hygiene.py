@@ -10,7 +10,8 @@ an attribute, an imported name, or a dotted identifier string such as the
 "FIdeal.principal_gen" span targets of perfbench/spans.py; a bare string
 such as a report key or a local name is not.  Dunder names are used
 implicitly and are exempt.
-Every parameter other than self/cls is read in its function's body.
+Every parameter other than self/cls is read in its function's body, and
+every attribute stored as `self.X = ...` is read somewhere, by name.
 """
 
 import ast
@@ -108,6 +109,31 @@ def test_every_function_is_referenced():
     readers = ("src", "tests/test_acceptance.py", "perfbench")
     unused = _unreferenced((ast.FunctionDef, ast.AsyncFunctionDef), readers)
     assert [u for u in unused if u.split()[-1] not in PAPER_CONSTRUCTIONS] == []
+
+
+def test_every_instance_attribute_is_read():
+    """Each attribute that src/relclass stores as `self.X = ...` is read as
+    `.X`, or named in a string (a getattr over a field list), in src, the
+    acceptance gate or perfbench: by name, as for functions."""
+    read = set()
+    for _, tree in _trees("src", "tests/test_acceptance.py", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for path, tree in _trees("src/relclass"):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and node.attr not in read
+            ):
+                unread.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert unread == []
 
 
 def test_every_class_is_referenced():
